@@ -177,15 +177,7 @@ def mean(system_path, chain_path, depth, out, fmt, force):
     """Closed-form mean histogram at one chain level (no sampling)."""
     system = _load_system(system_path)
     chain = _resolve_chain(system, chain_path, depth)
-    part = chain[depth]
-    if isinstance(system, (DirichletSystem, PolyaTreeSystem)):
-        h = system.mean(part)
-    elif isinstance(system, GaussianSystem):
-        h = system.centre_histogram(part)
-    elif isinstance(system, LeakageSystem):
-        h = system.histogram(part)
-    else:
-        raise ValidationError("cli/system", f"no mean for {type(system).__name__}")
+    h = system.mean(chain[depth])
     if fmt == "csv":
         _write_text(histogram_to_csv(h), out, force)
     else:

@@ -39,6 +39,7 @@ from .systems import (
     PolyaTreeSystem,
     TableRule,
     assemble_sigma,
+    level_pairs,
 )
 
 HOLDS = "holds"
@@ -369,17 +370,13 @@ def _weak_level_sums(system: PolyaTreeSystem, depth: int) -> list[tuple[int, flo
     ratios = np.array([1.0])
     out: list[tuple[int, float]] = []
     for m in range(1, depth + 1):
-        width = m - 1
-        f0 = np.empty(len(ratios))
-        f1 = np.empty(len(ratios))
-        for i in range(len(ratios)):
-            bits = tuple((i >> (width - 1 - j)) & 1 for j in range(width))
-            try:
-                b0, b1 = system.rule.pair(CellIndex(bits, width))
-            except ValidationError:
-                return out
-            f0[i], f1[i] = _split_weak_factors(b0, b1)
-        ratios = np.stack([ratios * f0, ratios * f1], axis=1).reshape(-1)
+        try:
+            a, b = level_pairs(system.rule, m)
+        except ValidationError:
+            return out
+        factors = np.array([_split_weak_factors(b0, b1)
+                            for b0, b1 in zip(a.tolist(), b.tolist())])
+        ratios = (ratios[:, None] * factors).reshape(-1)
         out.append((m, float(ratios.sum())))
     return out
 

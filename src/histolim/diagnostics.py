@@ -19,7 +19,7 @@ import io
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -267,18 +267,13 @@ def reference_histogram(system: HistogramSystem, partition: Partition) -> Histog
     """Reference measure for domination tests: the mean measure for
     probability families, the per-cell spread envelope for Gaussian ones
     (plus |centre| when not centred)."""
-    if isinstance(system, (DirichletSystem, PolyaTreeSystem)):
-        return system.mean(partition)
     if isinstance(system, GaussianSystem):
         q = system.q_alpha(partition)
         if system.centred:
             return q
         centre = np.abs(system.centre_histogram(partition).values)
         return Histogram(partition, centre + q.values, POSITIVE)
-    if isinstance(system, LeakageSystem):
-        return system.histogram(partition)
-    raise ValidationError("diagnostics/unsupported-family",
-                          f"no reference measure for {type(system).__name__}")
+    return system.mean(partition)
 
 
 @dataclass(frozen=True)

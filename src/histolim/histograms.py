@@ -159,7 +159,7 @@ def project(h: Union[Histogram, HistogramStack],
 
 
 def project_values(values: np.ndarray, rmap: RefinementMap) -> np.ndarray:
-    """Array form of `project` along the last axis (groups are contiguous)."""
+    """Array form of `project` along the last axis."""
     return np.add.reduceat(values, rmap.boundaries, axis=-1)
 
 

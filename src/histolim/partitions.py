@@ -154,6 +154,12 @@ class CellIndex:
                 f"interval cell level {self.level} != len(bits) {len(self.bits)}",
             )
 
+    @classmethod
+    def at(cls, position: int, level: int) -> "CellIndex":
+        """Address of interval cell `position` (0-based, left to right) of
+        a binary level."""
+        return cls(tuple((position >> (level - 1 - k)) & 1 for k in range(level)), level)
+
     def label(self) -> str:
         if self.atom:
             return "{left}"
@@ -295,22 +301,18 @@ def cell_of(partition: Partition, x) -> Cell:
     return partition.cell_of(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinementMap:
-    """Grouping of fine-cell positions under each coarse cell.
+    """Start position in `fine` of each coarse cell.
 
-    Groups are contiguous runs in fine order (a consequence of nested
-    interval refinement), so `boundaries` supports np.add.reduceat-style
-    projection of value arrays.
+    Every coarse cell covers a contiguous run of fine cells (a consequence
+    of nested interval refinement), so `boundaries` supports
+    np.add.reduceat-style projection of value arrays.
     """
 
     coarse: Partition
     fine: Partition
-    groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def boundaries(self) -> np.ndarray:
-        return np.array([g[0] for g in self.groups], dtype=np.intp)
+    boundaries: np.ndarray
 
     def compose(self, finer: "RefinementMap") -> "RefinementMap":
         """Chain two maps: self (coarse->mid) with finer (mid->fine)."""
@@ -319,10 +321,7 @@ class RefinementMap:
                 "refinement/compose",
                 "intermediate partitions do not match",
             )
-        groups = tuple(
-            tuple(k for j in group for k in finer.groups[j]) for group in self.groups
-        )
-        return RefinementMap(self.coarse, finer.fine, groups)
+        return RefinementMap(self.coarse, finer.fine, finer.boundaries[self.boundaries])
 
 
 def refine_map(coarse: Partition, fine: Partition) -> RefinementMap:
@@ -334,16 +333,16 @@ def refine_map(coarse: Partition, fine: Partition) -> RefinementMap:
     """
     if coarse.domain != fine.domain:
         raise ValidationError("refinement/domain", "partitions live on different domains")
-    groups: list[list[int]] = [[] for _ in coarse.cells]
+    starts: list[int] = []
     j = 0
-    for i, big in enumerate(coarse.cells):
+    for big in coarse.cells:
+        starts.append(j)
         if big.is_atom:
             if j >= len(fine.cells) or not fine.cells[j].is_atom or fine.cells[j].left != big.left:
                 raise ValidationError(
                     "refinement/gap",
                     f"coarse singleton {big!r} has no matching fine singleton",
                 )
-            groups[i].append(j)
             j += 1
             continue
         if j >= len(fine.cells) or fine.cells[j].left != big.left:
@@ -364,7 +363,6 @@ def refine_map(coarse: Partition, fine: Partition) -> RefinementMap:
                     "refinement/straddle",
                     f"fine cell {small!r} straddles the coarse boundary at {format_endpoint(big.right)}",
                 )
-            groups[i].append(j)
             j += 1
             if small.right == big.right:
                 break
@@ -375,7 +373,7 @@ def refine_map(coarse: Partition, fine: Partition) -> RefinementMap:
                 )
     if j != len(fine.cells):
         raise ValidationError("refinement/gap", "fine partition has cells beyond the coarse cover")
-    return RefinementMap(coarse, fine, tuple(tuple(g) for g in groups))
+    return RefinementMap(coarse, fine, np.array(starts, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -412,10 +410,11 @@ class PartitionChain:
                 "chain/levels",
                 f"need 0 <= coarse {coarse_level} <= fine {fine_level} <= depth {self.depth}",
             )
-        out = refine_map(self.partitions[coarse_level], self.partitions[coarse_level])
+        coarse = self.partitions[coarse_level]
+        starts = np.arange(len(coarse), dtype=np.intp)
         for lvl in range(coarse_level, fine_level):
-            out = out.compose(refine_map(self.partitions[lvl], self.partitions[lvl + 1]))
-        return out
+            starts = refine_map(self.partitions[lvl], self.partitions[lvl + 1]).boundaries[starts]
+        return RefinementMap(coarse, self.partitions[fine_level], starts)
 
     def to_json(self) -> dict:
         return {
@@ -475,8 +474,7 @@ def dyadic_chain(domain: Domain | None = None, depth: int = 0) -> PartitionChain
             cells.append(Cell(left, left, CellIndex((), m, atom=True)))
         h = span / (1 << m)
         for i in range(1 << m):
-            bits = tuple((i >> (m - 1 - k)) & 1 for k in range(m))
-            cells.append(Cell(left + i * h, left + (i + 1) * h, CellIndex(bits, m)))
+            cells.append(Cell(left + i * h, left + (i + 1) * h, CellIndex.at(i, m)))
         partitions.append(Partition(domain, tuple(cells), "dyadic", m))
     return PartitionChain(tuple(partitions))
 
@@ -553,8 +551,7 @@ def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = No
         pts: list[Endpoint] = [lo] + ([] if n == 0 else list(parsed[n - 1])) + [hi]
         cells = []
         for k in range(len(pts) - 1):
-            bits = tuple((k >> (n - 1 - j)) & 1 for j in range(n))
-            cells.append(Cell(pts[k], pts[k + 1], CellIndex(bits, n)))
+            cells.append(Cell(pts[k], pts[k + 1], CellIndex.at(k, n)))
         partitions.append(Partition(domain, tuple(cells), "triangular", n))
     return PartitionChain(tuple(partitions))
 

@@ -12,13 +12,12 @@ returned family is coherent by construction rather than by luck.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
 from .histograms import PROBABILITY, SIGNED, Histogram, HistogramStack, project
-from .partitions import CellIndex, Partition, PartitionChain, endpoint_to_float
+from .partitions import Partition, PartitionChain, endpoint_to_float
 from .streams import RandomStream, run_chunked
 from .systems import (
     DirichletSystem,
@@ -26,6 +25,7 @@ from .systems import (
     HistogramSystem,
     LeakageSystem,
     PolyaTreeSystem,
+    level_pairs,
     sigma_factor,
 )
 
@@ -71,11 +71,6 @@ def dirichlet_stack(system: DirichletSystem, partition: Partition,
     return HistogramStack(partition, rows, PROBABILITY)
 
 
-def sample_dirichlet(system: DirichletSystem, partition: Partition,
-                     stream: RandomStream) -> Histogram:
-    return dirichlet_stack(system, partition, stream, 1).histogram(0)
-
-
 # ---------------------------------------------------------------------------
 # Polya trees
 
@@ -109,18 +104,6 @@ def _beta_matrix(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
     return v
 
 
-def _level_pairs(system: PolyaTreeSystem, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Splitting parameters for all 2^(level-1) parents, left to right."""
-    width = level - 1
-    count = 1 << width
-    a = np.empty(count)
-    b = np.empty(count)
-    for i in range(count):
-        bits = tuple((i >> (width - 1 - j)) & 1 for j in range(width))
-        a[i], b[i] = system.rule.pair(CellIndex(bits, width))
-    return a, b
-
-
 def _check_binary_chain(chain: PartitionChain, depth: int) -> None:
     if not 0 <= depth <= chain.depth:
         raise ValidationError("sampling/depth",
@@ -152,7 +135,7 @@ def polya_stack(system: PolyaTreeSystem, chain: PartitionChain, depth: int,
             "sampling/atom-mass",
             f"p0={system.p0} needs a zero atom cell, absent at level {depth}",
         )
-    pairs = [_level_pairs(system, level) for level in range(1, depth + 1)]
+    pairs = [level_pairs(system.rule, level) for level in range(1, depth + 1)]
     tree_mass = 1.0 if not partition.has_atom else 1.0 - system.p0
 
     def draw(sub: RandomStream, k: int) -> np.ndarray:
@@ -166,11 +149,6 @@ def polya_stack(system: PolyaTreeSystem, chain: PartitionChain, depth: int,
 
     rows = run_chunked(stream, replicates, draw, jobs=jobs)
     return HistogramStack(partition, rows, PROBABILITY)
-
-
-def sample_polya(system: PolyaTreeSystem, chain: PartitionChain, depth: int,
-                 stream: RandomStream) -> Histogram:
-    return polya_stack(system, chain, depth, stream, 1).histogram(0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +175,13 @@ def gaussian_stack(system: GaussianSystem, partition: Partition,
     return HistogramStack(partition, rows, SIGNED)
 
 
-def sample_gaussian(system: GaussianSystem, partition: Partition,
-                    stream: RandomStream) -> Histogram:
-    return gaussian_stack(system, partition, stream, 1).histogram(0)
-
-
 # ---------------------------------------------------------------------------
 # family dispatch, chains, paths
 
 def _leakage_stack(system: LeakageSystem, partition: Partition,
                    replicates: int) -> HistogramStack:
     _check_replicates(replicates)
-    h = system.histogram(partition)
+    h = system.mean(partition)
     return HistogramStack(partition, np.tile(h.values, (replicates, 1)), PROBABILITY)
 
 

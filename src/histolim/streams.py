@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -83,7 +83,3 @@ def run_chunked(stream: RandomStream, n: int,
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(one, chunks))
     return np.concatenate(parts, axis=0)
-
-
-def substreams(stream: RandomStream, labels: Sequence[int]) -> list[RandomStream]:
-    return [stream.child(int(l)) for l in labels]

@@ -204,8 +204,7 @@ def _compile_level_expression(expr: str) -> Callable[[int], float]:
             check(node.right)
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             check(node.operand)
-        elif isinstance(node, ast.Num) or (isinstance(node, ast.Constant)
-                                           and isinstance(node.value, (int, float))):
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
             return
         elif isinstance(node, ast.Name) and node.id == "m":
             return
@@ -219,7 +218,12 @@ def _compile_level_expression(expr: str) -> Callable[[int], float]:
     code = compile(tree, "<beta-expression>", "eval")
 
     def evaluate(m: int) -> float:
-        return float(eval(code, {"__builtins__": {}}, {"m": m}))
+        try:
+            # float() rejects complex results with a TypeError
+            return float(eval(code, {"__builtins__": {}}, {"m": m}))
+        except (ArithmeticError, TypeError) as exc:
+            raise ValidationError("system/beta-expression",
+                                  f"{expr!r} gives no real number at m={m}: {exc}") from None
 
     return evaluate
 
@@ -361,6 +365,17 @@ def beta_rule_from_json(obj) -> BetaRule:
     raise ValidationError("system/beta-json", f"unknown beta rule {name!r}")
 
 
+def level_pairs(rule: BetaRule, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Splitting parameters (a, b) of the 2^(level-1) parent nodes of
+    `level`, left to right."""
+    width = level - 1
+    a = np.empty(1 << width)
+    b = np.empty(1 << width)
+    for i in range(1 << width):
+        a[i], b[i] = rule.pair(CellIndex.at(i, width))
+    return a, b
+
+
 def split_mean(b0: float, b1: float) -> tuple[float, float]:
     """Expected (left, right) fractions of a Beta split, honoring the
     infinite-parameter point masses."""
@@ -420,10 +435,16 @@ class PolyaTreeSystem:
         return value * (1.0 - self.p0) ** 2
 
     def mean(self, partition: Partition) -> Histogram:
-        values = np.array([
-            self.p0 if cell.is_atom else self.mean_of_index(cell.index)
-            for cell in partition.cells
-        ])
+        """Cell means level by level: each parent's mass times its expected
+        split fractions, the same products as `mean_of_index`."""
+        mass = np.ones(1)
+        for level in range(1, partition.level + 1):
+            a, b = level_pairs(self.rule, level)
+            splits = np.array([split_mean(b0, b1) for b0, b1 in zip(a.tolist(), b.tolist())])
+            mass = (mass[:, None] * splits).reshape(-1)
+        values = mass * (1.0 - self.p0)
+        if partition.has_atom:
+            values = np.concatenate([[self.p0], values])
         return Histogram(partition, values, PROBABILITY)
 
     def to_json(self) -> dict:
@@ -706,6 +727,9 @@ class GaussianSystem:
     def centred(self) -> bool:
         return self.centre is None
 
+    def mean(self, partition: Partition) -> Histogram:
+        return self.centre_histogram(partition)
+
     def centre_histogram(self, partition: Partition) -> Histogram:
         if self.centre is None:
             return Histogram(partition, np.zeros(len(partition)), SIGNED)
@@ -777,9 +801,9 @@ class LeakageSystem:
             return triangular_chain(rows, Domain.unit())
         return triangular_chain(rows)
 
-    def histogram(self, partition: Partition) -> Histogram:
-        """delta/2 in each end cell, 1-delta in the cell ending at the
-        centre cut."""
+    def mean(self, partition: Partition) -> Histogram:
+        """The (deterministic) histogram: delta/2 in each end cell, 1-delta
+        in the cell ending at the centre cut."""
         values = np.zeros(len(partition))
         if len(partition) == 1:
             values[0] = 1.0
@@ -795,7 +819,7 @@ class LeakageSystem:
         chart, [1/2 - K', 1/2 + K'])."""
         if window < 0:
             raise ValidationError("system/window", f"window must be >= 0, got {window}")
-        h = self.histogram(partition)
+        h = self.mean(partition)
         lo, hi = (-window, window)
         if self.interior:
             lo, hi = 0.5 - window, 0.5 + window

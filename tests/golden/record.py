@@ -1,0 +1,97 @@
+"""Golden corpus of CLI outputs: fixed commands whose output bytes must
+not change.
+
+    PYTHONPATH=src python tests/golden/record.py
+
+writes `digests.json` next to this file: the systems, the commands and the
+sha256 of each command's output file.  `tests/test_golden.py` replays the
+commands in-process through `histolim.cli.main` and compares digests.
+Record only on a commit whose outputs are the reference.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
+
+from histolim import cli
+
+DIGESTS = Path(__file__).resolve().parent / "digests.json"
+
+SYSTEMS = {
+    "polya_m2": {"family": "polya", "beta": {"rule": "homogeneous", "expr": "m**2"}},
+    "polya_cantor_trig": {"family": "polya", "beta": {"rule": "cantor_trig"}},
+    "polya_dirichlet_match": {"family": "polya",
+                              "beta": {"rule": "dirichlet", "base": {"type": "lebesgue"}}},
+    "polya_table_inf": {"family": "polya",
+                        "beta": {"rule": "table",
+                                 "pairs": {"()": [2.0, 1.0], "1": [0.5, 3.0]},
+                                 "default": ["inf", 2.0]}},
+    "dirichlet_lebesgue": {"family": "dirichlet", "base": {"type": "lebesgue"}},
+    "gaussian_diagonal": {"family": "gaussian",
+                          "covariance": {"variant": "diagonal",
+                                         "sigma2": {"type": "lebesgue"}}},
+    "leakage": {"family": "leakage", "delta": 0.2, "depth": 6},
+}
+
+DEPTH, N = "6", "50"
+
+
+def commands() -> list[list[str]]:
+    """argv lists; `{name}` stands for the file of system `name`."""
+    out = []
+    for name in SYSTEMS:
+        system = ["--system", "{%s}" % name]
+        out += [
+            ["check", *system, "--depth", DEPTH],
+            ["mean", *system, "--depth", DEPTH],
+            ["sample", *system, "--depth", DEPTH, "--replicates", N,
+             "--seed", "0", "--jobs", "1"],
+            ["path", *system, "--depth", DEPTH, "--replicates", N,
+             "--seed", "0", "--jobs", "1"],
+        ]
+    out.append(["diagnose", "--system", "{polya_m2}", "--N", "1000",
+                "--depths", "2,3", "--seed", "0", "--jobs", "1"])
+    return out
+
+
+def run(argv: list[str], systems: dict, workdir: Path) -> tuple[int, str, str]:
+    """Run one command in-process; returns (exit code, stderr, sha256 of
+    the output file)."""
+    paths = {}
+    for name, obj in systems.items():
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths[name] = str(path)
+    target = workdir / "out"
+    target.unlink(missing_ok=True)
+    args = [a.format(**paths) for a in argv] + ["--out", str(target)]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = cli.main(args)
+    digest = hashlib.sha256(target.read_bytes()).hexdigest() if target.exists() else ""
+    return code, err.getvalue(), digest
+
+
+def main() -> int:
+    entries = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in commands():
+            code, err, digest = run(argv, SYSTEMS, Path(tmp))
+            if code != 0 or err:
+                print(f"{' '.join(argv)}: exit {code}: {err}", file=sys.stderr)
+                return 1
+            entries.append({"argv": argv, "sha256": digest})
+    DIGESTS.write_text(json.dumps({"systems": SYSTEMS, "commands": entries},
+                                  indent=1) + "\n")
+    print(f"recorded {len(entries)} digests in {DIGESTS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -67,6 +67,21 @@ def test_numeric_failure_exits_two(systems, capsys):
     assert err.startswith("error[covariance/not-psd]")
 
 
+@pytest.mark.parametrize("expr", ["1j", "(-m)**0.5", "0**(-1)", "10.0**400",
+                                  "(3 + -1*m)^-1"])
+def test_beta_expression_failures_exit_one(expr, tmp_path, capsys):
+    """Complex, undefined and overflowing values, at construction or at a
+    later level, end in one error line."""
+    path = tmp_path / "polya.json"
+    path.write_text(json.dumps(
+        {"family": "polya", "beta": {"rule": "homogeneous", "expr": expr}}))
+    code, out, err = run(capsys, "check", "--system", str(path))
+    assert code == 1
+    assert err.startswith("error[system/beta-expression]")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_counterexample_table(capsys):
     code, out, err = run(capsys, "counterexample", "--delta", "0.2",
                          "--depth", "12")

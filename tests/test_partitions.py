@@ -78,13 +78,15 @@ def test_cell_of_locates_points(depth, x):
 def test_refinement_composition(a, b):
     coarse, fine = sorted((a, b))
     chain = dyadic_chain(depth=6)
-    rmap = chain.refinement(coarse, fine)
-    assert len(rmap.groups) == len(chain[coarse])
-    assert sorted(k for g in rmap.groups for k in g) == list(range(len(chain[fine])))
+    starts = chain.refinement(coarse, fine).boundaries
+    assert len(starts) == len(chain[coarse])
+    # the runs between starts cover every fine cell once, none empty
+    assert starts[0] == 0 and (np.diff(starts) > 0).all()
+    assert starts[-1] < len(chain[fine])
     # composing through an intermediate level gives the same map
     mid = (coarse + fine) // 2
     via = chain.refinement(coarse, mid).compose(chain.refinement(mid, fine))
-    assert via.groups == rmap.groups
+    assert np.array_equal(via.boundaries, starts)
 
 
 def test_refinement_boundaries_are_group_starts():
@@ -116,7 +118,7 @@ def test_triangular_chain_on_real_line():
     assert all(c.bounded for c in part.cells[1:-1])
     # binary refinement structure: every coarse cell covers two fine cells
     rmap = chain.refinement(2, 3)
-    assert all(len(g) == 2 for g in rmap.groups)
+    assert np.diff(rmap.boundaries, append=len(part)).tolist() == [2] * 4
 
 
 def test_triangular_chain_reports_first_violation():
@@ -146,7 +148,7 @@ def test_closed_left_domain_gets_atom_cell():
     assert len(part) == 4 + 1
     # the atom refines onto itself
     rmap = chain.refinement(1, 2)
-    assert rmap.groups[0] == (0,)
+    assert rmap.boundaries[:2].tolist() == [0, 1]
 
 
 def test_depth_capacity_env(monkeypatch):

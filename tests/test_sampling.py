@@ -178,7 +178,7 @@ def test_path_from_histogram_endpoints():
 def test_path_skips_unbounded_cells():
     system = LeakageSystem(0.4, depth=4)
     chain = system.chain()
-    h = system.histogram(chain[3])
+    h = system.mean(chain[3])
     pts = path_from_histogram(h)
     # end cells are unbounded: no point at +-inf
     assert all(math.isfinite(t) for t, _ in pts)

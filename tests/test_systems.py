@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from histolim.conditions import polya_weak_condition
 from histolim.errors import NumericError, ValidationError
 from histolim.partitions import CellIndex, Domain, cantor_midpoint, dyadic_chain
+from histolim.sampling import sample_stack
+from histolim.streams import RandomStream
 from histolim.systems import (
     AtomicBase,
     CantorTrigRule,
@@ -158,6 +161,36 @@ def test_polya_singleton_mass():
         PolyaTreeSystem(HomogeneousRule("1"), p0=1.0)
 
 
+@pytest.mark.parametrize("rule", [
+    HomogeneousRule("m**2"),
+    CantorTrigRule(),
+    DirichletMatchRule(LebesgueBase(2.0)),
+    TableRule({"()": (2.0, 1.0), "1": (0.5, 3.0)}, default=(math.inf, 2.0)),
+], ids=lambda rule: rule.kind)
+@pytest.mark.parametrize("p0, domain", [(0.0, Domain.unit()),
+                                        (0.3, Domain.unit(closed_left=True))])
+def test_polya_mean_equals_per_cell_products(rule, p0, domain):
+    system = PolyaTreeSystem(rule, p0)
+    chain = dyadic_chain(domain, depth=8)
+    for part in chain.partitions:
+        per_cell = [p0 if c.is_atom else system.mean_of_index(c.index)
+                    for c in part.cells]
+        assert np.array_equal(system.mean(part).values, per_cell)
+
+
+def test_polya_table_without_default_stops_at_missing_node():
+    system = PolyaTreeSystem(TableRule({"()": (1.0, 1.0), "0": (2.0, 2.0)}))
+    chain = dyadic_chain(depth=3)
+    assert system.mean(chain[1]).values.tolist() == [0.5, 0.5]
+    for call in (lambda: system.mean(chain[2]),
+                 lambda: sample_stack(system, chain, 2, RandomStream(0), 1)):
+        with pytest.raises(ValidationError) as e:
+            call()
+        assert e.value.code == "system/beta"
+    # the enumerated evidence ends at the last level with every node defined
+    assert [m for m, _ in polya_weak_condition(system).evidence] == [1]
+
+
 def test_polya_completely_random_tracks_rule():
     assert not PolyaTreeSystem(HomogeneousRule("m")).completely_random
     match = PolyaTreeSystem(DirichletMatchRule(LebesgueBase()))
@@ -245,7 +278,7 @@ def test_leakage_outside_mass_schedule():
 def test_leakage_histogram_masses():
     system = LeakageSystem(0.3, depth=4)
     chain = system.chain()
-    h = system.histogram(chain[3])
+    h = system.mean(chain[3])
     assert h.values[0] == 0.15 and h.values[-1] == 0.15
     assert h.total() == pytest.approx(1.0)
     with pytest.raises(ValidationError):
@@ -256,7 +289,7 @@ def test_leakage_interior_chart_stays_in_unit():
     system = LeakageSystem(0.2, depth=6, interior=True)
     chain = system.chain()
     assert chain.domain == Domain.unit()
-    h = system.histogram(chain[4])
+    h = system.mean(chain[4])
     assert h.total() == pytest.approx(1.0)
 
 
