@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-import sympy
 
 from .errors import ValidationError
 from .partitions import CellIndex, Domain, PartitionChain, cantor_midpoint
@@ -39,7 +38,7 @@ from .systems import (
     PolyaTreeSystem,
     TableRule,
     assemble_sigma,
-    level_pairs,
+    pin_infinite_splits,
 )
 
 HOLDS = "holds"
@@ -347,22 +346,17 @@ def polya_leakage_condition(system: PolyaTreeSystem,
 # ---------------------------------------------------------------------------
 # splitting-tree domination condition
 
-def _split_weak_factors(b0: float, b1: float) -> tuple[float, float]:
-    """Per-child factors of the second-moment-over-mean recursion.
+def _split_weak_factors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-child factors of the second-moment-over-mean recursion, as an
+    (n, 2) array over the nodes of a level.
 
     For a finite split the child factor is
     (b_sibling/(b0+b1+1) + b_child) / (b0+b1); degenerate infinite weights
     pin the split, and a zero-mean child contributes factor 0.
     """
-    inf0, inf1 = math.isinf(b0), math.isinf(b1)
-    if inf0 and inf1:
-        return 0.5, 0.5
-    if inf0:
-        return 1.0, 0.0
-    if inf1:
-        return 0.0, 1.0
-    s = b0 + b1
-    return (b1 / (s + 1.0) + b0) / s, (b0 / (s + 1.0) + b1) / s
+    s = a + b
+    with np.errstate(all="ignore"):  # infinite nodes are pinned below
+        return pin_infinite_splits(a, b, (b / (s + 1.0) + a) / s, (a / (s + 1.0) + b) / s)
 
 
 def _weak_level_sums(system: PolyaTreeSystem, depth: int) -> list[tuple[int, float]]:
@@ -371,12 +365,10 @@ def _weak_level_sums(system: PolyaTreeSystem, depth: int) -> list[tuple[int, flo
     out: list[tuple[int, float]] = []
     for m in range(1, depth + 1):
         try:
-            a, b = level_pairs(system.rule, m)
+            a, b = system.rule.level_pairs(m)
         except ValidationError:
             return out
-        factors = np.array([_split_weak_factors(b0, b1)
-                            for b0, b1 in zip(a.tolist(), b.tolist())])
-        ratios = (ratios[:, None] * factors).reshape(-1)
+        ratios = (ratios[:, None] * _split_weak_factors(a, b)).reshape(-1)
         out.append((m, float(ratios.sum())))
     return out
 
@@ -459,6 +451,8 @@ def polya_weak_condition(system: PolyaTreeSystem,
 def _homogeneous_exponent_limit(expr: str) -> Optional[float]:
     """Limit of m/(2 f(m) + 1) for the level-parameter expression, or None
     when sympy cannot settle it."""
+    import sympy  # slow to import, and only this evaluator needs it
+
     m = sympy.symbols("m", positive=True)
     try:
         f = sympy.sympify(expr.replace("^", "**"), locals={"m": m})

@@ -205,7 +205,7 @@ class PiecewiseDensity:
         object.__setattr__(self, "values", arr)
 
     def __call__(self, x) -> float:
-        return float(self.values[self.partition.cells.index(self.partition.cell_of(x))])
+        return float(self.values[self.partition.position_of(x)])
 
 
 @dataclass(frozen=True)
@@ -314,10 +314,12 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
 def _density_on_cell(f: Density, cell: Cell):
     """(polynomial | callable) restricted to a cell."""
     if isinstance(f, PiecewiseDensity):
-        idx = f.partition.cells.index(cell) if cell in f.partition.cells else None
-        if idx is None:
-            raise ValidationError("density/partition-mismatch",
-                                  "piecewise density does not align with the integration cells")
+        try:
+            idx = f.partition.index(cell)
+        except ValueError:
+            raise ValidationError(
+                "density/partition-mismatch",
+                "piecewise density does not align with the integration cells") from None
         return PolynomialDensity((float(f.values[idx]),))
     return f
 

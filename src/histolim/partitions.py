@@ -10,7 +10,10 @@ address b extend it by 0 (left) and 1 (right).
 Two chain builders are provided:
 
 * `dyadic_chain` — 2^m equal cells of a bounded rational interval, with
-  exact `fractions.Fraction` endpoints so no depth accumulates rounding;
+  exact `fractions.Fraction` endpoints so no depth accumulates rounding.
+  Its levels are implicit: a dyadic partition is its domain and level, so
+  sizes, widths, float cut points and cell lookups are arithmetic, and the
+  `Fraction` cells of a level are built on demand;
 * `triangular_chain` — nested rows of float cut points on the real line
   (row n holds 2^n - 1 strictly increasing points, even positions repeating
   the previous row), with unbounded end cells.
@@ -26,9 +29,11 @@ environment variable) because cell counts grow as 2^m.
 from __future__ import annotations
 
 import json
+import math
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
@@ -160,6 +165,11 @@ class CellIndex:
         a binary level."""
         return cls(tuple((position >> (level - 1 - k)) & 1 for k in range(level)), level)
 
+    @property
+    def position(self) -> int:
+        """Inverse of `at`: the interval cell's position in its level."""
+        return sum(b << (self.level - 1 - k) for k, b in enumerate(self.bits))
+
     def label(self) -> str:
         if self.atom:
             return "{left}"
@@ -245,56 +255,121 @@ class Domain:
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered cells covering a domain exactly; immutable."""
+    """Ordered cells covering a domain exactly; immutable.
+
+    A dyadic partition is fully described by its domain and level: its
+    size, widths, cut points and cell lookups are arithmetic, and the
+    `cells` tuple with exact `Fraction` endpoints is built only on first
+    access.  Other kinds carry their cells in `explicit_cells`.
+    """
 
     domain: Domain
-    cells: tuple[Cell, ...]
     kind: str  # "dyadic" | "triangular"
     level: int
+    explicit_cells: tuple[Cell, ...] | None = field(default=None, repr=False)
+
+    @property
+    def _dyadic(self) -> bool:
+        return self.explicit_cells is None
+
+    @cached_property
+    def _grid(self) -> tuple[Fraction, Fraction]:
+        """Left end and exact cell width of a dyadic level."""
+        left = Fraction(self.domain.left)
+        return left, (Fraction(self.domain.right) - left) / (1 << self.level)
+
+    @cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        if self._dyadic:
+            return tuple(self.cell_at(pos) for pos in range(len(self)))
+        return self.explicit_cells
 
     def __len__(self) -> int:
-        return len(self.cells)
+        if self._dyadic:
+            return (1 << self.level) + self.has_atom
+        return len(self.explicit_cells)
 
     def __iter__(self) -> Iterator[Cell]:
         return iter(self.cells)
 
     @property
     def has_atom(self) -> bool:
-        return bool(self.cells) and self.cells[0].is_atom
+        if self._dyadic:
+            return self.domain.closed_left
+        return bool(self.explicit_cells) and self.explicit_cells[0].is_atom
 
     @property
     def interval_cells(self) -> tuple[Cell, ...]:
         return self.cells[1:] if self.has_atom else self.cells
 
+    def cell_at(self, pos: int) -> Cell:
+        """Cell at position `pos` (0-based, left to right, atom first)."""
+        if not self._dyadic:
+            return self.explicit_cells[pos]
+        if not 0 <= pos < len(self):
+            raise IndexError(f"cell position {pos} outside 0..{len(self) - 1}")
+        left, step = self._grid
+        if self.has_atom:
+            if pos == 0:
+                return Cell(left, left, CellIndex((), self.level, atom=True))
+            pos -= 1
+        return Cell(left + pos * step, left + (pos + 1) * step, CellIndex.at(pos, self.level))
+
     def widths(self) -> np.ndarray:
-        return np.array([c.width() for c in self.cells], dtype=float)
+        if not self._dyadic:
+            return np.array([c.width() for c in self.explicit_cells], dtype=float)
+        out = np.full(len(self), float(self._grid[1]))
+        out[:self.has_atom] = 0.0
+        return out
 
     def cut_points(self) -> list[Endpoint]:
         """All endpoints left to right (domain ends included)."""
+        if self._dyadic:
+            left, step = self._grid
+            return [left + i * step for i in range((1 << self.level) + 1)]
         ivs = self.interval_cells
         return [ivs[0].left] + [c.right for c in ivs]
 
-    def cell_of(self, x) -> Cell:
-        """Cell containing x under the right-endpoint-included convention."""
+    def edges(self) -> np.ndarray:
+        """`cut_points` as floats, each the correctly rounded exact value."""
+        return np.array([float(e) for e in self.cut_points()])
+
+    @cached_property
+    def _rights(self) -> list[float]:
+        return self.edges()[1:].tolist()
+
+    def position_of(self, x) -> int:
+        """Position of the cell containing x under the right-endpoint-included
+        convention."""
         if not self.domain.contains(x):
             raise ValidationError(
                 "partition/domain",
                 f"x={x!r} is not in the domain {self.domain.describe()}",
             )
-        if self.has_atom and x == self.cells[0].left:
-            return self.cells[0]
+        if self.has_atom and x == self.domain.left:
+            return 0
+        if self._dyadic:
+            left, step = self._grid
+            return self.has_atom + math.ceil((Fraction(x) - left) / step) - 1
         ivs = self.interval_cells
-        rights = [c.right for c in ivs]
-        finite_rights = [float(r) for r in rights]
-        pos = bisect_left(finite_rights, float(x))
+        pos = bisect_left(self._rights, float(x))
         # float bisect is a hint; settle exact membership locally
         for j in range(max(pos - 1, 0), min(pos + 2, len(ivs))):
             if ivs[j].contains(x):
-                return ivs[j]
+                return j + self.has_atom
         raise ValidationError("partition/domain", f"no cell contains x={x!r}")  # pragma: no cover
 
-    def index_by_cellindex(self) -> dict[CellIndex, int]:
-        return {c.index: i for i, c in enumerate(self.cells)}
+    def cell_of(self, x) -> Cell:
+        """Cell containing x under the right-endpoint-included convention."""
+        return self.cell_at(self.position_of(x))
+
+    def index(self, cell: Cell) -> int:
+        """Position of `cell`, read off its address; ValueError when the
+        partition does not have it."""
+        pos = 0 if cell.is_atom else cell.index.position + self.has_atom
+        if cell.index.level != self.level or pos >= len(self) or self.cell_at(pos) != cell:
+            raise ValueError(f"{cell!r} is not a cell of this partition")
+        return pos
 
 
 def cell_of(partition: Partition, x) -> Cell:
@@ -333,6 +408,11 @@ def refine_map(coarse: Partition, fine: Partition) -> RefinementMap:
     """
     if coarse.domain != fine.domain:
         raise ValidationError("refinement/domain", "partitions live on different domains")
+    if coarse.kind == fine.kind == "dyadic" and coarse.level <= fine.level:
+        starts = np.arange(1 << coarse.level, dtype=np.intp) << (fine.level - coarse.level)
+        if coarse.has_atom:
+            starts = np.concatenate([np.zeros(1, dtype=np.intp), starts + 1])
+        return RefinementMap(coarse, fine, starts)
     starts: list[int] = []
     j = 0
     for big in coarse.cells:
@@ -448,7 +528,9 @@ def dyadic_chain(domain: Domain | None = None, depth: int = 0) -> PartitionChain
 
     Level m has 2^m interval cells with exact Fraction endpoints; a
     left-closed domain additionally carries the singleton {left} at every
-    level (its mass is specified separately by the samplers).
+    level (its mass is specified separately by the samplers).  Levels are
+    implicit: building the chain is O(depth), and a level's `Cell` objects
+    are made only when its `cells` are first read.
     """
     if domain is None:
         domain = Domain.unit()
@@ -462,21 +544,9 @@ def dyadic_chain(domain: Domain | None = None, depth: int = 0) -> PartitionChain
         )
     if depth < 0:
         raise ValidationError("partition/depth", f"depth must be >= 0, got {depth}")
-    left = Fraction(domain.left)
-    right = Fraction(domain.right)
-    if right <= left:
+    if Fraction(domain.right) <= Fraction(domain.left):
         raise ValidationError("partition/domain", f"empty domain {domain.describe()}")
-    span = right - left
-    partitions = []
-    for m in range(depth + 1):
-        cells: list[Cell] = []
-        if domain.closed_left:
-            cells.append(Cell(left, left, CellIndex((), m, atom=True)))
-        h = span / (1 << m)
-        for i in range(1 << m):
-            cells.append(Cell(left + i * h, left + (i + 1) * h, CellIndex.at(i, m)))
-        partitions.append(Partition(domain, tuple(cells), "dyadic", m))
-    return PartitionChain(tuple(partitions))
+    return PartitionChain(tuple(Partition(domain, "dyadic", m) for m in range(depth + 1)))
 
 
 def dyadic_cell_bounds(bits: Sequence[int], domain: Domain | None = None) -> tuple[Fraction, Fraction]:
@@ -552,7 +622,7 @@ def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = No
         cells = []
         for k in range(len(pts) - 1):
             cells.append(Cell(pts[k], pts[k + 1], CellIndex.at(k, n)))
-        partitions.append(Partition(domain, tuple(cells), "triangular", n))
+        partitions.append(Partition(domain, "triangular", n, tuple(cells)))
     return PartitionChain(tuple(partitions))
 
 

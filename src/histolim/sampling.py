@@ -25,7 +25,6 @@ from .systems import (
     HistogramSystem,
     LeakageSystem,
     PolyaTreeSystem,
-    level_pairs,
     sigma_factor,
 )
 
@@ -109,10 +108,11 @@ def _check_binary_chain(chain: PartitionChain, depth: int) -> None:
         raise ValidationError("sampling/depth",
                               f"depth {depth} outside chain levels 0..{chain.depth}")
     for level in range(depth + 1):
-        if len(chain[level].interval_cells) != 1 << level:
+        cells = len(chain[level]) - chain[level].has_atom
+        if cells != 1 << level:
             raise ValidationError(
                 "sampling/non-binary",
-                f"level {level} has {len(chain[level].interval_cells)} interval "
+                f"level {level} has {cells} interval "
                 f"cells, expected {1 << level}; splitting trees need a binary chain",
             )
 
@@ -135,7 +135,7 @@ def polya_stack(system: PolyaTreeSystem, chain: PartitionChain, depth: int,
             "sampling/atom-mass",
             f"p0={system.p0} needs a zero atom cell, absent at level {depth}",
         )
-    pairs = [level_pairs(system.rule, level) for level in range(1, depth + 1)]
+    pairs = [system.rule.level_pairs(level) for level in range(1, depth + 1)]
     tree_mass = 1.0 if not partition.has_atom else 1.0 - system.p0
 
     def draw(sub: RandomStream, k: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
@@ -42,6 +43,7 @@ from .partitions import (
     Domain,
     Partition,
     PartitionChain,
+    cantor_midpoint,
     dyadic_cell_bounds,
     endpoint_to_float,
     triangular_chain,
@@ -74,6 +76,10 @@ class LebesgueBase:
     def mass_of_interval(self, left: Fraction, right: Fraction) -> float:
         return self.scale * float(right - left)
 
+    def interval_masses(self, partition: Partition) -> np.ndarray:
+        """`mass_of_interval` of every interval cell, left to right."""
+        return self.scale * partition.widths()[partition.has_atom:]
+
     def total(self, domain: Domain) -> float:
         width = endpoint_to_float(domain.right) - endpoint_to_float(domain.left)
         if not math.isfinite(width):
@@ -102,12 +108,22 @@ class AtomicBase:
     def cell_masses(self, partition: Partition) -> np.ndarray:
         out = np.zeros(len(partition))
         for x, w in zip(self.points, self.weights):
-            out[_cell_position(partition, x)] += w
+            out[partition.position_of(x)] += w
         return out
 
     def mass_of_interval(self, left: Fraction, right: Fraction) -> float:
         lo, hi = float(left), float(right)
         return sum(w for x, w in zip(self.points, self.weights) if lo < x <= hi)
+
+    def interval_masses(self, partition: Partition) -> np.ndarray:
+        """`mass_of_interval` of every interval cell, left to right (the
+        same float comparisons, summed in the same order)."""
+        edges = partition.edges()
+        lo, hi = edges[:-1], edges[1:]
+        out = np.zeros(len(lo))
+        for x, w in zip(self.points, self.weights):
+            out[(lo < x) & (x <= hi)] += w
+        return out
 
     def total(self, domain: Domain) -> float:
         for x in self.points:
@@ -120,10 +136,6 @@ class AtomicBase:
 
 
 BaseMeasure = Union[LebesgueBase, AtomicBase]
-
-
-def _cell_position(partition: Partition, x: float) -> int:
-    return partition.index_by_cellindex()[partition.cell_of(x).index]
 
 
 def base_measure_from_json(obj) -> BaseMeasure:
@@ -185,42 +197,55 @@ def _check_beta_pair(pair, label: str) -> tuple[float, float]:
     return b0, b1
 
 
+#: exact integer powers with more bits than this (far beyond the float
+#: range) are refused instead of computed
+POWER_BIT_LIMIT = 1 << 16
+
+
+def _bounded_power(base, exponent):
+    if (isinstance(base, int) and isinstance(exponent, int) and exponent > 0
+            and (abs(base).bit_length() - 1) * exponent > POWER_BIT_LIMIT):
+        raise OverflowError(f"exact integer power exceeds {POWER_BIT_LIMIT} bits")
+    return base ** exponent
+
+
+_BINOPS = {ast.Add: operator.add, ast.Mult: operator.mul, ast.Pow: _bounded_power}
+
+
 def _compile_level_expression(expr: str) -> Callable[[int], float]:
     """Compile an expression in the level variable m; allows numbers, m,
-    +, *, ^ (power) and unary minus."""
+    +, *, ^ (power) and unary minus.  Operands are evaluated left to right
+    with Python's own operators, except that an exact integer power beyond
+    `POWER_BIT_LIMIT` bits fails instead of running for minutes."""
     source = expr.replace("^", "**")
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ValidationError("system/beta-expression", f"cannot parse {expr!r}: {exc}") from None
 
-    allowed_binops = (ast.Add, ast.Mult, ast.Pow)
+    def build(node) -> Callable[[int], object]:
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            op, left, right = _BINOPS[type(node.op)], build(node.left), build(node.right)
+            return lambda m: op(left(m), right(m))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            operand = build(node.operand)
+            return lambda m: -operand(m)
+        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+            value = node.value
+            return lambda m: value
+        if isinstance(node, ast.Name) and node.id == "m":
+            return lambda m: m
+        raise ValidationError(
+            "system/beta-expression",
+            f"{expr!r}: only numbers, 'm', '+', '*', '^' and unary '-' are allowed",
+        )
 
-    def check(node) -> None:
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, allowed_binops):
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            check(node.operand)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return
-        elif isinstance(node, ast.Name) and node.id == "m":
-            return
-        else:
-            raise ValidationError(
-                "system/beta-expression",
-                f"{expr!r}: only numbers, 'm', '+', '*', '^' and unary '-' are allowed",
-            )
-
-    check(tree)
-    code = compile(tree, "<beta-expression>", "eval")
+    compiled = build(tree.body)
 
     def evaluate(m: int) -> float:
         try:
             # float() rejects complex results with a TypeError
-            return float(eval(code, {"__builtins__": {}}, {"m": m}))
+            return float(compiled(m))
         except (ArithmeticError, TypeError) as exc:
             raise ValidationError("system/beta-expression",
                                   f"{expr!r} gives no real number at m={m}: {exc}") from None
@@ -254,6 +279,10 @@ class HomogeneousRule:
         b = self.level_parameter(node.level + 1)
         return (b, b)
 
+    def level_pairs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        b = np.full(1 << (level - 1), self.level_parameter(level))
+        return b, b.copy()
+
     def to_json(self) -> dict:
         return {"rule": "homogeneous", "expr": self.expr}
 
@@ -285,6 +314,14 @@ class TableRule:
                                   f"no splitting parameters for node '{node.label()}'")
         return got
 
+    def level_pairs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        width = level - 1
+        a = np.empty(1 << width)
+        b = np.empty(1 << width)
+        for i in range(1 << width):
+            a[i], b[i] = self.pair(CellIndex.at(i, width))
+        return a, b
+
     def to_json(self) -> dict:
         out = {"rule": "table", "pairs": {k: list(v) for k, v in self.pairs.items()}}
         if self.default is not None:
@@ -302,10 +339,21 @@ class CantorTrigRule:
     completely_random = False
 
     def pair(self, node: CellIndex) -> tuple[float, float]:
-        from .partitions import cantor_midpoint
-
         angle = 0.5 * math.pi * float(cantor_midpoint(node.bits))
         return (math.cos(angle), math.sin(angle))
+
+    def level_pairs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        # midpoints are N / (2 * 3^width): the root has N = 1 and the
+        # children of N have 3N - 2 and 3N + 2.  N < 2^53, so the float
+        # division rounds exactly like float(cantor_midpoint(...)).
+        width = level - 1
+        num = np.ones(1, dtype=np.int64)
+        for _ in range(width):
+            num = np.stack([3 * num - 2, 3 * num + 2], axis=1).reshape(-1)
+        angles = (0.5 * math.pi * (num / (2 * 3**width))).tolist()
+        # math.cos/math.sin, as in `pair`: numpy's may differ in the last bit
+        return (np.array([math.cos(t) for t in angles]),
+                np.array([math.sin(t) for t in angles]))
 
     def to_json(self) -> dict:
         return {"rule": "cantor_trig"}
@@ -331,17 +379,33 @@ class DirichletMatchRule:
         b0 = self._mass(node.bits + (0,))
         b1 = self._mass(node.bits + (1,))
         if b0 <= 0 or b1 <= 0:
-            raise ValidationError(
-                "system/beta",
-                f"base measure gives a zero-mass child at node '{node.label()}'; "
-                "the matching tree needs strictly positive cell masses",
-            )
+            raise self._zero_mass(node)
         return (b0, b1)
+
+    def level_pairs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        masses = self.base.interval_masses(Partition(self.domain, "dyadic", level))
+        a, b = masses[0::2], masses[1::2]
+        bad = np.flatnonzero((a <= 0) | (b <= 0))
+        if len(bad):
+            raise self._zero_mass(CellIndex.at(int(bad[0]), level - 1))
+        return a, b
+
+    @staticmethod
+    def _zero_mass(node: CellIndex) -> ValidationError:
+        return ValidationError(
+            "system/beta",
+            f"base measure gives a zero-mass child at node '{node.label()}'; "
+            "the matching tree needs strictly positive cell masses",
+        )
 
     def to_json(self) -> dict:
         return {"rule": "dirichlet", "base": self.base.to_json()}
 
 
+#: Each rule gives `pair(node)` for one node and `level_pairs(level)`: the
+#: (a, b) arrays of the 2^(level-1) parent nodes of `level`, left to right,
+#: equal to `pair` node by node and raising the error of the first failing
+#: node in level order.
 BetaRule = Union[HomogeneousRule, TableRule, CantorTrigRule, DirichletMatchRule]
 
 
@@ -365,17 +429,6 @@ def beta_rule_from_json(obj) -> BetaRule:
     raise ValidationError("system/beta-json", f"unknown beta rule {name!r}")
 
 
-def level_pairs(rule: BetaRule, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Splitting parameters (a, b) of the 2^(level-1) parent nodes of
-    `level`, left to right."""
-    width = level - 1
-    a = np.empty(1 << width)
-    b = np.empty(1 << width)
-    for i in range(1 << width):
-        a[i], b[i] = rule.pair(CellIndex.at(i, width))
-    return a, b
-
-
 def split_mean(b0: float, b1: float) -> tuple[float, float]:
     """Expected (left, right) fractions of a Beta split, honoring the
     infinite-parameter point masses."""
@@ -388,6 +441,24 @@ def split_mean(b0: float, b1: float) -> tuple[float, float]:
         return (0.0, 1.0)
     total = b0 + b1
     return (b0 / total, b1 / total)
+
+
+def pin_infinite_splits(a: np.ndarray, b: np.ndarray, left: np.ndarray,
+                        right: np.ndarray) -> np.ndarray:
+    """(n, 2) array of per-node (left, right) fractions, with the point
+    masses of infinite parameters in place: (inf, inf) splits 1/2 : 1/2,
+    (inf, b) 1 : 0 and (a, inf) 0 : 1."""
+    inf_a, inf_b = np.isinf(a), np.isinf(b)
+    left = np.where(inf_a, np.where(inf_b, 0.5, 1.0), np.where(inf_b, 0.0, left))
+    right = np.where(inf_b, np.where(inf_a, 0.5, 1.0), np.where(inf_a, 0.0, right))
+    return np.stack([left, right], axis=1)
+
+
+def split_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`split_mean` of every node, as an (n, 2) array."""
+    total = a + b
+    with np.errstate(all="ignore"):  # infinite nodes are pinned below
+        return pin_infinite_splits(a, b, a / total, b / total)
 
 
 def split_second_moment(b0: float, b1: float) -> tuple[float, float]:
@@ -439,8 +510,7 @@ class PolyaTreeSystem:
         split fractions, the same products as `mean_of_index`."""
         mass = np.ones(1)
         for level in range(1, partition.level + 1):
-            a, b = level_pairs(self.rule, level)
-            splits = np.array([split_mean(b0, b1) for b0, b1 in zip(a.tolist(), b.tolist())])
+            splits = split_means(*self.rule.level_pairs(level))
             mass = (mass[:, None] * splits).reshape(-1)
         values = mass * (1.0 - self.p0)
         if partition.has_atom:
@@ -619,39 +689,30 @@ def covariance_from_json(obj) -> CovarianceSpec:
     raise ValidationError("covariance/json", f"unknown covariance variant {variant!r}")
 
 
-def _bounded_cell_edges(partition: Partition) -> np.ndarray:
-    cells = [c for c in partition.cells if not c.is_atom]
-    edges = np.empty((len(cells), 2))
-    for i, cell in enumerate(cells):
-        if not cell.bounded:
-            raise ValidationError("covariance/unbounded",
-                                  "integral covariances need bounded cells")
-        edges[i] = (endpoint_to_float(cell.left), endpoint_to_float(cell.right))
-    return edges
-
-
 def _quadrature_matrix(kernel: Callable[[float, float], float],
                        partition: Partition, order: int) -> np.ndarray:
     """Tensor Gauss-Legendre integral of the kernel over every cell pair.
     Atom cells contribute zero rows/columns (their product area is null)."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = _bounded_cell_edges(partition)
-    centers = 0.5 * (edges[:, 0] + edges[:, 1])
-    halves = 0.5 * (edges[:, 1] - edges[:, 0])
+    edges = partition.edges()
+    if not np.all(np.isfinite(edges)):
+        raise ValidationError("covariance/unbounded",
+                              "integral covariances need bounded cells")
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * (edges[1:] - edges[:-1])
     # per-cell quadrature points (cells, order) and scaled weights
     pts = centers[:, None] + halves[:, None] * nodes[None, :]
     wts = halves[:, None] * weights[None, :]
-    k = len(edges)
+    k = len(centers)
     kmat = np.empty((k, k))
     for i in range(k):
         for j in range(i, k):
             vals = np.array([[kernel(x, y) for y in pts[j]] for x in pts[i]])
             kmat[i, j] = kmat[j, i] = float(wts[i] @ vals @ wts[j])
-    if len(partition) == k:
+    if not partition.has_atom:
         return kmat
     out = np.zeros((len(partition), len(partition)))
-    live = [idx for idx, c in enumerate(partition.cells) if not c.is_atom]
-    out[np.ix_(live, live)] = kmat
+    out[1:, 1:] = kmat
     return out
 
 
@@ -669,7 +730,7 @@ def assemble_sigma(spec: CovarianceSpec, partition: Partition) -> np.ndarray:
         sigma = spec.c * np.outer(w, w)
     elif isinstance(spec, PointMassCovariance):
         sigma = np.zeros((n, n))
-        rows = [_cell_position(partition, s) for s in spec.sites]
+        rows = [partition.position_of(s) for s in spec.sites]
         for a, ia in enumerate(rows):
             for b, ib in enumerate(rows):
                 sigma[ia, ib] += spec.matrix[a, b]
@@ -811,7 +872,7 @@ class LeakageSystem:
         values[0] = self.delta / 2.0
         values[-1] = self.delta / 2.0
         centre = 0.5 if self.interior else 0.0
-        values[_cell_position(partition, centre)] += 1.0 - self.delta
+        values[partition.position_of(centre)] += 1.0 - self.delta
         return Histogram(partition, values, PROBABILITY)
 
     def outside_mass(self, partition: Partition, window: float) -> float:

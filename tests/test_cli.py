@@ -203,3 +203,37 @@ def test_installed_console_script():
                           text=True)
     assert proc.returncode == 0
     assert "counterexample" in proc.stdout
+
+
+def test_power_tower_expression_fails_fast(tmp_path):
+    """An exact integer power tower is refused before it is computed."""
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(
+        {"family": "polya", "beta": {"rule": "homogeneous", "expr": "9**9**9"}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "histolim.cli", "check", "--system", str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error[system/beta-expression]")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_check_gaussian_at_max_depth(tmp_path, capsys, monkeypatch):
+    """The documented depth cap is reachable: the chain is implicit."""
+    monkeypatch.delenv("HISTOLIM_MAX_DEPTH", raising=False)
+    path = tmp_path / "gauss.json"
+    path.write_text(json.dumps(
+        {"family": "gaussian",
+         "covariance": {"variant": "diagonal", "sigma2": {"type": "lebesgue"}}}))
+    code, out, err = run(capsys, "check", "--system", str(path), "--depth", "30")
+    assert code == 0, err
+    assert json.loads(out)["conditions"]["gaussian-diagonal"]["status"] == "holds"
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, histolim.cli; print('sympy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

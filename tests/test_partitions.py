@@ -1,5 +1,6 @@
 """Partition chains: dyadic construction, refinement maps, serialization."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 
 from histolim.errors import ValidationError
 from histolim.partitions import (
+    Cell,
+    CellIndex,
     Domain,
+    Partition,
     PartitionChain,
     cantor_midpoint,
     cell_of,
@@ -18,7 +22,9 @@ from histolim.partitions import (
     dyadic_cell_bounds,
     dyadic_chain,
     endpoint_to_float,
+    format_endpoint,
     max_depth,
+    refine_map,
     triangular_chain,
 )
 
@@ -212,3 +218,71 @@ def test_endpoint_to_float_infinite():
     chain = triangular_chain(nested_rows(1))
     assert endpoint_to_float(chain.domain.left) == float("-inf")
     assert endpoint_to_float(chain.domain.right) == float("inf")
+
+
+def eager_dyadic_levels(domain, depth):
+    """The cell-by-cell construction that implicit dyadic levels replace."""
+    left = Fraction(domain.left)
+    span = Fraction(domain.right) - left
+    levels = []
+    for m in range(depth + 1):
+        cells = []
+        if domain.closed_left:
+            cells.append(Cell(left, left, CellIndex((), m, atom=True)))
+        h = span / (1 << m)
+        for i in range(1 << m):
+            cells.append(Cell(left + i * h, left + (i + 1) * h, CellIndex.at(i, m)))
+        levels.append(Partition(domain, "eager", m, tuple(cells)))
+    return levels
+
+
+DOMAINS = [Domain.unit(), Domain.unit(closed_left=True),
+           Domain(Fraction(-3, 2), Fraction(5, 4)),
+           Domain(Fraction(-3, 2), Fraction(5, 4), closed_left=True),
+           Domain(Fraction(1, 3), Fraction(7, 5))]
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=Domain.describe)
+def test_implicit_dyadic_levels_match_eager_construction(domain):
+    chain = dyadic_chain(domain, depth=8)
+    eager = eager_dyadic_levels(domain, 8)
+    for part, ref in zip(chain.partitions, eager):
+        assert len(part) == len(ref) and part.has_atom == ref.has_atom
+        assert part.cut_points() == ref.cut_points()
+        assert np.array_equal(part.edges(), [float(e) for e in ref.cut_points()])
+        assert np.array_equal(part.widths(), ref.widths())
+        probes = ref.cut_points() + [(a + b) / 2 for a, b in
+                                     zip(ref.cut_points(), ref.cut_points()[1:])]
+        for x in probes + [float(x) for x in probes]:
+            if not domain.contains(x):
+                continue
+            (expect,) = [c for c in ref.cells if c.contains(x)]
+            assert part.cell_of(x) == expect
+        assert part.cells == ref.cells
+        assert [part.index(c) for c in ref.cells] == list(range(len(ref)))
+    with pytest.raises(ValueError):
+        chain[3].index(eager[4].cells[-1])
+    levels = [[format_endpoint(e) for e in p.cut_points()] for p in eager]
+    assert chain_to_json_text(chain) == json.dumps(
+        {"domain": domain.to_json(), "kind": "dyadic", "levels": levels},
+        indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("domain", DOMAINS[:2], ids=Domain.describe)
+def test_dyadic_refinement_matches_cell_walk(domain):
+    chain = dyadic_chain(domain, depth=6)
+    eager = eager_dyadic_levels(domain, 6)
+    for coarse in range(7):
+        for fine in range(coarse, 7):
+            assert np.array_equal(refine_map(chain[coarse], chain[fine]).boundaries,
+                                  refine_map(eager[coarse], eager[fine]).boundaries)
+
+
+@pytest.mark.parametrize("closed_left", [False, True])
+def test_dyadic_chain_reaches_max_depth(closed_left, monkeypatch):
+    monkeypatch.delenv("HISTOLIM_MAX_DEPTH", raising=False)
+    depth = max_depth()
+    assert depth == 30
+    chain = dyadic_chain(Domain.unit(closed_left), depth=depth)
+    assert len(chain[30]) == 2**30 + closed_left
+    assert chain[30].cell_of(1.0).index.bits == (1,) * 30

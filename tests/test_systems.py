@@ -1,6 +1,7 @@
 """System families: base measures, splitting rules, covariances, JSON."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,6 +190,38 @@ def test_polya_table_without_default_stops_at_missing_node():
         assert e.value.code == "system/beta"
     # the enumerated evidence ends at the last level with every node defined
     assert [m for m, _ in polya_weak_condition(system).evidence] == [1]
+
+
+def per_node_pairs(rule, level):
+    """The node-by-node loop that `level_pairs` replaces."""
+    width = level - 1
+    pairs = [rule.pair(CellIndex.at(i, width)) for i in range(1 << width)]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+@pytest.mark.parametrize("rule", [
+    HomogeneousRule("m**2"),
+    HomogeneousRule("0.5"),
+    HomogeneousRule("m*m + -6*m + 9"),  # zero at m = 3 only
+    CantorTrigRule(),
+    DirichletMatchRule(LebesgueBase(2.5)),
+    DirichletMatchRule(LebesgueBase(0.75), Domain(Fraction(-3, 2), Fraction(5, 4))),
+    DirichletMatchRule(AtomicBase((0.1, 0.2, 0.3, 0.5, 0.7, 0.9),
+                                  (1.0, 2.0, 0.5, 0.25, 1.0, 3.0))),  # fails at node 10
+    TableRule({"()": (2.0, 1.0), "01": (0.5, math.inf)}, default=(1.5, 2.5)),
+    TableRule({"()": (1.0, 1.0), "0": (2.0, 2.0), "1": (3.0, 1.0)}),
+], ids=lambda rule: rule.kind)
+def test_level_pairs_equal_per_node_pairs(rule):
+    for level in range(1, 13):
+        try:
+            expect = per_node_pairs(rule, level)
+        except ValidationError as e:
+            with pytest.raises(ValidationError) as got:
+                rule.level_pairs(level)
+            assert (got.value.code, str(got.value)) == (e.code, str(e))
+            continue
+        a, b = rule.level_pairs(level)
+        assert np.array_equal(a, expect[0]) and np.array_equal(b, expect[1])
 
 
 def test_polya_completely_random_tracks_rule():
