@@ -3,7 +3,8 @@ condition checks, phase diagnosis, and the escaping-mass table.
 
 Every run is reproducible: stochastic subcommands require an explicit
 --seed (there is no wall-clock default), output files are never silently
-overwritten (pass --force), and results are byte-identical for a fixed
+overwritten (pass --force) and are replaced only by complete text (written
+to a temporary file first), and results are byte-identical for a fixed
 configuration regardless of --jobs.  Errors print one machine-parsable
 line ``error[code] detail`` and map to exit code 1 (validation) or 2
 (numeric failure).
@@ -11,9 +12,12 @@ line ``error[code] detail`` and map to exit code 1 (validation) or 2
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import os
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -96,7 +100,24 @@ def _write_text(text: str, out: Optional[str], force: bool) -> None:
     if target.exists() and not force:
         raise ValidationError("cli/exists",
                               f"{out} exists; pass --force to overwrite")
-    target.write_text(text if text.endswith("\n") else text + "\n")
+    # write a temporary file next to the target and move it into place
+    # only when complete, so an error never leaves a partial output
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+                if not text.endswith("\n"):
+                    f.write("\n")
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)  # the mode a plain open would give
+            os.replace(tmp, target)
+        finally:
+            Path(tmp).unlink(missing_ok=True)  # already gone after the replace
+    except OSError as e:
+        raise ValidationError("cli/write", f"cannot write {out}: {e}") from None
 
 
 def _parse_number_list(raw: str, what: str) -> tuple[float, ...]:
@@ -160,8 +181,8 @@ def sample(system_path, chain_path, depth, replicates, seed, jobs, out, fmt, for
     else:
         payload = {"system": system.to_json(), "depth": depth, "seed": seed,
                    "kind": stack.kind,
-                   "cells": [c.index.label() for c in stack.partition.cells],
-                   "values": [[float(v) for v in row] for row in stack.values]}
+                   "cells": stack.partition.labels(),
+                   "values": stack.values}
         _write_text(dump_json(payload), out, force)
 
 
@@ -208,13 +229,19 @@ def path(system_path, chain_path, depth, replicates, seed, jobs, out, force):
         origin = None
     if origin is not None and not np.isfinite(origin):
         origin = None
-    lines = ["replicate,t,value"]
-    for r in range(len(stack)):
-        points = path_from_histogram(stack.histogram(r))
-        if origin is not None:
-            lines.append(f"{r},{origin!r},0.0")
-        lines.extend(f"{r},{t!r},{v!r}" for t, v in points)
-    _write_text("\n".join(lines) + "\n", out, force)
+    t, values = path_from_histogram(stack)
+    # each row's points as "t,value" tails, the t column formatted once
+    heads = [f"{x!r}," for x in t.tolist()]
+    first = []
+    if origin is not None:
+        heads.insert(0, f"{origin!r},")
+        first = ["0.0"]
+    rows = []
+    if heads:
+        for r, row in enumerate(values):
+            tails = map(operator.add, heads, itertools.chain(first, map(repr, row.tolist())))
+            rows.append(f"{r}," + f"\n{r},".join(tails))
+    _write_text("\n".join(["replicate,t,value", *rows, ""]), out, force)
 
 
 @cli.command()

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -408,12 +409,13 @@ def histogram_from_json(obj: dict, partition: Partition) -> Histogram:
 def histogram_to_csv(h: Histogram) -> str:
     """CSV rows (cell_left, cell_right, value); floats via repr so that a
     read-back reproduces the exact doubles."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["cell_left", "cell_right", "value"])
-    for cell, v in zip(h.partition.cells, h.values):
-        writer.writerow([format_endpoint(cell.left), format_endpoint(cell.right), repr(float(v))])
-    return buf.getvalue()
+    ends = [format_endpoint(e) for e in h.partition.cut_points()]
+    lefts, rights = ends[:-1], ends[1:]
+    if h.partition.has_atom:
+        lefts.insert(0, ends[0])
+        rights.insert(0, ends[0])
+    rows = map(",".join, zip(lefts, rights, map(repr, h.values.tolist())))
+    return "\n".join(["cell_left,cell_right,value", *rows, ""])
 
 
 def histogram_from_csv(text: str, partition: Partition, kind: str = SIGNED) -> Histogram:
@@ -439,13 +441,68 @@ def histogram_from_csv(text: str, partition: Partition, kind: str = SIGNED) -> H
 
 def stack_to_csv(stack: HistogramStack) -> str:
     """Wide CSV: one row per sample, one column per cell (by cell order)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["sample"] + [c.index.label() for c in stack.partition.cells])
-    for i in range(len(stack)):
-        writer.writerow([i] + [repr(float(v)) for v in stack.values[i]])
-    return buf.getvalue()
+    header = ",".join(["sample", *stack.partition.labels()])
+    rows = (f"{i},{','.join(map(repr, row.tolist()))}" for i, row in enumerate(stack.values))
+    return "\n".join([header, *rows, ""])
+
+
+_ARRAY_TOKEN = "\x00ndarray {}"
+
+
+def _json_float(x: float) -> str:
+    """A float as `json` writes it: NaN and the infinities by name."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _array_block(values: np.ndarray, indent: str) -> str:
+    """A 2-D float array as `json.dumps(values.tolist(), indent=2)` lays it
+    out when its opening bracket sits on a line indented by `indent`."""
+    if not len(values):
+        return "[]"
+    row_pad, item_pad = indent + "  ", indent + "    "
+    if values.shape[1]:
+        fmt = float.__repr__ if np.isfinite(values).all() else _json_float
+        sep = ",\n" + item_pad
+        rows = [f"[\n{item_pad}{sep.join(map(fmt, row.tolist()))}\n{row_pad}]"
+                for row in values]
+    else:
+        rows = ["[]"] * len(values)
+    return "".join((f"[\n{row_pad}", f",\n{row_pad}".join(rows), f"\n{indent}]"))
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """`json.dumps(obj, indent=2, sort_keys=True)`, where obj may also hold
+    2-D float numpy arrays (inside dicts and lists), written as nested
+    lists of floats.  Such arrays are formatted a row at a time instead of
+    through json's pure-Python indenting encoder; the bytes are the same."""
+    arrays: list[np.ndarray] = []
+
+    def swap(o):
+        if isinstance(o, np.ndarray) and o.ndim == 2 and o.dtype.kind == "f":
+            arrays.append(o)
+            return _ARRAY_TOKEN.format(len(arrays) - 1)
+        if isinstance(o, dict):
+            return {k: swap(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [swap(v) for v in o]
+        return o
+
+    swapped = swap(obj)
+    if not arrays:
+        return json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(swapped, indent=2, sort_keys=True)
+    for i, values in enumerate(arrays):
+        token = json.dumps(_ARRAY_TOKEN.format(i))
+        if text.count(token) != 1:  # some string of obj spells the token
+            return json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
+        at = text.index(token)
+        line = text[text.rfind("\n", 0, at) + 1:at]
+        indent = line[:len(line) - len(line.lstrip(" "))]
+        text = "".join((text[:at], _array_block(values, indent), text[at + len(token):]))
+    return text

@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -335,8 +334,20 @@ class Partition:
         return np.array([float(e) for e in self.cut_points()])
 
     @cached_property
-    def _rights(self) -> list[float]:
-        return self.edges()[1:].tolist()
+    def right_edges(self) -> np.ndarray:
+        """Float right endpoints of the interval cells, left to right
+        (read-only, computed once)."""
+        rights = self.edges()[1:]
+        rights.setflags(write=False)
+        return rights
+
+    def labels(self) -> list[str]:
+        """Cell labels in cell order; a dyadic level's come from the
+        positions, without building its cells."""
+        if not self._dyadic:
+            return [c.index.label() for c in self.explicit_cells]
+        atom = [CellIndex((), self.level, atom=True).label()] if self.has_atom else []
+        return atom + [CellIndex.at(pos, self.level).label() for pos in range(1 << self.level)]
 
     def position_of(self, x) -> int:
         """Position of the cell containing x under the right-endpoint-included
@@ -352,7 +363,7 @@ class Partition:
             left, step = self._grid
             return self.has_atom + math.ceil((Fraction(x) - left) / step) - 1
         ivs = self.interval_cells
-        pos = bisect_left(self._rights, float(x))
+        pos = int(np.searchsorted(self.right_edges, float(x)))
         # float bisect is a hint; settle exact membership locally
         for j in range(max(pos - 1, 0), min(pos + 2, len(ivs))):
             if ivs[j].contains(x):

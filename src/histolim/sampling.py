@@ -11,15 +11,14 @@ returned family is coherent by construction rather than by luck.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ValidationError
 from .histograms import PROBABILITY, SIGNED, Histogram, HistogramStack, project
-from .partitions import Partition, PartitionChain, endpoint_to_float
+from .partitions import Partition, PartitionChain
 from .streams import RandomStream, run_chunked
 from .systems import (
+    DiagonalCovariance,
     DirichletSystem,
     GaussianSystem,
     HistogramSystem,
@@ -164,12 +163,20 @@ def gaussian_stack(system: GaussianSystem, partition: Partition,
     """
     _check_replicates(replicates)
     centre = system.centre_histogram(partition).values
-    factor = sigma_factor(system.covariance, partition)
-    rank = factor.shape[1]
+    if isinstance(system.covariance, DiagonalCovariance):
+        # z @ diag(s).T elementwise: each entry is z_ik s_k plus exact zeros
+        scale = np.sqrt(system.covariance.sigma2.cell_masses(partition))
 
-    def draw(sub: RandomStream, k: int) -> np.ndarray:
-        z = sub.generator().standard_normal((k, rank))
-        return centre[None, :] + z @ factor.T
+        def draw(sub: RandomStream, k: int) -> np.ndarray:
+            z = sub.generator().standard_normal((k, len(scale)))
+            return centre[None, :] + z * scale
+    else:
+        factor = sigma_factor(system.covariance, partition)
+        rank = factor.shape[1]
+
+        def draw(sub: RandomStream, k: int) -> np.ndarray:
+            z = sub.generator().standard_normal((k, rank))
+            return centre[None, :] + z @ factor.T
 
     rows = run_chunked(stream, replicates, draw, jobs=jobs)
     return HistogramStack(partition, rows, SIGNED)
@@ -216,19 +223,21 @@ def chain_sample(system: HistogramSystem, chain: PartitionChain, depth: int,
     return out
 
 
-def path_from_histogram(h: Histogram) -> list[tuple[float, float]]:
+def path_from_histogram(h: Histogram | HistogramStack):
     """Cumulative-sum skeleton (t, B(t)) at the cells' right endpoints.
 
     B starts at 0 before the first cell; atom cells and infinite right
-    endpoints contribute to the running sum but emit no point.
+    endpoints contribute to the running sum but emit no point.  A
+    histogram gives its list of (t, B(t)) points; a stack gives the
+    arrays (t, B) with one row of B per replicate.
+
+    `np.cumsum` adds left to right like a running float sum started at
+    0.0; adding 0.0 turns a leading -0.0 into the 0.0 that sum gives.
     """
-    points: list[tuple[float, float]] = []
-    running = 0.0
-    for cell, value in zip(h.partition.cells, h.values):
-        running += float(value)
-        if cell.is_atom:
-            continue
-        t = endpoint_to_float(cell.right)
-        if math.isfinite(t):
-            points.append((t, running))
-    return points
+    rights = h.partition.right_edges
+    emits = np.isfinite(rights)
+    running = np.cumsum(h.values, axis=-1)[..., h.partition.has_atom:] + 0.0
+    t, b = rights[emits], running[..., emits]
+    if isinstance(h, HistogramStack):
+        return t, b
+    return list(zip(t.tolist(), b.tolist()))

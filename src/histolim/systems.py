@@ -218,10 +218,17 @@ def _compile_level_expression(expr: str) -> Callable[[int], float]:
     with Python's own operators, except that an exact integer power beyond
     `POWER_BIT_LIMIT` bits fails instead of running for minutes."""
     source = expr.replace("^", "**")
+
+    def too_deep() -> ValidationError:
+        return ValidationError("system/beta-expression",
+                               f"{expr!r} is nested too deeply to evaluate")
+
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ValidationError("system/beta-expression", f"cannot parse {expr!r}: {exc}") from None
+    except RecursionError:
+        raise too_deep() from None
 
     def build(node) -> Callable[[int], object]:
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
@@ -240,7 +247,10 @@ def _compile_level_expression(expr: str) -> Callable[[int], float]:
             f"{expr!r}: only numbers, 'm', '+', '*', '^' and unary '-' are allowed",
         )
 
-    compiled = build(tree.body)
+    try:
+        compiled = build(tree.body)
+    except RecursionError:
+        raise too_deep() from None
 
     def evaluate(m: int) -> float:
         try:
@@ -249,6 +259,8 @@ def _compile_level_expression(expr: str) -> Callable[[int], float]:
         except (ArithmeticError, TypeError) as exc:
             raise ValidationError("system/beta-expression",
                                   f"{expr!r} gives no real number at m={m}: {exc}") from None
+        except RecursionError:
+            raise too_deep() from None
 
     return evaluate
 

@@ -237,3 +237,108 @@ def test_cli_import_leaves_sympy_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("expr", [
+    pytest.param("+".join(["1"] * 1100), id="sum-1100"),
+    pytest.param("^".join(["m"] * 1100), id="power-1100"),
+    pytest.param("-" * 5000 + "m", id="negation-5000"),
+    pytest.param("(" * 1000 + "m" + ")" * 1000, id="parentheses-1000"),
+])
+def test_deep_beta_expressions_exit_one(expr, tmp_path):
+    """Expressions nested beyond what the parser or the evaluator can
+    recurse through end in one error line, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(
+        {"family": "polya", "beta": {"rule": "homogeneous", "expr": expr}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "histolim.cli", "check", "--system", str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error[system/beta-expression]")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_nested_parentheses_within_parser_limits_evaluate(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(
+        {"family": "polya",
+         "beta": {"rule": "homogeneous", "expr": "(" * 150 + "m + 1" + ")" * 150}}))
+    code, out, err = run(capsys, "check", "--system", str(path))
+    assert code == 0, err
+
+
+def _sample_args(systems, target):
+    return ("sample", "--system", systems["polya_m"], "--depth", "3",
+            "--seed", "7", "--replicates", "3", "--out", str(target))
+
+
+def test_existing_output_is_left_untouched(systems, capsys, tmp_path):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    target = outdir / "draws.csv"
+    target.write_text("keep\n")
+    code, _, err = run(capsys, *_sample_args(systems, target))
+    assert code == 1
+    assert err.startswith("error[cli/exists]")
+    assert target.read_text() == "keep\n"
+    assert sorted(os.listdir(outdir)) == ["draws.csv"]
+
+
+def test_new_output_gets_the_default_file_mode(systems, capsys, tmp_path):
+    target = tmp_path / "draws.csv"
+    assert run(capsys, *_sample_args(systems, target))[0] == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+class _FailingFile:
+    """Stands in for the output file: writes half the text, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, text):
+        self.f.write(text[:len(text) // 2])
+        self.f.flush()
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_write_leaves_no_partial_file(failure, existing, systems, capsys,
+                                             tmp_path, monkeypatch):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    target = outdir / "draws.csv"
+    if existing:
+        target.write_text("keep\n")
+    if failure == "write":
+        fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda fd, *a, **k: _FailingFile(fdopen(fd, *a, **k)))
+    else:
+        def refuse(src, dst):
+            raise OSError(5, "Input/output error")
+        monkeypatch.setattr(os, "replace", refuse)
+    code, _, err = run(capsys, *_sample_args(systems, target), "--force")
+    assert code == 1
+    assert err.startswith("error[cli/write]")
+    assert len(err.strip().splitlines()) == 1
+    assert sorted(os.listdir(outdir)) == (["draws.csv"] if existing else [])
+    if existing:
+        assert target.read_text() == "keep\n"
+
+
+def test_unwritable_output_directory_is_one_error_line(systems, capsys, tmp_path):
+    code, _, err = run(capsys, *_sample_args(systems, tmp_path / "missing" / "draws.csv"))
+    assert code == 1
+    assert err.startswith("error[cli/write]")
+    assert len(err.strip().splitlines()) == 1

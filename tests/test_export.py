@@ -1,0 +1,252 @@
+"""Sample, mean and path exports against their straightforward forms.
+
+Each oracle below is the plain per-value formulation of an exporter
+(`csv.writer` over `repr(float(v))`, `json.dumps` over lists of floats, a
+running float sum per point); the exporters must reproduce its bytes.
+"""
+
+import csv
+import io
+import json
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from histolim.cli import main
+from histolim.histograms import (
+    PROBABILITY,
+    SIGNED,
+    Histogram,
+    HistogramStack,
+    dump_json,
+    histogram_to_csv,
+    stack_to_csv,
+)
+from histolim.partitions import Domain, dyadic_chain, endpoint_to_float, format_endpoint
+from histolim.sampling import path_from_histogram, sample_stack
+from histolim.streams import RandomStream
+from histolim.systems import LeakageSystem, system_from_json
+
+AWKWARD = [-0.0, 5e-324, 1e16, -1e16, 0.1, 1 / 3, 2.0**-1074 * 3, 1e-300, 0.0, 123456789.0]
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+def oracle_stack_csv(stack):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["sample"] + [c.index.label() for c in stack.partition.cells])
+    for i in range(len(stack)):
+        writer.writerow([i] + [repr(float(v)) for v in stack.values[i]])
+    return buf.getvalue()
+
+
+def oracle_histogram_csv(h):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["cell_left", "cell_right", "value"])
+    for cell, v in zip(h.partition.cells, h.values):
+        writer.writerow([format_endpoint(cell.left), format_endpoint(cell.right),
+                         repr(float(v))])
+    return buf.getvalue()
+
+
+def oracle_path(h):
+    points = []
+    running = 0.0
+    for cell, value in zip(h.partition.cells, h.values):
+        running += float(value)
+        if cell.is_atom:
+            continue
+        t = endpoint_to_float(cell.right)
+        if math.isfinite(t):
+            points.append((t, running))
+    return points
+
+
+def oracle_path_text(stack, origin):
+    lines = ["replicate,t,value"]
+    for r in range(len(stack)):
+        if origin is not None:
+            lines.append(f"{r},{origin!r},0.0")
+        lines.extend(f"{r},{t!r},{v!r}" for t, v in oracle_path(stack.histogram(r)))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_sample_json(system, depth, seed, stack):
+    return json.dumps({"system": system.to_json(), "depth": depth, "seed": seed,
+                       "kind": stack.kind,
+                       "cells": [c.index.label() for c in stack.partition.cells],
+                       "values": [[float(v) for v in row] for row in stack.values]},
+                      indent=2, sort_keys=True)
+
+
+def reprs(points):
+    return [(repr(t), repr(v)) for t, v in points]
+
+
+# ---------------------------------------------------------------------------
+# partitions under test: open unit, closed-left with an atom cell, an odd
+# rational domain, one-cell levels, and the leakage chain's infinite ends
+
+CLOSED = dyadic_chain(Domain(Fraction(0), Fraction(1), True), 5)
+ODD = dyadic_chain(Domain(Fraction(-3, 2), Fraction(5, 4), True), 4)
+LEAKAGE = LeakageSystem(0.4, depth=5).chain()
+PARTITIONS = {
+    "unit-3": dyadic_chain(depth=3)[3],
+    "unit-0": dyadic_chain(depth=0)[0],
+    "atom-5": CLOSED[5],
+    "atom-0": CLOSED[0],
+    "odd-4": ODD[4],
+    "leakage-4": LEAKAGE[4],
+    "leakage-1": LEAKAGE[1],
+    "leakage-0": LEAKAGE[0],
+}
+
+
+def awkward_stack(partition, rows=4, seed=0):
+    """Signed stack mixing awkward doubles with ordinary ones; row 0 starts
+    with -0.0 so the running sum's sign of zero is exercised."""
+    rng = np.random.default_rng(seed)
+    n = len(partition)
+    values = rng.choice(np.array(AWKWARD), size=(rows, n)) * rng.choice([1.0, -1.0], size=(rows, n))
+    values[0, :] = -0.0
+    if n > 1:
+        values[1, :2] = [-0.0, 5e-324]
+    return HistogramStack(partition, values, SIGNED)
+
+
+@pytest.mark.parametrize("name", sorted(PARTITIONS))
+def test_stack_csv_matches_csv_writer(name):
+    stack = awkward_stack(PARTITIONS[name])
+    assert stack_to_csv(stack) == oracle_stack_csv(stack)
+
+
+@pytest.mark.parametrize("name", sorted(PARTITIONS))
+def test_histogram_csv_matches_csv_writer(name):
+    stack = awkward_stack(PARTITIONS[name])
+    for r in range(len(stack)):
+        h = stack.histogram(r)
+        assert histogram_to_csv(h) == oracle_histogram_csv(h)
+
+
+@pytest.mark.parametrize("name", sorted(PARTITIONS))
+def test_labels_match_cells(name):
+    partition = PARTITIONS[name]
+    assert partition.labels() == [c.index.label() for c in partition.cells]
+
+
+@pytest.mark.parametrize("name", sorted(PARTITIONS))
+def test_path_matches_running_sum(name):
+    stack = awkward_stack(PARTITIONS[name], rows=6)
+    t, values = path_from_histogram(stack)
+    for r in range(len(stack)):
+        expect = reprs(oracle_path(stack.histogram(r)))
+        assert reprs(path_from_histogram(stack.histogram(r))) == expect
+        assert reprs(zip(t.tolist(), values[r].tolist())) == expect
+
+
+def test_path_of_sampled_probabilities_matches_running_sum():
+    """Long rows of ordinary draws: the vectorized sum rounds like the loop."""
+    system = system_from_json({"family": "dirichlet", "base": {"type": "lebesgue"}})
+    stack = sample_stack(system, dyadic_chain(depth=9), 9, RandomStream(4), 20)
+    t, values = path_from_histogram(stack)
+    for r in range(len(stack)):
+        assert reprs(zip(t.tolist(), values[r].tolist())) == \
+            reprs(oracle_path(stack.histogram(r)))
+
+
+def test_leakage_path_skips_both_infinite_ends():
+    h = Histogram(LEAKAGE[4], np.full(len(LEAKAGE[4]), 1 / len(LEAKAGE[4])), PROBABILITY)
+    points = path_from_histogram(h)
+    assert len(points) == len(LEAKAGE[4]) - 1
+    assert path_from_histogram(Histogram(LEAKAGE[0], np.ones(1), PROBABILITY)) == []
+
+
+@pytest.mark.parametrize("values", [
+    np.array([[-0.0, 5e-324, 1e16], [math.nan, math.inf, -math.inf]]),
+    np.array([[0.5]]),
+    np.empty((0, 3)),
+    np.empty((2, 0)),
+    np.array([[1.0, -2.5e-310, 1 / 3]] * 3),
+])
+def test_dump_json_arrays_match_json_dumps(values):
+    payloads = [
+        values,
+        {"values": values, "kind": "signed", "cells": ["0", "1"], "seed": 3},
+        {"outer": [1, {"deep": values, "a": [values, "x"]}], "z": None},
+    ]
+    for payload in payloads:
+        expect = json.dumps(payload, indent=2, sort_keys=True,
+                            default=lambda a: a.tolist())
+        assert dump_json(payload) == expect
+
+
+def test_dump_json_with_a_string_spelling_the_placeholder():
+    values = np.array([[0.25, 0.75]])
+    for text in ("\x00ndarray 0", "\x00ndarray 1"):
+        payload = {"a": text, "values": values}
+        assert dump_json(payload) == json.dumps(
+            {"a": text, "values": values.tolist()}, indent=2, sort_keys=True)
+
+
+def test_dump_json_small_payloads_unchanged():
+    payload = {"conditions": {"x": {"status": "holds", "value": 0.1}}, "n": [1, 2.5]}
+    assert dump_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# the CLI's outputs, through --out and on stdout
+
+SYSTEMS = {
+    "polya_p0": ({"family": "polya", "beta": {"rule": "homogeneous", "expr": "m**2"},
+                  "p0": 0.3}, CLOSED),
+    "gaussian_odd": ({"family": "gaussian",
+                      "covariance": {"variant": "diagonal", "sigma2": {"type": "lebesgue"}}},
+                     ODD),
+    "dirichlet": ({"family": "dirichlet", "base": {"type": "lebesgue", "scale": 0.01}}, None),
+    "leakage": ({"family": "leakage", "delta": 0.2, "depth": 5}, None),
+}
+
+
+def _origin(chain):
+    left = endpoint_to_float(chain.domain.left)
+    return left if math.isfinite(left) else None
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.parametrize("depth", [0, 4])
+def test_cli_exports_match_oracles(name, depth, tmp_path, capsys):
+    obj, chain = SYSTEMS[name]
+    system = system_from_json(obj)
+    system_path = tmp_path / "system.json"
+    system_path.write_text(json.dumps(obj))
+    args = ["--system", str(system_path), "--depth", str(depth)]
+    if chain is None:
+        chain = system.chain() if isinstance(system, LeakageSystem) else dyadic_chain(depth=depth)
+    else:
+        chain_path = tmp_path / "chain.json"
+        chain_path.write_text(json.dumps(chain.to_json()))
+        args += ["--chain", str(chain_path)]
+    stack = sample_stack(system, chain, depth, RandomStream(9), 5)
+    expected = {
+        "sample-csv": (["sample", *args, "--replicates", "5", "--seed", "9", "--jobs", "2"],
+                       oracle_stack_csv(stack)),
+        "sample-json": (["sample", *args, "--replicates", "5", "--seed", "9", "--jobs", "2",
+                         "--format", "json"],
+                        oracle_sample_json(system, depth, 9, stack) + "\n"),
+        "path": (["path", *args, "--replicates", "5", "--seed", "9", "--jobs", "2"],
+                 oracle_path_text(stack, _origin(chain))),
+        "mean-csv": (["mean", *args], oracle_histogram_csv(system.mean(chain[depth]))),
+    }
+    for key, (argv, text) in expected.items():
+        target = tmp_path / f"{key}.out"
+        assert main(argv + ["--out", str(target)]) == 0, key
+        assert target.read_text() == text, key
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == text, key

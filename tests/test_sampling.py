@@ -16,7 +16,7 @@ from histolim.sampling import (
     polya_stack,
     sample_stack,
 )
-from histolim.streams import RandomStream
+from histolim.streams import RandomStream, run_chunked
 from histolim.systems import (
     AtomicBase,
     ConstantCovariance,
@@ -28,6 +28,7 @@ from histolim.systems import (
     LebesgueBase,
     PolyaTreeSystem,
     TableRule,
+    sigma_factor,
 )
 
 CHAIN = dyadic_chain(depth=6)
@@ -134,6 +135,31 @@ def test_gaussian_centre_offsets_rows():
     stack = gaussian_stack(system, CHAIN[1], RandomStream(8), 10)
     # zero covariance: rows equal the centre exactly
     assert np.allclose(stack.values, 0.5)
+
+
+@pytest.mark.parametrize("depth,replicates", [(4, 300), (8, 200), (10, 40)])
+@pytest.mark.parametrize("sigma2,centre", [
+    (LebesgueBase(), None),
+    (AtomicBase((0.25, 0.6), (1.0, 2.0)), None),  # zero-variance cells
+    (LebesgueBase(3.0), LebesgueBase()),
+])
+def test_gaussian_diagonal_equals_dense_factor(depth, replicates, sigma2, centre):
+    """Elementwise diagonal draws give the bits of centre + z @ F^T with
+    the dense factor F = diag(sqrt(sigma2)), signed zeros included."""
+    system = GaussianSystem(DiagonalCovariance(sigma2), centre=centre)
+    partition = dyadic_chain(depth=depth)[depth]
+    stream = RandomStream(17)
+    got = gaussian_stack(system, partition, stream, replicates).values
+    mean = system.centre_histogram(partition).values
+    factor = sigma_factor(system.covariance, partition)
+
+    def dense(sub, k):
+        z = sub.generator().standard_normal((k, factor.shape[1]))
+        return mean[None, :] + z @ factor.T
+
+    want = run_chunked(stream, replicates, dense)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_sample_stack_dispatch_and_leakage_tiling():
