@@ -36,7 +36,7 @@ from .conditions import (
     polya_tight_condition,
     polya_weak_condition,
 )
-from .errors import ValidationError
+from .errors import HistolimError, ValidationError
 from .histograms import (
     PROBABILITY,
     POSITIVE,
@@ -45,6 +45,7 @@ from .histograms import (
     HistogramStack,
     PiecewiseDensity,
     PolynomialDensity,
+    check_summary,
     histogram_density,
     lebesgue_reference,
     project_values,
@@ -52,8 +53,8 @@ from .histograms import (
     tv_distance_density,
 )
 from .partitions import Partition, PartitionChain, endpoint_to_float
-from .sampling import sample_stack
-from .streams import RandomStream
+from .sampling import level_drawer, sample_stack
+from .streams import RandomStream, run_grids
 from .systems import (
     DirichletSystem,
     GaussianSystem,
@@ -214,9 +215,13 @@ def _mean_point(depth: int, L: Optional[float], values: np.ndarray) -> CurvePoin
 def atomicity_values(stack: HistogramStack) -> np.ndarray:
     """Per-sample largest cell share: max mass for probability stacks, and
     max |value| / sum |value| for signed ones (zero rows give 0)."""
-    if stack.kind == PROBABILITY:
-        return stack.values.max(axis=1)
-    absval = np.abs(stack.values)
+    return _largest_shares(stack.values, stack.kind)
+
+
+def _largest_shares(values: np.ndarray, kind: str) -> np.ndarray:
+    if kind == PROBABILITY:
+        return values.max(axis=1)
+    absval = np.abs(values)
     totals = absval.sum(axis=1)
     out = np.zeros(len(absval))
     live = totals > 0
@@ -234,16 +239,7 @@ def atomicity_statistic(system: HistogramSystem, chain: PartitionChain,
     thresholds live in `classify_atomicity` and were calibrated on
     simulations of known-atomic and known-continuous families.
     """
-    if replicates < 2:
-        raise ValidationError("diagnostics/insufficient-samples",
-                              "need at least 2 replicates for a standard error")
-    root = RandomStream(seed, (0,))
-    points = []
-    for i, depth in enumerate(depths):
-        stack = sample_stack(system, chain, depth, root.child(i),
-                             replicates, jobs=jobs)
-        points.append(_mean_point(depth, None, atomicity_values(stack)))
-    return DiagnosticCurve("atomicity", tuple(points))
+    return _curves(system, chain, depths, replicates, seed=seed, jobs=jobs)[0]
 
 
 def classify_atomicity(curve: DiagnosticCurve) -> str:
@@ -304,38 +300,102 @@ def domination_statistic(system: HistogramSystem, chain: PartitionChain,
     vanishes but samples put mass are reported in the curve notes and the
     statistic remains defined.
     """
+    return _curves(system, chain, depths, replicates, seed=seed, jobs=jobs,
+                   atomicity=False, L_grid=L_grid, delta=delta,
+                   reference=reference)[1]
+
+
+def _chunk_reducer(draw, kind: str, q: Optional[np.ndarray], L_grid: Sequence[float]):
+    """Wrap a level's draw so that a chunk returns only what its curve
+    needs: ``(finite, low, off)``, the chunk's validation summary (see
+    `check_summary`), then per-row largest shares when `q` is None, or else
+    the zero-reference cells that got mass and the per-row excess over
+    L * q for every L."""
+
+    def reduce(sub: RandomStream, k: int) -> tuple:
+        rows = draw(sub, k)
+        # a chunk that fails validation is never read, so its warnings are noise
+        with np.errstate(all="ignore"):
+            off = np.abs(rows.sum(axis=1) - 1.0).max() if kind == PROBABILITY else 0.0
+            summary = (np.array([np.isfinite(rows).all()]),
+                       np.array([rows.min()]), np.array([off]))
+            if q is None:
+                return summary + (_largest_shares(rows, kind),)
+            hit = np.any(rows[:, q == 0] != 0, axis=0)[None, :]
+            return summary + (hit,) + tuple(truncation_values(rows, q, float(L))
+                                            for L in L_grid)
+
+    return reduce
+
+
+def _curves(system: HistogramSystem, chain: PartitionChain, depths: Sequence[int],
+            replicates: int, *, seed: int, jobs: int, atomicity: bool = True,
+            L_grid: Optional[Sequence[float]] = None, delta: float = 0.1,
+            reference: Optional[Callable[[Partition], Histogram]] = None,
+            ) -> tuple[Optional[DiagnosticCurve], Optional[DominationResult]]:
+    """The atomicity curve (stream root ``(seed, (0,))``) and, given an L
+    grid, the domination curves (root ``(seed, (1,))``), with every chunk
+    of every depth drawn on one pool of `jobs` threads and reduced where it
+    is drawn, so no whole stack is ever held.
+
+    The steps fail in the order of drawing the curves one after the other:
+    every atomicity depth (set-up, then its stack's validation), then the L
+    grid, then every domination depth (reference, set-up, validation).
+    Set-up runs first and stops at its first error; the draws before it are
+    still checked, and that error is raised only if none of them fails.
+    """
     if replicates < 2:
         raise ValidationError("diagnostics/insufficient-samples",
                               "need at least 2 replicates for a standard error")
-    if any(L < 0 for L in L_grid):
-        raise ValidationError("diagnostics/truncation-level",
-                              f"L grid must be nonnegative, got {list(L_grid)}")
-    root = RandomStream(seed, (1,))
-    mean_points, tail_points, notes = [], [], []
-    for i, depth in enumerate(depths):
-        part = chain[depth]
-        q = reference(part) if reference is not None else reference_histogram(system, part)
-        stack = sample_stack(system, chain, depth, root.child(i),
-                             replicates, jobs=jobs)
-        dead = q.values == 0
-        if np.any(dead):
-            hit = int(np.count_nonzero(np.any(stack.values[:, dead] != 0, axis=0)))
-            if hit:
-                notes.append(f"depth {depth}: {hit} zero-reference cells "
-                             "receive sample mass")
-        for L in L_grid:
-            excess = truncation_values(stack.values, q.values, float(L))
+    levels: dict[int, tuple] = {}  # depth -> (partition, kind, draw)
+    steps, grids, failure = [], [], None
+    try:
+        for curve in ((0,) if atomicity else ()) + ((1,) if L_grid is not None else ()):
+            if curve == 1 and any(L < 0 for L in L_grid):
+                raise ValidationError("diagnostics/truncation-level",
+                                      f"L grid must be nonnegative, got {list(L_grid)}")
+            root = RandomStream(seed, (curve,))
+            for i, depth in enumerate(depths):
+                q = None
+                if curve == 1:
+                    part = chain[depth]
+                    q = (reference(part) if reference is not None
+                         else reference_histogram(system, part)).values
+                if depth not in levels:
+                    levels[depth] = level_drawer(system, chain, depth)
+                _, kind, draw = levels[depth]
+                steps.append((depth, kind, q))
+                grids.append((root.child(i), replicates,
+                              _chunk_reducer(draw, kind, q, L_grid)))
+    except HistolimError as e:
+        failure = e
+    atom_points, mean_points, tail_points, notes = [], [], [], []
+    for (depth, kind, q), (finite, low, off, *values) in zip(
+            steps, run_grids(grids, jobs=jobs)):
+        check_summary(kind, bool(finite.all()), float(low.min()), float(off.max()))
+        if q is None:
+            atom_points.append(_mean_point(depth, None, values[0]))
+            continue
+        hit = int(np.count_nonzero(values[0].any(axis=0)))
+        if hit:
+            notes.append(f"depth {depth}: {hit} zero-reference cells "
+                         "receive sample mass")
+        for L, excess in zip(L_grid, values[1:]):
             mean_points.append(_mean_point(depth, float(L), excess))
             over = (excess > delta).astype(float)
             phat = float(over.mean())
             se = math.sqrt(phat * (1.0 - phat) / len(over))
             tail_points.append(CurvePoint(depth, float(L), phat, se, len(over)))
+    if failure is not None:
+        raise failure
+    atom_curve = DiagnosticCurve("atomicity", tuple(atom_points)) if atomicity else None
+    if L_grid is None:
+        return atom_curve, None
     notes = tuple(notes)
-    return DominationResult(delta,
-                            DiagnosticCurve("domination-mean",
-                                            tuple(mean_points), notes),
-                            DiagnosticCurve("domination-tail",
-                                            tuple(tail_points), notes))
+    return atom_curve, DominationResult(
+        delta,
+        DiagnosticCurve("domination-mean", tuple(mean_points), notes),
+        DiagnosticCurve("domination-tail", tuple(tail_points), notes))
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +551,9 @@ def phase_report(system: HistogramSystem, chain: PartitionChain, *,
 
     atom_curve = dom_result = None
     if depths and replicates >= 2 and dominated is not None:
-        atom_curve = atomicity_statistic(system, chain, depths, replicates,
-                                         seed=seed, jobs=jobs)
-        if include_domination:
-            dom_result = domination_statistic(system, chain, depths, L_grid,
-                                              replicates, delta=delta,
-                                              seed=seed, jobs=jobs)
+        atom_curve, dom_result = _curves(
+            system, chain, depths, replicates, seed=seed, jobs=jobs,
+            L_grid=L_grid if include_domination else None, delta=delta)
 
     flags = {"completely_random": completely_random,
              "atomic_corroborated": None}

@@ -62,26 +62,36 @@ def _frozen_array(values, shape_len: int) -> np.ndarray:
 def _check_kind(values: np.ndarray, kind: str, normalize: bool) -> np.ndarray:
     if kind not in _KINDS:
         raise ValidationError("histogram/kind", f"unknown kind {kind!r}")
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("histogram/not-finite", "histogram values must be finite")
-    if kind in (PROBABILITY, POSITIVE) and np.any(values < 0):
-        worst = float(values.min())
-        raise ValidationError("histogram/negative", f"{kind} histogram has negative entry {worst}")
-    if kind == PROBABILITY:
+    finite = bool(np.all(np.isfinite(values)))
+    negative = finite and kind != SIGNED and bool(np.any(values < 0))
+    low = float(values.min()) if negative else 0.0
+    off = 0.0
+    if kind == PROBABILITY and finite and not negative:
         totals = values.sum(axis=-1)
         if normalize:
             if np.any(totals <= 0):
                 raise ValidationError("histogram/normalize", "cannot normalize zero total mass")
-            values = values / totals[..., None] if values.ndim > 1 else values / totals
-        else:
-            if np.any(np.abs(totals - 1.0) > PROBABILITY_SUM_TOL):
-                worst = float(np.abs(totals - 1.0).max())
-                raise ValidationError(
-                    "histogram/total-mass",
-                    f"probability histogram total differs from 1 by {worst:.3e} "
-                    f"(> {PROBABILITY_SUM_TOL}); pass normalize=True to rescale explicitly",
-                )
+            return values / totals[..., None] if values.ndim > 1 else values / totals
+        off = float(np.abs(totals - 1.0).max()) if totals.size else 0.0
+    check_summary(kind, finite, low, off)
     return values
+
+
+def check_summary(kind: str, finite: bool, low: float, off: float) -> None:
+    """Raise what `_check_kind` raises for values of `kind` that are all
+    finite or not, whose least entry is `low` (where negative) and whose
+    rows' worst |total - 1| is `off`: values checked a piece at a time are
+    judged as a whole."""
+    if not finite:
+        raise ValidationError("histogram/not-finite", "histogram values must be finite")
+    if kind in (PROBABILITY, POSITIVE) and low < 0:
+        raise ValidationError("histogram/negative", f"{kind} histogram has negative entry {low}")
+    if kind == PROBABILITY and off > PROBABILITY_SUM_TOL:
+        raise ValidationError(
+            "histogram/total-mass",
+            f"probability histogram total differs from 1 by {off:.3e} "
+            f"(> {PROBABILITY_SUM_TOL}); pass normalize=True to rescale explicitly",
+        )
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ returned family is coherent by construction rather than by luck.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .errors import ValidationError
@@ -36,10 +38,8 @@ def _check_replicates(n: int) -> None:
 # ---------------------------------------------------------------------------
 # Dirichlet
 
-def dirichlet_stack(system: DirichletSystem, partition: Partition,
-                    stream: RandomStream, replicates: int, *,
-                    jobs: int = 1) -> HistogramStack:
-    """Draw normalized Gamma vectors: Z_i ~ Gamma(nu_i, 1), rows Z / sum(Z).
+def _dirichlet_draw(system: DirichletSystem, partition: Partition):
+    """Normalized Gamma vectors: Z_i ~ Gamma(nu_i, 1), rows Z / sum(Z).
 
     Cells with nu_i = 0 carry a point mass at zero, so they come out exactly
     0.0 in every row.  Should every Gamma draw of a row underflow to zero
@@ -47,7 +47,6 @@ def dirichlet_stack(system: DirichletSystem, partition: Partition,
     atom placed by a categorical draw with weights nu — the weak limit of the
     Dirichlet as the concentrations shrink.
     """
-    _check_replicates(replicates)
     nu = system.concentrations(partition)
     positive = nu > 0
     cum = np.cumsum(nu) / nu.sum()
@@ -57,16 +56,27 @@ def dirichlet_stack(system: DirichletSystem, partition: Partition,
         rng = sub.generator()
         g = np.zeros((k, len(nu)))
         g[:, positive] = rng.gamma(nu[positive], 1.0, size=(k, int(positive.sum())))
-        u = rng.uniform(size=k)
         total = g.sum(axis=1)
         dead = np.flatnonzero(total == 0.0)
         if len(dead):
+            # drawn last from this chunk's own generator, so drawing the
+            # uniforms only when needed leaves every other value unchanged
+            u = rng.uniform(size=k)
             g[dead, np.searchsorted(cum, u[dead], side="right")] = 1.0
             total[dead] = 1.0
-        return g / total[:, None]
+        g /= total[:, None]
+        return g
 
-    rows = run_chunked(stream, replicates, draw, jobs=jobs)
-    return HistogramStack(partition, rows, PROBABILITY)
+    return draw
+
+
+def dirichlet_stack(system: DirichletSystem, partition: Partition,
+                    stream: RandomStream, replicates: int, *,
+                    jobs: int = 1) -> HistogramStack:
+    """Dirichlet replicate sweep on one partition (see `_dirichlet_draw`)."""
+    _check_replicates(replicates)
+    return _sweep(partition, PROBABILITY, _dirichlet_draw(system, partition),
+                  stream, replicates, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +91,16 @@ def _beta_matrix(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
     fb = np.where(np.isfinite(b), b, 1.0)
     ga = rng.gamma(fa, 1.0, size=(n, len(a)))
     gb = rng.gamma(fb, 1.0, size=(n, len(b)))
-    u = rng.uniform(size=(n, len(a)))
-    total = ga + gb
-    v = np.divide(ga, total, out=np.zeros_like(ga), where=total > 0)
+    total = np.add(ga, gb, out=gb)
     dead = total == 0.0
+    # in place: where the total is 0 both Gammas are, so ga already holds 0
+    v = np.divide(ga, total, out=ga, where=total > 0)
     if dead.any():
         # both Gammas underflowed: for tiny shapes Beta(a, b) is within
-        # O(a + b) of a Bernoulli on {0, 1} with odds a : b
+        # O(a + b) of a Bernoulli on {0, 1} with odds a : b.  The uniforms
+        # come last from a generator made for this level alone, so drawing
+        # them only here leaves every other value unchanged.
+        u = rng.uniform(size=(n, len(a)))
         odds = np.broadcast_to(fa / (fa + fb), v.shape)
         v[dead] = (u[dead] < odds[dead]).astype(float)
     pin_one = np.isinf(a) & np.isfinite(b)
@@ -116,9 +129,7 @@ def _check_binary_chain(chain: PartitionChain, depth: int) -> None:
             )
 
 
-def polya_stack(system: PolyaTreeSystem, chain: PartitionChain, depth: int,
-                stream: RandomStream, replicates: int, *,
-                jobs: int = 1) -> HistogramStack:
+def _polya_draw(system: PolyaTreeSystem, chain: PartitionChain, depth: int):
     """Top-down product of independent splitting draws.
 
     Level l consumes its own substream ``child(l)``, so a depth-(m-1) run
@@ -126,14 +137,9 @@ def polya_stack(system: PolyaTreeSystem, chain: PartitionChain, depth: int,
     stream: projecting the finer stack reproduces the coarser one up to
     floating-point cancellation.
     """
-    _check_replicates(replicates)
     _check_binary_chain(chain, depth)
     partition = chain[depth]
-    if system.p0 > 0.0 and not partition.has_atom:
-        raise ValidationError(
-            "sampling/atom-mass",
-            f"p0={system.p0} needs a zero atom cell, absent at level {depth}",
-        )
+    system.check_atom_cell(partition, depth)
     pairs = [system.rule.level_pairs(level) for level in range(1, depth + 1)]
     tree_mass = 1.0 if not partition.has_atom else 1.0 - system.p0
 
@@ -141,27 +147,35 @@ def polya_stack(system: PolyaTreeSystem, chain: PartitionChain, depth: int,
         mass = np.full((k, 1), tree_mass)
         for level, (a, b) in enumerate(pairs, start=1):
             v = _beta_matrix(sub.child(level).generator(), a, b, k)
-            mass = np.stack([mass * v, mass * (1.0 - v)], axis=2).reshape(k, -1)
+            children = np.empty((k, 2 * mass.shape[1]))
+            np.multiply(mass, v, out=children[:, 0::2])
+            np.multiply(mass, 1.0 - v, out=children[:, 1::2])
+            mass = children
         if partition.has_atom:
             mass = np.concatenate([np.full((k, 1), system.p0), mass], axis=1)
         return mass
 
-    rows = run_chunked(stream, replicates, draw, jobs=jobs)
-    return HistogramStack(partition, rows, PROBABILITY)
+    return draw
+
+
+def polya_stack(system: PolyaTreeSystem, chain: PartitionChain, depth: int,
+                stream: RandomStream, replicates: int, *,
+                jobs: int = 1) -> HistogramStack:
+    """Polya-tree replicate sweep at one chain level (see `_polya_draw`)."""
+    _check_replicates(replicates)
+    draw = _polya_draw(system, chain, depth)
+    return _sweep(chain[depth], PROBABILITY, draw, stream, replicates, jobs)
 
 
 # ---------------------------------------------------------------------------
 # Gaussian
 
-def gaussian_stack(system: GaussianSystem, partition: Partition,
-                   stream: RandomStream, replicates: int, *,
-                   jobs: int = 1) -> HistogramStack:
+def _gaussian_draw(system: GaussianSystem, partition: Partition):
     """Rows centre + z F^T with z standard normal and F a clipped symmetric
     factor of the assembled covariance.  The factor keeps the exact rank, so
     a rank-one covariance yields rows that are scalar multiples of a fixed
     vector, not merely approximately so.
     """
-    _check_replicates(replicates)
     centre = system.centre_histogram(partition).values
     if isinstance(system.covariance, DiagonalCovariance):
         # z @ diag(s).T elementwise: each entry is z_ik s_k plus exact zeros
@@ -169,7 +183,9 @@ def gaussian_stack(system: GaussianSystem, partition: Partition,
 
         def draw(sub: RandomStream, k: int) -> np.ndarray:
             z = sub.generator().standard_normal((k, len(scale)))
-            return centre[None, :] + z * scale
+            z *= scale
+            z += centre  # the same sum as centre + z * scale, in place
+            return z
     else:
         factor = sigma_factor(system.covariance, partition)
         rank = factor.shape[1]
@@ -177,35 +193,51 @@ def gaussian_stack(system: GaussianSystem, partition: Partition,
         def draw(sub: RandomStream, k: int) -> np.ndarray:
             z = sub.generator().standard_normal((k, rank))
             return centre[None, :] + z @ factor.T
+    return draw
 
-    rows = run_chunked(stream, replicates, draw, jobs=jobs)
-    return HistogramStack(partition, rows, SIGNED)
+
+def gaussian_stack(system: GaussianSystem, partition: Partition,
+                   stream: RandomStream, replicates: int, *,
+                   jobs: int = 1) -> HistogramStack:
+    """Gaussian replicate sweep on one partition (see `_gaussian_draw`)."""
+    _check_replicates(replicates)
+    return _sweep(partition, SIGNED, _gaussian_draw(system, partition),
+                  stream, replicates, jobs)
 
 
 # ---------------------------------------------------------------------------
 # family dispatch, chains, paths
 
-def _leakage_stack(system: LeakageSystem, partition: Partition,
-                   replicates: int) -> HistogramStack:
-    _check_replicates(replicates)
-    h = system.mean(partition)
-    return HistogramStack(partition, np.tile(h.values, (replicates, 1)), PROBABILITY)
+def level_drawer(system: HistogramSystem, chain: PartitionChain, depth: int,
+                 ) -> tuple[Partition, str, Callable[[RandomStream, int], np.ndarray]]:
+    """(partition, kind, draw) for one chain level of any family, where
+    ``draw(substream, k)`` gives k replicate rows; a deterministic leakage
+    system tiles its mean."""
+    partition = chain[depth]
+    if isinstance(system, DirichletSystem):
+        return partition, PROBABILITY, _dirichlet_draw(system, partition)
+    if isinstance(system, PolyaTreeSystem):
+        return partition, PROBABILITY, _polya_draw(system, chain, depth)
+    if isinstance(system, GaussianSystem):
+        return partition, SIGNED, _gaussian_draw(system, partition)
+    if isinstance(system, LeakageSystem):
+        values = system.mean(partition).values
+        return partition, PROBABILITY, lambda sub, k: np.tile(values, (k, 1))
+    raise ValidationError("sampling/family", f"no sampler for {type(system).__name__}")
+
+
+def _sweep(partition: Partition, kind: str, draw, stream: RandomStream,
+           replicates: int, jobs: int) -> HistogramStack:
+    return HistogramStack(partition, run_chunked(stream, replicates, draw, jobs=jobs),
+                          kind)
 
 
 def sample_stack(system: HistogramSystem, chain: PartitionChain, depth: int,
                  stream: RandomStream, replicates: int, *,
                  jobs: int = 1) -> HistogramStack:
     """Replicate sweep for any family at one level of a chain."""
-    partition = chain[depth]
-    if isinstance(system, DirichletSystem):
-        return dirichlet_stack(system, partition, stream, replicates, jobs=jobs)
-    if isinstance(system, PolyaTreeSystem):
-        return polya_stack(system, chain, depth, stream, replicates, jobs=jobs)
-    if isinstance(system, GaussianSystem):
-        return gaussian_stack(system, partition, stream, replicates, jobs=jobs)
-    if isinstance(system, LeakageSystem):
-        return _leakage_stack(system, partition, replicates)
-    raise ValidationError("sampling/family", f"no sampler for {type(system).__name__}")
+    _check_replicates(replicates)
+    return _sweep(*level_drawer(system, chain, depth), stream, replicates, jobs)
 
 
 def chain_sample(system: HistogramSystem, chain: PartitionChain, depth: int,

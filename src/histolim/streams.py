@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,29 +57,48 @@ def chunk_ranges(n: int, chunk_size: int = CHUNK_SIZE) -> Iterator[tuple[int, in
         start = stop
 
 
+def run_grids(grids: Sequence[tuple[RandomStream, int, Callable]], *,
+              jobs: int = 1, chunk_size: int = CHUNK_SIZE) -> list:
+    """Evaluate the chunks of several grids on one pool of `jobs` threads.
+
+    Grid g is ``(stream, n, draw)``: ``draw(stream.child(j), chunk_len)``
+    is called on every chunk j of the fixed grid over range(n), or once
+    with 0 rows when n is 0, to give the result its shape.  Chunk j of every
+    grid is started before chunk j + 1 of any, so full chunks go first and
+    workers that draw for different grids stay busy together.  A chunk
+    returns an array, or a tuple of arrays; each grid's results are
+    concatenated along axis 0 (field by field) in chunk order, so nothing
+    depends on `jobs`.
+    """
+    tasks = []
+    for g, (stream, n, _) in enumerate(grids):
+        ranges = list(chunk_ranges(n, chunk_size)) or [(0, 0, 0)]
+        tasks.extend((j, g, stop - start) for j, start, stop in ranges)
+    if jobs < 1:
+        raise ValidationError("stream/jobs", f"jobs must be >= 1, got {jobs}")
+    tasks.sort(key=lambda task: task[0])  # stable: grid order within a chunk index
+
+    def one(task):
+        j, g, rows = task
+        stream, _, draw = grids[g]
+        return draw(stream.child(j), rows)
+
+    if jobs == 1 or len(tasks) <= 1:
+        done = [one(t) for t in tasks]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(one, tasks))
+    parts: list[list] = [[] for _ in grids]
+    for (_, g, _), part in zip(tasks, done):
+        parts[g].append(part)
+    return [tuple(np.concatenate(field, axis=0) for field in zip(*p))
+            if isinstance(p[0], tuple) else np.concatenate(p, axis=0)
+            for p in parts]
+
+
 def run_chunked(stream: RandomStream, n: int,
                 draw: Callable[[RandomStream, int], np.ndarray],
                 *, jobs: int = 1, chunk_size: int = CHUNK_SIZE) -> np.ndarray:
-    """Evaluate draw(stream.child(j), chunk_len) over the fixed chunk grid.
-
-    `draw` receives the substream for chunk j and the number of rows to
-    produce; rows are concatenated in chunk order.  The result does not
-    depend on `jobs`.
-    """
-    chunks = list(chunk_ranges(n, chunk_size))
-    if not chunks:
-        probe = draw(stream.child(0), 0)
-        return probe
-    if jobs < 1:
-        raise ValidationError("stream/jobs", f"jobs must be >= 1, got {jobs}")
-
-    def one(args):
-        j, start, stop = args
-        return draw(stream.child(j), stop - start)
-
-    if jobs == 1 or len(chunks) == 1:
-        parts = [one(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(one, chunks))
-    return np.concatenate(parts, axis=0)
+    """Evaluate draw(stream.child(j), chunk_len) over the fixed chunk grid:
+    the one-grid case of `run_grids`."""
+    return run_grids([(stream, n, draw)], jobs=jobs, chunk_size=chunk_size)[0]

@@ -36,7 +36,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import HistolimError, NumericError, ValidationError
 from .histograms import Histogram, POSITIVE, PROBABILITY, SIGNED
 from .partitions import (
     CellIndex,
@@ -517,9 +517,18 @@ class PolyaTreeSystem:
             value *= split_second_moment(b0, b1)[index.bits[l]]
         return value * (1.0 - self.p0) ** 2
 
+    def check_atom_cell(self, partition: Partition, level: int) -> None:
+        """A singleton mass p0 > 0 needs the zero atom cell in `partition`."""
+        if self.p0 > 0.0 and not partition.has_atom:
+            raise ValidationError(
+                "sampling/atom-mass",
+                f"p0={self.p0} needs a zero atom cell, absent at level {level}",
+            )
+
     def mean(self, partition: Partition) -> Histogram:
         """Cell means level by level: each parent's mass times its expected
         split fractions, the same products as `mean_of_index`."""
+        self.check_atom_cell(partition, partition.level)
         mass = np.ones(1)
         for level in range(1, partition.level + 1):
             splits = split_means(*self.rule.level_pairs(level))
@@ -918,6 +927,18 @@ def system_from_json(obj) -> HistogramSystem:
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValidationError("system/json", "system spec needs a 'family' field")
     family = obj["family"]
+    try:
+        return _family_from_json(family, obj)
+    except HistolimError:
+        raise
+    except KeyError as e:
+        raise ValidationError("system/json",
+                              f"{family} system spec is missing the {e.args[0]!r} field") from None
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError("system/json", f"malformed {family} system spec: {e}") from None
+
+
+def _family_from_json(family, obj: dict) -> HistogramSystem:
     if family == "dirichlet":
         return DirichletSystem(base_measure_from_json(obj["base"]))
     if family == "polya":

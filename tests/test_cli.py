@@ -89,6 +89,41 @@ def test_beta_expression_failures_exit_one(expr, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _one_error_line(capsys, spec, tmp_path, *argv):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, *argv, "--system", str(path))
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return code, err
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "polya"},
+    {"family": "gaussian"},
+    {"family": "dirichlet"},
+    {"family": "polya", "beta": {"rule": "homogeneous", "expr": "m"}, "p0": "x"},
+    {"family": "leakage", "depth": "a"},
+], ids=["polya-no-beta", "gaussian-no-covariance", "dirichlet-no-base",
+        "p0-not-a-number", "leakage-depth-not-a-number"])
+def test_malformed_system_file_is_one_error_line(spec, tmp_path, capsys):
+    code, err = _one_error_line(capsys, spec, tmp_path, "check")
+    assert code == 1
+    assert err.startswith("error[system/json]")
+
+
+def test_mean_without_atom_cell_names_the_atom(tmp_path, capsys):
+    """p0 > 0 on a chain without the zero atom cell fails as `sample` does."""
+    spec = {"family": "polya", "beta": {"rule": "homogeneous", "expr": "m"},
+            "p0": 0.3}
+    errors = [_one_error_line(capsys, spec, tmp_path, cmd, "--depth", "3",
+                              *extra)
+              for cmd, extra in (("mean", ()), ("sample", ("--seed", "1")))]
+    expected = ("error[sampling/atom-mass] p0=0.3 needs a zero atom cell, "
+                "absent at level 3\n")
+    assert errors == [(1, expected), (1, expected)]
+
+
 def test_counterexample_table(capsys):
     code, out, err = run(capsys, "counterexample", "--delta", "0.2",
                          "--depth", "12")

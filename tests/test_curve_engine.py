@@ -1,0 +1,302 @@
+"""The pooled Monte-Carlo curve engine against the sequential curves.
+
+`atomicity_statistic`, `domination_statistic` and `phase_report` draw every
+chunk of every depth on one thread pool and reduce each chunk where it is
+drawn.  The oracles below are the sequential bodies that built one whole
+stack per depth, kept verbatim; the engine must give the same JSON for
+every job count, the same first error, and must never hold a whole stack.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import histolim.diagnostics as diagnostics
+from histolim.diagnostics import (
+    CurvePoint,
+    DiagnosticCurve,
+    DominationResult,
+    _mean_point,
+    atomicity_statistic,
+    atomicity_values,
+    domination_statistic,
+    phase_report,
+    reference_histogram,
+)
+from histolim.errors import ValidationError
+from histolim.histograms import (
+    POSITIVE,
+    PROBABILITY,
+    Histogram,
+    HistogramStack,
+    truncation_values,
+)
+from histolim.partitions import Domain, dyadic_chain
+from histolim.sampling import sample_stack
+from histolim.streams import CHUNK_SIZE, RandomStream
+from histolim.systems import (
+    AtomicBase,
+    DiagonalCovariance,
+    DirichletSystem,
+    GaussianSystem,
+    HomogeneousRule,
+    LeakageSystem,
+    LebesgueBase,
+    PolyaTreeSystem,
+)
+
+
+def oracle_atomicity(system, chain, depths, replicates, *, seed=0, jobs=1):
+    if replicates < 2:
+        raise ValidationError("diagnostics/insufficient-samples",
+                              "need at least 2 replicates for a standard error")
+    root = RandomStream(seed, (0,))
+    points = []
+    for i, depth in enumerate(depths):
+        stack = sample_stack(system, chain, depth, root.child(i),
+                             replicates, jobs=jobs)
+        points.append(_mean_point(depth, None, atomicity_values(stack)))
+    return DiagnosticCurve("atomicity", tuple(points))
+
+
+def oracle_domination(system, chain, depths, L_grid, replicates, *,
+                      delta=0.1, seed=0, jobs=1, reference=None):
+    if replicates < 2:
+        raise ValidationError("diagnostics/insufficient-samples",
+                              "need at least 2 replicates for a standard error")
+    if any(L < 0 for L in L_grid):
+        raise ValidationError("diagnostics/truncation-level",
+                              f"L grid must be nonnegative, got {list(L_grid)}")
+    root = RandomStream(seed, (1,))
+    mean_points, tail_points, notes = [], [], []
+    for i, depth in enumerate(depths):
+        part = chain[depth]
+        q = reference(part) if reference is not None else reference_histogram(system, part)
+        stack = sample_stack(system, chain, depth, root.child(i),
+                             replicates, jobs=jobs)
+        dead = q.values == 0
+        if np.any(dead):
+            hit = int(np.count_nonzero(np.any(stack.values[:, dead] != 0, axis=0)))
+            if hit:
+                notes.append(f"depth {depth}: {hit} zero-reference cells "
+                             "receive sample mass")
+        for L in L_grid:
+            excess = truncation_values(stack.values, q.values, float(L))
+            mean_points.append(_mean_point(depth, float(L), excess))
+            over = (excess > delta).astype(float)
+            phat = float(over.mean())
+            se = math.sqrt(phat * (1.0 - phat) / len(over))
+            tail_points.append(CurvePoint(depth, float(L), phat, se, len(over)))
+    notes = tuple(notes)
+    return DominationResult(delta,
+                            DiagnosticCurve("domination-mean",
+                                            tuple(mean_points), notes),
+                            DiagnosticCurve("domination-tail",
+                                            tuple(tail_points), notes))
+
+
+UNIT = dyadic_chain(depth=5)
+CLOSED = dyadic_chain(Domain.unit(closed_left=True), depth=5)
+LEAK = LeakageSystem(0.3, 6)
+
+
+def _half_reference(partition):
+    """Lebesgue mass on the right half of the cells only: the left half are
+    zero-reference cells that every Dirichlet draw puts mass on."""
+    values = np.full(len(partition), 2.0 / len(partition))
+    values[: len(partition) // 2] = 0.0
+    return Histogram(partition, values, POSITIVE)
+
+
+CASES = {
+    "dirichlet": (DirichletSystem(LebesgueBase()), UNIT, None),
+    "dirichlet-atoms": (DirichletSystem(AtomicBase((0.2, 0.7), (1.0, 2.0))), UNIT, None),
+    "polya-p0-closed-left": (PolyaTreeSystem(HomogeneousRule("m"), 0.3), CLOSED, None),
+    "gaussian-signed": (GaussianSystem(DiagonalCovariance(LebesgueBase())), UNIT, None),
+    "leakage": (LEAK, LEAK.chain(), None),
+    "zero-reference": (DirichletSystem(LebesgueBase()), UNIT, _half_reference),
+}
+
+
+@pytest.mark.parametrize("replicates", [CHUNK_SIZE + 5, 1500])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_engine_matches_sequential_curves(case, replicates):
+    system, chain, reference = CASES[case]
+    depths, L_grid = (2, 3, 5), (0.0, 1.0, 2.5)
+    atom = oracle_atomicity(system, chain, depths, replicates, seed=4).to_json()
+    dom = oracle_domination(system, chain, depths, L_grid, replicates, seed=4,
+                            delta=0.05, reference=reference).to_json()
+    if case == "zero-reference":
+        assert dom["means"]["notes"], "the reference must leave hit cells"
+    for jobs in (1, 2, 3):
+        assert atomicity_statistic(system, chain, depths, replicates, seed=4,
+                                   jobs=jobs).to_json() == atom
+        assert domination_statistic(system, chain, depths, L_grid, replicates,
+                                    seed=4, delta=0.05, jobs=jobs,
+                                    reference=reference).to_json() == dom
+
+
+@pytest.mark.parametrize("case", ["dirichlet", "polya-p0-closed-left", "gaussian-signed"])
+def test_phase_report_curves_match_sequential_curves(case):
+    system, chain, _ = CASES[case]
+    depths, L_grid, n = (2, 4), (1.0, 20.0), CHUNK_SIZE + 5
+    atom = oracle_atomicity(system, chain, depths, n, seed=9).to_json()
+    dom = oracle_domination(system, chain, depths, L_grid, n, seed=9).to_json()
+    for jobs in (1, 3):
+        rep = phase_report(system, chain, depths=depths, replicates=n, seed=9,
+                           L_grid=L_grid, jobs=jobs).to_json()
+        assert rep["atomicity_curve"] == atom
+        assert rep["domination_curve"] == dom["means"]
+        assert rep["domination_tail_curve"] == dom["tails"]
+
+
+# --- errors: the first one the sequential order raises ----------------------
+
+def _error(call):
+    with pytest.raises(ValidationError) as e:
+        call()
+    return e.value.code, str(e.value)
+
+
+def test_missing_atom_cell_fails_at_the_first_atomicity_depth():
+    polya = PolyaTreeSystem(HomogeneousRule("m^2"), 0.3)
+    code, msg = _error(lambda: phase_report(polya, dyadic_chain(depth=8),
+                                            replicates=1000, jobs=2))
+    assert code == "sampling/atom-mass"
+    assert msg.endswith("absent at level 2")
+
+
+def test_negative_L_grid_fails_after_the_atomicity_curve():
+    dirichlet = DirichletSystem(LebesgueBase())
+    code, _ = _error(lambda: phase_report(dirichlet, UNIT, depths=(2, 3),
+                                          replicates=1000, L_grid=(-1.0, 2.0)))
+    assert code == "diagnostics/truncation-level"
+    # the atomicity set-up comes first in the sequential order
+    polya = PolyaTreeSystem(HomogeneousRule("m^2"), 0.3)
+    code, _ = _error(lambda: phase_report(polya, UNIT, depths=(2, 3),
+                                          replicates=1000, L_grid=(-1.0, 2.0)))
+    assert code == "sampling/atom-mass"
+
+
+def _fake_drawer(bad_depth, rows_of, setup_fails_at=None):
+    """A level drawer whose chunk j at `bad_depth` gives rows_of(j, k), with
+    a set-up error at depth `setup_fails_at`."""
+
+    def level_drawer(system, chain, depth):
+        if depth == setup_fails_at:
+            raise ValidationError("sampling/fake", f"set-up fails at {depth}")
+        partition = chain[depth]
+        cells = len(partition)
+
+        def draw(sub, k):
+            if depth == bad_depth:
+                return rows_of(sub.path[-1], k, cells)
+            return np.full((k, cells), 1.0 / cells)
+
+        return partition, PROBABILITY, draw
+
+    return level_drawer
+
+
+def _whole_stack_error(rows_of, n, cells):
+    rows = np.concatenate([rows_of(0, CHUNK_SIZE, cells),
+                           rows_of(1, n - CHUNK_SIZE, cells)])
+    return _error(lambda: HistogramStack(UNIT[2], rows, PROBABILITY))
+
+
+def _off_total(j, k, cells):
+    rows = np.full((k, cells), 1.0 / cells)
+    rows[:, 0] += np.linspace(0.0, 1e-9, k) * (j + 1)  # worst in chunk 1
+    return rows
+
+
+def _negative(j, k, cells):
+    rows = np.full((k, cells), 1.0 / cells)
+    rows[-1, :2] = (1.0 / cells - 0.5 * j - 0.3, 1.0 / cells + 0.5 * j + 0.3)  # worst in chunk 1
+    return rows
+
+
+def _not_finite(j, k, cells):
+    rows = np.full((k, cells), 1.0 / cells)
+    rows[0, 0] = np.nan if j == 1 else rows[0, 0]
+    return rows
+
+
+@pytest.mark.parametrize("rows_of", [_off_total, _negative, _not_finite])
+def test_merged_chunk_checks_raise_the_whole_stack_error(rows_of, monkeypatch):
+    """Each chunk is checked where it is drawn; the merged summary gives the
+    error, and the text, of validating the whole stack at once, ahead of a
+    set-up error at a later depth."""
+    n = CHUNK_SIZE + 5
+    expected = _whole_stack_error(rows_of, n, len(UNIT[2]))
+    monkeypatch.setattr(diagnostics, "level_drawer",
+                        _fake_drawer(2, rows_of, setup_fails_at=3))
+    system = DirichletSystem(LebesgueBase())
+    for jobs in (1, 2):
+        assert _error(lambda: phase_report(system, UNIT, depths=(2, 3),
+                                           replicates=n, jobs=jobs)) == expected
+    # a bad chunk in the domination curve still comes after the atomicity set-up
+    code, _ = _error(lambda: domination_statistic(system, UNIT, (2,), (1.0,), n))
+    assert code == expected[0]
+
+
+def test_setup_error_comes_after_valid_draws(monkeypatch):
+    monkeypatch.setattr(diagnostics, "level_drawer",
+                        _fake_drawer(None, None, setup_fails_at=3))
+    system = DirichletSystem(LebesgueBase())
+    code, msg = _error(lambda: phase_report(system, UNIT, depths=(2, 3),
+                                            replicates=1000, jobs=2))
+    assert (code, msg) == ("sampling/fake", "set-up fails at 3")
+
+
+def test_zero_reference_hits_merge_over_chunks(monkeypatch):
+    """A zero-reference cell that only a later chunk puts mass on is still
+    reported, as the whole-stack scan reports it."""
+    import histolim.sampling as sampling
+
+    def level_drawer(system, chain, depth):
+        partition = chain[depth]
+        cells = len(partition)
+
+        def draw(sub, k):
+            rows = np.full((k, cells), 1.0 / (cells - 1))
+            rows[:, sub.path[-1]] = 0.0  # chunk j leaves cell j empty
+            return rows
+
+        return partition, PROBABILITY, draw
+
+    def reference(partition):
+        values = np.full(len(partition), 1.0 / (len(partition) - 2))
+        values[:2] = 0.0
+        return Histogram(partition, values, POSITIVE)
+
+    for module in (diagnostics, sampling):
+        monkeypatch.setattr(module, "level_drawer", level_drawer)
+    n, system = CHUNK_SIZE + 5, DirichletSystem(LebesgueBase())
+    expected = oracle_domination(system, UNIT, (2, 3), (1.0,), n,
+                                 reference=reference).to_json()
+    assert expected["means"]["notes"] == [
+        "depth 2: 2 zero-reference cells receive sample mass",
+        "depth 3: 2 zero-reference cells receive sample mass"]
+    for jobs in (1, 2):
+        assert domination_statistic(system, UNIT, (2, 3), (1.0,), n, jobs=jobs,
+                                    reference=reference).to_json() == expected
+
+
+# --- memory -----------------------------------------------------------------
+
+def test_phase_report_never_holds_a_whole_stack():
+    chain = dyadic_chain(depth=7)
+    n = 6 * CHUNK_SIZE
+    stack_bytes = n * len(chain[7]) * 8
+    system = DirichletSystem(LebesgueBase())
+    phase_report(system, chain, depths=(7,), replicates=1000)  # warm caches
+    tracemalloc.start()
+    try:
+        phase_report(system, chain, depths=(7,), replicates=n, jobs=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes, f"peak {peak / 1e6:.1f} MB"

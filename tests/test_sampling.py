@@ -216,3 +216,106 @@ def test_replicate_validation():
     with pytest.raises(ValidationError):
         sample_stack(DirichletSystem(LebesgueBase()), CHAIN, 2,
                      RandomStream(1), 0)
+
+
+# --- the draws as they were written before the trims ------------------------
+
+def _old_beta_matrix(rng, a, b, n):
+    fa = np.where(np.isfinite(a), a, 1.0)
+    fb = np.where(np.isfinite(b), b, 1.0)
+    ga = rng.gamma(fa, 1.0, size=(n, len(a)))
+    gb = rng.gamma(fb, 1.0, size=(n, len(b)))
+    u = rng.uniform(size=(n, len(a)))
+    total = ga + gb
+    v = np.divide(ga, total, out=np.zeros_like(ga), where=total > 0)
+    dead = total == 0.0
+    if dead.any():
+        odds = np.broadcast_to(fa / (fa + fb), v.shape)
+        v[dead] = (u[dead] < odds[dead]).astype(float)
+    pin_one = np.isinf(a) & np.isfinite(b)
+    pin_zero = np.isfinite(a) & np.isinf(b)
+    pin_half = np.isinf(a) & np.isinf(b)
+    if pin_one.any():
+        v[:, pin_one] = 1.0
+    if pin_zero.any():
+        v[:, pin_zero] = 0.0
+    if pin_half.any():
+        v[:, pin_half] = 0.5
+    return v
+
+
+def _old_polya_rows(system, chain, depth, stream, replicates):
+    partition = chain[depth]
+    pairs = [system.rule.level_pairs(level) for level in range(1, depth + 1)]
+    tree_mass = 1.0 if not partition.has_atom else 1.0 - system.p0
+
+    def draw(sub, k):
+        mass = np.full((k, 1), tree_mass)
+        for level, (a, b) in enumerate(pairs, start=1):
+            v = _old_beta_matrix(sub.child(level).generator(), a, b, k)
+            mass = np.stack([mass * v, mass * (1.0 - v)], axis=2).reshape(k, -1)
+        if partition.has_atom:
+            mass = np.concatenate([np.full((k, 1), system.p0), mass], axis=1)
+        return mass
+
+    return run_chunked(stream, replicates, draw, jobs=2)
+
+
+def _old_dirichlet_rows(system, partition, stream, replicates):
+    nu = system.concentrations(partition)
+    positive = nu > 0
+    cum = np.cumsum(nu) / nu.sum()
+    cum[-1] = 1.0
+
+    def draw(sub, k):
+        rng = sub.generator()
+        g = np.zeros((k, len(nu)))
+        g[:, positive] = rng.gamma(nu[positive], 1.0, size=(k, int(positive.sum())))
+        u = rng.uniform(size=k)
+        total = g.sum(axis=1)
+        dead = np.flatnonzero(total == 0.0)
+        if len(dead):
+            g[dead, np.searchsorted(cum, u[dead], side="right")] = 1.0
+            total[dead] = 1.0
+        return g / total[:, None]
+
+    return run_chunked(stream, replicates, draw, jobs=2)
+
+
+def test_beta_matrix_draws_uniforms_only_for_underflows():
+    from histolim.sampling import _beta_matrix
+
+    # tiny shapes: both Gammas underflow in about half of the draws
+    a = np.array([1e-4, 1e-4, 2.0, math.inf, math.inf, 0.5])
+    b = np.array([1e-4, 3e-4, 2.0, 1.0, math.inf, math.inf])
+    for seed in range(4):
+        new = _beta_matrix(np.random.default_rng(seed), a, b, 300)
+        old = _old_beta_matrix(np.random.default_rng(seed), a, b, 300)
+        assert np.array_equal(new, old)
+    assert 0.0 < np.mean(new[:, 0] == 0.0) < 1.0
+
+
+@pytest.mark.parametrize("system, closed", [
+    (PolyaTreeSystem(HomogeneousRule("m^2")), False),
+    (PolyaTreeSystem(HomogeneousRule("0.0001")), False),  # Bernoulli fallback
+    (PolyaTreeSystem(TableRule({"0": (math.inf, 1.0)}, default=(0.5, math.inf))), False),
+    (PolyaTreeSystem(HomogeneousRule("m"), p0=0.25), True),
+])
+def test_polya_draws_equal_the_stacked_level_loop(system, closed):
+    chain = dyadic_chain(Domain.unit(closed_left=closed), depth=6)
+    for depth in (0, 1, 6):
+        new = polya_stack(system, chain, depth, RandomStream(5), 8200, jobs=2)
+        old = _old_polya_rows(system, chain, depth, RandomStream(5), 8200)
+        assert np.array_equal(new.values, old)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-5])  # 1e-5: most rows underflow
+def test_dirichlet_draws_equal_the_always_uniform_draw(scale):
+    system = DirichletSystem(LebesgueBase(scale))
+    new = dirichlet_stack(system, CHAIN[4], RandomStream(6), 8200, jobs=2)
+    old = _old_dirichlet_rows(system, CHAIN[4], RandomStream(6), 8200)
+    assert np.array_equal(new.values, old)
+    # the first chunk's Gammas: at scale 1e-5 some rows underflow entirely
+    nu = system.concentrations(CHAIN[4])
+    g = RandomStream(6).child(0).generator().gamma(nu, 1.0, size=(8192, len(nu)))
+    assert (g.sum(axis=1) == 0.0).any() == (scale < 1)

@@ -6,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from histolim.errors import ValidationError
-from histolim.streams import CHUNK_SIZE, RandomStream, chunk_ranges, run_chunked
+from histolim.streams import (
+    CHUNK_SIZE,
+    RandomStream,
+    chunk_ranges,
+    run_chunked,
+    run_grids,
+)
 
 
 def test_same_seed_same_bytes():
@@ -74,3 +80,36 @@ def test_run_chunked_zero_rows():
 def test_run_chunked_rejects_bad_jobs():
     with pytest.raises(ValidationError):
         run_chunked(RandomStream(1), 10, draw_uniform, jobs=0)
+
+
+def test_run_grids_equals_one_run_per_grid():
+    """One pool over several grids gives each grid what `run_chunked`
+    alone gives it, for any job count; tuple results concatenate field by
+    field."""
+    sizes = (2 * CHUNK_SIZE + 3, 5, 0, CHUNK_SIZE)
+    grids = [(RandomStream(3, (g,)), n, draw_uniform) for g, n in enumerate(sizes)]
+    alone = [run_chunked(stream, n, draw) for stream, n, draw in grids]
+    for jobs in (1, 2, 3, 8):
+        pooled = run_grids(grids, jobs=jobs)
+        assert all(np.array_equal(a, b) for a, b in zip(alone, pooled))
+
+    def pair(sub, k):
+        rows = draw_uniform(sub, k)
+        return rows.max(axis=1), np.array([rows.shape[0]])
+
+    (shares, counts), = run_grids([(RandomStream(4), CHUNK_SIZE + 9, pair)], jobs=2)
+    assert np.array_equal(shares, run_chunked(RandomStream(4), CHUNK_SIZE + 9,
+                                              draw_uniform).max(axis=1))
+    assert counts.tolist() == [CHUNK_SIZE, 9]
+
+
+def test_run_grids_starts_full_chunks_first():
+    started = []
+
+    def record(sub, k):
+        started.append((sub.path[0], k))
+        return np.zeros((k, 1))
+
+    run_grids([(RandomStream(1, (g,)), CHUNK_SIZE + 2, record) for g in range(3)])
+    assert started == [(0, CHUNK_SIZE), (1, CHUNK_SIZE), (2, CHUNK_SIZE),
+                       (0, 2), (1, 2), (2, 2)]
