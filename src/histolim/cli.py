@@ -18,12 +18,15 @@ import operator
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 import click
 import numpy as np
 
+# `check` reaches the evaluators through `family_verdicts`; they stay imported
+# because perfbench/spans.py wraps them by name on this module
 from .conditions import (
     EVALUATOR_TAGS,
     MATRIX_DEPTH,
@@ -36,7 +39,7 @@ from .conditions import (
     polya_tight_condition,
     polya_weak_condition,
 )
-from .diagnostics import MIN_STATISTICAL_SAMPLES, phase_report
+from .diagnostics import MIN_STATISTICAL_SAMPLES, family_verdicts, phase_report
 from .errors import NumericError, ValidationError
 from .histograms import dump_json, histogram_to_csv, histogram_to_json, stack_to_csv
 from .partitions import (
@@ -44,17 +47,10 @@ from .partitions import (
     chain_from_json_text,
     dyadic_chain,
     endpoint_to_float,
-    max_depth,
 )
 from .sampling import path_from_histogram, sample_stack
 from .streams import RandomStream
-from .systems import (
-    DirichletSystem,
-    GaussianSystem,
-    LeakageSystem,
-    PolyaTreeSystem,
-    system_from_json,
-)
+from .systems import LeakageSystem, system_from_json
 
 _EVALUATOR_LINES = "\n".join(
     f"  {name}  [{tag}]" for name, tag in sorted(EVALUATOR_TAGS.items()))
@@ -255,30 +251,8 @@ def path(system_path, chain_path, depth, replicates, seed, jobs, out, force):
 def check(system_path, chain_path, depth, out, force):
     """Evaluate every condition for the family; JSON verdicts."""
     system = _load_system(system_path)
-    verdicts = {}
-    if isinstance(system, DirichletSystem):
-        chain = _resolve_chain(system, chain_path, 0)
-        verdicts["dirichlet-existence"] = dirichlet_condition(system, chain.domain)
-        verdicts["dirichlet-weak"] = dirichlet_weak_condition(
-            system, chain.domain, depth=depth or PRODUCT_DEPTH)
-    elif isinstance(system, PolyaTreeSystem):
-        d = depth or PRODUCT_DEPTH
-        verdicts["polya-tight"] = polya_tight_condition(system, depth=d)
-        verdicts["polya-leakage"] = polya_leakage_condition(system, depth=d)
-        verdicts["polya-weak"] = polya_weak_condition(system, depth=d)
-    elif isinstance(system, GaussianSystem):
-        d = depth or MATRIX_DEPTH
-        chain = _resolve_chain(system, chain_path, min(d, max_depth()))
-        for v in gaussian_conditions(system, chain, depth=d).values():
-            verdicts[v.condition] = v
-    elif isinstance(system, LeakageSystem):
-        report = leakage_counterexample(system.delta, system.depth,
-                                        interior=system.interior)
-        verdicts[report.verdict.condition] = report.verdict
-    else:
-        raise ValidationError("cli/system",
-                              f"no conditions for {type(system).__name__}")
-    payload = {"conditions": {k: v.to_json() for k, v in verdicts.items()}}
+    verdicts = family_verdicts(system, partial(_resolve_chain, system, chain_path), depth)[0]
+    payload = {"conditions": {v.condition: v.to_json() for v in verdicts.values()}}
     _write_text(dump_json(payload), out, force)
 
 

@@ -545,6 +545,17 @@ def _matrix_levels(system: GaussianSystem, chain: PartitionChain,
     return range(0, min(depth, cap, chain.depth) + 1)
 
 
+#: statistic -> the argument of its undetermined verdict, when the
+#: covariance structure settles nothing (``trace`` is never settled)
+_UNSETTLED = {
+    "diagonal": "no exact vanishing argument for this diagonal variant",
+    "spectral": "no exact spectral argument for this covariance",
+    "weak": "no exact boundedness argument for this covariance",
+    "trace": "total variance per level, reported alongside the spectral "
+             "statistic; no sufficiency criterion is attached to it",
+}
+
+
 def gaussian_conditions(system: GaussianSystem, chain: PartitionChain,
                         depth: int = MATRIX_DEPTH) -> dict[str, Verdict]:
     """Evaluate the three spectral/domination statistics level by level.
@@ -557,18 +568,15 @@ def gaussian_conditions(system: GaussianSystem, chain: PartitionChain,
     10 (6 for quadrature kernels).
     """
     spec = system.covariance
-    diag_curve: list[tuple[int, float]] = []
-    spectral_curve: list[tuple[int, float]] = []
-    weak_curve: list[tuple[int, float]] = []
-    trace_curve: list[tuple[int, float]] = []
+    curves: dict[str, list[tuple[int, float]]] = {key: [] for key in _UNSETTLED}
 
     for m in _matrix_levels(system, chain, depth):
         part = chain[m]
         sigma = assemble_sigma(spec, part)
         diag = np.diag(sigma)
-        diag_curve.append((m, float(diag.max())))
-        weak_curve.append((m, float(np.sqrt(diag).sum())))
-        trace_curve.append((m, float(diag.sum())))
+        curves["diagonal"].append((m, float(diag.max())))
+        curves["weak"].append((m, float(np.sqrt(diag).sum())))
+        curves["trace"].append((m, float(diag.sum())))
         if isinstance(spec, ConstantCovariance):
             w = LebesgueBase().cell_masses(part)
             tau = spec.c * float(w @ w)  # rank one: the single eigenvalue
@@ -576,122 +584,88 @@ def gaussian_conditions(system: GaussianSystem, chain: PartitionChain,
             tau = float(diag.max())
         else:
             tau = float(np.linalg.eigvalsh(sigma)[-1])
-        spectral_curve.append((m, len(part) * tau))
+        curves["spectral"].append((m, len(part) * tau))
 
+    settled = _settled_statistics(spec, curves["weak"])
     out = {}
-    if spec.is_diagonal:
-        out["diagonal"] = _diagonal_verdict(spec, tuple(diag_curve))
-    out["spectral"] = _spectral_verdict(spec, tuple(spectral_curve))
-    out["weak"] = _gaussian_weak_verdict(spec, tuple(weak_curve))
-    out["trace"] = Verdict("gaussian-trace", UNDETERMINED,
-                           EVALUATOR_TAGS["gaussian-trace"],
-                           "total variance per level, reported alongside the "
-                           "spectral statistic; no sufficiency criterion is "
-                           "attached to it",
-                           tuple(trace_curve))
+    for key, unsettled in _UNSETTLED.items():
+        if key == "diagonal" and not spec.is_diagonal:
+            continue
+        name = f"gaussian-{key}"
+        status, argument = settled.get(key, (UNDETERMINED, unsettled))
+        out[key] = Verdict(name, status, EVALUATOR_TAGS[name], argument,
+                           tuple(curves[key]))
     return out
 
 
-def _diagonal_verdict(spec, evidence) -> Verdict:
-    name, anchor = "gaussian-diagonal", EVALUATOR_TAGS["gaussian-diagonal"]
+def _settled_statistics(spec, weak_curve) -> dict[str, tuple[str, str]]:
+    """Classify the covariance once (constant, Lebesgue diagonal, atomic
+    diagonal, point mass, other) and give ``(status, argument)`` for each
+    statistic its structure settles exactly."""
+    if isinstance(spec, ConstantCovariance):
+        value = weak_curve[-1][1] if weak_curve else math.sqrt(spec.c)
+        return {
+            "spectral": (SUFFICIENT_CONDITION_FAILS,
+                         "rank one: cell-count times the eigenvalue is "
+                         "c |a| sum(w^2) >= c (sum w)^2 > 0, constant c on "
+                         "dyadic chains"),
+            "weak": (HOLDS, "cell standard deviations are sqrt(c) times cell "
+                            f"widths, so every level sums to the same {value:.6g}"),
+        }
     if isinstance(spec, DiagonalCovariance) and isinstance(spec.sigma2, LebesgueBase):
-        return Verdict(name, HOLDS, anchor,
-                       "the largest cell variance is scale * 2^-m on the "
-                       "dyadic chain and vanishes",
-                       evidence)
+        return {
+            "diagonal": (HOLDS, "the largest cell variance is scale * 2^-m on the "
+                                "dyadic chain and vanishes"),
+            "spectral": (SUFFICIENT_CONDITION_FAILS,
+                         "cell-count times the largest variance equals the "
+                         "scale exactly at every dyadic level"),
+            "weak": (SUFFICIENT_CONDITION_FAILS,
+                     "the level sum is sqrt(scale) * 2^(m/2) on the dyadic "
+                     "chain and diverges"),
+        }
     if isinstance(spec, DiagonalCovariance) and isinstance(spec.sigma2, AtomicBase):
         top = max(spec.sigma2.weights, default=0.0)
+        bound = float(sum(math.sqrt(w) for w in spec.sigma2.weights))
+        weak = (HOLDS, "square roots are subadditive over the atoms in each "
+                       f"cell, so no level sum exceeds {bound:.6g}")
         if top == 0.0:
-            return Verdict(name, HOLDS, anchor,
-                           "zero variance measure: every cell variance is 0",
-                           evidence)
-        return Verdict(name, SUFFICIENT_CONDITION_FAILS, anchor,
-                       "the cell containing the largest variance atom keeps "
-                       f"at least {top:g}, so the maximum cannot vanish",
-                       evidence)
+            return {"diagonal": (HOLDS, "zero variance measure: every cell variance is 0"),
+                    "spectral": (HOLDS, "zero variance measure"),
+                    "weak": weak}
+        return {
+            "diagonal": (SUFFICIENT_CONDITION_FAILS,
+                         "the cell containing the largest variance atom keeps "
+                         f"at least {top:g}, so the maximum cannot vanish"),
+            "spectral": (SUFFICIENT_CONDITION_FAILS,
+                         "the top eigenvalue stays above the largest atom "
+                         f"weight {top:g} while the cell count grows"),
+            "weak": weak,
+        }
     if isinstance(spec, PointMassCovariance):
         top = float(np.diag(spec.matrix).max())
-        if top == 0.0:
-            return Verdict(name, HOLDS, anchor, "all site variances are zero",
-                           evidence)
-        return Verdict(name, SUFFICIENT_CONDITION_FAILS, anchor,
-                       "with zero cross-terms the cell holding the largest "
-                       f"site variance keeps at least {top:g}",
-                       evidence)
-    return Verdict(name, UNDETERMINED, anchor,
-                   "no exact vanishing argument for this diagonal variant",
-                   evidence)
-
-
-def _spectral_verdict(spec, evidence) -> Verdict:
-    name, anchor = "gaussian-spectral", EVALUATOR_TAGS["gaussian-spectral"]
-    if isinstance(spec, ConstantCovariance):
-        return Verdict(name, SUFFICIENT_CONDITION_FAILS, anchor,
-                       "rank one: cell-count times the eigenvalue is "
-                       "c |a| sum(w^2) >= c (sum w)^2 > 0, constant c on "
-                       "dyadic chains",
-                       evidence)
-    if isinstance(spec, DiagonalCovariance) and isinstance(spec.sigma2, LebesgueBase):
-        return Verdict(name, SUFFICIENT_CONDITION_FAILS, anchor,
-                       "cell-count times the largest variance equals the "
-                       "scale exactly at every dyadic level",
-                       evidence)
-    if isinstance(spec, DiagonalCovariance) and isinstance(spec.sigma2, AtomicBase):
-        top = max(spec.sigma2.weights, default=0.0)
-        if top == 0.0:
-            return Verdict(name, HOLDS, anchor, "zero variance measure",
-                           evidence)
-        return Verdict(name, SUFFICIENT_CONDITION_FAILS, anchor,
-                       "the top eigenvalue stays above the largest atom "
-                       f"weight {top:g} while the cell count grows",
-                       evidence)
-    if isinstance(spec, PointMassCovariance):
         total = float(spec.matrix.sum())
         if not spec.matrix.any():
-            return Verdict(name, HOLDS, anchor, "zero covariance", evidence)
-        if total > 0:
-            return Verdict(name, SUFFICIENT_CONDITION_FAILS, anchor,
-                           "testing against the flat vector bounds cell-count "
-                           f"times the eigenvalue below by the grand sum "
-                           f"{total:g} > 0 at every level",
-                           evidence)
-        return Verdict(name, UNDETERMINED, anchor,
-                       "cross-terms cancel the grand sum; no exact bound "
-                       "either way", evidence)
-    return Verdict(name, UNDETERMINED, anchor,
-                   "no exact spectral argument for this covariance",
-                   evidence)
-
-
-def _gaussian_weak_verdict(spec, evidence) -> Verdict:
-    name, anchor = "gaussian-weak", EVALUATOR_TAGS["gaussian-weak"]
-    if isinstance(spec, ConstantCovariance):
-        value = evidence[-1][1] if evidence else math.sqrt(spec.c)
-        return Verdict(name, HOLDS, anchor,
-                       "cell standard deviations are sqrt(c) times cell "
-                       f"widths, so every level sums to the same {value:.6g}",
-                       evidence)
-    if isinstance(spec, DiagonalCovariance) and isinstance(spec.sigma2, LebesgueBase):
-        return Verdict(name, SUFFICIENT_CONDITION_FAILS, anchor,
-                       "the level sum is sqrt(scale) * 2^(m/2) on the dyadic "
-                       "chain and diverges",
-                       evidence)
-    if isinstance(spec, DiagonalCovariance) and isinstance(spec.sigma2, AtomicBase):
-        bound = float(sum(math.sqrt(w) for w in spec.sigma2.weights))
-        return Verdict(name, HOLDS, anchor,
-                       "square roots are subadditive over the atoms in each "
-                       f"cell, so no level sum exceeds {bound:.6g}",
-                       evidence)
-    if isinstance(spec, PointMassCovariance):
+            spectral = (HOLDS, "zero covariance")
+        elif total > 0:
+            spectral = (SUFFICIENT_CONDITION_FAILS,
+                        "testing against the flat vector bounds cell-count "
+                        f"times the eigenvalue below by the grand sum "
+                        f"{total:g} > 0 at every level")
+        else:
+            spectral = (UNDETERMINED, "cross-terms cancel the grand sum; no exact "
+                                      "bound either way")
         bound = float(sum(math.sqrt(v) for v in np.diag(spec.matrix)))
-        return Verdict(name, HOLDS, anchor,
-                       "each cell standard deviation is at most the sum of "
-                       "its sites' standard deviations, so no level sum "
-                       f"exceeds {bound:.6g}",
-                       evidence)
-    return Verdict(name, UNDETERMINED, anchor,
-                   "no exact boundedness argument for this covariance",
-                   evidence)
+        return {
+            "diagonal": (HOLDS, "all site variances are zero") if top == 0.0 else
+                        (SUFFICIENT_CONDITION_FAILS,
+                         "with zero cross-terms the cell holding the largest "
+                         f"site variance keeps at least {top:g}"),
+            "spectral": spectral,
+            "weak": (HOLDS, "each cell standard deviation is at most the sum of "
+                            "its sites' standard deviations, so no level sum "
+                            f"exceeds {bound:.6g}"),
+        }
+    return {}
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ import numpy as np
 from .conditions import (
     FAILS,
     HOLDS,
+    MATRIX_DEPTH,
+    PRODUCT_DEPTH,
     SUFFICIENT_CONDITION_FAILS,
     Verdict,
     dirichlet_condition,
@@ -52,7 +54,7 @@ from .histograms import (
     truncation_values,
     tv_distance_density,
 )
-from .partitions import Partition, PartitionChain, endpoint_to_float
+from .partitions import Partition, PartitionChain, endpoint_to_float, max_depth
 from .sampling import level_drawer, sample_stack
 from .streams import RandomStream, run_grids
 from .systems import (
@@ -264,11 +266,10 @@ def reference_histogram(system: HistogramSystem, partition: Partition) -> Histog
     probability families, the per-cell spread envelope for Gaussian ones
     (plus |centre| when not centred)."""
     if isinstance(system, GaussianSystem):
-        q = system.q_alpha(partition)
         if system.centred:
-            return q
+            return system.q_alpha(partition)
         centre = np.abs(system.centre_histogram(partition).values)
-        return Histogram(partition, centre + q.values, POSITIVE)
+        return Histogram(partition, centre + system.spread(partition), POSITIVE)
     return system.mean(partition)
 
 
@@ -495,28 +496,37 @@ class PhaseReport:
         }
 
 
-def _family_verdicts(system: HistogramSystem, chain: PartitionChain,
-                     ) -> tuple[dict, Optional[Verdict], Optional[Verdict], bool]:
-    """(all verdicts, existence verdict, domination verdict, completely_random)."""
+def family_verdicts(system: HistogramSystem,
+                    chain_at: Callable[[int], PartitionChain],
+                    depth: Optional[int] = None,
+                    ) -> tuple[dict, Optional[Verdict], Optional[Verdict]]:
+    """(all verdicts, existence verdict, domination verdict) of the family.
+
+    ``chain_at(level)`` gives a chain reaching that level; only the
+    Dirichlet and Gaussian conditions read a chain.  ``depth`` overrides the
+    evaluation depth (None or 0: each condition's default).
+    """
     if isinstance(system, DirichletSystem):
-        existence = dirichlet_condition(system, chain.domain)
-        dominated = dirichlet_weak_condition(system, chain.domain)
-        return ({"existence": existence, "dominated": dominated},
-                existence, dominated, True)
+        domain = chain_at(0).domain
+        existence = dirichlet_condition(system, domain)
+        dominated = dirichlet_weak_condition(system, domain,
+                                             depth=depth or PRODUCT_DEPTH)
+        return {"existence": existence, "dominated": dominated}, existence, dominated
     if isinstance(system, PolyaTreeSystem):
-        tight = polya_tight_condition(system)
-        leak = polya_leakage_condition(system)
-        dominated = polya_weak_condition(system)
+        d = depth or PRODUCT_DEPTH
+        tight = polya_tight_condition(system, depth=d)
+        leak = polya_leakage_condition(system, depth=d)
+        dominated = polya_weak_condition(system, depth=d)
         return ({"tight": tight, "leakage": leak, "dominated": dominated},
-                tight, dominated, system.completely_random)
+                tight, dominated)
     if isinstance(system, GaussianSystem):
-        verdicts = gaussian_conditions(system, chain)
-        return (verdicts, verdicts.get("diagonal"), verdicts["weak"],
-                system.completely_random)
+        d = depth or MATRIX_DEPTH
+        verdicts = gaussian_conditions(system, chain_at(min(d, max_depth())), depth=d)
+        return verdicts, verdicts.get("diagonal"), verdicts["weak"]
     if isinstance(system, LeakageSystem):
         tight = leakage_counterexample(system.delta, system.depth,
                                        interior=system.interior).verdict
-        return ({"tight": tight}, tight, None, False)
+        return {"tight": tight}, tight, None
     raise ValidationError("diagnostics/unsupported-family",
                           f"no phase clauses for {type(system).__name__}")
 
@@ -544,8 +554,8 @@ def phase_report(system: HistogramSystem, chain: PartitionChain, *,
     plateau to keep it; a decreasing curve vetoes the atomic sub-label and
     demotes to the corresponding non-atomic phase.
     """
-    verdicts, existence, dominated, completely_random = \
-        _family_verdicts(system, chain)
+    verdicts, existence, dominated = family_verdicts(system, lambda _: chain)
+    completely_random = system.completely_random
     if depths is None:
         depths = tuple(range(2, min(chain.depth, 8) + 1))
 

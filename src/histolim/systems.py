@@ -168,9 +168,6 @@ class DirichletSystem:
             raise ValidationError("system/degenerate", "base measure has total mass zero")
         return nu
 
-    def total_mass(self, partition: Partition) -> float:
-        return float(self.concentrations(partition).sum())
-
     def mean(self, partition: Partition) -> Histogram:
         nu = self.concentrations(partition)
         return Histogram(partition, nu / nu.sum(), PROBABILITY)
@@ -817,14 +814,19 @@ class GaussianSystem:
             return Histogram(partition, np.zeros(len(partition)), SIGNED)
         return Histogram(partition, self.centre.cell_masses(partition), SIGNED)
 
+    def spread(self, partition: Partition) -> np.ndarray:
+        """Per-cell sqrt(2 Sigma_ii / pi), the expected absolute cell mass of
+        the centred field."""
+        diag = np.diag(assemble_sigma(self.covariance, partition))
+        return np.sqrt(2.0 * diag / math.pi)
+
     def q_alpha(self, partition: Partition) -> Histogram:
-        """Expected absolute cell mass sqrt(2 Sigma_ii / pi); centred only —
-        with a nonzero centre the folded-normal mean has no such form."""
+        """Expected absolute cell mass, the `spread`; centred only — with a
+        nonzero centre the folded-normal mean has no such form."""
         if not self.centred:
             raise ValidationError("system/not-centred",
                                   "the absolute-mean reference is defined for centred systems")
-        diag = np.diag(assemble_sigma(self.covariance, partition))
-        return Histogram(partition, np.sqrt(2.0 * diag / math.pi), POSITIVE)
+        return Histogram(partition, self.spread(partition), POSITIVE)
 
     def to_json(self) -> dict:
         return {

@@ -4,7 +4,10 @@
 `atomicity_statistic`, `run_chunked`, ...).  A renamed function would make
 traced benchmark runs and `perfbench/selfcheck.py` fail, so install the
 hooks in a fresh interpreter (the monkeypatching stays out of the pytest
-process) and run one small traced command.
+process) and run small traced commands.  The `conditions.*` metrics come
+from wrapping the evaluators where `cli` and `diagnostics` call them; if the
+calls moved elsewhere those metrics would read 0 without any error, so a
+traced `check` on one system per family must record every evaluator.
 """
 
 import os
@@ -19,18 +22,26 @@ import io, contextlib, spans
 import histolim.cli
 tracer = spans.install()
 with contextlib.redirect_stdout(io.StringIO()):
-    code = histolim.cli.main(["diagnose", "--system", SYSTEM, "--N", "1000",
-                              "--depths", "2,3", "--seed", "1", "--jobs", "2"])
+    code = histolim.cli.main(["diagnose", "--system", f"{SYSTEMS}/polya_m2.json",
+                              "--N", "1000", "--depths", "2,3", "--seed", "1",
+                              "--jobs", "2"])
 assert code == 0, code
 assert any(s[1] == "diagnostics.phase_report" for s in tracer.spans)
+before = len(tracer.spans)
+for name in ("polya_m2", "dirichlet_lebesgue", "gaussian_diagonal"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = histolim.cli.main(["check", "--system", f"{SYSTEMS}/{name}.json"])
+    assert code == 0, (name, code)
+evaluators = [s[1] for s in tracer.spans[before:] if s[1].startswith("conditions.")]
+assert len(evaluators) == 6, evaluators
 """
 
 
 def test_benchmark_span_hooks_install():
-    system = ROOT / "perfbench" / "systems" / "polya_m2.json"
+    systems = ROOT / "perfbench" / "systems"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "perfbench"), str(ROOT / "src")]))
     result = subprocess.run(
-        [sys.executable, "-c", f"SYSTEM = {str(system)!r}\n{SCRIPT}"],
+        [sys.executable, "-c", f"SYSTEMS = {str(systems)!r}\n{SCRIPT}"],
         env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

@@ -194,6 +194,20 @@ def test_diagnose_leakage(systems, capsys):
     assert "no tight limit" in rep["rationale"]
 
 
+def test_diagnose_non_centred_gaussian(tmp_path, capsys):
+    """A centre shifts the domination reference to |centre| + spread rather
+    than stopping the command."""
+    system = tmp_path / "shifted.json"
+    system.write_text(json.dumps(
+        {"family": "gaussian",
+         "covariance": {"variant": "diagonal", "sigma2": {"type": "lebesgue"}},
+         "centre": {"type": "lebesgue", "scale": 0.5}}))
+    code, out, err = run(capsys, "diagnose", "--system", str(system),
+                         "--seed", "3", "--N", "1000", "--depths", "2,3")
+    assert code == 0, err
+    assert json.loads(out)["domination_curve"]["points"]
+
+
 def test_diagnose_enforces_sample_floor(systems, capsys):
     code, out, err = run(capsys, "diagnose", "--system", systems["leak"],
                          "--seed", "3", "--N", "50")

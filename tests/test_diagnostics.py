@@ -180,6 +180,11 @@ def test_reference_histogram_per_family():
     assert ref.values.tolist() == pytest.approx([1 / 8] * 8)
     ref = reference_histogram(GAUSS_DIAG, CHAIN[2])
     assert np.all(ref.values > 0)  # q_alpha reference for centred gaussians
+    shifted = GaussianSystem(DiagonalCovariance(LebesgueBase()),
+                             centre=AtomicBase((0.3,), (2.0,)))
+    ref = reference_histogram(shifted, CHAIN[2])
+    assert ref.values.tolist() == (
+        np.array([0.0, 2.0, 0.0, 0.0]) + shifted.spread(CHAIN[2])).tolist()
     leak = LeakageSystem(0.2, 6)
     ref = reference_histogram(leak, leak.chain()[3])
     assert ref.total() == pytest.approx(1.0)

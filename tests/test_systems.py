@@ -290,10 +290,14 @@ def test_gaussian_system_properties():
     assert diag.centre_histogram(CHAIN[2]).values.tolist() == [0.0] * 4
     q = diag.q_alpha(CHAIN[2])
     assert q.values.tolist() == pytest.approx([math.sqrt(2 * 0.25 / math.pi)] * 4)
+    assert q.values.tolist() == diag.spread(CHAIN[2]).tolist()
     centred_only = GaussianSystem(ConstantCovariance(1.0), LebesgueBase())
     assert not centred_only.centred
-    with pytest.raises(ValidationError):
+    assert centred_only.spread(CHAIN[2]).tolist() == pytest.approx(
+        [math.sqrt(2 * 0.25 ** 2 / math.pi)] * 4)
+    with pytest.raises(ValidationError) as e:
         centred_only.q_alpha(CHAIN[2])
+    assert e.value.code == "system/not-centred"
 
 
 # --- leakage ----------------------------------------------------------------
