@@ -37,7 +37,22 @@ SYSTEMS = {
                           "covariance": {"variant": "diagonal",
                                          "sigma2": {"type": "lebesgue"}}},
     "leakage": {"family": "leakage", "delta": 0.2, "depth": 6},
+    "leakage_interior": {"family": "leakage", "delta": 0.2, "depth": 6, "interior": True},
+    "dirichlet_atoms": {"family": "dirichlet",
+                        "base": {"type": "atoms", "points": [0.25, -1.5, 3.0],
+                                 "weights": [1.0, 2.0, 0.5]}},
+    # not a system: a triangular chain over the real line, passed as --chain
+    "triangular_inf": {"domain": {"left": "-inf", "right": "+inf", "closed_left": False},
+                       "kind": "triangular",
+                       "levels": [["-inf", "+inf"], ["-inf", "0.0", "+inf"],
+                                  ["-inf", "-1.0", "0.0", "1.0", "+inf"],
+                                  ["-inf", "-2.0", "-1.0", "-0.5", "0.0", "0.5", "1.0",
+                                   "2.0", "+inf"]]},
 }
+
+#: the systems every subcommand runs on
+CORE = ("polya_m2", "polya_cantor_trig", "polya_dirichlet_match", "polya_table_inf",
+        "dirichlet_lebesgue", "gaussian_diagonal", "leakage")
 
 DEPTH, N = "6", "50"
 
@@ -45,7 +60,7 @@ DEPTH, N = "6", "50"
 def commands() -> list[list[str]]:
     """argv lists; `{name}` stands for the file of system `name`."""
     out = []
-    for name in SYSTEMS:
+    for name in CORE:
         system = ["--system", "{%s}" % name]
         out += [
             ["check", *system, "--depth", DEPTH],
@@ -57,6 +72,26 @@ def commands() -> list[list[str]]:
         ]
     out.append(["diagnose", "--system", "{polya_m2}", "--N", "1000",
                 "--depths", "2,3", "--seed", "0", "--jobs", "1"])
+    draws = ["--replicates", N, "--seed", "0", "--jobs", "1"]
+    interior = ["--system", "{leakage_interior}", "--depth", DEPTH]
+    out += [
+        ["mean", *interior],
+        ["mean", *interior, "--format", "json"],
+        ["sample", *interior, *draws],
+        ["path", *interior, *draws],
+        ["mean", "--system", "{leakage}", "--depth", DEPTH, "--format", "json"],
+    ]
+    for name in ("polya_cantor_trig", "dirichlet_atoms"):
+        on_line = ["--system", "{%s}" % name, "--chain", "{triangular_inf}", "--depth", "3"]
+        out += [
+            ["check", *on_line],
+            ["mean", *on_line],
+            ["mean", *on_line, "--format", "json"],
+            ["sample", *on_line, *draws],
+            ["path", *on_line, *draws],
+        ]
+    counter = ["counterexample", "--delta", "0.2", "--depth", DEPTH]
+    out += [counter, [*counter, "--format", "json"]]
     return out
 
 
