@@ -217,19 +217,12 @@ def path(system_path, chain_path, depth, replicates, seed, jobs, out, force):
     chain = _resolve_chain(system, chain_path, depth)
     stack = sample_stack(system, chain, depth, RandomStream(seed),
                          replicates, jobs=_jobs(jobs))
-    left = chain.domain.left
-    origin = None
-    try:
-        origin = endpoint_to_float(left)
-    except (TypeError, ValueError):
-        origin = None
-    if origin is not None and not np.isfinite(origin):
-        origin = None
+    origin = endpoint_to_float(chain.domain.left)
     t, values = path_from_histogram(stack)
     # each row's points as "t,value" tails, the t column formatted once
     heads = [f"{x!r}," for x in t.tolist()]
     first = []
-    if origin is not None:
+    if np.isfinite(origin):
         heads.insert(0, f"{origin!r},")
         first = ["0.0"]
     rows = []
@@ -250,6 +243,8 @@ def path(system_path, chain_path, depth, replicates, seed, jobs, out, force):
 @force_option
 def check(system_path, chain_path, depth, out, force):
     """Evaluate every condition for the family; JSON verdicts."""
+    if depth is not None and depth < 0:
+        raise ValidationError("cli/depth", f"--depth must be >= 0, got {depth}")
     system = _load_system(system_path)
     verdicts = family_verdicts(system, partial(_resolve_chain, system, chain_path), depth)[0]
     payload = {"conditions": {v.condition: v.to_json() for v in verdicts.values()}}

@@ -67,8 +67,7 @@ from .systems import (
 
 Z_THRESHOLD = 4.0
 MIN_STATISTICAL_SAMPLES = 1_000
-#: defaults, overridable per call: moment tests vs curve estimation
-DEFAULT_MOMENT_SAMPLES = 100_000
+#: default replicates per depth of the Monte-Carlo curves
 DEFAULT_CURVE_SAMPLES = 10_000
 
 PHASES = ("absolutely-continuous", "fixed-atomic", "continuous-singular",
@@ -539,8 +538,7 @@ def phase_report(system: HistogramSystem, chain: PartitionChain, *,
                  depths: Optional[Sequence[int]] = None,
                  replicates: int = DEFAULT_CURVE_SAMPLES,
                  seed: int = 0, L_grid: Sequence[float] = (1.0, 2.0, 5.0, 20.0),
-                 delta: float = 0.1, jobs: int = 1,
-                 include_domination: bool = True) -> PhaseReport:
+                 delta: float = 0.1, jobs: int = 1) -> PhaseReport:
     """Exact condition verdicts plus Monte-Carlo corroboration, combined
     through the phase decision table.
 
@@ -563,7 +561,7 @@ def phase_report(system: HistogramSystem, chain: PartitionChain, *,
     if depths and replicates >= 2 and dominated is not None:
         atom_curve, dom_result = _curves(
             system, chain, depths, replicates, seed=seed, jobs=jobs,
-            L_grid=L_grid if include_domination else None, delta=delta)
+            L_grid=L_grid, delta=delta)
 
     flags = {"completely_random": completely_random,
              "atomic_corroborated": None}

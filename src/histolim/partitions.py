@@ -7,6 +7,11 @@ cell of level m+1 sits inside exactly one cell of level m, so each interval
 cell carries a binary address: the root cell is (), and the two children of
 address b extend it by 0 (left) and 1 (right).
 
+An endpoint is a plain number: an exact `Fraction` (or int), a float, or
+the IEEE -math.inf / math.inf of an unbounded end, so membership and order
+are ordinary comparisons.  Its text form is 'p/q' or an integer when exact,
+a finite decimal for a float, and '+inf' / '-inf'.
+
 Two chain builders are provided:
 
 * `dyadic_chain` — 2^m equal cells of a bounded rational interval, with
@@ -14,9 +19,11 @@ Two chain builders are provided:
   Its levels are implicit: a dyadic partition is its domain and level, so
   sizes, widths, float cut points and cell lookups are arithmetic, and the
   `Fraction` cells of a level are built on demand;
-* `triangular_chain` — nested rows of float cut points on the real line
-  (row n holds 2^n - 1 strictly increasing points, even positions repeating
-  the previous row), with unbounded end cells.
+* `triangular_chain` — nested rows of float cut points on an open-left
+  domain, by default the real line (row n holds 2^n - 1 strictly
+  increasing points, even positions repeating the previous row), with
+  unbounded end cells on the real line.  Only dyadic chains may be
+  left-closed.
 
 `cantor_midpoint` returns the exact mid-point of the ternary middle-thirds
 interval addressed by a bit string; it parameterizes the trigonometric
@@ -31,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -58,51 +66,12 @@ def max_depth() -> int:
     return value
 
 
-class _Infinity:
-    """Symbolic unbounded endpoint; compares beyond every real number."""
+#: a cut point; +-math.inf marks an unbounded end.  Infinity tests compare
+#: (-math.inf < e < math.inf) rather than convert, so a finite Fraction
+#: never overflows a float.
+Endpoint = Union[Fraction, float, int]
 
-    __slots__ = ("sign",)
-
-    def __init__(self, sign: int):
-        self.sign = sign
-
-    def __repr__(self) -> str:
-        return "+inf" if self.sign > 0 else "-inf"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Infinity) and other.sign == self.sign
-
-    def __hash__(self) -> int:
-        return hash(("histolim-endpoint-infinity", self.sign))
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, _Infinity):
-            return self.sign < other.sign
-        return self.sign < 0
-
-    def __gt__(self, other) -> bool:
-        if isinstance(other, _Infinity):
-            return self.sign > other.sign
-        return self.sign > 0
-
-    def __le__(self, other) -> bool:
-        return self == other or self < other
-
-    def __ge__(self, other) -> bool:
-        return self == other or self > other
-
-    def __float__(self) -> float:
-        return float("inf") if self.sign > 0 else float("-inf")
-
-
-POS_INF = _Infinity(+1)
-NEG_INF = _Infinity(-1)
-
-Endpoint = Union[Fraction, float, int, _Infinity]
-
-
-def _is_finite(e: Endpoint) -> bool:
-    return not isinstance(e, _Infinity)
+_INFINITIES = {"+inf": math.inf, "inf": math.inf, "-inf": -math.inf}
 
 
 def endpoint_to_float(e: Endpoint) -> float:
@@ -110,31 +79,35 @@ def endpoint_to_float(e: Endpoint) -> float:
 
 
 def format_endpoint(e: Endpoint) -> str:
-    """Lossless text form: Fractions as 'p/q' or 'n', floats via repr."""
-    if isinstance(e, _Infinity):
-        return repr(e)
-    if isinstance(e, Fraction) or isinstance(e, int):
+    """Lossless text form: Fractions as 'p/q' or 'n', infinities as
+    '+inf'/'-inf', other floats via repr."""
+    if isinstance(e, (Fraction, int)):
         return str(e)
+    if math.isinf(e):
+        return "+inf" if e > 0 else "-inf"
     return repr(float(e))
 
 
 def parse_endpoint(text) -> Endpoint:
-    if isinstance(text, (int, float)):
-        return float(text)
-    s = str(text).strip()
-    if s in ("+inf", "inf"):
-        return POS_INF
-    if s == "-inf":
-        return NEG_INF
-    if "/" in s or ("." not in s and "e" not in s and "E" not in s):
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError("partition/endpoint", f"cannot parse endpoint {text!r}")
+    """Inverse of `format_endpoint`, also taking JSON numbers (as floats).
+    Only '+inf', 'inf' and '-inf' are infinite; every other endpoint must be
+    a finite number in float range."""
+    s = text if isinstance(text, (int, float)) else str(text).strip()
+    if s in _INFINITIES:
+        return _INFINITIES[s]
     try:
-        return float(s)
-    except ValueError:
-        raise ValidationError("partition/endpoint", f"cannot parse endpoint {text!r}")
+        exact = isinstance(s, str) and ("/" in s or not any(c in s for c in ".eE"))
+        value = Fraction(s) if exact else float(s)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError("partition/endpoint", f"cannot parse endpoint {text!r}") from None
+    except OverflowError:  # a JSON integer beyond float range
+        value = math.inf
+    # exact for a Fraction, and false for nan
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValidationError("partition/endpoint",
+                              f"endpoint {text!r} is not a finite number in float range; "
+                              "write an unbounded end as '+inf' or '-inf'")
+    return value
 
 
 @dataclass(frozen=True)
@@ -190,19 +163,15 @@ class Cell:
 
     @property
     def bounded(self) -> bool:
-        return _is_finite(self.left) and _is_finite(self.right)
+        return -math.inf < self.left and self.right < math.inf
 
     def width(self) -> float:
-        if self.is_atom:
-            return 0.0
-        if not self.bounded:
-            return float("inf")
-        return float(self.right - self.left)
+        return 0.0 if self.is_atom else float(self.right - self.left)
 
     def contains(self, x) -> bool:
         if self.is_atom:
             return x == self.left
-        return self.left < x and (x <= self.right if _is_finite(self.right) else True)
+        return self.left < x <= self.right
 
     def __repr__(self) -> str:
         if self.is_atom:
@@ -225,18 +194,14 @@ class Domain:
 
     @staticmethod
     def real_line() -> "Domain":
-        return Domain(NEG_INF, POS_INF, False)
+        return Domain(-math.inf, math.inf, False)
 
     @property
     def bounded(self) -> bool:
-        return _is_finite(self.left) and _is_finite(self.right)
+        return -math.inf < self.left and self.right < math.inf
 
     def contains(self, x) -> bool:
-        if self.closed_left and x == self.left:
-            return True
-        left_ok = True if not _is_finite(self.left) else self.left < x
-        right_ok = True if not _is_finite(self.right) else x <= self.right
-        return left_ok and right_ok
+        return (self.closed_left and x == self.left) or self.left < x <= self.right
 
     def describe(self) -> str:
         l, r = format_endpoint(self.left), format_endpoint(self.right)
@@ -444,12 +409,7 @@ def refine_map(coarse: Partition, fine: Partition) -> RefinementMap:
             )
         while True:
             small = fine.cells[j]
-            if _is_finite(big.right) and not _is_finite(small.right):
-                raise ValidationError(
-                    "refinement/straddle",
-                    f"fine cell {small!r} straddles the coarse boundary at {format_endpoint(big.right)}",
-                )
-            if _is_finite(small.right) and _is_finite(big.right) and small.right > big.right:
+            if small.right > big.right:
                 raise ValidationError(
                     "refinement/straddle",
                     f"fine cell {small!r} straddles the coarse boundary at {format_endpoint(big.right)}",
@@ -565,12 +525,8 @@ def dyadic_cell_bounds(bits: Sequence[int], domain: Domain | None = None) -> tup
     if domain is None:
         domain = Domain.unit()
     left = Fraction(domain.left)
-    span = Fraction(domain.right) - left
-    m = len(bits)
-    i = 0
-    for b in bits:
-        i = (i << 1) | b
-    h = span / (1 << m) if m else span
+    h = (Fraction(domain.right) - left) / (1 << len(bits))
+    i = CellIndex(tuple(bits), len(bits)).position
     return left + i * h, left + (i + 1) * h
 
 
@@ -584,7 +540,7 @@ def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = No
     """
     if domain is None:
         domain = Domain.real_line()
-    if domain.bounded and domain.closed_left:
+    if domain.closed_left:
         raise ValidationError("partition/unsupported-domain",
                               "nested-row chains support open-left domains only")
     cap = max_depth()
@@ -661,5 +617,14 @@ def chain_from_json_text(text: str) -> PartitionChain:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ValidationError("chain/json", f"invalid chain JSON: {e}")
-    return PartitionChain.from_json(obj)
+        raise ValidationError("chain/json", f"invalid chain JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise ValidationError("chain/json",
+                              f"a chain is a JSON object, got {type(obj).__name__}")
+    try:
+        return PartitionChain.from_json(obj)
+    except KeyError as e:
+        raise ValidationError("chain/json",
+                              f"chain JSON is missing the {e.args[0]!r} field") from None
+    except (TypeError, AttributeError) as e:
+        raise ValidationError("chain/json", f"malformed chain JSON: {e}") from None

@@ -157,7 +157,6 @@ class DirichletSystem:
     base: BaseMeasure
 
     kind = PROBABILITY
-    family = "dirichlet"
     completely_random = True
 
     def concentrations(self, partition: Partition) -> np.ndarray:
@@ -486,7 +485,6 @@ class PolyaTreeSystem:
     p0: float = 0.0  # mass pinned on the zero singleton for [0,1] domains
 
     kind = PROBABILITY
-    family = "polya"
 
     def __post_init__(self):
         if not (0.0 <= self.p0 < 1.0):
@@ -549,8 +547,12 @@ class PolyaTreeSystem:
 class DiagonalCovariance:
     sigma2: BaseMeasure
 
-    variant = "diagonal"
     is_diagonal = True
+
+    def __post_init__(self):
+        if isinstance(self.sigma2, LebesgueBase) and self.sigma2.scale < 0:
+            raise ValidationError("covariance/diagonal",
+                                  f"variance measure must be >= 0, got scale {self.sigma2.scale}")
 
     def to_json(self) -> dict:
         return {"variant": "diagonal", "sigma2": self.sigma2.to_json()}
@@ -560,7 +562,6 @@ class DiagonalCovariance:
 class ConstantCovariance:
     c: float
 
-    variant = "constant"
     is_diagonal = False
 
     def __post_init__(self):
@@ -575,8 +576,6 @@ class ConstantCovariance:
 class PointMassCovariance:
     sites: tuple[float, ...]
     matrix: np.ndarray
-
-    variant = "point_mass"
 
     def __post_init__(self):
         sites = tuple(float(s) for s in self.sites)
@@ -621,7 +620,6 @@ class KernelCovariance:
     params: dict = field(default_factory=dict)
     order: int = 8
 
-    variant = "kernel"
     is_diagonal = False
 
     def __post_init__(self):
@@ -654,7 +652,6 @@ class GreensCovariance:
     affine: tuple[float, float, float] = (0.0, 1.0, -2.0)
     order: int = 8
 
-    variant = "greens"
     is_diagonal = False
 
     def __post_init__(self):
@@ -796,7 +793,6 @@ class GaussianSystem:
     centre: BaseMeasure | None = None  # None = centred
 
     kind = SIGNED
-    family = "gaussian"
 
     @property
     def completely_random(self) -> bool:
@@ -869,7 +865,6 @@ class LeakageSystem:
     interior: bool = False  # squash onto (0,1) through the arctan chart
 
     kind = PROBABILITY
-    family = "leakage"
     completely_random = False
 
     def __post_init__(self):

@@ -1,10 +1,12 @@
 """Command line contract: exit codes, determinism, output hygiene."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -391,3 +393,76 @@ def test_unwritable_output_directory_is_one_error_line(systems, capsys, tmp_path
     assert code == 1
     assert err.startswith("error[cli/write]")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_check_refuses_negative_depth(systems, capsys):
+    code, out, err = run(capsys, "check", "--system", systems["polya_m"],
+                         "--depth", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error[cli/depth] --depth must be >= 0, got -1\n"
+
+
+def _chain_error(capsys, tmp_path, chain_text):
+    """Run `sample` on a chain file; returns (exit code, stderr)."""
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"family": "polya", "beta": {"rule": "cantor_trig"}}))
+    chain = tmp_path / "chain.json"
+    chain.write_text(chain_text)
+    code, out, err = run(capsys, "sample", "--system", str(system), "--chain",
+                         str(chain), "--depth", "0", "--seed", "0")
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return code, err
+
+
+@pytest.mark.parametrize("obj, detail", [
+    ({"kind": "dyadic", "levels": [["0", "1"]]}, "missing the 'domain' field"),
+    ({"domain": {"left": "0", "right": "1"}, "kind": "dyadic"},
+     "missing the 'levels' field"),
+    ([{"left": "0", "right": "1"}], "a chain is a JSON object, got list"),
+], ids=["dyadic-no-domain", "no-levels", "json-list"])
+def test_malformed_chain_file_is_one_error_line(obj, detail, tmp_path, capsys):
+    code, err = _chain_error(capsys, tmp_path, json.dumps(obj))
+    assert code == 1
+    assert err.startswith("error[chain/json]")
+    assert detail in err
+
+
+@pytest.mark.parametrize("left", ["-1e999", "-" + "9" * 400, -math.inf],
+                         ids=["float-overflow", "400-digit-integer", "json-infinity"])
+def test_non_finite_chain_endpoint_is_one_error_line(left, tmp_path, capsys):
+    """Only '+inf'/'-inf' name an unbounded end; anything else outside the
+    float range is refused instead of overflowing later."""
+    chain = {"domain": {"left": left, "right": "+inf"}, "kind": "triangular",
+             "levels": [[left, "+inf"]]}
+    code, err = _chain_error(capsys, tmp_path, json.dumps(chain))
+    assert code == 1
+    assert err.startswith("error[partition/endpoint]")
+
+
+def test_closed_left_triangular_chain_is_refused(tmp_path, capsys):
+    """A left-closed half-line has no atom cell in a nested-row chain."""
+    chain = {"domain": {"left": "0", "right": "+inf", "closed_left": True},
+             "kind": "triangular", "levels": [["0", "+inf"], ["0", "1.0", "+inf"]]}
+    code, err = _chain_error(capsys, tmp_path, json.dumps(chain))
+    assert code == 1
+    assert err.startswith("error[partition/unsupported-domain]")
+
+
+@pytest.mark.parametrize("argv", [
+    ("mean", "--depth", "3"),
+    ("sample", "--depth", "3", "--seed", "0"),
+    ("path", "--depth", "3", "--seed", "0"),
+    ("check",),
+    ("diagnose", "--depths", "2,3", "--N", "1000", "--seed", "0"),
+], ids=lambda argv: argv[0])
+def test_negative_diagonal_variance_is_one_error_line(argv, tmp_path, capsys):
+    spec = {"family": "gaussian",
+            "covariance": {"variant": "diagonal",
+                           "sigma2": {"type": "lebesgue", "scale": -1}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _one_error_line(capsys, spec, tmp_path, *argv)
+    assert code == 1
+    assert err == "error[covariance/diagonal] variance measure must be >= 0, got scale -1.0\n"

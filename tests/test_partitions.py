@@ -1,6 +1,7 @@
 """Partition chains: dyadic construction, refinement maps, serialization."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from histolim.partitions import (
     endpoint_to_float,
     format_endpoint,
     max_depth,
+    parse_endpoint,
     refine_map,
     triangular_chain,
 )
@@ -286,3 +288,69 @@ def test_dyadic_chain_reaches_max_depth(closed_left, monkeypatch):
     chain = dyadic_chain(Domain.unit(closed_left), depth=depth)
     assert len(chain[30]) == 2**30 + closed_left
     assert chain[30].cell_of(1.0).index.bits == (1,) * 30
+
+
+def test_unbounded_ends_are_ieee_infinities():
+    assert Domain.real_line() == Domain(-math.inf, math.inf)
+    assert parse_endpoint("-inf") == -math.inf
+    assert parse_endpoint("+inf") == parse_endpoint(" inf ") == math.inf
+    assert [format_endpoint(e) for e in (-math.inf, math.inf)] == ["-inf", "+inf"]
+    assert Domain.real_line().to_json() == {"left": "-inf", "right": "+inf",
+                                            "closed_left": False}
+    assert Domain.from_json(Domain.real_line().to_json()) == Domain.real_line()
+
+
+@pytest.mark.parametrize("text", ["1e999", "-1e999", "9" * 400, "nan", math.inf,
+                                  math.nan, 10**400, "1/0", "x"],
+                         ids=["1e999", "-1e999", "400-digits", "nan-text", "json-inf",
+                              "json-nan", "json-huge-int", "1/0", "x"])
+def test_parse_endpoint_refuses_non_finite_and_malformed(text):
+    with pytest.raises(ValidationError) as e:
+        parse_endpoint(text)
+    assert e.value.code == "partition/endpoint"
+
+
+def test_parse_endpoint_keeps_exact_and_float_forms():
+    assert parse_endpoint("-3/4") == Fraction(-3, 4)
+    assert parse_endpoint("12") == Fraction(12)
+    assert isinstance(parse_endpoint("0.5"), float)
+    assert parse_endpoint(2) == 2.0
+
+
+def test_predicates_at_unbounded_ends():
+    part = triangular_chain(nested_rows(1))[1]
+    lower, upper = part.cells
+    assert (lower.width(), upper.width()) == (math.inf, math.inf)
+    assert lower.contains(-1e308) and lower.contains(0.0) and not lower.contains(1e-300)
+    assert upper.contains(1e308) and not upper.contains(0.0)
+    assert Domain.real_line().contains(-1e308) and not Domain.real_line().contains(-math.inf)
+    half_line = Domain(Fraction(0), math.inf, closed_left=True)
+    assert half_line.contains(0) and half_line.contains(Fraction(10**400))
+    assert not half_line.contains(-1e-300) and not half_line.bounded
+
+
+def test_huge_finite_fraction_never_turns_into_a_float():
+    big = Fraction(10**400)
+    domain = Domain(Fraction(0), big)
+    assert domain.bounded and domain.contains(big) and not domain.contains(big + 1)
+    assert Cell(Fraction(1), big, CellIndex((), 0)).contains(Fraction(10**399))
+
+
+@pytest.mark.parametrize("coarse, fine, at", [(1, 0, "0.0"), (2, 1, "-0.5")],
+                         ids=["unbounded-fine-cell", "finite-fine-cell"])
+def test_straddling_fine_cell_is_refused(coarse, fine, at):
+    """A fine cell reaching past its coarse cell's right end, whether that
+    fine end is +inf or finite, is one straddle error."""
+    chain = triangular_chain(nested_rows(2))
+    with pytest.raises(ValidationError) as e:
+        refine_map(chain[coarse], chain[fine])
+    assert e.value.code == "refinement/straddle"
+    assert str(e.value).endswith(f"straddles the coarse boundary at {at}")
+
+
+def test_triangular_chain_refuses_every_closed_left_domain():
+    for domain in (Domain.unit(closed_left=True),
+                   Domain(Fraction(0), math.inf, closed_left=True)):
+        with pytest.raises(ValidationError) as e:
+            triangular_chain(nested_rows(1, spread=0.5), domain=domain)
+        assert e.value.code == "partition/unsupported-domain"
