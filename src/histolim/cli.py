@@ -71,6 +71,11 @@ def _load_system(path: str):
     return system_from_json(obj)
 
 
+def _check_depth(depth: Optional[int]) -> None:
+    if depth is not None and depth < 0:
+        raise ValidationError("cli/depth", f"--depth must be >= 0, got {depth}")
+
+
 def _resolve_chain(system, chain_path: Optional[str], depth: int) -> PartitionChain:
     if chain_path is not None:
         try:
@@ -168,6 +173,7 @@ def cli():
 @force_option
 def sample(system_path, chain_path, depth, replicates, seed, jobs, out, fmt, force):
     """Draw seeded histogram samples at one chain level."""
+    _check_depth(depth)
     system = _load_system(system_path)
     chain = _resolve_chain(system, chain_path, depth)
     stack = sample_stack(system, chain, depth, RandomStream(seed),
@@ -192,6 +198,7 @@ def sample(system_path, chain_path, depth, replicates, seed, jobs, out, fmt, for
 @force_option
 def mean(system_path, chain_path, depth, out, fmt, force):
     """Closed-form mean histogram at one chain level (no sampling)."""
+    _check_depth(depth)
     system = _load_system(system_path)
     chain = _resolve_chain(system, chain_path, depth)
     h = system.mean(chain[depth])
@@ -213,6 +220,7 @@ def mean(system_path, chain_path, depth, out, fmt, force):
 @force_option
 def path(system_path, chain_path, depth, replicates, seed, jobs, out, force):
     """Sampled cumulative-mass paths as CSV (replicate, t, value)."""
+    _check_depth(depth)
     system = _load_system(system_path)
     chain = _resolve_chain(system, chain_path, depth)
     stack = sample_stack(system, chain, depth, RandomStream(seed),
@@ -243,8 +251,7 @@ def path(system_path, chain_path, depth, replicates, seed, jobs, out, force):
 @force_option
 def check(system_path, chain_path, depth, out, force):
     """Evaluate every condition for the family; JSON verdicts."""
-    if depth is not None and depth < 0:
-        raise ValidationError("cli/depth", f"--depth must be >= 0, got {depth}")
+    _check_depth(depth)
     system = _load_system(system_path)
     verdicts = family_verdicts(system, partial(_resolve_chain, system, chain_path), depth)[0]
     payload = {"conditions": {v.condition: v.to_json() for v in verdicts.values()}}

@@ -12,6 +12,8 @@ conditions whose statistic provably diverges report
 
 from __future__ import annotations
 
+import ast
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,6 +37,7 @@ from .systems import (
     LeakageSystem,
     LebesgueBase,
     PointMassCovariance,
+    POWER_BIT_LIMIT,
     PolyaTreeSystem,
     TableRule,
     assemble_sigma,
@@ -450,8 +453,14 @@ def polya_weak_condition(system: PolyaTreeSystem,
 
 def _homogeneous_exponent_limit(expr: str) -> Optional[float]:
     """Limit of m/(2 f(m) + 1) for the level-parameter expression, or None
-    when sympy cannot settle it."""
-    import sympy  # slow to import, and only this evaluator needs it
+    when it cannot be settled: exact from the leading term of f where f has
+    one, through sympy otherwise."""
+    limit = _leading_term_limit(expr)
+    return _sympy_exponent_limit(expr) if limit is None else limit
+
+
+def _sympy_exponent_limit(expr: str) -> Optional[float]:
+    import sympy  # slow to import and large, so only this fallback loads it
 
     m = sympy.symbols("m", positive=True)
     try:
@@ -464,6 +473,148 @@ def _homogeneous_exponent_limit(expr: str) -> Optional[float]:
     if limit.is_real:
         return float(limit)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Exact leading terms of beta expressions
+#
+# A beta expression in the grammar of `systems._compile_level_expression`
+# is usually a finite sum of terms c * b^m * m^p with rational c, b > 0 and
+# p, held here as a dict {(b, p): c} without zero coefficients.  Its
+# dominant term, largest in (b, p), decides the limit of m/(2 f + 1).
+
+class _Outside(Exception):
+    """The expression leaves the form sum c * b^m * m^p."""
+
+
+_CONSTANT, _M = (1, 0), (1, 1)
+#: bound on the terms of a form, and on a sum's integer power
+_MAX_TERMS = 256
+#: relative nudge of the i-th float literal in the robustness runs
+_NUDGE = Fraction(1, 1 << 30)
+
+
+def _root(v: int, d: int) -> int:
+    """The exact d-th root of the integer v (v > 0 when d > 1)."""
+    if d == 1 or v == 1:
+        return v
+    r = round(v ** (1 / d)) if d < v.bit_length() else 0
+    if r ** d != v:
+        raise _Outside
+    return r
+
+
+def _rational_power(x: Fraction, q: Fraction) -> Fraction:
+    """x^q when it is a real rational number."""
+    if x == 1 or q == 0:
+        return Fraction(1)
+    if x == 0 and q > 0:
+        return Fraction(0)
+    if x == 0 or (q.denominator > 1 and x < 0):
+        raise _Outside
+    num, den = (_root(v, q.denominator) for v in (x.numerator, x.denominator))
+    if abs(q.numerator) * max(abs(num), den).bit_length() > POWER_BIT_LIMIT:
+        raise _Outside
+    return Fraction(num, den) ** q.numerator
+
+
+def _collect(pairs) -> dict:
+    out: dict = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    if len(out) > _MAX_TERMS:
+        raise _Outside
+    return {key: c for key, c in out.items() if c}
+
+
+def _add(f: dict, g: dict) -> dict:
+    return _collect([*f.items(), *g.items()])
+
+
+def _mul(f: dict, g: dict) -> dict:
+    return _collect(((b1 * b2, p1 + p2), c1 * c2)
+                    for (b1, p1), c1 in f.items() for (b2, p2), c2 in g.items())
+
+
+def _constant(f: dict) -> Optional[Fraction]:
+    return f.get(_CONSTANT, Fraction(0)) if f.keys() <= {_CONSTANT} else None
+
+
+def _power(base: dict, exponent: dict) -> dict:
+    q = _constant(exponent)
+    if q is not None and len(base) <= 1:
+        ((b, p), c), = base.items() or [(_CONSTANT, Fraction(0))]
+        return _collect([((_rational_power(b, q), p * q), _rational_power(c, q))])
+    if q is not None and q.denominator == 1 and 0 <= q <= _MAX_TERMS:
+        out = {_CONSTANT: Fraction(1)}
+        for _ in range(q.numerator):
+            out = _mul(out, base)
+        return out
+    # const^(k m + j) = const^j * (const^k)^m
+    a = _constant(base)
+    if a is None or a <= 0 or not exponent.keys() <= {_CONSTANT, _M}:
+        raise _Outside
+    k, j = (exponent.get(key, Fraction(0)) for key in (_M, _CONSTANT))
+    return _collect([((_rational_power(a, k), 0), _rational_power(a, j))])
+
+
+_FORM_OPS = {ast.Add: _add, ast.Mult: _mul, ast.Pow: _power}
+
+
+def _normal_form(node, nudge) -> dict:
+    """The form of an expression's AST; ``nudge()`` scales each float
+    literal in turn."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _FORM_OPS:
+        return _FORM_OPS[type(node.op)](_normal_form(node.left, nudge),
+                                        _normal_form(node.right, nudge))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return {key: -c for key, c in _normal_form(node.operand, nudge).items()}
+    if isinstance(node, ast.Name) and node.id == "m":
+        return {_M: Fraction(1)}
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = Fraction(node.value)
+        if isinstance(node.value, float):
+            value *= nudge()
+        return _collect([(_CONSTANT, value)])
+    raise _Outside
+
+
+def _dominant_limit(f: dict) -> float:
+    """Limit of m/(2 f + 1), read off the dominant term of the form f."""
+    if not f:
+        return math.inf
+    key = b, p = max(f)
+    if b > 1 or (b == 1 and p > 1):
+        return 0.0
+    if key == _M:
+        return float(1 / (2 * f[key]))
+    if key == _CONSTANT and 2 * f[key] + 1 == 0:
+        raise _Outside  # 2f + 1 loses its leading term
+    return math.inf
+
+
+def _leading_term_limit(expr: str) -> Optional[float]:
+    """Exact limit of m/(2 f + 1), or None when f leaves the form.
+
+    sympy rounds arithmetic on float literals, and turns floats into
+    nearby simple rationals before it takes a limit, so float arithmetic
+    that cancels, or lands near b = 1 or p = 1, can decide differently
+    there.  The exact limit counts only when it prints the same to six
+    digits with the i-th float literal scaled by 1 + i 2^-30, and again by
+    1 - i^2 2^-30.
+    """
+    try:
+        tree = ast.parse(expr.replace("^", "**"), mode="eval").body
+        limits = []
+        for step in (lambda i: 0, lambda i: i, lambda i: -i * i):
+            count = itertools.count(1)
+            limits.append(_dominant_limit(
+                _normal_form(tree, lambda: 1 + _NUDGE * step(next(count)))))
+    except (_Outside, ArithmeticError, RecursionError, SyntaxError, ValueError):
+        return None
+    if len({format(limit, ".6g") for limit in limits}) > 1:
+        return None
+    return limits[0]
 
 
 # ---------------------------------------------------------------------------

@@ -478,6 +478,9 @@ class PartitionChain:
     def from_json(obj: dict) -> "PartitionChain":
         domain = Domain.from_json(obj["domain"])
         kind = obj.get("kind", "triangular")
+        if kind not in ("dyadic", "triangular"):
+            raise ValidationError("chain/json", f"unknown chain kind {kind!r}; "
+                                  "expected 'dyadic' or 'triangular'")
         levels = [[parse_endpoint(e) for e in row] for row in obj["levels"]]
         if kind == "dyadic":
             depth = len(levels) - 1

@@ -284,10 +284,49 @@ def test_check_gaussian_at_max_depth(tmp_path, capsys, monkeypatch):
 def test_cli_import_leaves_sympy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, histolim.cli; print('sympy' in sys.modules)"],
+         "import sys, histolim.cli; print('sympy' in sys.modules, 'scipy' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
+
+
+def _run_loading(tmp_path, expr, *argv):
+    """Run a CLI command on a homogeneous Polya system in a fresh
+    interpreter; returns (whether it loaded sympy, its polya-weak verdict)."""
+    system = tmp_path / "polya.json"
+    system.write_text(json.dumps(
+        {"family": "polya", "beta": {"rule": "homogeneous", "expr": expr}}))
+    out = tmp_path / "out.json"
+    script = ("import sys; from histolim.cli import main; "
+              f"code = main({[*argv, '--system', str(system), '--out', str(out)]!r}); "
+              "print(code, 'sympy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    code, loaded = proc.stdout.split()
+    assert code == "0"
+    report = json.loads(out.read_text())
+    verdicts = report.get("conditions") or report["condition_verdicts"]
+    weak = next(v for v in verdicts.values() if v["condition"] == "polya-weak")
+    return loaded == "True", weak
+
+
+@pytest.mark.parametrize("argv", [
+    ("check",),
+    ("diagnose", "--N", "1000", "--depths", "2,3", "--seed", "0"),
+], ids=lambda argv: argv[0])
+def test_homogeneous_polya_commands_leave_sympy_unloaded(argv, tmp_path):
+    loaded, weak = _run_loading(tmp_path, "m**2", *argv)
+    assert not loaded
+    assert weak["status"] == "holds"
+    assert "finite limit 0," in weak["argument"]
+
+
+def test_fallback_expression_loads_sympy_for_its_verdict(tmp_path):
+    loaded, weak = _run_loading(tmp_path, "(1+m^-1)^m", "check")
+    assert loaded
+    assert weak["status"] == "sufficient_condition_fails"
+    assert weak["argument"].startswith("the exponent m/(2 b_m + 1) diverges")
 
 
 @pytest.mark.parametrize("expr", [
@@ -402,6 +441,23 @@ def test_check_refuses_negative_depth(systems, capsys):
     assert err == "error[cli/depth] --depth must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("command", [
+    ("mean",), ("sample", "--seed", "0"), ("path", "--seed", "0"),
+], ids=lambda command: command[0])
+def test_negative_depth_with_chain_is_refused(command, systems, tmp_path, capsys):
+    """A negative --depth would index a chain file, or a leakage system's
+    own chain, from its end."""
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(
+        {"domain": {"left": "0", "right": "1"}, "kind": "triangular",
+         "levels": [["0", "1"], ["0", "0.5", "1"]]}))
+    for source in (("--system", systems["polya_m"], "--chain", str(chain)),
+                   ("--system", systems["leak"])):
+        code, out, err = run(capsys, *command, *source, "--depth", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error[cli/depth] --depth must be >= 0, got -1\n"
+
+
 def _chain_error(capsys, tmp_path, chain_text):
     """Run `sample` on a chain file; returns (exit code, stderr)."""
     system = tmp_path / "system.json"
@@ -427,6 +483,14 @@ def test_malformed_chain_file_is_one_error_line(obj, detail, tmp_path, capsys):
     assert code == 1
     assert err.startswith("error[chain/json]")
     assert detail in err
+
+
+def test_unknown_chain_kind_is_one_error_line(tmp_path, capsys):
+    chain = {"domain": {"left": "0", "right": "1"}, "kind": "dyadc",
+             "levels": [["0", "1"], ["0", "1/2", "1"]]}
+    code, err = _chain_error(capsys, tmp_path, json.dumps(chain))
+    assert code == 1
+    assert err.startswith("error[chain/json] unknown chain kind 'dyadc'")
 
 
 @pytest.mark.parametrize("left", ["-1e999", "-" + "9" * 400, -math.inf],
