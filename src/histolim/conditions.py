@@ -13,9 +13,10 @@ conditions whose statistic provably diverges report
 from __future__ import annotations
 
 import ast
-import itertools
 import math
+import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -40,6 +41,7 @@ from .systems import (
     POWER_BIT_LIMIT,
     PolyaTreeSystem,
     TableRule,
+    _BINOPS,
     assemble_sigma,
     pin_infinite_splits,
 )
@@ -482,139 +484,134 @@ def _sympy_exponent_limit(expr: str) -> Optional[float]:
 # is usually a finite sum of terms c * b^m * m^p with rational c, b > 0 and
 # p, held here as a dict {(b, p): c} without zero coefficients.  Its
 # dominant term, largest in (b, p), decides the limit of m/(2 f + 1).
+#
+# The numbers are read as sympy reads them: m-free subexpressions are
+# folded in floats, and `limit` then takes each float as a nearby simple
+# number (`nsimplify`).  A float of at most six significant digits is its
+# own decimal there; longer ones may move by up to about 1e-7, so they go
+# to sympy, as do like terms with fractional coefficients or powers, which
+# sympy adds in rounded floats before it reads them.
 
 class _Outside(Exception):
-    """The expression leaves the form sum c * b^m * m^p."""
+    """The expression leaves the form, or sympy could read it differently."""
 
 
 _CONSTANT, _M = (1, 0), (1, 1)
 #: bound on the terms of a form, and on a sum's integer power
-_MAX_TERMS = 256
-#: relative nudge of the i-th float literal in the robustness runs
-_NUDGE = Fraction(1, 1 << 30)
+_MAX_TERMS = 64
 
 
-def _root(v: int, d: int) -> int:
-    """The exact d-th root of the integer v (v > 0 when d > 1)."""
-    if d == 1 or v == 1:
-        return v
-    r = round(v ** (1 / d)) if d < v.bit_length() else 0
-    if r ** d != v:
+def _fold(node):
+    """An m-free subexpression, evaluated as the system evaluates it."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return _BINOPS[type(node.op)](_fold(node.left), _fold(node.right))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_fold(node.operand)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    raise _Outside
+
+
+def _number(node) -> Fraction:
+    """An m-free subexpression, read as sympy reads its folded value."""
+    value = _fold(node)
+    if type(value) is int:
+        return Fraction(value)
+    if not (type(value) is float and sys.float_info.min <= abs(value) < math.inf):
+        raise _Outside  # complex, or beyond sympy's unbounded float exponents
+    decimal = Decimal(repr(value))
+    if len(decimal.normalize().as_tuple().digits) > 6:
         raise _Outside
-    return r
+    return Fraction(decimal)
 
 
-def _rational_power(x: Fraction, q: Fraction) -> Fraction:
-    """x^q when it is a real rational number."""
-    if x == 1 or q == 0:
-        return Fraction(1)
-    if x == 0 and q > 0:
-        return Fraction(0)
-    if x == 0 or (q.denominator > 1 and x < 0):
+def _bits(x: Fraction) -> int:
+    return max(abs(x.numerator), x.denominator).bit_length()
+
+
+def _power(x: Fraction, n: Fraction) -> Fraction:
+    if x == 1:
+        return x
+    if n.denominator > 1 or abs(n) * _bits(x) > POWER_BIT_LIMIT:
         raise _Outside
-    num, den = (_root(v, q.denominator) for v in (x.numerator, x.denominator))
-    if abs(q.numerator) * max(abs(num), den).bit_length() > POWER_BIT_LIMIT:
-        raise _Outside
-    return Fraction(num, den) ** q.numerator
+    return x ** int(n)
 
 
 def _collect(pairs) -> dict:
     out: dict = {}
     for key, c in pairs:
-        out[key] = out.get(key, 0) + c
+        if max(_bits(key[0]), _bits(c)) > POWER_BIT_LIMIT:
+            raise _Outside
+        if key in out:
+            if not all(x.denominator == 1 and abs(x) < 2 ** 53 for x in (c, out[key])):
+                raise _Outside  # sympy adds these as rounded floats
+            c += out[key]
+        out[key] = c
     if len(out) > _MAX_TERMS:
         raise _Outside
     return {key: c for key, c in out.items() if c}
 
 
-def _add(f: dict, g: dict) -> dict:
-    return _collect([*f.items(), *g.items()])
-
-
 def _mul(f: dict, g: dict) -> dict:
-    return _collect(((b1 * b2, p1 + p2), c1 * c2)
+    def times(p1, p2):
+        if p1.denominator > 1 and p2.denominator > 1:
+            raise _Outside  # sympy adds these as rounded floats
+        return p1 + p2
+    return _collect(((b1 * b2, times(p1, p2)), c1 * c2)
                     for (b1, p1), c1 in f.items() for (b2, p2), c2 in g.items())
 
 
-def _constant(f: dict) -> Optional[Fraction]:
-    return f.get(_CONSTANT, Fraction(0)) if f.keys() <= {_CONSTANT} else None
-
-
-def _power(base: dict, exponent: dict) -> dict:
-    q = _constant(exponent)
-    if q is not None and len(base) <= 1:
-        ((b, p), c), = base.items() or [(_CONSTANT, Fraction(0))]
-        return _collect([((_rational_power(b, q), p * q), _rational_power(c, q))])
-    if q is not None and q.denominator == 1 and 0 <= q <= _MAX_TERMS:
+def _normal_form(node) -> dict:
+    if not any(isinstance(n, ast.Name) for n in ast.walk(node)):
+        return _collect([(_CONSTANT, _number(node))])
+    if isinstance(node, ast.Name) and node.id == "m":
+        return {_M: Fraction(1)}
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return {key: -c for key, c in _normal_form(node.operand).items()}
+    if not isinstance(node, ast.BinOp):
+        raise _Outside
+    if isinstance(node.op, ast.Add):
+        return _collect([*_normal_form(node.left).items(),
+                         *_normal_form(node.right).items()])
+    if isinstance(node.op, ast.Mult):
+        return _mul(_normal_form(node.left), _normal_form(node.right))
+    if not isinstance(node.op, ast.Pow):
+        raise _Outside
+    exponent = _normal_form(node.right)
+    if exponent.keys() <= {_CONSTANT}:
+        base, n = _normal_form(node.left), exponent.get(_CONSTANT, Fraction(0))
+        if len(base) == 1:
+            ((b, p), c), = base.items()
+            return _collect([((_power(b, n), p * n), _power(c, n))])
+        if not (n.denominator == 1 and 0 <= n <= _MAX_TERMS):
+            raise _Outside
         out = {_CONSTANT: Fraction(1)}
-        for _ in range(q.numerator):
+        for _ in range(int(n)):
             out = _mul(out, base)
         return out
     # const^(k m + j) = const^j * (const^k)^m
-    a = _constant(base)
-    if a is None or a <= 0 or not exponent.keys() <= {_CONSTANT, _M}:
+    a = _number(node.left)
+    if a <= 0 or not exponent.keys() <= {_CONSTANT, _M}:
         raise _Outside
-    k, j = (exponent.get(key, Fraction(0)) for key in (_M, _CONSTANT))
-    return _collect([((_rational_power(a, k), 0), _rational_power(a, j))])
-
-
-_FORM_OPS = {ast.Add: _add, ast.Mult: _mul, ast.Pow: _power}
-
-
-def _normal_form(node, nudge) -> dict:
-    """The form of an expression's AST; ``nudge()`` scales each float
-    literal in turn."""
-    if isinstance(node, ast.BinOp) and type(node.op) in _FORM_OPS:
-        return _FORM_OPS[type(node.op)](_normal_form(node.left, nudge),
-                                        _normal_form(node.right, nudge))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return {key: -c for key, c in _normal_form(node.operand, nudge).items()}
-    if isinstance(node, ast.Name) and node.id == "m":
-        return {_M: Fraction(1)}
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        value = Fraction(node.value)
-        if isinstance(node.value, float):
-            value *= nudge()
-        return _collect([(_CONSTANT, value)])
-    raise _Outside
-
-
-def _dominant_limit(f: dict) -> float:
-    """Limit of m/(2 f + 1), read off the dominant term of the form f."""
-    if not f:
-        return math.inf
-    key = b, p = max(f)
-    if b > 1 or (b == 1 and p > 1):
-        return 0.0
-    if key == _M:
-        return float(1 / (2 * f[key]))
-    if key == _CONSTANT and 2 * f[key] + 1 == 0:
-        raise _Outside  # 2f + 1 loses its leading term
-    return math.inf
+    k, j = exponent[_M], exponent.get(_CONSTANT, Fraction(0))
+    return _collect([((_power(a, k), 0), _power(a, j))])
 
 
 def _leading_term_limit(expr: str) -> Optional[float]:
-    """Exact limit of m/(2 f + 1), or None when f leaves the form.
-
-    sympy rounds arithmetic on float literals, and turns floats into
-    nearby simple rationals before it takes a limit, so float arithmetic
-    that cancels, or lands near b = 1 or p = 1, can decide differently
-    there.  The exact limit counts only when it prints the same to six
-    digits with the i-th float literal scaled by 1 + i 2^-30, and again by
-    1 - i^2 2^-30.
-    """
+    """Exact limit of m/(2 f + 1), or None when f leaves the form."""
     try:
-        tree = ast.parse(expr.replace("^", "**"), mode="eval").body
-        limits = []
-        for step in (lambda i: 0, lambda i: i, lambda i: -i * i):
-            count = itertools.count(1)
-            limits.append(_dominant_limit(
-                _normal_form(tree, lambda: 1 + _NUDGE * step(next(count)))))
-    except (_Outside, ArithmeticError, RecursionError, SyntaxError, ValueError):
+        f = _normal_form(ast.parse(expr.replace("^", "**"), mode="eval").body)
+        key = b, p = max(f, default=_CONSTANT)
+        c = f.get(key, Fraction(0))
+        if b > 1 or (b == 1 and p > 1):
+            return 0.0
+        if key == _M:
+            return float(1 / (2 * c))
+        if key == _CONSTANT and 2 * c + 1 == 0:
+            return None  # 2f + 1 loses its leading term
+        return math.inf
+    except (_Outside, ArithmeticError, RecursionError, SyntaxError, TypeError, ValueError):
         return None
-    if len({format(limit, ".6g") for limit in limits}) > 1:
-        return None
-    return limits[0]
 
 
 # ---------------------------------------------------------------------------
