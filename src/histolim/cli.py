@@ -93,9 +93,25 @@ def _resolve_chain(system, chain_path: Optional[str], depth: int) -> PartitionCh
     return chain
 
 
-def _write_text(text: str, out: Optional[str], force: bool) -> None:
+def _pieces(put, export, args) -> None:
+    """Pass each piece ``export(*args, write)`` writes to `put` as it comes,
+    then a newline unless the last piece ends in one."""
+    last = ""
+
+    def write(piece: str) -> None:
+        nonlocal last
+        if piece:
+            put(piece)
+            last = piece
+    export(*args, write)
+    if not last.endswith("\n"):
+        put("\n")
+
+
+def _export(out: Optional[str], force: bool, export, *args) -> None:
+    """`_pieces` to standard output, or to the file `out`."""
     if out is None:
-        click.echo(text, nl=not text.endswith("\n"))
+        _pieces(partial(click.echo, nl=False), export, args)
         return
     target = Path(out)
     if target.exists() and not force:
@@ -108,9 +124,7 @@ def _write_text(text: str, out: Optional[str], force: bool) -> None:
                                    suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
-                f.write(text)
-                if not text.endswith("\n"):
-                    f.write("\n")
+                _pieces(f.write, export, args)
             umask = os.umask(0)
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)  # the mode a plain open would give
@@ -179,13 +193,13 @@ def sample(system_path, chain_path, depth, replicates, seed, jobs, out, fmt, for
     stack = sample_stack(system, chain, depth, RandomStream(seed),
                          replicates, jobs=_jobs(jobs))
     if fmt == "csv":
-        _write_text(stack_to_csv(stack), out, force)
+        _export(out, force, stack_to_csv, stack)
     else:
         payload = {"system": system.to_json(), "depth": depth, "seed": seed,
                    "kind": stack.kind,
                    "cells": stack.partition.labels(),
                    "values": stack.values}
-        _write_text(dump_json(payload), out, force)
+        _export(out, force, dump_json, payload)
 
 
 @cli.command()
@@ -203,9 +217,9 @@ def mean(system_path, chain_path, depth, out, fmt, force):
     chain = _resolve_chain(system, chain_path, depth)
     h = system.mean(chain[depth])
     if fmt == "csv":
-        _write_text(histogram_to_csv(h), out, force)
+        _export(out, force, histogram_to_csv, h)
     else:
-        _write_text(dump_json(histogram_to_json(h)), out, force)
+        _export(out, force, dump_json, histogram_to_json(h))
 
 
 @cli.command()
@@ -233,12 +247,13 @@ def path(system_path, chain_path, depth, replicates, seed, jobs, out, force):
     if np.isfinite(origin):
         heads.insert(0, f"{origin!r},")
         first = ["0.0"]
-    rows = []
-    if heads:
-        for r, row in enumerate(values):
+
+    def rows(write):  # one replicate at a time
+        write("replicate,t,value\n")
+        for r, row in enumerate(values if heads else ()):
             tails = map(operator.add, heads, itertools.chain(first, map(repr, row.tolist())))
-            rows.append(f"{r}," + f"\n{r},".join(tails))
-    _write_text("\n".join(["replicate,t,value", *rows, ""]), out, force)
+            write(f"{r}," + f"\n{r},".join(tails) + "\n")
+    _export(out, force, rows)
 
 
 @cli.command()
@@ -255,7 +270,7 @@ def check(system_path, chain_path, depth, out, force):
     system = _load_system(system_path)
     verdicts = family_verdicts(system, partial(_resolve_chain, system, chain_path), depth)[0]
     payload = {"conditions": {v.condition: v.to_json() for v in verdicts.values()}}
-    _write_text(dump_json(payload), out, force)
+    _export(out, force, dump_json, payload)
 
 
 @cli.command()
@@ -283,6 +298,8 @@ def diagnose(system_path, chain_path, depths_raw, depth_max, n, seed,
     if n < MIN_STATISTICAL_SAMPLES:
         raise ValidationError("cli/samples",
                               f"--N must be >= {MIN_STATISTICAL_SAMPLES}, got {n}")
+    if depths_raw is None and depth_max is not None and depth_max < 2:
+        raise ValidationError("cli/depth", f"--depth must be >= 2, got {depth_max}")
     system = _load_system(system_path)
     if depths_raw is not None:
         depths = tuple(int(v) for v in _parse_number_list(depths_raw, "--depths"))
@@ -303,8 +320,8 @@ def diagnose(system_path, chain_path, depths_raw, depth_max, n, seed,
         for curve in (report.atomicity_curve, report.domination_curve,
                       report.domination_tail_curve):
             if curve is not None:
-                _write_text(curve.to_csv(), f"{out}.{curve.name}.csv", force)
-    _write_text(dump_json(report.to_json()), out, force)
+                _export(f"{out}.{curve.name}.csv", force, lambda write: write(curve.to_csv()))
+    _export(out, force, dump_json, report.to_json())
 
 
 @cli.command()
@@ -321,11 +338,11 @@ def counterexample(delta, depth, interior, out, fmt, force):
     """Outside-mass table of the escaping-mass construction."""
     report = leakage_counterexample(delta, depth, interior=interior)
     if fmt == "json":
-        _write_text(dump_json(report.to_json()), out, force)
+        _export(out, force, dump_json, report.to_json())
         return
     lines = ["depth,window,outside_mass"]
     lines.extend(f"{d},{k!r},{v!r}" for d, k, v in report.rows)
-    _write_text("\n".join(lines) + "\n", out, force)
+    _export(out, force, lambda write: write("\n".join(lines) + "\n"))
 
 
 def main(argv=None) -> int:

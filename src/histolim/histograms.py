@@ -27,7 +27,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -51,8 +51,8 @@ PROBABILITY_SUM_TOL = 1e-12
 SIMPSON_TOL = 1e-9
 
 
-def _frozen_array(values, shape_len: int) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _frozen_array(values, shape_len: int, copy: bool = True) -> np.ndarray:
+    arr = np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
     if arr.ndim != shape_len:
         raise ValidationError("histogram/shape", f"expected {shape_len}-d values, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -126,14 +126,16 @@ class Histogram:
 
 @dataclass(frozen=True)
 class HistogramStack:
-    """n histograms on one partition, stored as an (n, cells) array."""
+    """n histograms on one partition, stored as an (n, cells) array: a copy,
+    unless ``owned=True`` hands over a fresh float64 array to hold as it is."""
 
     partition: Partition
     values: np.ndarray
     kind: str = SIGNED
+    owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        arr = _frozen_array(self.values, 2)
+    def __post_init__(self, owned: bool):
+        arr = _frozen_array(self.values, 2, copy=not owned)
         if arr.shape[1] != len(self.partition):
             raise ValidationError(
                 "histogram/shape",
@@ -416,16 +418,16 @@ def histogram_from_json(obj: dict, partition: Partition) -> Histogram:
     return Histogram(partition, values, obj.get("kind", SIGNED))
 
 
-def histogram_to_csv(h: Histogram) -> str:
-    """CSV rows (cell_left, cell_right, value); floats via repr so that a
-    read-back reproduces the exact doubles."""
+def histogram_to_csv(h: Histogram, write: Callable[[str], object]) -> None:
+    """CSV rows (cell_left, cell_right, value), passed to `write`; floats
+    via repr so that a read-back reproduces the exact doubles."""
     ends = [format_endpoint(e) for e in h.partition.cut_points()]
     lefts, rights = ends[:-1], ends[1:]
     if h.partition.has_atom:
         lefts.insert(0, ends[0])
         rights.insert(0, ends[0])
     rows = map(",".join, zip(lefts, rights, map(repr, h.values.tolist())))
-    return "\n".join(["cell_left,cell_right,value", *rows, ""])
+    write("\n".join(["cell_left,cell_right,value", *rows, ""]))
 
 
 def histogram_from_csv(text: str, partition: Partition, kind: str = SIGNED) -> Histogram:
@@ -449,11 +451,12 @@ def histogram_from_csv(text: str, partition: Partition, kind: str = SIGNED) -> H
     return Histogram(partition, np.array(values), kind)
 
 
-def stack_to_csv(stack: HistogramStack) -> str:
-    """Wide CSV: one row per sample, one column per cell (by cell order)."""
-    header = ",".join(["sample", *stack.partition.labels()])
-    rows = (f"{i},{','.join(map(repr, row.tolist()))}" for i, row in enumerate(stack.values))
-    return "\n".join([header, *rows, ""])
+def stack_to_csv(stack: HistogramStack, write: Callable[[str], object]) -> None:
+    """Wide CSV, written a row at a time: one row per sample, one column per
+    cell (by cell order)."""
+    write(",".join(["sample", *stack.partition.labels()]) + "\n")
+    for i, row in enumerate(stack.values):
+        write(f"{i},{','.join(map(repr, row.tolist()))}\n")
 
 
 _ARRAY_TOKEN = "\x00ndarray {}"
@@ -470,26 +473,24 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _array_block(values: np.ndarray, indent: str) -> str:
-    """A 2-D float array as `json.dumps(values.tolist(), indent=2)` lays it
-    out when its opening bracket sits on a line indented by `indent`."""
-    if not len(values):
-        return "[]"
+def _array_block(values: np.ndarray, indent: str, write: Callable[[str], object]) -> None:
+    """Write a 2-D float array a row at a time, as `json.dumps(values.tolist(),
+    indent=2)` lays it out when its opening bracket is indented by `indent`."""
     row_pad, item_pad = indent + "  ", indent + "    "
-    if values.shape[1]:
-        fmt = float.__repr__ if np.isfinite(values).all() else _json_float
-        sep = ",\n" + item_pad
-        rows = [f"[\n{item_pad}{sep.join(map(fmt, row.tolist()))}\n{row_pad}]"
-                for row in values]
-    else:
-        rows = ["[]"] * len(values)
-    return "".join((f"[\n{row_pad}", f",\n{row_pad}".join(rows), f"\n{indent}]"))
+    fmt = float.__repr__ if np.isfinite(values).all() else _json_float
+    sep = ",\n" + item_pad
+    lead = f"[\n{row_pad}"
+    for row in values:
+        write(lead + (f"[\n{item_pad}{sep.join(map(fmt, row.tolist()))}\n{row_pad}]"
+                      if len(row) else "[]"))
+        lead = f",\n{row_pad}"
+    write(f"\n{indent}]" if len(values) else "[]")
 
 
-def dump_json(obj) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)`, where obj may also hold
-    2-D float numpy arrays (inside dicts and lists), written as nested
-    lists of floats.  Such arrays are formatted a row at a time instead of
+def dump_json(obj, write: Callable[[str], object]) -> None:
+    """Write `json.dumps(obj, indent=2, sort_keys=True)`, where obj may also
+    hold 2-D float numpy arrays (inside dicts and lists), as nested lists of
+    floats.  Such arrays are formatted and written a row at a time, not
     through json's pure-Python indenting encoder; the bytes are the same."""
     arrays: list[np.ndarray] = []
 
@@ -504,15 +505,15 @@ def dump_json(obj) -> str:
         return o
 
     swapped = swap(obj)
-    if not arrays:
-        return json.dumps(obj, indent=2, sort_keys=True)
     text = json.dumps(swapped, indent=2, sort_keys=True)
-    for i, values in enumerate(arrays):
-        token = json.dumps(_ARRAY_TOKEN.format(i))
-        if text.count(token) != 1:  # some string of obj spells the token
-            return json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
-        at = text.index(token)
+    tokens = [json.dumps(_ARRAY_TOKEN.format(i)) for i in range(len(arrays))]
+    if any(text.count(token) != 1 for token in tokens):  # a string of obj spells one
+        write(json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist))
+        return
+    done = 0
+    for at, i in sorted((text.index(token), i) for i, token in enumerate(tokens)):
         line = text[text.rfind("\n", 0, at) + 1:at]
-        indent = line[:len(line) - len(line.lstrip(" "))]
-        text = "".join((text[:at], _array_block(values, indent), text[at + len(token):]))
-    return text
+        write(text[done:at])
+        _array_block(arrays[i], line[:len(line) - len(line.lstrip(" "))], write)
+        done = at + len(tokens[i])
+    write(text[done:])

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ValidationError
 from .histograms import PROBABILITY, SIGNED, Histogram, HistogramStack, project
 from .partitions import Partition, PartitionChain
-from .streams import RandomStream, run_chunked
+from .streams import RandomStream, chunk_ranges, run_chunked
 from .systems import (
     DiagonalCovariance,
     DirichletSystem,
@@ -52,10 +52,13 @@ def _dirichlet_draw(system: DirichletSystem, partition: Partition):
     cum = np.cumsum(nu) / nu.sum()
     cum[-1] = 1.0
 
-    def draw(sub: RandomStream, k: int) -> np.ndarray:
+    def draw(sub: RandomStream, k: int, out=None) -> np.ndarray:
         rng = sub.generator()
-        g = np.zeros((k, len(nu)))
-        g[:, positive] = rng.gamma(nu[positive], 1.0, size=(k, int(positive.sum())))
+        if positive.all():  # Gamma(nu, 1) is the standard Gamma, drawn in place
+            g = rng.standard_gamma(nu, size=(k, len(nu)), out=out)
+        else:
+            g = np.zeros((k, len(nu)))
+            g[:, positive] = rng.gamma(nu[positive], 1.0, size=(k, int(positive.sum())))
         total = g.sum(axis=1)
         dead = np.flatnonzero(total == 0.0)
         if len(dead):
@@ -143,17 +146,20 @@ def _polya_draw(system: PolyaTreeSystem, chain: PartitionChain, depth: int):
     pairs = [system.rule.level_pairs(level) for level in range(1, depth + 1)]
     tree_mass = 1.0 if not partition.has_atom else 1.0 - system.p0
 
-    def draw(sub: RandomStream, k: int) -> np.ndarray:
+    def draw(sub: RandomStream, k: int, out=None) -> np.ndarray:
+        out = np.empty((k, len(partition))) if out is None else out
         mass = np.full((k, 1), tree_mass)
         for level, (a, b) in enumerate(pairs, start=1):
             v = _beta_matrix(sub.child(level).generator(), a, b, k)
-            children = np.empty((k, 2 * mass.shape[1]))
+            children = (out[:, partition.has_atom:] if level == depth  # drawn in place
+                        else np.empty((k, 2 * mass.shape[1])))
             np.multiply(mass, v, out=children[:, 0::2])
             np.multiply(mass, 1.0 - v, out=children[:, 1::2])
             mass = children
+        out[:, partition.has_atom:] = mass  # the root at depth 0, else a no-op
         if partition.has_atom:
-            mass = np.concatenate([np.full((k, 1), system.p0), mass], axis=1)
-        return mass
+            out[:, 0] = system.p0
+        return out
 
     return draw
 
@@ -181,8 +187,8 @@ def _gaussian_draw(system: GaussianSystem, partition: Partition):
         # z @ diag(s).T elementwise: each entry is z_ik s_k plus exact zeros
         scale = np.sqrt(system.covariance.sigma2.cell_masses(partition))
 
-        def draw(sub: RandomStream, k: int) -> np.ndarray:
-            z = sub.generator().standard_normal((k, len(scale)))
+        def draw(sub: RandomStream, k: int, out=None) -> np.ndarray:
+            z = sub.generator().standard_normal((k, len(scale)), out=out)
             z *= scale
             z += centre  # the same sum as centre + z * scale, in place
             return z
@@ -190,9 +196,9 @@ def _gaussian_draw(system: GaussianSystem, partition: Partition):
         factor = sigma_factor(system.covariance, partition)
         rank = factor.shape[1]
 
-        def draw(sub: RandomStream, k: int) -> np.ndarray:
+        def draw(sub: RandomStream, k: int, out=None) -> np.ndarray:
             z = sub.generator().standard_normal((k, rank))
-            return centre[None, :] + z @ factor.T
+            return np.add(np.matmul(z, factor.T, out=out), centre, out=out)  # centre + z F^T
     return draw
 
 
@@ -211,8 +217,8 @@ def gaussian_stack(system: GaussianSystem, partition: Partition,
 def level_drawer(system: HistogramSystem, chain: PartitionChain, depth: int,
                  ) -> tuple[Partition, str, Callable[[RandomStream, int], np.ndarray]]:
     """(partition, kind, draw) for one chain level of any family, where
-    ``draw(substream, k)`` gives k replicate rows; a deterministic leakage
-    system tiles its mean."""
+    ``draw(substream, k, out=None)`` gives k replicate rows, drawn into
+    `out` where it can; a deterministic leakage system tiles its mean."""
     partition = chain[depth]
     if isinstance(system, DirichletSystem):
         return partition, PROBABILITY, _dirichlet_draw(system, partition)
@@ -222,14 +228,18 @@ def level_drawer(system: HistogramSystem, chain: PartitionChain, depth: int,
         return partition, SIGNED, _gaussian_draw(system, partition)
     if isinstance(system, LeakageSystem):
         values = system.mean(partition).values
-        return partition, PROBABILITY, lambda sub, k: np.tile(values, (k, 1))
+        return partition, PROBABILITY, lambda sub, k, out=None: np.tile(values, (k, 1))
     raise ValidationError("sampling/family", f"no sampler for {type(system).__name__}")
 
 
 def _sweep(partition: Partition, kind: str, draw, stream: RandomStream,
            replicates: int, jobs: int) -> HistogramStack:
-    return HistogramStack(partition, run_chunked(stream, replicates, draw, jobs=jobs),
-                          kind)
+    # each chunk is drawn into its rows of the one array the stack holds
+    values = np.empty((replicates, len(partition)))
+    rows = {stream.child(j): values[a:b] for j, a, b in chunk_ranges(replicates)}
+    run_chunked(stream, replicates, lambda sub, k: draw(sub, k, rows[sub]),
+                jobs=jobs, out=values)
+    return HistogramStack(partition, values, kind, owned=True)
 
 
 def sample_stack(system: HistogramSystem, chain: PartitionChain, depth: int,

@@ -58,7 +58,8 @@ def chunk_ranges(n: int, chunk_size: int = CHUNK_SIZE) -> Iterator[tuple[int, in
 
 
 def run_grids(grids: Sequence[tuple[RandomStream, int, Callable]], *,
-              jobs: int = 1, chunk_size: int = CHUNK_SIZE) -> list:
+              jobs: int = 1, chunk_size: int = CHUNK_SIZE,
+              outs: Sequence | None = None) -> list:
     """Evaluate the chunks of several grids on one pool of `jobs` threads.
 
     Grid g is ``(stream, n, draw)``: ``draw(stream.child(j), chunk_len)``
@@ -66,39 +67,50 @@ def run_grids(grids: Sequence[tuple[RandomStream, int, Callable]], *,
     with 0 rows when n is 0, to give the result its shape.  Chunk j of every
     grid is started before chunk j + 1 of any, so full chunks go first and
     workers that draw for different grids stay busy together.  A chunk
-    returns an array, or a tuple of arrays; each grid's results are
-    concatenated along axis 0 (field by field) in chunk order, so nothing
-    depends on `jobs`.
+    returns an array, copied as it completes into its rows of one (n, ...)
+    array (``outs[g]`` if given, the chunk itself if it is the whole grid),
+    or a tuple of arrays, concatenated field by field; either way in chunk
+    order, so nothing depends on `jobs`.
     """
     tasks = []
     for g, (stream, n, _) in enumerate(grids):
         ranges = list(chunk_ranges(n, chunk_size)) or [(0, 0, 0)]
-        tasks.extend((j, g, stop - start) for j, start, stop in ranges)
+        tasks.extend((j, g, start, stop) for j, start, stop in ranges)
     if jobs < 1:
         raise ValidationError("stream/jobs", f"jobs must be >= 1, got {jobs}")
     tasks.sort(key=lambda task: task[0])  # stable: grid order within a chunk index
+    results = list(outs or [None] * len(grids))
+    parts: list[list] = [[] for _ in grids]
 
     def one(task):
-        j, g, rows = task
+        j, g, start, stop = task
         stream, _, draw = grids[g]
-        return draw(stream.child(j), rows)
+        return draw(stream.child(j), stop - start)
+
+    def collect(done):
+        for (_, g, start, stop), part in zip(tasks, done):
+            if isinstance(part, tuple):
+                parts[g].append(part)
+                continue
+            n = grids[g][1]
+            if results[g] is None:
+                results[g] = (part if stop - start == n
+                              else np.empty((n, *part.shape[1:]), part.dtype))
+            results[g][start:stop] = part  # a no-op where part is that very slice
 
     if jobs == 1 or len(tasks) <= 1:
-        done = [one(t) for t in tasks]
+        collect(map(one, tasks))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(one, tasks))
-    parts: list[list] = [[] for _ in grids]
-    for (_, g, _), part in zip(tasks, done):
-        parts[g].append(part)
-    return [tuple(np.concatenate(field, axis=0) for field in zip(*p))
-            if isinstance(p[0], tuple) else np.concatenate(p, axis=0)
-            for p in parts]
+            collect(pool.map(one, tasks))
+    return [tuple(np.concatenate(field, axis=0) for field in zip(*p)) if p else r
+            for p, r in zip(parts, results)]
 
 
 def run_chunked(stream: RandomStream, n: int,
                 draw: Callable[[RandomStream, int], np.ndarray],
-                *, jobs: int = 1, chunk_size: int = CHUNK_SIZE) -> np.ndarray:
+                *, jobs: int = 1, chunk_size: int = CHUNK_SIZE,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate draw(stream.child(j), chunk_len) over the fixed chunk grid:
-    the one-grid case of `run_grids`."""
-    return run_grids([(stream, n, draw)], jobs=jobs, chunk_size=chunk_size)[0]
+    the one-grid case of `run_grids`, its rows landing in `out` if given."""
+    return run_grids([(stream, n, draw)], jobs=jobs, chunk_size=chunk_size, outs=[out])[0]

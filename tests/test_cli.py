@@ -441,6 +441,14 @@ def test_check_refuses_negative_depth(systems, capsys):
     assert err == "error[cli/depth] --depth must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("depth", ["1", "0", "-1"])
+def test_diagnose_refuses_depth_below_two(depth, systems, capsys):
+    code, out, err = run(capsys, "diagnose", "--system", systems["polya_m"],
+                         "--N", "1000", "--seed", "0", "--depth", depth)
+    assert (code, out) == (1, "")
+    assert err == f"error[cli/depth] --depth must be >= 2, got {depth}\n"
+
+
 @pytest.mark.parametrize("command", [
     ("mean",), ("sample", "--seed", "0"), ("path", "--seed", "0"),
 ], ids=lambda command: command[0])

@@ -260,7 +260,7 @@ def test_zero_reference_hits_merge_over_chunks(monkeypatch):
         partition = chain[depth]
         cells = len(partition)
 
-        def draw(sub, k):
+        def draw(sub, k, out=None):  # rows not written into `out` are copied there
             rows = np.full((k, cells), 1.0 / (cells - 1))
             rows[:, sub.path[-1]] = 0.0  # chunk j leaves cell j empty
             return rows

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,14 @@ from histolim.partitions import Domain, dyadic_chain, endpoint_to_float, format_
 from histolim.sampling import path_from_histogram, sample_stack
 from histolim.streams import RandomStream
 from histolim.systems import LeakageSystem, system_from_json
+
+
+def text_of(export, *args) -> str:
+    """The text an exporter passes to its `write` callable, joined."""
+    pieces = []
+    export(*args, pieces.append)
+    return "".join(pieces)
+
 
 AWKWARD = [-0.0, 5e-324, 1e16, -1e16, 0.1, 1 / 3, 2.0**-1074 * 3, 1e-300, 0.0, 123456789.0]
 
@@ -122,7 +131,7 @@ def awkward_stack(partition, rows=4, seed=0):
 @pytest.mark.parametrize("name", sorted(PARTITIONS))
 def test_stack_csv_matches_csv_writer(name):
     stack = awkward_stack(PARTITIONS[name])
-    assert stack_to_csv(stack) == oracle_stack_csv(stack)
+    assert text_of(stack_to_csv, stack) == oracle_stack_csv(stack)
 
 
 @pytest.mark.parametrize("name", sorted(PARTITIONS))
@@ -130,7 +139,7 @@ def test_histogram_csv_matches_csv_writer(name):
     stack = awkward_stack(PARTITIONS[name])
     for r in range(len(stack)):
         h = stack.histogram(r)
-        assert histogram_to_csv(h) == oracle_histogram_csv(h)
+        assert text_of(histogram_to_csv, h) == oracle_histogram_csv(h)
 
 
 @pytest.mark.parametrize("name", sorted(PARTITIONS))
@@ -182,20 +191,20 @@ def test_dump_json_arrays_match_json_dumps(values):
     for payload in payloads:
         expect = json.dumps(payload, indent=2, sort_keys=True,
                             default=lambda a: a.tolist())
-        assert dump_json(payload) == expect
+        assert text_of(dump_json, payload) == expect
 
 
 def test_dump_json_with_a_string_spelling_the_placeholder():
     values = np.array([[0.25, 0.75]])
     for text in ("\x00ndarray 0", "\x00ndarray 1"):
         payload = {"a": text, "values": values}
-        assert dump_json(payload) == json.dumps(
+        assert text_of(dump_json, payload) == json.dumps(
             {"a": text, "values": values.tolist()}, indent=2, sort_keys=True)
 
 
 def test_dump_json_small_payloads_unchanged():
     payload = {"conditions": {"x": {"status": "holds", "value": 0.1}}, "n": [1, 2.5]}
-    assert dump_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    assert text_of(dump_json, payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +259,60 @@ def test_cli_exports_match_oracles(name, depth, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out == text, key
+
+
+# ---------------------------------------------------------------------------
+# streamed writes
+
+EXPORTS = {
+    "sample-csv": ("sample", "--format", "csv"),
+    "sample-json": ("sample", "--format", "json"),
+    "path": ("path",),
+}
+DIRICHLET = {"family": "dirichlet", "base": {"type": "lebesgue"}}
+# a table key that spells dump_json's array placeholder, so the sample JSON
+# takes the plain json.dumps fallback
+SPELLS_PLACEHOLDER = {"family": "polya",
+                      "beta": {"rule": "table", "pairs": {"\x00ndarray 0": [1.0, 1.0]},
+                               "default": [2.0, 3.0]}}
+
+
+def _export_argv(tmp_path, command, obj, depth, replicates):
+    system_path = tmp_path / "system.json"
+    system_path.write_text(json.dumps(obj))
+    return [*command, "--system", str(system_path), "--depth", str(depth),
+            "--replicates", str(replicates), "--seed", "5", "--jobs", "1"]
+
+
+@pytest.mark.parametrize("command", list(EXPORTS.values()), ids=list(EXPORTS))
+def test_export_peak_stays_below_the_output_size(command, tmp_path):
+    """The text is written as it is formatted, so the traced peak (the
+    stack and, for a path, its running sums) stays below the size of the
+    file written; a whole-text buffer alone would be that size."""
+    target = tmp_path / "out.txt"
+    argv = _export_argv(tmp_path, command, DIRICHLET, 8, 2000) + ["--out", str(target)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < target.stat().st_size
+
+
+@pytest.mark.parametrize("command, obj", [
+    *((command, DIRICHLET) for command in EXPORTS.values()),
+    (EXPORTS["sample-json"], SPELLS_PLACEHOLDER),
+], ids=[*EXPORTS, "sample-json-fallback"])
+def test_stdout_gets_the_bytes_of_the_output_file(command, obj, tmp_path, capsys):
+    argv = _export_argv(tmp_path, command, obj, 4, 20)
+    target = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == target.read_bytes()
+    if obj is SPELLS_PLACEHOLDER:
+        assert '"\\u0000ndarray 0"' in captured.out
+

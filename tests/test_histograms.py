@@ -29,6 +29,14 @@ from histolim.histograms import (
 )
 from histolim.partitions import dyadic_chain
 
+
+def text_of(export, *args) -> str:
+    """The text an exporter passes to its `write` callable, joined."""
+    pieces = []
+    export(*args, pieces.append)
+    return "".join(pieces)
+
+
 CHAIN = dyadic_chain(depth=4)
 
 
@@ -188,14 +196,14 @@ def test_histogram_json_round_trip():
 def test_histogram_csv_round_trip_is_exact():
     vals = np.array([1 / 3, 0.1 + 0.2, 1e-17, 1 - 1e-16])
     h = Histogram(CHAIN[2], vals, SIGNED)
-    back = histogram_from_csv(histogram_to_csv(h), CHAIN[2])
+    back = histogram_from_csv(text_of(histogram_to_csv, h), CHAIN[2])
     assert back.values.tolist() == vals.tolist()  # bit-exact via repr
 
 
 def test_csv_header_and_shape_checks():
     with pytest.raises(ValidationError):
         histogram_from_csv("a,b\n1,2\n", CHAIN[1])
-    good = histogram_to_csv(prob(1, [0.5, 0.5]))
+    good = text_of(histogram_to_csv, prob(1, [0.5, 0.5]))
     with pytest.raises(ValidationError):
         histogram_from_csv(good, CHAIN[2])
 
@@ -203,7 +211,19 @@ def test_csv_header_and_shape_checks():
 def test_stack_csv_layout():
     stack = HistogramStack(CHAIN[1], np.array([[0.5, 0.5], [0.25, 0.75]]),
                            PROBABILITY)
-    lines = stack_to_csv(stack).splitlines()
+    lines = text_of(stack_to_csv, stack).splitlines()
     assert lines[0] == "sample,0,1"
     assert lines[1].startswith("0,")
     assert len(lines) == 3
+
+
+def test_stack_never_freezes_or_aliases_the_callers_array():
+    values = np.full((3, 4), 0.25)
+    stack = HistogramStack(CHAIN[2], values, PROBABILITY)
+    assert values.flags.writeable
+    assert not np.shares_memory(values, stack.values)
+    assert not stack.values.flags.writeable
+    # only a fresh array handed over with owned=True is held as it is
+    adopted = HistogramStack(CHAIN[2], values, PROBABILITY, owned=True)
+    assert adopted.values is values and not values.flags.writeable
+

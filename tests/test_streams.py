@@ -77,6 +77,17 @@ def test_run_chunked_zero_rows():
     assert out.shape == (0, 3)
 
 
+def test_run_chunked_fills_the_given_array():
+    """Rows land in `out`; a one-chunk grid is the drawn chunk itself."""
+    n = 2 * CHUNK_SIZE + 5
+    out = np.empty((n, 3))
+    for jobs in (1, 2):
+        assert run_chunked(RandomStream(6), n, draw_uniform, jobs=jobs, out=out) is out
+        assert np.array_equal(out, run_chunked(RandomStream(6), n, draw_uniform))
+    chunk = np.zeros((4, 2))
+    assert run_chunked(RandomStream(6), 4, lambda sub, k: chunk) is chunk
+
+
 def test_run_chunked_rejects_bad_jobs():
     with pytest.raises(ValidationError):
         run_chunked(RandomStream(1), 10, draw_uniform, jobs=0)
