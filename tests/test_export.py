@@ -218,6 +218,11 @@ SYSTEMS = {
                      ODD),
     "dirichlet": ({"family": "dirichlet", "base": {"type": "lebesgue", "scale": 0.01}}, None),
     "leakage": ({"family": "leakage", "delta": 0.2, "depth": 5}, None),
+    # a table key that spells dump_json's array placeholder, so the sample
+    # JSON takes the plain json.dumps fallback
+    "polya_placeholder_key": ({"family": "polya",
+                               "beta": {"rule": "table", "pairs": {"\x00ndarray 0": [1.0, 1.0]},
+                                        "default": [2.0, 3.0]}}, None),
 }
 
 
@@ -264,55 +269,22 @@ def test_cli_exports_match_oracles(name, depth, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # streamed writes
 
-EXPORTS = {
-    "sample-csv": ("sample", "--format", "csv"),
-    "sample-json": ("sample", "--format", "json"),
-    "path": ("path",),
-}
-DIRICHLET = {"family": "dirichlet", "base": {"type": "lebesgue"}}
-# a table key that spells dump_json's array placeholder, so the sample JSON
-# takes the plain json.dumps fallback
-SPELLS_PLACEHOLDER = {"family": "polya",
-                      "beta": {"rule": "table", "pairs": {"\x00ndarray 0": [1.0, 1.0]},
-                               "default": [2.0, 3.0]}}
-
-
-def _export_argv(tmp_path, command, obj, depth, replicates):
-    system_path = tmp_path / "system.json"
-    system_path.write_text(json.dumps(obj))
-    return [*command, "--system", str(system_path), "--depth", str(depth),
-            "--replicates", str(replicates), "--seed", "5", "--jobs", "1"]
-
-
-@pytest.mark.parametrize("command", list(EXPORTS.values()), ids=list(EXPORTS))
+@pytest.mark.parametrize("command", [("sample", "--format", "csv"),
+                                     ("sample", "--format", "json"), ("path",)],
+                         ids=["sample-csv", "sample-json", "path"])
 def test_export_peak_stays_below_the_output_size(command, tmp_path):
     """The text is written as it is formatted, so the traced peak (the
     stack and, for a path, its running sums) stays below the size of the
     file written; a whole-text buffer alone would be that size."""
-    target = tmp_path / "out.txt"
-    argv = _export_argv(tmp_path, command, DIRICHLET, 8, 2000) + ["--out", str(target)]
+    system_path, target = tmp_path / "system.json", tmp_path / "out.txt"
+    system_path.write_text(json.dumps({"family": "dirichlet", "base": {"type": "lebesgue"}}))
     tracemalloc.start()
     try:
-        code = main(argv)
+        code = main([*command, "--system", str(system_path), "--depth", "8",
+                     "--replicates", "2000", "--seed", "5", "--jobs", "1",
+                     "--out", str(target)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0
     assert peak < target.stat().st_size
-
-
-@pytest.mark.parametrize("command, obj", [
-    *((command, DIRICHLET) for command in EXPORTS.values()),
-    (EXPORTS["sample-json"], SPELLS_PLACEHOLDER),
-], ids=[*EXPORTS, "sample-json-fallback"])
-def test_stdout_gets_the_bytes_of_the_output_file(command, obj, tmp_path, capsys):
-    argv = _export_argv(tmp_path, command, obj, 4, 20)
-    target = tmp_path / "out.txt"
-    assert main(argv + ["--out", str(target)]) == 0
-    assert main(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert captured.out.encode() == target.read_bytes()
-    if obj is SPELLS_PLACEHOLDER:
-        assert '"\\u0000ndarray 0"' in captured.out
-

@@ -226,4 +226,3 @@ def test_stack_never_freezes_or_aliases_the_callers_array():
     # only a fresh array handed over with owned=True is held as it is
     adopted = HistogramStack(CHAIN[2], values, PROBABILITY, owned=True)
     assert adopted.values is values and not values.flags.writeable
-

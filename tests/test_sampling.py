@@ -340,4 +340,3 @@ def test_sample_stack_is_built_once(system, jobs):
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * stack.values.nbytes
-
