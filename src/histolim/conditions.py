@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .partitions import CellIndex, Domain, PartitionChain, cantor_midpoint
+from .partitions import CellIndex, Domain, PartitionChain
 from .systems import (
     AtomicBase,
     CantorTrigRule,
@@ -110,10 +110,10 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # splitting-tree product conditions
 
-def _directional_terms(system: PolyaTreeSystem, prefix: CellIndex, bit: int,
+def _directional_terms(system: PolyaTreeSystem, bit: int,
                        depth: int) -> tuple[list[float], bool, int]:
-    """Log-sum terms of the splitting product along ``prefix`` + constant-bit
-    path: log(1 + b_other/b_path) per level.
+    """Log-sum terms of the splitting product along the constant-bit path
+    from the root: log(1 + b_other/b_path) per level.
 
     Returns (terms, hit_zero_factor, evaluated_depth): a +inf term means the
     path-side weight is infinite, so the complementary factor is exactly
@@ -121,9 +121,8 @@ def _directional_terms(system: PolyaTreeSystem, prefix: CellIndex, bit: int,
     the rule is undefined deeper (partial table without default).
     """
     terms: list[float] = []
-    bits = prefix.bits
     for m in range(depth):
-        node = CellIndex(bits + (bit,) * m, prefix.level + m)
+        node = CellIndex((bit,) * m, m)
         try:
             b0, b1 = system.rule.pair(node)
         except ValidationError:
@@ -142,15 +141,6 @@ def _cumulative_evidence(terms: list[float]) -> tuple[tuple[int, float], ...]:
     return tuple((m + 1, float(s)) for m, s in enumerate(np.cumsum(terms)))
 
 
-def _cantor_limit_angle(prefix: CellIndex, bit: int) -> Fraction:
-    """Limit of the midpoint coordinate along prefix + constant-bit path."""
-    tail = cantor_midpoint(prefix.bits) - Fraction(1, 2 * 3 ** prefix.level)
-    if bit == 0:
-        return tail
-    # appending ones drives the coordinate to the cell's Cantor supremum
-    return tail + Fraction(1, 3 ** prefix.level)
-
-
 def _table_zero_path_horizon(rule: TableRule, bit: int) -> int:
     """First depth beyond which the constant-bit path only sees the default."""
     horizon = 0
@@ -163,16 +153,15 @@ def _table_zero_path_horizon(rule: TableRule, bit: int) -> int:
     return horizon
 
 
-def _directional_product_verdict(system: PolyaTreeSystem, prefix: CellIndex,
-                                 bit: int, depth: int, name: str,
-                                 anchor: str) -> Verdict:
+def _directional_product_verdict(system: PolyaTreeSystem, bit: int, depth: int,
+                                 name: str, anchor: str) -> Verdict:
     """Shared analysis for the two directed product conditions.
 
     The condition asks that the product of path-side splitting fractions
     vanish; equivalently that the cumulative log-sum S_M diverge.  The
     evidence lists S_M per depth.
     """
-    terms, hit_zero, upto = _directional_terms(system, prefix, bit, depth)
+    terms, hit_zero, upto = _directional_terms(system, bit, depth)
     evidence = _cumulative_evidence(terms)
     rule = system.rule
     side = "zeroward" if bit == 0 else "oneward"
@@ -199,7 +188,7 @@ def _directional_product_verdict(system: PolyaTreeSystem, prefix: CellIndex,
                            "to the mass of a shrinking half-open cell with "
                            "empty intersection; any finite base sends it to 0",
                            evidence)
-        point = _path_limit_point(rule, prefix)
+        point = float(rule.domain.right)  # approached by the all-ones cells
         atom = _point_mass(rule.base, point)
         if atom == 0.0:
             return Verdict(name, HOLDS, anchor,
@@ -213,16 +202,8 @@ def _directional_product_verdict(system: PolyaTreeSystem, prefix: CellIndex,
                        evidence)
 
     if isinstance(rule, CantorTrigRule):
-        angle = _cantor_limit_angle(prefix, bit)
-        if (bit == 0 and angle == 0) or (bit == 1 and angle == 1):
-            return _cantor_tail_verdict(terms, name, anchor, evidence)
-        theta = float(angle) if bit == 0 else 1.0 - float(angle)
-        floor = math.log1p(math.tan(0.5 * math.pi * theta))
-        return Verdict(name, HOLDS, anchor,
-                       "the midpoint coordinate converges to an interior "
-                       f"value, so every term is at least log(1+tan(pi/2*"
-                       f"{theta:.6g})) = {floor:.6g} > 0 and the sum diverges",
-                       evidence)
+        # from the root the midpoint coordinate tends to 0 (zeroward) or 1
+        return _cantor_tail_verdict(terms, name, anchor, evidence)
 
     if isinstance(rule, TableRule):
         if rule.default is not None:
@@ -309,14 +290,6 @@ def _observed_tail(terms) -> Optional[dict]:
             "tail_estimate": positive[-1] * r / (1.0 - r)}
 
 
-def _path_limit_point(rule: DirichletMatchRule, prefix: CellIndex) -> float:
-    """Point approached by the all-ones descendants of the prefix cell."""
-    from .partitions import dyadic_cell_bounds
-
-    _, right = dyadic_cell_bounds(prefix.bits, rule.domain)
-    return float(right)
-
-
 def _point_mass(base, x: float) -> float:
     if isinstance(base, AtomicBase):
         return float(sum(w for p, w in zip(base.points, base.weights) if p == x))
@@ -324,18 +297,14 @@ def _point_mass(base, x: float) -> float:
 
 
 def polya_tight_condition(system: PolyaTreeSystem,
-                          prefix: Optional[CellIndex] = None,
                           depth: int = PRODUCT_DEPTH) -> Verdict:
-    """Does the zeroward splitting product below ``prefix`` vanish?
+    """Does the zeroward splitting product from the root vanish?
 
-    The existence criterion requires this for every prefix; the verdict
-    reports the supplied one (default: the root), and the argument says when
-    the underlying reasoning in fact covers all prefixes (homogeneous and
-    mass-matching rules do).
+    The existence criterion requires this below every cell; the verdict
+    reports the root, and the argument says when the underlying reasoning
+    in fact covers every cell (homogeneous and mass-matching rules do).
     """
-    if prefix is None:
-        prefix = CellIndex((), 0)
-    return _directional_product_verdict(system, prefix, 0, depth,
+    return _directional_product_verdict(system, 0, depth,
                                         "polya-tight", EVALUATOR_TAGS["polya-tight"])
 
 
@@ -343,8 +312,7 @@ def polya_leakage_condition(system: PolyaTreeSystem,
                             depth: int = PRODUCT_DEPTH) -> Verdict:
     """Oneward counterpart of the tight product: does mass escape toward the
     right boundary (or +infinity on unbounded domains)?"""
-    return _directional_product_verdict(system, CellIndex((), 0), 1, depth,
-                                        "polya-leakage",
+    return _directional_product_verdict(system, 1, depth, "polya-leakage",
                                         EVALUATOR_TAGS["polya-leakage"])
 
 
@@ -844,7 +812,6 @@ class LeakageReport:
 
 
 def leakage_counterexample(delta: float, depth: int,
-                           windows: Optional[tuple[float, ...]] = None,
                            interior: bool = False) -> LeakageReport:
     """Tabulate the deterministic mass outside candidate windows.
 
@@ -854,8 +821,7 @@ def leakage_counterexample(delta: float, depth: int,
     delta > 0, by construction rather than by numerics.
     """
     system = LeakageSystem(delta, depth, interior=interior)
-    if windows is None:
-        windows = (0.1, 0.2, 0.3, 0.45) if interior else (1.0, 2.0, 4.0, 8.0)
+    windows = (0.1, 0.2, 0.3, 0.45) if interior else (1.0, 2.0, 4.0, 8.0)
     chain = system.chain()
     rows = tuple((n, k, system.outside_mass(chain[n], k))
                  for n in range(1, depth + 1) for k in windows)
@@ -877,4 +843,4 @@ def leakage_counterexample(delta: float, depth: int,
                           f"returns to {delta:g} at all sufficiently large "
                           "depths, so no tight limit exists",
                           evidence)
-    return LeakageReport(delta, depth, interior, tuple(windows), rows, verdict)
+    return LeakageReport(delta, depth, interior, windows, rows, verdict)

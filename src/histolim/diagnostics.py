@@ -123,9 +123,7 @@ def _two_sample_z(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def coherence_test(system: HistogramSystem, chain: PartitionChain,
                    levels: tuple[int, int], replicates: int, *,
-                   seed: int = 0, num_seeds: int = 3,
-                   threshold: float = Z_THRESHOLD,
-                   jobs: int = 1,
+                   seed: int = 0, jobs: int = 1,
                    sampler: Optional[Callable] = None) -> CoherenceResult:
     """Two-sample moment comparison of project(fine) against direct coarse.
 
@@ -148,12 +146,10 @@ def coherence_test(system: HistogramSystem, chain: PartitionChain,
     if not (0 <= coarse < fine <= chain.depth):
         raise ValidationError("diagnostics/levels",
                               f"need 0 <= coarse < fine <= {chain.depth}, got {levels}")
-    if num_seeds < 1:
-        raise ValidationError("diagnostics/seeds", "need at least one seed")
     rmap = chain.refinement(coarse, fine)
     draw = sample_stack if sampler is None else sampler
     runs = []
-    for k in range(num_seeds):
+    for k in range(3):
         root = RandomStream(seed + k)
         fine_stack = draw(system, chain, fine, root.child(0),
                           replicates, jobs=jobs)
@@ -163,12 +159,12 @@ def coherence_test(system: HistogramSystem, chain: PartitionChain,
         z1 = _two_sample_z(projected, coarse_stack.values)
         z2 = _two_sample_z(projected ** 2, coarse_stack.values ** 2)
         top = float(max(np.abs(z1).max(), np.abs(z2).max()))
-        runs.append(CoherenceRun(seed + k, top < threshold, top,
+        runs.append(CoherenceRun(seed + k, top < Z_THRESHOLD, top,
                                  tuple(float(v) for v in z1),
                                  tuple(float(v) for v in z2)))
     passing = sum(r.passed for r in runs)
-    return CoherenceResult((coarse, fine), replicates, threshold,
-                           tuple(runs), passing * 2 > num_seeds)
+    return CoherenceResult((coarse, fine), replicates, Z_THRESHOLD,
+                           tuple(runs), passing * 2 > len(runs))
 
 
 # ---------------------------------------------------------------------------

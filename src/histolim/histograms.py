@@ -241,11 +241,6 @@ class PolynomialDensity:
             hi = hi * b + c
         return hi - lo
 
-    def shifted(self, offset: float) -> "PolynomialDensity":
-        coef = list(self.coefficients)
-        coef[0] = coef[0] - offset if coef else -offset
-        return PolynomialDensity(tuple(coef))
-
 
 Density = Union[PiecewiseDensity, PolynomialDensity, Callable[[float], float]]
 
@@ -274,13 +269,13 @@ def histogram_density(p: Histogram, q: Histogram) -> PiecewiseDensity:
     return PiecewiseDensity(p.partition, out)
 
 
-def lebesgue_reference(partition: Partition, scale: float = 1.0) -> Histogram:
+def lebesgue_reference(partition: Partition) -> Histogram:
     """Cell widths as a positive histogram (the flat reference)."""
     widths = partition.widths()
     if not np.all(np.isfinite(widths)):
         raise ValidationError("histogram/unbounded",
                               "flat reference needs bounded cells")
-    return Histogram(partition, scale * widths, POSITIVE)
+    return Histogram(partition, widths, POSITIVE)
 
 
 def _abs_polynomial_integral(poly: PolynomialDensity, a: float, b: float) -> float:
@@ -302,8 +297,7 @@ def _abs_polynomial_integral(poly: PolynomialDensity, a: float, b: float) -> flo
     return total
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                      tol: float = SIMPSON_TOL, depth: int = 48) -> float:
+def _adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     def simpson(lo, hi):
         mid = 0.5 * (lo + hi)
         return (hi - lo) / 6.0 * (f(lo) + 4.0 * f(mid) + f(hi)), mid
@@ -315,13 +309,13 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
         if budget <= 0:
             raise NumericError("quadrature/no-convergence",
                                f"adaptive Simpson failed to converge on [{lo}, {hi}]")
-        if abs(left + right - whole) < 15.0 * tol:
+        if abs(left + right - whole) < 15.0 * SIMPSON_TOL:
             return left + right + (left + right - whole) / 15.0
         return (recurse(lo, mid, left, lm, budget - 1)
                 + recurse(mid, hi, right, rm, budget - 1))
 
     whole, mid = simpson(a, b)
-    return recurse(a, b, whole, mid, depth)
+    return recurse(a, b, whole, mid, 48)  # bisection budget
 
 
 def _density_on_cell(f: Density, cell: Cell):

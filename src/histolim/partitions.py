@@ -16,14 +16,16 @@ Two chain builders are provided:
 
 * `dyadic_chain` — 2^m equal cells of a bounded rational interval, with
   exact `fractions.Fraction` endpoints so no depth accumulates rounding.
-  Its levels are implicit: a dyadic partition is its domain and level, so
-  sizes, widths, float cut points and cell lookups are arithmetic, and the
-  `Fraction` cells of a level are built on demand;
+  A dyadic level's cut points are arithmetic on its domain and level;
 * `triangular_chain` — nested rows of float cut points on an open-left
   domain, by default the real line (row n holds 2^n - 1 strictly
   increasing points, even positions repeating the previous row), with
-  unbounded end cells on the real line.  Only dyadic chains may be
-  left-closed.
+  unbounded end cells on the real line.  Each level stores its row with
+  the domain ends.  Only dyadic chains may be left-closed.
+
+Either way a level is its domain, level and cut points: sizes, widths,
+labels and cell lookups read the cut points, and a level's `Cell` objects
+are built on demand.
 
 `cantor_midpoint` returns the exact mid-point of the ternary middle-thirds
 interval addressed by a bit string; it parameterizes the trigonometric
@@ -221,20 +223,17 @@ class Domain:
 class Partition:
     """Ordered cells covering a domain exactly; immutable.
 
-    A dyadic partition is fully described by its domain and level: its
-    size, widths, cut points and cell lookups are arithmetic, and the
-    `cells` tuple with exact `Fraction` endpoints is built only on first
-    access.  Other kinds carry their cells in `explicit_cells`.
+    A partition is its domain, its level and its cut points (domain ends
+    included).  A dyadic level keeps its cut points as arithmetic on an
+    exact `Fraction` grid; any other kind stores them in `cuts`.  Sizes,
+    widths, labels and cell lookups read the cut points, and the `cells`
+    tuple is built only on first access.
     """
 
     domain: Domain
     kind: str  # "dyadic" | "triangular"
     level: int
-    explicit_cells: tuple[Cell, ...] | None = field(default=None, repr=False)
-
-    @property
-    def _dyadic(self) -> bool:
-        return self.explicit_cells is None
+    cuts: tuple[Endpoint, ...] | None = field(default=None, repr=False)
 
     @cached_property
     def _grid(self) -> tuple[Fraction, Fraction]:
@@ -242,25 +241,30 @@ class Partition:
         left = Fraction(self.domain.left)
         return left, (Fraction(self.domain.right) - left) / (1 << self.level)
 
+    def _cut(self, i: int) -> Endpoint:
+        """Cut point i, counted from the domain's left end."""
+        if self.cuts is not None:
+            return self.cuts[i]
+        left, step = self._grid
+        return left + i * step
+
+    @property
+    def _intervals(self) -> int:
+        return (1 << self.level) if self.cuts is None else len(self.cuts) - 1
+
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
-        if self._dyadic:
-            return tuple(self.cell_at(pos) for pos in range(len(self)))
-        return self.explicit_cells
+        return tuple(self.cell_at(pos) for pos in range(len(self)))
 
     def __len__(self) -> int:
-        if self._dyadic:
-            return (1 << self.level) + self.has_atom
-        return len(self.explicit_cells)
+        return self._intervals + self.has_atom
 
     def __iter__(self) -> Iterator[Cell]:
         return iter(self.cells)
 
     @property
     def has_atom(self) -> bool:
-        if self._dyadic:
-            return self.domain.closed_left
-        return bool(self.explicit_cells) and self.explicit_cells[0].is_atom
+        return self.domain.closed_left
 
     @property
     def interval_cells(self) -> tuple[Cell, ...]:
@@ -268,31 +272,29 @@ class Partition:
 
     def cell_at(self, pos: int) -> Cell:
         """Cell at position `pos` (0-based, left to right, atom first)."""
-        if not self._dyadic:
-            return self.explicit_cells[pos]
         if not 0 <= pos < len(self):
             raise IndexError(f"cell position {pos} outside 0..{len(self) - 1}")
-        left, step = self._grid
         if self.has_atom:
             if pos == 0:
+                left = self._cut(0)
                 return Cell(left, left, CellIndex((), self.level, atom=True))
             pos -= 1
-        return Cell(left + pos * step, left + (pos + 1) * step, CellIndex.at(pos, self.level))
+        return Cell(self._cut(pos), self._cut(pos + 1), CellIndex.at(pos, self.level))
 
     def widths(self) -> np.ndarray:
-        if not self._dyadic:
-            return np.array([c.width() for c in self.explicit_cells], dtype=float)
+        if self.cuts is not None:
+            pts = self.cuts
+            return np.array([0.0] * self.has_atom + [float(r - l) for l, r in zip(pts, pts[1:])])
         out = np.full(len(self), float(self._grid[1]))
         out[:self.has_atom] = 0.0
         return out
 
     def cut_points(self) -> list[Endpoint]:
         """All endpoints left to right (domain ends included)."""
-        if self._dyadic:
-            left, step = self._grid
-            return [left + i * step for i in range((1 << self.level) + 1)]
-        ivs = self.interval_cells
-        return [ivs[0].left] + [c.right for c in ivs]
+        if self.cuts is not None:
+            return list(self.cuts)
+        left, step = self._grid
+        return [left + i * step for i in range((1 << self.level) + 1)]
 
     def edges(self) -> np.ndarray:
         """`cut_points` as floats, each the correctly rounded exact value."""
@@ -307,12 +309,10 @@ class Partition:
         return rights
 
     def labels(self) -> list[str]:
-        """Cell labels in cell order; a dyadic level's come from the
-        positions, without building its cells."""
-        if not self._dyadic:
-            return [c.index.label() for c in self.explicit_cells]
+        """Cell labels in cell order, read off the positions without
+        building the cells."""
         atom = [CellIndex((), self.level, atom=True).label()] if self.has_atom else []
-        return atom + [CellIndex.at(pos, self.level).label() for pos in range(1 << self.level)]
+        return atom + [CellIndex.at(pos, self.level).label() for pos in range(self._intervals)]
 
     def position_of(self, x) -> int:
         """Position of the cell containing x under the right-endpoint-included
@@ -324,14 +324,13 @@ class Partition:
             )
         if self.has_atom and x == self.domain.left:
             return 0
-        if self._dyadic:
+        if self.cuts is None:
             left, step = self._grid
             return self.has_atom + math.ceil((Fraction(x) - left) / step) - 1
-        ivs = self.interval_cells
         pos = int(np.searchsorted(self.right_edges, float(x)))
         # float bisect is a hint; settle exact membership locally
-        for j in range(max(pos - 1, 0), min(pos + 2, len(ivs))):
-            if ivs[j].contains(x):
+        for j in range(max(pos - 1, 0), min(pos + 2, self._intervals)):
+            if self.cuts[j] < x <= self.cuts[j + 1]:
                 return j + self.has_atom
         raise ValidationError("partition/domain", f"no cell contains x={x!r}")  # pragma: no cover
 
@@ -346,10 +345,6 @@ class Partition:
         if cell.index.level != self.level or pos >= len(self) or self.cell_at(pos) != cell:
             raise ValueError(f"{cell!r} is not a cell of this partition")
         return pos
-
-
-def cell_of(partition: Partition, x) -> Cell:
-    return partition.cell_of(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,11 +371,13 @@ class RefinementMap:
 
 
 def refine_map(coarse: Partition, fine: Partition) -> RefinementMap:
-    """Match each fine cell to the coarse cell that contains it.
+    """Match each coarse cell to the run of fine cells it covers.
 
-    Raises a validation error naming the first fine cell that straddles a
-    coarse boundary or leaves a gap, so broken inputs fail loudly instead of
-    producing silently misaligned projections.
+    Both partitions tile the same domain, so every interior coarse cut point
+    must be a fine one, and the next coarse cell starts right after the fine
+    cell ending there.  A cut point that is not raises a validation error
+    naming the fine cell that straddles it, so broken inputs fail loudly
+    instead of producing silently misaligned projections.
     """
     if coarse.domain != fine.domain:
         raise ValidationError("refinement/domain", "partitions live on different domains")
@@ -389,41 +386,15 @@ def refine_map(coarse: Partition, fine: Partition) -> RefinementMap:
         if coarse.has_atom:
             starts = np.concatenate([np.zeros(1, dtype=np.intp), starts + 1])
         return RefinementMap(coarse, fine, starts)
-    starts: list[int] = []
-    j = 0
-    for big in coarse.cells:
-        starts.append(j)
-        if big.is_atom:
-            if j >= len(fine.cells) or not fine.cells[j].is_atom or fine.cells[j].left != big.left:
-                raise ValidationError(
-                    "refinement/gap",
-                    f"coarse singleton {big!r} has no matching fine singleton",
-                )
-            j += 1
-            continue
-        if j >= len(fine.cells) or fine.cells[j].left != big.left:
-            got = fine.cells[j] if j < len(fine.cells) else None
+    starts = [0] * coarse.has_atom + [fine.has_atom]
+    for cut in coarse.cut_points()[1:-1]:
+        pos = fine.position_of(cut)
+        if fine._cut(pos + 1 - fine.has_atom) != cut:
             raise ValidationError(
-                "refinement/gap",
-                f"fine cells do not start coarse cell {big!r} (next fine cell: {got!r})",
+                "refinement/straddle",
+                f"fine cell {fine.cell_at(pos)!r} straddles the coarse boundary at {format_endpoint(cut)}",
             )
-        while True:
-            small = fine.cells[j]
-            if small.right > big.right:
-                raise ValidationError(
-                    "refinement/straddle",
-                    f"fine cell {small!r} straddles the coarse boundary at {format_endpoint(big.right)}",
-                )
-            j += 1
-            if small.right == big.right:
-                break
-            if j >= len(fine.cells):
-                raise ValidationError(
-                    "refinement/gap",
-                    f"fine cells stop before the end of coarse cell {big!r}",
-                )
-    if j != len(fine.cells):
-        raise ValidationError("refinement/gap", "fine partition has cells beyond the coarse cover")
+        starts.append(pos + 1)
     return RefinementMap(coarse, fine, np.array(starts, dtype=np.intp))
 
 
@@ -585,15 +556,9 @@ def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = No
                         f"q[{n}][{2 * m}]={row[2 * m - 1]!r} != q[{n - 1}][{m}]={prev[m - 1]!r}",
                     )
         parsed.append(row)
-    partitions = []
     lo, hi = domain.left, domain.right
-    for n in range(len(parsed) + 1):
-        pts: list[Endpoint] = [lo] + ([] if n == 0 else list(parsed[n - 1])) + [hi]
-        cells = []
-        for k in range(len(pts) - 1):
-            cells.append(Cell(pts[k], pts[k + 1], CellIndex.at(k, n)))
-        partitions.append(Partition(domain, "triangular", n, tuple(cells)))
-    return PartitionChain(tuple(partitions))
+    return PartitionChain(tuple(Partition(domain, "triangular", n, (lo, *row, hi))
+                                for n, row in enumerate([[]] + parsed)))
 
 
 def cantor_midpoint(bits: Sequence[int]) -> Fraction:

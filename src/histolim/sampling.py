@@ -73,15 +73,6 @@ def _dirichlet_draw(system: DirichletSystem, partition: Partition):
     return draw
 
 
-def dirichlet_stack(system: DirichletSystem, partition: Partition,
-                    stream: RandomStream, replicates: int, *,
-                    jobs: int = 1) -> HistogramStack:
-    """Dirichlet replicate sweep on one partition (see `_dirichlet_draw`)."""
-    _check_replicates(replicates)
-    return _sweep(partition, PROBABILITY, _dirichlet_draw(system, partition),
-                  stream, replicates, jobs)
-
-
 # ---------------------------------------------------------------------------
 # Polya trees
 
@@ -164,15 +155,6 @@ def _polya_draw(system: PolyaTreeSystem, chain: PartitionChain, depth: int):
     return draw
 
 
-def polya_stack(system: PolyaTreeSystem, chain: PartitionChain, depth: int,
-                stream: RandomStream, replicates: int, *,
-                jobs: int = 1) -> HistogramStack:
-    """Polya-tree replicate sweep at one chain level (see `_polya_draw`)."""
-    _check_replicates(replicates)
-    draw = _polya_draw(system, chain, depth)
-    return _sweep(chain[depth], PROBABILITY, draw, stream, replicates, jobs)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian
 
@@ -202,15 +184,6 @@ def _gaussian_draw(system: GaussianSystem, partition: Partition):
     return draw
 
 
-def gaussian_stack(system: GaussianSystem, partition: Partition,
-                   stream: RandomStream, replicates: int, *,
-                   jobs: int = 1) -> HistogramStack:
-    """Gaussian replicate sweep on one partition (see `_gaussian_draw`)."""
-    _check_replicates(replicates)
-    return _sweep(partition, SIGNED, _gaussian_draw(system, partition),
-                  stream, replicates, jobs)
-
-
 # ---------------------------------------------------------------------------
 # family dispatch, chains, paths
 
@@ -219,11 +192,12 @@ def level_drawer(system: HistogramSystem, chain: PartitionChain, depth: int,
     """(partition, kind, draw) for one chain level of any family, where
     ``draw(substream, k, out=None)`` gives k replicate rows, drawn into
     `out` where it can; a deterministic leakage system tiles its mean."""
+    if isinstance(system, PolyaTreeSystem):  # checks depth against the chain first
+        draw = _polya_draw(system, chain, depth)
+        return chain[depth], PROBABILITY, draw
     partition = chain[depth]
     if isinstance(system, DirichletSystem):
         return partition, PROBABILITY, _dirichlet_draw(system, partition)
-    if isinstance(system, PolyaTreeSystem):
-        return partition, PROBABILITY, _polya_draw(system, chain, depth)
     if isinstance(system, GaussianSystem):
         return partition, SIGNED, _gaussian_draw(system, partition)
     if isinstance(system, LeakageSystem):
@@ -268,18 +242,20 @@ def chain_sample(system: HistogramSystem, chain: PartitionChain, depth: int,
 def path_from_histogram(h: Histogram | HistogramStack):
     """Cumulative-sum skeleton (t, B(t)) at the cells' right endpoints.
 
-    B starts at 0 before the first cell; atom cells and infinite right
-    endpoints contribute to the running sum but emit no point.  A
-    histogram gives its list of (t, B(t)) points; a stack gives the
-    arrays (t, B) with one row of B per replicate.
+    B starts at 0 before the first cell; atom cells and an infinite right
+    end (only the last right endpoint can be +inf) contribute to the
+    running sum but emit no point.  A histogram gives its list of (t, B(t))
+    points; a stack gives the arrays (t, B) with one row of B per
+    replicate, B a view of the running sums.
 
     `np.cumsum` adds left to right like a running float sum started at
     0.0; adding 0.0 turns a leading -0.0 into the 0.0 that sum gives.
     """
     rights = h.partition.right_edges
-    emits = np.isfinite(rights)
-    running = np.cumsum(h.values, axis=-1)[..., h.partition.has_atom:] + 0.0
-    t, b = rights[emits], running[..., emits]
+    k = len(rights) - bool(np.isinf(rights[-1]))
+    atom = h.partition.has_atom
+    t, b = rights[:k], np.cumsum(h.values, axis=-1)[..., atom:atom + k]
+    b += 0.0
     if isinstance(h, HistogramStack):
         return t, b
     return list(zip(t.tolist(), b.tolist()))

@@ -44,22 +44,22 @@ class RandomStream:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.path))
 
 
-def chunk_ranges(n: int, chunk_size: int = CHUNK_SIZE) -> Iterator[tuple[int, int, int]]:
-    """Yield (chunk_index, start, stop) covering range(n) in fixed chunks."""
+def chunk_ranges(n: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (chunk_index, start, stop) covering range(n) in chunks of
+    `CHUNK_SIZE`."""
     if n < 0:
         raise ValidationError("stream/count", f"sample count must be >= 0, got {n}")
     j = 0
     start = 0
     while start < n:
-        stop = min(start + chunk_size, n)
+        stop = min(start + CHUNK_SIZE, n)
         yield j, start, stop
         j += 1
         start = stop
 
 
 def run_grids(grids: Sequence[tuple[RandomStream, int, Callable]], *,
-              jobs: int = 1, chunk_size: int = CHUNK_SIZE,
-              outs: Sequence | None = None) -> list:
+              jobs: int = 1, outs: Sequence | None = None) -> list:
     """Evaluate the chunks of several grids on one pool of `jobs` threads.
 
     Grid g is ``(stream, n, draw)``: ``draw(stream.child(j), chunk_len)``
@@ -74,7 +74,7 @@ def run_grids(grids: Sequence[tuple[RandomStream, int, Callable]], *,
     """
     tasks = []
     for g, (stream, n, _) in enumerate(grids):
-        ranges = list(chunk_ranges(n, chunk_size)) or [(0, 0, 0)]
+        ranges = list(chunk_ranges(n)) or [(0, 0, 0)]
         tasks.extend((j, g, start, stop) for j, start, stop in ranges)
     if jobs < 1:
         raise ValidationError("stream/jobs", f"jobs must be >= 1, got {jobs}")
@@ -109,8 +109,7 @@ def run_grids(grids: Sequence[tuple[RandomStream, int, Callable]], *,
 
 def run_chunked(stream: RandomStream, n: int,
                 draw: Callable[[RandomStream, int], np.ndarray],
-                *, jobs: int = 1, chunk_size: int = CHUNK_SIZE,
-                out: np.ndarray | None = None) -> np.ndarray:
+                *, jobs: int = 1, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate draw(stream.child(j), chunk_len) over the fixed chunk grid:
     the one-grid case of `run_grids`, its rows landing in `out` if given."""
-    return run_grids([(stream, n, draw)], jobs=jobs, chunk_size=chunk_size, outs=[out])[0]
+    return run_grids([(stream, n, draw)], jobs=jobs, outs=[out])[0]

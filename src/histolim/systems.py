@@ -171,12 +171,6 @@ class DirichletSystem:
         nu = self.concentrations(partition)
         return Histogram(partition, nu / nu.sum(), PROBABILITY)
 
-    def second_moment(self, partition: Partition) -> np.ndarray:
-        """Per-cell E[P(A)^2] = (nu(A)^2 + nu(A)) / (nu(X)^2 + nu(X))."""
-        nu = self.concentrations(partition)
-        total = nu.sum()
-        return (nu**2 + nu) / (total**2 + total)
-
     def to_json(self) -> dict:
         return {"family": "dirichlet", "base": self.base.to_json()}
 
@@ -437,20 +431,6 @@ def beta_rule_from_json(obj) -> BetaRule:
     raise ValidationError("system/beta-json", f"unknown beta rule {name!r}")
 
 
-def split_mean(b0: float, b1: float) -> tuple[float, float]:
-    """Expected (left, right) fractions of a Beta split, honoring the
-    infinite-parameter point masses."""
-    inf0, inf1 = math.isinf(b0), math.isinf(b1)
-    if inf0 and inf1:
-        return (0.5, 0.5)
-    if inf0:
-        return (1.0, 0.0)
-    if inf1:
-        return (0.0, 1.0)
-    total = b0 + b1
-    return (b0 / total, b1 / total)
-
-
 def pin_infinite_splits(a: np.ndarray, b: np.ndarray, left: np.ndarray,
                         right: np.ndarray) -> np.ndarray:
     """(n, 2) array of per-node (left, right) fractions, with the point
@@ -463,20 +443,11 @@ def pin_infinite_splits(a: np.ndarray, b: np.ndarray, left: np.ndarray,
 
 
 def split_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`split_mean` of every node, as an (n, 2) array."""
+    """Expected (left, right) fractions of the Beta split at every node, as
+    an (n, 2) array, honouring the infinite-parameter point masses."""
     total = a + b
     with np.errstate(all="ignore"):  # infinite nodes are pinned below
         return pin_infinite_splits(a, b, a / total, b / total)
-
-
-def split_second_moment(b0: float, b1: float) -> tuple[float, float]:
-    """Expected squared (left, right) fractions of a Beta split."""
-    if math.isinf(b0) or math.isinf(b1):
-        m0, m1 = split_mean(b0, b1)
-        return (m0 * m0, m1 * m1)  # the split is deterministic
-    total = b0 + b1
-    common = b0 * b1 / (total * total * (total + 1.0))
-    return (common + (b0 / total) ** 2, common + (b1 / total) ** 2)
 
 
 @dataclass(frozen=True)
@@ -494,24 +465,6 @@ class PolyaTreeSystem:
     def completely_random(self) -> bool:
         return self.rule.completely_random
 
-    def mean_of_index(self, index: CellIndex) -> float:
-        """E P(cell) as the product of expected split fractions along the
-        label path."""
-        value = 1.0
-        for l in range(index.level):
-            node = CellIndex(index.bits[:l], l)
-            b0, b1 = self.rule.pair(node)
-            value *= split_mean(b0, b1)[index.bits[l]]
-        return value * (1.0 - self.p0)
-
-    def second_moment_of_index(self, index: CellIndex) -> float:
-        value = 1.0
-        for l in range(index.level):
-            node = CellIndex(index.bits[:l], l)
-            b0, b1 = self.rule.pair(node)
-            value *= split_second_moment(b0, b1)[index.bits[l]]
-        return value * (1.0 - self.p0) ** 2
-
     def check_atom_cell(self, partition: Partition, level: int) -> None:
         """A singleton mass p0 > 0 needs the zero atom cell in `partition`."""
         if self.p0 > 0.0 and not partition.has_atom:
@@ -522,7 +475,8 @@ class PolyaTreeSystem:
 
     def mean(self, partition: Partition) -> Histogram:
         """Cell means level by level: each parent's mass times its expected
-        split fractions, the same products as `mean_of_index`."""
+        split fractions, so a cell's mean is the product of the expected
+        fractions along its address."""
         self.check_atom_cell(partition, partition.level)
         mass = np.ones(1)
         for level in range(1, partition.level + 1):
@@ -902,12 +856,11 @@ class LeakageSystem:
         lo, hi = (-window, window)
         if self.interior:
             lo, hi = 0.5 - window, 0.5 + window
+        edges = partition.edges().tolist()
         total = 0.0
-        for cell, value in zip(partition.cells, h.values):
-            left = endpoint_to_float(cell.left)
-            right = endpoint_to_float(cell.right)
+        for left, right, value in zip(edges, edges[1:], h.values.tolist()):
             if right <= lo or left >= hi:
-                total += float(value)
+                total += value
         return total
 
     def to_json(self) -> dict:

@@ -22,8 +22,7 @@ from histolim.diagnostics import (coherence_test, phase_report,
                                   quadratic_variation, tv_martingale_curve)
 from histolim.histograms import PolynomialDensity
 from histolim.partitions import CellIndex, dyadic_chain
-from histolim.sampling import (dirichlet_stack, gaussian_stack,
-                               path_from_histogram, polya_stack, sample_stack)
+from histolim.sampling import path_from_histogram, sample_stack
 from histolim.streams import RandomStream
 from histolim.systems import (AtomicBase, CantorTrigRule, ConstantCovariance,
                               DiagonalCovariance, DirichletSystem,
@@ -43,6 +42,18 @@ COHERENCE_SUITE = (
     ("gaussian-diagonal-lebesgue", GAUSS_DIAG),
     ("gaussian-constant-1", GaussianSystem(ConstantCovariance(1.0))),
 )
+
+
+def _path_moment(system: PolyaTreeSystem, index: CellIndex, power: int) -> float:
+    """E P(cell)^power, power 1 or 2, as the product of the Beta split
+    moments along the cell's address (finite splitting parameters)."""
+    value = 1.0
+    for l in range(index.level):
+        b0, b1 = system.rule.pair(CellIndex(index.bits[:l], l))
+        total = b0 + b1
+        share = (b0, b1)[index.bits[l]] / total
+        value *= share if power == 1 else b0 * b1 / (total * total * (total + 1.0)) + share ** 2
+    return value * (1.0 - system.p0) ** power
 
 
 def _z(values: np.ndarray, target: float) -> float:
@@ -68,8 +79,8 @@ def test_criterion_01_coherence_suite():
 
 def test_criterion_02_dirichlet_marginal_beta_law():
     chain = dyadic_chain(depth=3)
-    stack = dirichlet_stack(DIR_LEB, chain[3], RandomStream(101), 10_000,
-                            jobs=JOBS)
+    stack = sample_stack(DIR_LEB, chain, 3, RandomStream(101), 10_000,
+                         jobs=JOBS)
     law = stats.beta(1 / 8, 7 / 8)
     pvalues = [stats.kstest(stack.values[:, j], law.cdf).pvalue
                for j in range(stack.values.shape[1])]
@@ -80,8 +91,8 @@ def test_criterion_02_dirichlet_marginal_beta_law():
 
 def test_criterion_03_dirichlet_second_moment():
     chain = dyadic_chain(depth=2)
-    stack = dirichlet_stack(DIR_LEB, chain[2], RandomStream(59), 10_000,
-                            jobs=JOBS)
+    stack = sample_stack(DIR_LEB, chain, 2, RandomStream(59), 10_000,
+                         jobs=JOBS)
     z = _z(stack.values[:, 0] ** 2, 5 / 32)
     assert abs(z) < 4.0
     print(f"criterion 03 PASS  second moment vs 5/32, z = {z:+.2f}")
@@ -93,15 +104,14 @@ def test_criterion_04_polya_moment_closed_forms():
 
     het = PolyaTreeSystem(TableRule({"()": (2.0, 1.0), "0": (1.0, 3.0)},
                                     default=(1.0, 1.0)))
-    assert het.mean_of_index(cell) == pytest.approx(0.5, abs=1e-15)
-    stack = polya_stack(het, chain, 2, RandomStream(55), 100_000, jobs=JOBS)
+    assert _path_moment(het, cell, 1) == pytest.approx(0.5, abs=1e-15)
+    stack = sample_stack(het, chain, 2, RandomStream(55), 100_000, jobs=JOBS)
     z_het = _z(stack.values[:, 1], 0.5)
     assert abs(z_het) < 4.0
 
     homog = PolyaTreeSystem(HomogeneousRule("1"))
-    assert homog.second_moment_of_index(cell) == pytest.approx(1 / 9,
-                                                               abs=1e-15)
-    stack = polya_stack(homog, chain, 2, RandomStream(56), 100_000, jobs=JOBS)
+    assert _path_moment(homog, cell, 2) == pytest.approx(1 / 9, abs=1e-15)
+    stack = sample_stack(homog, chain, 2, RandomStream(56), 100_000, jobs=JOBS)
     z_homog = _z(stack.values[:, 1] ** 2, 1 / 9)
     assert abs(z_homog) < 4.0
     print(f"criterion 04 PASS  mean 0.5 z = {z_het:+.2f}, "
@@ -145,7 +155,7 @@ def test_criterion_06_constant_kernel_statistics():
     assert all(v == math.sqrt(c) for v in weak_levels.values())
     assert all(v == c for v in spectral_levels.values())
 
-    stack = gaussian_stack(system, chain[8], RandomStream(7), 500, jobs=JOBS)
+    stack = sample_stack(system, chain, 8, RandomStream(7), 500, jobs=JOBS)
     spread = np.ptp(stack.values, axis=1)
     scale = np.maximum(np.abs(stack.values).max(axis=1), 1e-300)
     worst = float((spread / scale).max())
@@ -157,8 +167,8 @@ def test_criterion_06_constant_kernel_statistics():
 def test_criterion_07_brownian_increments():
     started = time.perf_counter()
     chain = dyadic_chain(depth=12)
-    stack = gaussian_stack(GAUSS_DIAG, chain[12], RandomStream(77), 10_000,
-                           jobs=JOBS)
+    stack = sample_stack(GAUSS_DIAG, chain, 12, RandomStream(77), 10_000,
+                         jobs=JOBS)
 
     totals = stack.values.sum(axis=1)
     p = stats.kstest(totals, "norm").pvalue

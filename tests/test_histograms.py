@@ -162,8 +162,6 @@ def test_polynomial_density_exact_integral():
     poly = PolynomialDensity((0.0, 2.0))  # density 2x
     assert poly.integral(0.0, 1.0) == pytest.approx(1.0)
     assert poly.integral(0.25, 0.5) == pytest.approx(0.25**2 * 3)
-    shifted = poly.shifted(1.0)  # vertical shift: 2x - 1
-    assert shifted(0.75) == pytest.approx(poly(0.75) - 1.0)
 
 
 def test_tv_distance_exact_for_polynomials():

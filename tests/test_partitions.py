@@ -17,7 +17,6 @@ from histolim.partitions import (
     Partition,
     PartitionChain,
     cantor_midpoint,
-    cell_of,
     chain_from_json_text,
     chain_to_json_text,
     dyadic_cell_bounds,
@@ -76,7 +75,7 @@ def test_children_tile_parent(bits):
 @given(st.integers(1, 7), st.floats(0.0, 1.0, exclude_min=True))
 def test_cell_of_locates_points(depth, x):
     part = dyadic_chain(depth=depth)[depth]
-    cell = cell_of(part, x)
+    cell = part.cell_of(x)
     assert cell.contains(x)
     # exactly one cell contains it
     assert sum(c.contains(x) for c in part.cells) == 1
@@ -223,19 +222,63 @@ def test_endpoint_to_float_infinite():
 
 
 def eager_dyadic_levels(domain, depth):
-    """The cell-by-cell construction that implicit dyadic levels replace."""
+    """Dyadic levels stored as cut-point tuples, the way a non-dyadic level
+    is kept, against which the implicit dyadic arithmetic is checked."""
     left = Fraction(domain.left)
     span = Fraction(domain.right) - left
-    levels = []
-    for m in range(depth + 1):
-        cells = []
-        if domain.closed_left:
-            cells.append(Cell(left, left, CellIndex((), m, atom=True)))
-        h = span / (1 << m)
-        for i in range(1 << m):
-            cells.append(Cell(left + i * h, left + (i + 1) * h, CellIndex.at(i, m)))
-        levels.append(Partition(domain, "eager", m, tuple(cells)))
-    return levels
+    return [Partition(domain, "eager", m,
+                      tuple(left + i * (span / (1 << m)) for i in range((1 << m) + 1)))
+            for m in range(depth + 1)]
+
+
+def oracle_cells(domain, level, pts):
+    """The cells a level with cut points `pts` had when every level was
+    built cell by cell: the singleton of a left-closed domain, then
+    (pts[k], pts[k + 1]] addressed by position."""
+    atom = [Cell(pts[0], pts[0], CellIndex((), level, atom=True))] if domain.closed_left else []
+    return tuple(atom + [Cell(pts[k], pts[k + 1], CellIndex.at(k, level))
+                         for k in range(len(pts) - 1)])
+
+
+def cell_walk_boundaries(coarse_cells, fine_cells):
+    """Refinement starts by walking both cell tuples side by side, the way
+    `refine_map` matched every pair that was not dyadic into dyadic."""
+    starts = []
+    j = 0
+    for big in coarse_cells:
+        starts.append(j)
+        if big.is_atom:
+            if j >= len(fine_cells) or not fine_cells[j].is_atom or fine_cells[j].left != big.left:
+                raise ValidationError(
+                    "refinement/gap",
+                    f"coarse singleton {big!r} has no matching fine singleton",
+                )
+            j += 1
+            continue
+        if j >= len(fine_cells) or fine_cells[j].left != big.left:
+            got = fine_cells[j] if j < len(fine_cells) else None
+            raise ValidationError(
+                "refinement/gap",
+                f"fine cells do not start coarse cell {big!r} (next fine cell: {got!r})",
+            )
+        while True:
+            small = fine_cells[j]
+            if small.right > big.right:
+                raise ValidationError(
+                    "refinement/straddle",
+                    f"fine cell {small!r} straddles the coarse boundary at {format_endpoint(big.right)}",
+                )
+            j += 1
+            if small.right == big.right:
+                break
+            if j >= len(fine_cells):
+                raise ValidationError(
+                    "refinement/gap",
+                    f"fine cells stop before the end of coarse cell {big!r}",
+                )
+    if j != len(fine_cells):
+        raise ValidationError("refinement/gap", "fine partition has cells beyond the coarse cover")
+    return starts
 
 
 DOMAINS = [Domain.unit(), Domain.unit(closed_left=True),
@@ -260,7 +303,7 @@ def test_implicit_dyadic_levels_match_eager_construction(domain):
                 continue
             (expect,) = [c for c in ref.cells if c.contains(x)]
             assert part.cell_of(x) == expect
-        assert part.cells == ref.cells
+        assert part.cells == ref.cells == oracle_cells(domain, part.level, ref.cut_points())
         assert [part.index(c) for c in ref.cells] == list(range(len(ref)))
     with pytest.raises(ValueError):
         chain[3].index(eager[4].cells[-1])
@@ -276,8 +319,9 @@ def test_dyadic_refinement_matches_cell_walk(domain):
     eager = eager_dyadic_levels(domain, 6)
     for coarse in range(7):
         for fine in range(coarse, 7):
-            assert np.array_equal(refine_map(chain[coarse], chain[fine]).boundaries,
-                                  refine_map(eager[coarse], eager[fine]).boundaries)
+            walk = cell_walk_boundaries(eager[coarse].cells, eager[fine].cells)
+            assert refine_map(chain[coarse], chain[fine]).boundaries.tolist() == walk
+            assert refine_map(eager[coarse], eager[fine]).boundaries.tolist() == walk
 
 
 @pytest.mark.parametrize("closed_left", [False, True])
@@ -354,3 +398,80 @@ def test_triangular_chain_refuses_every_closed_left_domain():
         with pytest.raises(ValidationError) as e:
             triangular_chain(nested_rows(1, spread=0.5), domain=domain)
         assert e.value.code == "partition/unsupported-domain"
+
+
+def warped_rows(depth, warp):
+    """Nested rows whose cuts are warp(k / 2^n): unequal cells that still
+    nest, because an even position maps the same float as the row above."""
+    return [[warp(k / (1 << n)) for k in range(1, 1 << n)] for n in range(1, depth + 1)]
+
+
+TRIANGULAR = {
+    "real-line": (Domain.real_line(), lambda t: (2.0 * t - 1.0) ** 3),
+    "unit": (Domain.unit(), lambda t: t * t),
+}
+
+
+@pytest.mark.parametrize("name", TRIANGULAR)
+def test_triangular_levels_read_cut_points_without_cells(name):
+    domain, warp = TRIANGULAR[name]
+    rows = warped_rows(6, warp)
+    chain = triangular_chain(rows, domain=domain)
+    for n, part in enumerate(chain.partitions):
+        pts = [domain.left] + ([] if n == 0 else rows[n - 1]) + [domain.right]
+        cells = oracle_cells(domain, n, pts)
+        assert len(part) == len(cells) == 1 << n
+        assert part.cut_points() == pts
+        assert part.edges().tolist() == [float(e) for e in pts]
+        assert part.widths().tolist() == [c.width() for c in cells]
+        assert part.labels() == [c.index.label() for c in cells]
+        mids = [(a + b) / 2 for a, b in zip(pts[1:-2], pts[2:-1])]
+        for x in pts[1:-1] + mids:
+            (expect,) = [c for c in cells if c.contains(x)]
+            assert part.cell_of(x) == expect
+        assert [part.index(c) for c in cells] == list(range(len(cells)))
+        if n:
+            walk = cell_walk_boundaries(oracle_cells(domain, n - 1, chain[n - 1].cut_points()),
+                                        cells)
+            assert chain.refinement(n - 1, n).boundaries.tolist() == walk
+        assert "cells" not in part.__dict__
+        assert part.cells == cells
+
+
+def _refinement_outcome(refine, coarse, fine):
+    try:
+        return refine(coarse, fine)
+    except ValidationError as e:
+        return e.code, str(e)
+
+
+CHAINS = {
+    "dyadic-open": lambda: dyadic_chain(Domain.unit(), depth=5),
+    "dyadic-closed": lambda: dyadic_chain(Domain.unit(closed_left=True), depth=5),
+    "triangular-real": lambda: triangular_chain(warped_rows(5, TRIANGULAR["real-line"][1])),
+    "triangular-unit": lambda: triangular_chain(warped_rows(5, TRIANGULAR["unit"][1]),
+                                                domain=Domain.unit()),
+    "triangular-dyadic-cuts": lambda: triangular_chain(warped_rows(5, lambda t: t),
+                                                       domain=Domain.unit()),
+}
+
+
+@pytest.mark.parametrize("first, second, nested", [
+    ("dyadic-open", "dyadic-open", True), ("dyadic-closed", "dyadic-closed", True),
+    ("triangular-real", "triangular-real", True), ("triangular-unit", "triangular-unit", True),
+    ("dyadic-open", "triangular-dyadic-cuts", True),
+    ("triangular-dyadic-cuts", "dyadic-open", True),
+    ("dyadic-open", "triangular-unit", False), ("triangular-unit", "dyadic-open", False),
+])
+def test_refine_map_matches_cell_walk(first, second, nested):
+    """Every pair of levels, coarse to fine and reversed, gives the cell
+    walk's boundaries or its straddle error, code and text alike; levels
+    of nested chains map without error from coarse to fine."""
+    a, b = CHAINS[first](), CHAINS[second]()
+    for ca in a.partitions:
+        for fb in b.partitions:
+            got = _refinement_outcome(lambda c, f: refine_map(c, f).boundaries.tolist(), ca, fb)
+            want = _refinement_outcome(lambda c, f: cell_walk_boundaries(c.cells, f.cells), ca, fb)
+            assert got == want, (ca.level, fb.level)
+            if nested and ca.level <= fb.level:
+                assert isinstance(got, list), got

@@ -11,10 +11,7 @@ from histolim.histograms import PROBABILITY, project
 from histolim.partitions import Domain, dyadic_chain
 from histolim.sampling import (
     chain_sample,
-    dirichlet_stack,
-    gaussian_stack,
     path_from_histogram,
-    polya_stack,
     sample_stack,
 )
 from histolim.streams import CHUNK_SIZE, RandomStream, run_chunked
@@ -37,7 +34,7 @@ CHAIN = dyadic_chain(depth=6)
 
 def test_dirichlet_rows_live_on_simplex():
     system = DirichletSystem(LebesgueBase())
-    stack = dirichlet_stack(system, CHAIN[3], RandomStream(1), 500)
+    stack = sample_stack(system, CHAIN, 3, RandomStream(1), 500)
     assert stack.kind == PROBABILITY
     assert np.allclose(stack.values.sum(axis=1), 1.0)
     assert np.all(stack.values >= 0)
@@ -45,7 +42,7 @@ def test_dirichlet_rows_live_on_simplex():
 
 def test_dirichlet_zero_concentration_cells_stay_zero():
     base = AtomicBase((0.2, 0.9), (1.0, 1.0))  # only cells 0 and 3 charged
-    stack = dirichlet_stack(DirichletSystem(base), CHAIN[2], RandomStream(2), 200)
+    stack = sample_stack(DirichletSystem(base), CHAIN, 2, RandomStream(2), 200)
     assert np.all(stack.values[:, 1] == 0.0)
     assert np.all(stack.values[:, 2] == 0.0)
 
@@ -53,7 +50,7 @@ def test_dirichlet_zero_concentration_cells_stay_zero():
 def test_dirichlet_tiny_concentrations_degenerate_to_atoms():
     # all-Gamma-underflow rows must still be unit atoms, not NaN
     base = AtomicBase((0.2, 0.9), (1e-300, 1e-300))
-    stack = dirichlet_stack(DirichletSystem(base), CHAIN[1], RandomStream(3), 300)
+    stack = sample_stack(DirichletSystem(base), CHAIN, 1, RandomStream(3), 300)
     assert np.all(np.isfinite(stack.values))
     assert np.allclose(stack.values.sum(axis=1), 1.0)
     # every row is a single unit atom
@@ -62,7 +59,7 @@ def test_dirichlet_tiny_concentrations_degenerate_to_atoms():
 
 def test_dirichlet_mean_matches_monte_carlo():
     system = DirichletSystem(LebesgueBase())
-    stack = dirichlet_stack(system, CHAIN[2], RandomStream(4), 20_000)
+    stack = sample_stack(system, CHAIN, 2, RandomStream(4), 20_000)
     est = stack.values.mean(axis=0)
     se = stack.values.std(axis=0, ddof=1) / math.sqrt(len(stack))
     z = (est - system.mean(CHAIN[2]).values) / se
@@ -72,15 +69,15 @@ def test_dirichlet_mean_matches_monte_carlo():
 def test_polya_level_replay_identity():
     """Depth-(m-1) run replays inside a depth-m run with the same stream."""
     system = PolyaTreeSystem(HomogeneousRule("m"))
-    fine = polya_stack(system, CHAIN, 5, RandomStream(9), 64)
-    coarse = polya_stack(system, CHAIN, 4, RandomStream(9), 64)
+    fine = sample_stack(system, CHAIN, 5, RandomStream(9), 64)
+    coarse = sample_stack(system, CHAIN, 4, RandomStream(9), 64)
     projected = project(fine, CHAIN.refinement(4, 5))
     assert np.allclose(projected.values, coarse.values, atol=1e-12)
 
 
 def test_polya_infinite_parameters_pin_splits():
     system = PolyaTreeSystem(TableRule({}, default=(math.inf, 1.0)))
-    stack = polya_stack(system, CHAIN, 3, RandomStream(11), 50)
+    stack = sample_stack(system, CHAIN, 3, RandomStream(11), 50)
     # every split pins left, so all mass sits in cell 0
     assert np.all(stack.values[:, 0] == 1.0)
     assert np.all(stack.values[:, 1:] == 0.0)
@@ -89,10 +86,10 @@ def test_polya_infinite_parameters_pin_splits():
 def test_polya_p0_needs_atom_cell():
     system = PolyaTreeSystem(HomogeneousRule("1"), p0=0.25)
     with pytest.raises(ValidationError) as e:
-        polya_stack(system, CHAIN, 2, RandomStream(1), 10)
+        sample_stack(system, CHAIN, 2, RandomStream(1), 10)
     assert e.value.code == "sampling/atom-mass"
     chain = dyadic_chain(Domain.unit(closed_left=True), depth=3)
-    stack = polya_stack(system, chain, 3, RandomStream(1), 40)
+    stack = sample_stack(system, chain, 3, RandomStream(1), 40)
     assert np.all(stack.values[:, 0] == 0.25)
     assert np.allclose(stack.values.sum(axis=1), 1.0)
 
@@ -103,18 +100,18 @@ def test_polya_rejects_non_binary_chain():
 
     chain = triangular_chain(rows)
     system = PolyaTreeSystem(HomogeneousRule("1"))
-    stack = polya_stack(system, chain, 2, RandomStream(1), 5)  # binary: fine
+    stack = sample_stack(system, chain, 2, RandomStream(1), 5)  # binary: fine
     assert stack.values.shape == (5, 4)
     bad = triangular_chain([[0.0], [-1.0, 0.0, 1.0],
                             [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]])
     assert len(bad[3].interval_cells) == 8  # still binary; build a broken one
     with pytest.raises(ValidationError):
-        polya_stack(system, CHAIN, 99, RandomStream(1), 5)
+        sample_stack(system, CHAIN, 99, RandomStream(1), 5)
 
 
 def test_gaussian_constant_covariance_draws_are_rank_one():
     system = GaussianSystem(ConstantCovariance(2.0))
-    stack = gaussian_stack(system, CHAIN[3], RandomStream(6), 100)
+    stack = sample_stack(system, CHAIN, 3, RandomStream(6), 100)
     w = np.full(8, 1 / 8)
     # every row is a scalar multiple of the cell-width vector, exactly
     ratio = stack.values / w[None, :]
@@ -123,7 +120,7 @@ def test_gaussian_constant_covariance_draws_are_rank_one():
 
 def test_gaussian_diagonal_moments():
     system = GaussianSystem(DiagonalCovariance(LebesgueBase()))
-    stack = gaussian_stack(system, CHAIN[2], RandomStream(7), 30_000)
+    stack = sample_stack(system, CHAIN, 2, RandomStream(7), 30_000)
     var = stack.values.var(axis=0, ddof=1)
     assert np.allclose(var, 0.25, atol=0.02)
     cov = np.cov(stack.values[:, 0], stack.values[:, 1])[0, 1]
@@ -133,7 +130,7 @@ def test_gaussian_diagonal_moments():
 def test_gaussian_centre_offsets_rows():
     system = GaussianSystem(DiagonalCovariance(AtomicBase((0.9,), (0.0,))),
                             centre=LebesgueBase())
-    stack = gaussian_stack(system, CHAIN[1], RandomStream(8), 10)
+    stack = sample_stack(system, CHAIN, 1, RandomStream(8), 10)
     # zero covariance: rows equal the centre exactly
     assert np.allclose(stack.values, 0.5)
 
@@ -148,9 +145,10 @@ def test_gaussian_diagonal_equals_dense_factor(depth, replicates, sigma2, centre
     """Elementwise diagonal draws give the bits of centre + z @ F^T with
     the dense factor F = diag(sqrt(sigma2)), signed zeros included."""
     system = GaussianSystem(DiagonalCovariance(sigma2), centre=centre)
-    partition = dyadic_chain(depth=depth)[depth]
+    chain = dyadic_chain(depth=depth)
+    partition = chain[depth]
     stream = RandomStream(17)
-    got = gaussian_stack(system, partition, stream, replicates).values
+    got = sample_stack(system, chain, depth, stream, replicates).values
     mean = system.centre_histogram(partition).values
     factor = sigma_factor(system.covariance, partition)
 
@@ -305,7 +303,7 @@ def test_beta_matrix_draws_uniforms_only_for_underflows():
 def test_polya_draws_equal_the_stacked_level_loop(system, closed):
     chain = dyadic_chain(Domain.unit(closed_left=closed), depth=6)
     for depth in (0, 1, 6):
-        new = polya_stack(system, chain, depth, RandomStream(5), 8200, jobs=2)
+        new = sample_stack(system, chain, depth, RandomStream(5), 8200, jobs=2)
         old = _old_polya_rows(system, chain, depth, RandomStream(5), 8200)
         assert np.array_equal(new.values, old)
 
@@ -313,7 +311,7 @@ def test_polya_draws_equal_the_stacked_level_loop(system, closed):
 @pytest.mark.parametrize("scale", [1.0, 1e-5])  # 1e-5: most rows underflow
 def test_dirichlet_draws_equal_the_always_uniform_draw(scale):
     system = DirichletSystem(LebesgueBase(scale))
-    new = dirichlet_stack(system, CHAIN[4], RandomStream(6), 8200, jobs=2)
+    new = sample_stack(system, CHAIN, 4, RandomStream(6), 8200, jobs=2)
     old = _old_dirichlet_rows(system, CHAIN[4], RandomStream(6), 8200)
     assert np.array_equal(new.values, old)
     # the first chunk's Gammas: at scale 1e-5 some rows underflow entirely
@@ -340,3 +338,21 @@ def test_sample_stack_is_built_once(system, jobs):
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * stack.values.nbytes
+
+
+@pytest.mark.parametrize("system", [DirichletSystem(LebesgueBase()), LeakageSystem(0.2, depth=6)],
+                         ids=lambda system: type(system).__name__)
+def test_path_adds_one_array_of_running_sums(system):
+    """The path's points are a slice of the running sums, and the -0.0
+    fix-up is done in place, so the traced peak of sampling a stack and
+    taking its paths stays near two stacks (three, with a masked copy)."""
+    chain = dyadic_chain(depth=6) if isinstance(system, DirichletSystem) else system.chain()
+    tracemalloc.start()
+    try:
+        stack = sample_stack(system, chain, 6, RandomStream(2), 3 * CHUNK_SIZE)
+        t, b = path_from_histogram(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b.shape == (len(stack), len(t))
+    assert peak < 2.5 * stack.values.nbytes

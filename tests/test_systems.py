@@ -29,12 +29,65 @@ from histolim.systems import (
     TableRule,
     assemble_sigma,
     sigma_factor,
-    split_mean,
-    split_second_moment,
     system_from_json,
 )
 
 CHAIN = dyadic_chain(depth=4)
+
+
+# --- per-node moment oracles ------------------------------------------------
+# Closed forms node by node, against which the level-wise means and the
+# Beta split moments are checked.
+
+def split_mean(b0: float, b1: float) -> tuple[float, float]:
+    """Expected (left, right) fractions of a Beta split, honoring the
+    infinite-parameter point masses."""
+    inf0, inf1 = math.isinf(b0), math.isinf(b1)
+    if inf0 and inf1:
+        return (0.5, 0.5)
+    if inf0:
+        return (1.0, 0.0)
+    if inf1:
+        return (0.0, 1.0)
+    total = b0 + b1
+    return (b0 / total, b1 / total)
+
+
+def split_second_moment(b0: float, b1: float) -> tuple[float, float]:
+    """Expected squared (left, right) fractions of a Beta split."""
+    if math.isinf(b0) or math.isinf(b1):
+        m0, m1 = split_mean(b0, b1)
+        return (m0 * m0, m1 * m1)  # the split is deterministic
+    total = b0 + b1
+    common = b0 * b1 / (total * total * (total + 1.0))
+    return (common + (b0 / total) ** 2, common + (b1 / total) ** 2)
+
+
+def mean_of_index(system: PolyaTreeSystem, index: CellIndex) -> float:
+    """E P(cell) as the product of expected split fractions along the
+    label path."""
+    value = 1.0
+    for l in range(index.level):
+        node = CellIndex(index.bits[:l], l)
+        b0, b1 = system.rule.pair(node)
+        value *= split_mean(b0, b1)[index.bits[l]]
+    return value * (1.0 - system.p0)
+
+
+def second_moment_of_index(system: PolyaTreeSystem, index: CellIndex) -> float:
+    value = 1.0
+    for l in range(index.level):
+        node = CellIndex(index.bits[:l], l)
+        b0, b1 = system.rule.pair(node)
+        value *= split_second_moment(b0, b1)[index.bits[l]]
+    return value * (1.0 - system.p0) ** 2
+
+
+def dirichlet_second_moment(system: DirichletSystem, partition) -> np.ndarray:
+    """Per-cell E[P(A)^2] = (nu(A)^2 + nu(A)) / (nu(X)^2 + nu(X))."""
+    nu = system.concentrations(partition)
+    total = nu.sum()
+    return (nu**2 + nu) / (total**2 + total)
 
 
 # --- base measures ----------------------------------------------------------
@@ -70,7 +123,7 @@ def test_dirichlet_mean_is_normalized_base():
 def test_dirichlet_second_moment_level2():
     # nu = (1/4,...,1/4), total 1: E P(A)^2 = (1/16 + 1/4) / 2 = 5/32
     system = DirichletSystem(LebesgueBase())
-    m2 = system.second_moment(CHAIN[2])
+    m2 = dirichlet_second_moment(system, CHAIN[2])
     assert m2.tolist() == pytest.approx([5 / 32] * 4)
 
 
@@ -144,10 +197,10 @@ def test_polya_mean_and_second_moment():
     system = PolyaTreeSystem(het)
     idx = CellIndex((0, 1), 2)
     # E = (2/3) * (3/4); E^2 uses Beta second moments per level
-    assert system.mean_of_index(idx) == pytest.approx(0.5)
+    assert mean_of_index(system, idx) == pytest.approx(0.5)
     s1 = split_second_moment(2.0, 1.0)[0]
     s2 = split_second_moment(1.0, 3.0)[1]
-    assert system.second_moment_of_index(idx) == pytest.approx(s1 * s2)
+    assert second_moment_of_index(system, idx) == pytest.approx(s1 * s2)
     total = system.mean(CHAIN[2]).total()
     assert total == pytest.approx(1.0)
 
@@ -174,7 +227,7 @@ def test_polya_mean_equals_per_cell_products(rule, p0, domain):
     system = PolyaTreeSystem(rule, p0)
     chain = dyadic_chain(domain, depth=8)
     for part in chain.partitions:
-        per_cell = [p0 if c.is_atom else system.mean_of_index(c.index)
+        per_cell = [p0 if c.is_atom else mean_of_index(system, c.index)
                     for c in part.cells]
         assert np.array_equal(system.mean(part).values, per_cell)
 
