@@ -823,11 +823,11 @@ def leakage_counterexample(delta: float, depth: int,
     system = LeakageSystem(delta, depth, interior=interior)
     windows = (0.1, 0.2, 0.3, 0.45) if interior else (1.0, 2.0, 4.0, 8.0)
     chain = system.chain()
-    rows = tuple((n, k, system.outside_mass(chain[n], k))
-                 for n in range(1, depth + 1) for k in windows)
-    widest = max(windows)
-    evidence = tuple((n, system.outside_mass(chain[n], widest))
-                     for n in range(1, depth + 1))
+    masses = [system.outside_masses(chain[n], windows) for n in range(1, depth + 1)]
+    rows = tuple((n, k, mass) for n, level in enumerate(masses, start=1)
+                 for k, mass in zip(windows, level))
+    widest = windows.index(max(windows))
+    evidence = tuple((n, level[widest]) for n, level in enumerate(masses, start=1))
     name, anchor = "leakage-tightness", EVALUATOR_TAGS["leakage-tightness"]
     if delta == 0.0:
         verdict = Verdict(name, HOLDS, anchor,

@@ -222,7 +222,7 @@ def _largest_shares(values: np.ndarray, kind: str) -> np.ndarray:
     totals = absval.sum(axis=1)
     out = np.zeros(len(absval))
     live = totals > 0
-    out[live] = absval[live].max(axis=1) / totals[live]
+    out[live] = absval.max(axis=1)[live] / totals[live]
     return out
 
 
@@ -301,25 +301,36 @@ def domination_statistic(system: HistogramSystem, chain: PartitionChain,
                    reference=reference)[1]
 
 
+#: a drawn chunk is reduced this many cells (1 MB of float64) at a time
+_BLOCK_CELLS = 2 ** 17
+
+
 def _chunk_reducer(draw, kind: str, q: Optional[np.ndarray], L_grid: Sequence[float]):
     """Wrap a level's draw so that a chunk returns only what its curve
-    needs: ``(finite, low, off)``, the chunk's validation summary (see
-    `check_summary`), then per-row largest shares when `q` is None, or else
-    the zero-reference cells that got mass and the per-row excess over
-    L * q for every L."""
+    needs: ``(finite, low, off)``, the validation summary (see
+    `check_summary`) of each block of rows, then per-row largest shares
+    when `q` is None, or else the zero-reference cells that got mass and
+    the per-row excess over L * q for every L.  Each row's results depend
+    on that row alone, so reducing the chunk in blocks of rows gives the
+    bits of reducing it whole, without its full-size temporaries."""
+
+    def reduce_block(rows: np.ndarray) -> tuple:
+        off = np.abs(rows.sum(axis=1) - 1.0).max() if kind == PROBABILITY else 0.0
+        summary = (np.array([np.isfinite(rows).all()]),
+                   np.array([rows.min()]), np.array([off]))
+        if q is None:
+            return summary + (_largest_shares(rows, kind),)
+        hit = np.any(rows[:, q == 0] != 0, axis=0)[None, :]
+        return summary + (hit,) + tuple(truncation_values(rows, q, float(L))
+                                        for L in L_grid)
 
     def reduce(sub: RandomStream, k: int) -> tuple:
         rows = draw(sub, k)
+        step = max(1, _BLOCK_CELLS // rows.shape[1])
         # a chunk that fails validation is never read, so its warnings are noise
         with np.errstate(all="ignore"):
-            off = np.abs(rows.sum(axis=1) - 1.0).max() if kind == PROBABILITY else 0.0
-            summary = (np.array([np.isfinite(rows).all()]),
-                       np.array([rows.min()]), np.array([off]))
-            if q is None:
-                return summary + (_largest_shares(rows, kind),)
-            hit = np.any(rows[:, q == 0] != 0, axis=0)[None, :]
-            return summary + (hit,) + tuple(truncation_values(rows, q, float(L))
-                                            for L in L_grid)
+            blocks = [reduce_block(rows[i:i + step]) for i in range(0, k, step)]
+        return tuple(np.concatenate(field) for field in zip(*blocks))
 
     return reduce
 

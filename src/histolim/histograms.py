@@ -183,7 +183,8 @@ def tv_norm(h: Union[Histogram, HistogramStack]) -> Union[float, np.ndarray]:
 
 
 def truncation_values(p: np.ndarray, q: np.ndarray, level: float) -> np.ndarray:
-    return np.clip(p - level * q, 0.0, None).sum(axis=-1)
+    excess = p - level * q
+    return np.clip(excess, 0.0, None, out=excess).sum(axis=-1)
 
 
 def truncation_statistic(p: Histogram, q: Histogram, level: float) -> float:

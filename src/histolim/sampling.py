@@ -83,8 +83,8 @@ def _beta_matrix(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
     (inf, inf) to 1/2."""
     fa = np.where(np.isfinite(a), a, 1.0)
     fb = np.where(np.isfinite(b), b, 1.0)
-    ga = rng.gamma(fa, 1.0, size=(n, len(a)))
-    gb = rng.gamma(fb, 1.0, size=(n, len(b)))
+    ga = rng.standard_gamma(fa, size=(n, len(a)))  # the bits of gamma(fa, 1.0)
+    gb = rng.standard_gamma(fb, size=(n, len(b)))
     total = np.add(ga, gb, out=gb)
     dead = total == 0.0
     # in place: where the total is 0 both Gammas are, so ga already holds 0
@@ -124,7 +124,10 @@ def _check_binary_chain(chain: PartitionChain, depth: int) -> None:
 
 
 def _polya_draw(system: PolyaTreeSystem, chain: PartitionChain, depth: int):
-    """Top-down product of independent splitting draws.
+    """Top-down product of independent splitting draws, grown in place in
+    the output rows: level l's masses sit every ``2**(depth - l)`` columns,
+    and each level writes its right children ``mass * (1 - v)`` into their
+    own columns before turning each parent into its left child ``mass * v``.
 
     Level l consumes its own substream ``child(l)``, so a depth-(m-1) run
     replays exactly the first m-1 levels of a depth-m run with the same
@@ -139,15 +142,15 @@ def _polya_draw(system: PolyaTreeSystem, chain: PartitionChain, depth: int):
 
     def draw(sub: RandomStream, k: int, out=None) -> np.ndarray:
         out = np.empty((k, len(partition))) if out is None else out
-        mass = np.full((k, 1), tree_mass)
+        tree = out[:, partition.has_atom:]
+        tree[:, 0] = tree_mass
         for level, (a, b) in enumerate(pairs, start=1):
             v = _beta_matrix(sub.child(level).generator(), a, b, k)
-            children = (out[:, partition.has_atom:] if level == depth  # drawn in place
-                        else np.empty((k, 2 * mass.shape[1])))
-            np.multiply(mass, v, out=children[:, 0::2])
-            np.multiply(mass, 1.0 - v, out=children[:, 1::2])
-            mass = children
-        out[:, partition.has_atom:] = mass  # the root at depth 0, else a no-op
+            step = 1 << (depth - level)
+            mass, right = tree[:, 0::2 * step], tree[:, step::2 * step]
+            np.multiply(np.subtract(1.0, v, out=right), mass, out=right)
+            np.multiply(mass, v, out=mass)
+            del v  # freed before the next level draws its Beta pair
         if partition.has_atom:
             out[:, 0] = system.p0
         return out

@@ -792,20 +792,17 @@ class GaussianSystem:
 def leakage_rows(depth: int) -> list[list[float]]:
     """Nested cut-point rows: each level pushes the outer cuts one unit
     further out and bisects every interior gap, keeping the previous row at
-    the even positions."""
-    rows: list[list[Fraction]] = []
-    current: list[Fraction] = [Fraction(0)]
-    rows.append(list(current))
+    the even positions.  Every cut is a dyadic rational with far fewer than
+    53 significant bits, so the float arithmetic is exact."""
+    rows = [np.zeros(1)]
     for _ in range(2, depth + 1):
-        new = [current[0] - 1]
-        for a, b in zip(current[:-1], current[1:]):
-            new.append(a)
-            new.append((a + b) / 2)
-        new.append(current[-1])
-        new.append(current[-1] + 1)
-        current = new
-        rows.append(list(current))
-    return [[float(q) for q in row] for row in rows]
+        prev = rows[-1]
+        row = np.empty(2 * len(prev) + 1)
+        row[1::2] = prev
+        row[2:-1:2] = (prev[:-1] + prev[1:]) / 2
+        row[0], row[-1] = prev[0] - 1.0, prev[-1] + 1.0
+        rows.append(row)
+    return [row.tolist() for row in rows]
 
 
 @dataclass(frozen=True)
@@ -847,21 +844,24 @@ class LeakageSystem:
         values[partition.position_of(centre)] += 1.0 - self.delta
         return Histogram(partition, values, PROBABILITY)
 
-    def outside_mass(self, partition: Partition, window: float) -> float:
-        """Deterministic mass outside the closed window [-K, K] (after the
-        chart, [1/2 - K', 1/2 + K'])."""
-        if window < 0:
-            raise ValidationError("system/window", f"window must be >= 0, got {window}")
-        h = self.mean(partition)
-        lo, hi = (-window, window)
-        if self.interior:
-            lo, hi = 0.5 - window, 0.5 + window
+    def outside_masses(self, partition: Partition, windows) -> list[float]:
+        """Deterministic mass outside each closed window [-K, K] (after the
+        chart, [1/2 - K', 1/2 + K']), with the level's mean and edges read
+        once for all the windows."""
+        for window in windows:
+            if window < 0:
+                raise ValidationError("system/window", f"window must be >= 0, got {window}")
+        values = self.mean(partition).values.tolist()
         edges = partition.edges().tolist()
-        total = 0.0
-        for left, right, value in zip(edges, edges[1:], h.values.tolist()):
-            if right <= lo or left >= hi:
-                total += value
-        return total
+        masses = []
+        for window in windows:
+            lo, hi = (0.5 - window, 0.5 + window) if self.interior else (-window, window)
+            total = 0.0
+            for left, right, value in zip(edges, edges[1:], values):
+                if right <= lo or left >= hi:
+                    total += value
+            masses.append(total)
+        return masses
 
     def to_json(self) -> dict:
         return {"family": "leakage", "delta": self.delta, "depth": self.depth,

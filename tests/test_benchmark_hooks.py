@@ -7,7 +7,8 @@ hooks in a fresh interpreter (the monkeypatching stays out of the pytest
 process) and run small traced commands.  The `conditions.*` metrics come
 from wrapping the evaluators where `cli` and `diagnostics` call them; if the
 calls moved elsewhere those metrics would read 0 without any error, so a
-traced `check` on one system per family must record every evaluator.
+traced `check` on one system per family must record every evaluator, and a
+traced `diagnose` must record `histograms.truncation_values`.
 """
 
 import os
@@ -27,6 +28,8 @@ with contextlib.redirect_stdout(io.StringIO()):
                               "--jobs", "2"])
 assert code == 0, code
 assert any(s[1] == "diagnostics.phase_report" for s in tracer.spans)
+# the excess of each block of rows goes through the wrapped module global
+assert any(s[1] == "histograms.truncation_values" for s in tracer.spans)
 before = len(tracer.spans)
 for name in ("polya_m2", "dirichlet_lebesgue", "gaussian_diagonal"):
     with contextlib.redirect_stdout(io.StringIO()):

@@ -7,6 +7,7 @@ stack per depth, kept verbatim; the engine must give the same JSON for
 every job count, the same first error, and must never hold a whole stack.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -34,7 +35,7 @@ from histolim.histograms import (
     truncation_values,
 )
 from histolim.partitions import Domain, dyadic_chain
-from histolim.sampling import sample_stack
+from histolim.sampling import level_drawer, sample_stack
 from histolim.streams import CHUNK_SIZE, RandomStream
 from histolim.systems import (
     AtomicBase,
@@ -285,7 +286,98 @@ def test_zero_reference_hits_merge_over_chunks(monkeypatch):
                                     reference=reference).to_json() == expected
 
 
+# --- the chunk reducer works a block of rows at a time ----------------------
+
+BLOCK_CHAIN = dyadic_chain(depth=6)
+BLOCK = diagnostics._BLOCK_CELLS // len(BLOCK_CHAIN[6])
+
+
+def _whole_chunk(rows, kind, q, L_grid):
+    """The chunk's reduction in one pass over all its rows, as it was
+    written before the rows were blocked."""
+    with np.errstate(all="ignore"):
+        off = np.abs(rows.sum(axis=1) - 1.0).max() if kind == PROBABILITY else 0.0
+        summary = [np.isfinite(rows).all(), rows.min(), off]
+        if q is None:
+            if kind == PROBABILITY:
+                return summary + [rows.max(axis=1)]
+            absval = np.abs(rows)
+            totals = absval.sum(axis=1)
+            shares = np.zeros(len(absval))
+            live = totals > 0
+            shares[live] = absval[live].max(axis=1) / totals[live]
+            return summary + [shares]
+        hit = np.any(rows[:, q == 0] != 0, axis=0)
+        return summary + [hit] + [np.clip(rows - float(L) * q, 0.0, None).sum(axis=-1)
+                                  for L in L_grid]
+
+
+@functools.lru_cache(maxsize=None)
+def _drawn(case):
+    """(kind, one full chunk of rows, reference values) at depth 6."""
+    systems = {
+        "dirichlet-lebesgue": DirichletSystem(LebesgueBase()),
+        # two charged cells of 64, with Gammas of shape 1e-3 that both
+        # underflow in about 23% of the rows: the categorical fallback
+        "dirichlet-dead-rows": DirichletSystem(AtomicBase((0.2, 0.9), (1e-3, 1e-3))),
+        "atoms-reference": DirichletSystem(LebesgueBase()),
+        "gaussian-diagonal": GaussianSystem(DiagonalCovariance(LebesgueBase())),
+        "signed-zero-rows": GaussianSystem(DiagonalCovariance(LebesgueBase())),
+    }
+    system = systems[case]
+    partition, kind, draw = level_drawer(system, BLOCK_CHAIN, 6)
+    rows = draw(RandomStream(3), CHUNK_SIZE)
+    if case == "atoms-reference":  # q is zero in 62 of the 64 cells
+        system = DirichletSystem(AtomicBase((0.2, 0.7), (1.0, 2.0)))
+    if case == "signed-zero-rows":
+        rows[::3] = 0.0
+    return kind, rows, reference_histogram(system, partition).values
+
+
+@pytest.mark.parametrize("k", [1, BLOCK - 1, BLOCK, BLOCK + 1, 1808, CHUNK_SIZE])
+@pytest.mark.parametrize("case", ["dirichlet-lebesgue", "dirichlet-dead-rows", "atoms-reference",
+                                  "gaussian-diagonal", "signed-zero-rows"])
+def test_block_reducer_gives_the_whole_chunk_bits(case, k):
+    kind, chunk, q = _drawn(case)
+    rows, L_grid = chunk[:k], (0.0, 1.0, 2.5)
+    for ref in (None, q):
+        reduce = diagnostics._chunk_reducer(lambda sub, n: rows.copy(), kind, ref, L_grid)
+        finite, low, off, *values = reduce(RandomStream(0), k)
+        got = [finite.all(), low.min(), off.max(), *values]
+        if ref is not None:
+            got[3] = values[0].any(axis=0)
+        want = _whole_chunk(rows, kind, ref, L_grid)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+            assert np.array_equal(np.signbit(np.asarray(g, float)),
+                                  np.signbit(np.asarray(w, float)))
+
+
 # --- memory -----------------------------------------------------------------
+
+@pytest.mark.parametrize("system, bound", [
+    (DirichletSystem(LebesgueBase()), 1.5),
+    (GaussianSystem(DiagonalCovariance(LebesgueBase())), 1.5),
+    (PolyaTreeSystem(HomogeneousRule("m**2")), 2.5),
+], ids=lambda v: type(v).__name__ if not isinstance(v, float) else None)
+def test_one_chunk_curves_hold_little_beside_the_chunk(system, bound):
+    """A chunk is reduced in blocks of rows, so its temporaries are a
+    block's, not the chunk's: the traced peak of one-chunk curves stays near
+    the chunk (about 3x when the excess, its clip and the absolute values
+    were whole-chunk arrays).  A Polya tree adds its last level's Beta pair,
+    two half-chunk arrays."""
+    chunk_bytes = CHUNK_SIZE * len(BLOCK_CHAIN[6]) * 8
+    args = dict(seed=0, jobs=1, L_grid=(1.0, 2.0))
+    diagnostics._curves(system, BLOCK_CHAIN, (6,), 100, **args)  # warm caches
+    tracemalloc.start()
+    try:
+        diagnostics._curves(system, BLOCK_CHAIN, (6,), CHUNK_SIZE, **args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * chunk_bytes, f"{peak / chunk_bytes:.2f}x the chunk"
+
 
 def test_phase_report_never_holds_a_whole_stack():
     chain = dyadic_chain(depth=7)

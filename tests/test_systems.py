@@ -28,6 +28,7 @@ from histolim.systems import (
     PolyaTreeSystem,
     TableRule,
     assemble_sigma,
+    leakage_rows,
     sigma_factor,
     system_from_json,
 )
@@ -361,8 +362,34 @@ def test_leakage_outside_mass_schedule():
     # outer cuts sit at +-(n-1); the closed window [-4, 4] is escaped as
     # soon as the cut reaches it, i.e. from depth 5 on
     for n, expect in [(2, 0.0), (4, 0.0), (5, 0.2), (8, 0.2)]:
-        assert system.outside_mass(chain[n], 4.0) == pytest.approx(expect)
-    assert system.outside_mass(chain[8], 0.5) == pytest.approx(0.2)
+        assert system.outside_masses(chain[n], (4.0,)) == [pytest.approx(expect)]
+    assert system.outside_masses(chain[8], (0.5, 4.0, 8.0)) == pytest.approx([0.2, 0.2, 0.0])
+
+
+def _fraction_leakage_rows(depth):
+    """The cut points built as exact Fractions, then turned into floats."""
+    rows = []
+    current = [Fraction(0)]
+    rows.append(list(current))
+    for _ in range(2, depth + 1):
+        new = [current[0] - 1]
+        for a, b in zip(current[:-1], current[1:]):
+            new.append(a)
+            new.append((a + b) / 2)
+        new.append(current[-1])
+        new.append(current[-1] + 1)
+        current = new
+        rows.append(list(current))
+    return [[float(q) for q in row] for row in rows]
+
+
+def test_leakage_rows_equal_the_exact_fraction_rows():
+    exact = _fraction_leakage_rows(18)
+    got = leakage_rows(18)
+    assert got == exact
+    assert all(np.array_equal(np.signbit(g), np.signbit(e)) for g, e in zip(got, exact))
+    for depth in (1, 2, 7):
+        assert leakage_rows(depth) == exact[:depth]
 
 
 def test_leakage_histogram_masses():
