@@ -688,8 +688,11 @@ def gaussian_conditions(system: GaussianSystem, chain: PartitionChain,
 
     for m in _matrix_levels(system, chain, depth):
         part = chain[m]
-        sigma = assemble_sigma(spec, part)
-        diag = np.diag(sigma)
+        if isinstance(spec, DiagonalCovariance):  # no matrix: tau is the largest variance
+            diag = spec.variances(part)
+        else:
+            sigma = assemble_sigma(spec, part)
+            diag = np.diag(sigma)
         curves["diagonal"].append((m, float(diag.max())))
         curves["weak"].append((m, float(np.sqrt(diag).sum())))
         curves["trace"].append((m, float(diag.sum())))

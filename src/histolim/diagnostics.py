@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import io
 import csv
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -55,8 +57,8 @@ from .histograms import (
     tv_distance_density,
 )
 from .partitions import Partition, PartitionChain, endpoint_to_float, max_depth
-from .sampling import level_drawer, sample_stack
-from .streams import RandomStream, run_grids
+from .sampling import _BLOCK_CELLS, level_drawer, sample_stack
+from .streams import CHUNK_SIZE, RandomStream, run_grids
 from .systems import (
     DirichletSystem,
     GaussianSystem,
@@ -301,18 +303,17 @@ def domination_statistic(system: HistogramSystem, chain: PartitionChain,
                    reference=reference)[1]
 
 
-#: a drawn chunk is reduced this many cells (1 MB of float64) at a time
-_BLOCK_CELLS = 2 ** 17
-
-
-def _chunk_reducer(draw, kind: str, q: Optional[np.ndarray], L_grid: Sequence[float]):
-    """Wrap a level's draw so that a chunk returns only what its curve
-    needs: ``(finite, low, off)``, the validation summary (see
-    `check_summary`) of each block of rows, then per-row largest shares
-    when `q` is None, or else the zero-reference cells that got mass and
-    the per-row excess over L * q for every L.  Each row's results depend
-    on that row alone, so reducing the chunk in blocks of rows gives the
-    bits of reducing it whole, without its full-size temporaries."""
+def _chunk_reducer(draw, kind: str, q: Optional[np.ndarray], L_grid: Sequence[float],
+                   rows_for: Callable[[int], np.ndarray]):
+    """Wrap a level's draw so that a chunk is drawn into ``rows_for(k)``
+    and returns only what its curve needs: ``(finite, low, off)``, the
+    validation summary (see `check_summary`) of each block of rows, then
+    per-row largest shares when `q` is None, or else the zero-reference
+    cells that got mass and the per-row excess over L * q for every L.
+    Each row's results depend on that row alone, so reducing the chunk in
+    blocks of rows gives the bits of reducing it whole, without its
+    full-size temporaries; every result is a new array, never a view of
+    the rows, which the next chunk overwrites."""
 
     def reduce_block(rows: np.ndarray) -> tuple:
         off = np.abs(rows.sum(axis=1) - 1.0).max() if kind == PROBABILITY else 0.0
@@ -325,7 +326,7 @@ def _chunk_reducer(draw, kind: str, q: Optional[np.ndarray], L_grid: Sequence[fl
                                         for L in L_grid)
 
     def reduce(sub: RandomStream, k: int) -> tuple:
-        rows = draw(sub, k)
+        rows = draw(sub, k, rows_for(k))
         step = max(1, _BLOCK_CELLS // rows.shape[1])
         # a chunk that fails validation is never read, so its warnings are noise
         with np.errstate(all="ignore"):
@@ -343,7 +344,9 @@ def _curves(system: HistogramSystem, chain: PartitionChain, depths: Sequence[int
     """The atomicity curve (stream root ``(seed, (0,))``) and, given an L
     grid, the domination curves (root ``(seed, (1,))``), with every chunk
     of every depth drawn on one pool of `jobs` threads and reduced where it
-    is drawn, so no whole stack is ever held.
+    is drawn, so no whole stack is ever held.  Each thread draws all its
+    chunks into one buffer, allocated once and freed by the time this call
+    returns, so the threads' allocators keep no freed chunk arrays.
 
     The steps fail in the order of drawing the curves one after the other:
     every atomicity depth (set-up, then its stack's validation), then the L
@@ -356,6 +359,14 @@ def _curves(system: HistogramSystem, chain: PartitionChain, depths: Sequence[int
                               "need at least 2 replicates for a standard error")
     levels: dict[int, tuple] = {}  # depth -> (partition, kind, draw)
     steps, grids, failure = [], [], None
+    local = threading.local()
+
+    def rows_for(cells: int, k: int) -> np.ndarray:
+        """This thread's draw buffer, made by its first chunk, as k rows."""
+        if not hasattr(local, "buffer"):
+            local.buffer = np.empty(size)
+        return local.buffer[:k * cells].reshape(k, cells)
+
     try:
         for curve in ((0,) if atomicity else ()) + ((1,) if L_grid is not None else ()):
             if curve == 1 and any(L < 0 for L in L_grid):
@@ -370,12 +381,15 @@ def _curves(system: HistogramSystem, chain: PartitionChain, depths: Sequence[int
                          else reference_histogram(system, part)).values
                 if depth not in levels:
                     levels[depth] = level_drawer(system, chain, depth)
-                _, kind, draw = levels[depth]
+                partition, kind, draw = levels[depth]
                 steps.append((depth, kind, q))
-                grids.append((root.child(i), replicates,
-                              _chunk_reducer(draw, kind, q, L_grid)))
+                grids.append((root.child(i), replicates, _chunk_reducer(
+                    draw, kind, q, L_grid, functools.partial(rows_for, len(partition)))))
     except HistolimError as e:
         failure = e
+    # the largest chunk of the largest level; each buffer is freed when its
+    # pool thread exits, or with `local` when this call returns
+    size = min(replicates, CHUNK_SIZE) * max((len(p) for p, _, _ in levels.values()), default=0)
     atom_points, mean_points, tail_points, notes = [], [], [], []
     for (depth, kind, q), (finite, low, off, *values) in zip(
             steps, run_grids(grids, jobs=jobs)):

@@ -523,7 +523,11 @@ def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = No
             "partition/depth-capacity",
             f"depth {len(rows)} exceeds the configured maximum {cap} (set {MAX_DEPTH_ENV} to raise it)",
         )
+    # a float is beyond an exact end exactly when it is beyond that end's
+    # float, except when it equals it; that one value is compared exactly
+    left, right = float(domain.left), float(domain.right)
     parsed: list[list[float]] = []
+    prev = None
     for n, row in enumerate(rows, start=1):
         row = [float(v) for v in row]
         if len(row) != (1 << n) - 1:
@@ -531,31 +535,39 @@ def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = No
                 "partition/row-length",
                 f"row {n} has {len(row)} points, expected {(1 << n) - 1}",
             )
-        for m, v in enumerate(row, start=1):
-            if not np.isfinite(v):
-                raise ValidationError("partition/ordering", f"q[{n}][{m}]={v!r} is not finite")
-            if not domain.contains(v):
+        q = np.array(row)
+        finite = np.isfinite(q)
+        inside = (left < q) & (q <= right)
+        for end in {left, right}:
+            inside[q == end] = domain.contains(end)
+        bad = np.flatnonzero(~(finite & inside))
+        if len(bad):
+            m = int(bad[0]) + 1
+            if not finite[m - 1]:
+                raise ValidationError("partition/ordering", f"q[{n}][{m}]={row[m - 1]!r} is not finite")
+            raise ValidationError(
+                "partition/domain",
+                f"q[{n}][{m}]={row[m - 1]!r} lies outside the domain {domain.describe()}",
+            )
+        bad = np.flatnonzero(~(q[:-1] < q[1:]))
+        if len(bad):
+            m = int(bad[0]) + 1
+            raise ValidationError(
+                "partition/ordering",
+                f"row {n} is not strictly increasing at (n, m)=({n}, {m + 1}): "
+                f"q[{n}][{m + 1}]={row[m]!r} <= q[{n}][{m}]={row[m - 1]!r}",
+            )
+        if prev is not None:
+            bad = np.flatnonzero(q[1::2] != prev)
+            if len(bad):
+                m = int(bad[0]) + 1
                 raise ValidationError(
-                    "partition/domain",
-                    f"q[{n}][{m}]={v!r} lies outside the domain {domain.describe()}",
+                    "partition/nesting",
+                    f"nesting violated at (n, m)=({n}, {2 * m}): "
+                    f"q[{n}][{2 * m}]={row[2 * m - 1]!r} != q[{n - 1}][{m}]={parsed[-1][m - 1]!r}",
                 )
-        for m in range(1, len(row)):
-            if not row[m - 1] < row[m]:
-                raise ValidationError(
-                    "partition/ordering",
-                    f"row {n} is not strictly increasing at (n, m)=({n}, {m + 1}): "
-                    f"q[{n}][{m + 1}]={row[m]!r} <= q[{n}][{m}]={row[m - 1]!r}",
-                )
-        if n > 1:
-            prev = parsed[-1]
-            for m in range(1, len(prev) + 1):
-                if row[2 * m - 1] != prev[m - 1]:
-                    raise ValidationError(
-                        "partition/nesting",
-                        f"nesting violated at (n, m)=({n}, {2 * m}): "
-                        f"q[{n}][{2 * m}]={row[2 * m - 1]!r} != q[{n - 1}][{m}]={prev[m - 1]!r}",
-                    )
         parsed.append(row)
+        prev = q
     lo, hi = domain.left, domain.right
     return PartitionChain(tuple(Partition(domain, "triangular", n, (lo, *row, hi))
                                 for n, row in enumerate([[]] + parsed)))

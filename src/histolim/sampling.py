@@ -35,6 +35,17 @@ def _check_replicates(n: int) -> None:
         raise ValidationError("sampling/replicates", f"need at least 1 replicate, got {n}")
 
 
+#: a Polya level draws its Beta pair, and `diagnose` reduces a drawn chunk,
+#: this many cells (1 MB of float64) at a time
+_BLOCK_CELLS = 2 ** 17
+
+
+def _gamma_shape(f: np.ndarray):
+    """`f`, or its one value when all are equal: `standard_gamma` gives the
+    same bits for a scalar shape, faster."""
+    return float(f[0]) if (f == f[0]).all() else f
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet
 
@@ -49,15 +60,17 @@ def _dirichlet_draw(system: DirichletSystem, partition: Partition):
     """
     nu = system.concentrations(partition)
     positive = nu > 0
+    shape = _gamma_shape(nu)
     cum = np.cumsum(nu) / nu.sum()
     cum[-1] = 1.0
 
     def draw(sub: RandomStream, k: int, out=None) -> np.ndarray:
         rng = sub.generator()
         if positive.all():  # Gamma(nu, 1) is the standard Gamma, drawn in place
-            g = rng.standard_gamma(nu, size=(k, len(nu)), out=out)
+            g = rng.standard_gamma(shape, size=(k, len(nu)), out=out)
         else:
-            g = np.zeros((k, len(nu)))
+            g = np.empty((k, len(nu))) if out is None else out
+            g[:, ~positive] = 0.0
             g[:, positive] = rng.gamma(nu[positive], 1.0, size=(k, int(positive.sum())))
         total = g.sum(axis=1)
         dead = np.flatnonzero(total == 0.0)
@@ -76,37 +89,57 @@ def _dirichlet_draw(system: DirichletSystem, partition: Partition):
 # ---------------------------------------------------------------------------
 # Polya trees
 
-def _beta_matrix(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
-                 n: int) -> np.ndarray:
-    """(n, len(a)) Beta(a_j, b_j) draws via Gamma pairs, honouring the
-    extended parameter values: (inf, b) pins to 1, (a, inf) pins to 0,
-    (inf, inf) to 1/2."""
+def _split_level(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
+                 mass: np.ndarray, right: np.ndarray) -> None:
+    """Split column j of `mass` (k, n) into ``mass * v``, in place, and
+    ``mass * (1 - v)``, into `right`, with v ~ Beta(a_j, b_j) from a Gamma
+    pair; (inf, b) pins v to 1, (a, inf) to 0 and (inf, inf) to 1/2.
+
+    The Gammas are drawn in row blocks of about `_BLOCK_CELLS`, all of
+    Gamma(a) (parked in `right`, free until this level writes it) before
+    all of Gamma(b), as when drawn whole.  Where both underflow, Beta(a, b)
+    is within O(a + b) of a Bernoulli with odds a : b: the entry is split
+    with v = 0, and a uniform below the odds, drawn last from this level's
+    generator and only if some entry needs one, swaps its two children,
+    which is exactly v = 1 (``mass * 0.0`` is 0.0, ``mass * 1.0`` is mass).
+    """
     fa = np.where(np.isfinite(a), a, 1.0)
     fb = np.where(np.isfinite(b), b, 1.0)
-    ga = rng.standard_gamma(fa, size=(n, len(a)))  # the bits of gamma(fa, 1.0)
-    gb = rng.standard_gamma(fb, size=(n, len(b)))
-    total = np.add(ga, gb, out=gb)
-    dead = total == 0.0
-    # in place: where the total is 0 both Gammas are, so ga already holds 0
-    v = np.divide(ga, total, out=ga, where=total > 0)
-    if dead.any():
-        # both Gammas underflowed: for tiny shapes Beta(a, b) is within
-        # O(a + b) of a Bernoulli on {0, 1} with odds a : b.  The uniforms
-        # come last from a generator made for this level alone, so drawing
-        # them only here leaves every other value unchanged.
-        u = rng.uniform(size=(n, len(a)))
-        odds = np.broadcast_to(fa / (fa + fb), v.shape)
-        v[dead] = (u[dead] < odds[dead]).astype(float)
-    pin_one = np.isinf(a) & np.isfinite(b)
-    pin_zero = np.isfinite(a) & np.isinf(b)
-    pin_half = np.isinf(a) & np.isinf(b)
-    if pin_one.any():
-        v[:, pin_one] = 1.0
-    if pin_zero.any():
-        v[:, pin_zero] = 0.0
-    if pin_half.any():
-        v[:, pin_half] = 0.5
-    return v
+    pins = [(cols, value) for cols, value in (
+        (np.isinf(a) & np.isfinite(b), 1.0),
+        (np.isfinite(a) & np.isinf(b), 0.0),
+        (np.isinf(a) & np.isinf(b), 0.5)) if cols.any()]
+    free = np.isfinite(a) & np.isfinite(b)
+    shape_a, shape_b = _gamma_shape(fa), _gamma_shape(fb)
+    k, n = mass.shape
+    step = max(1, _BLOCK_CELLS // n)
+    scratch = np.empty((min(k, step), n))
+    blocks = [slice(i, min(i + step, k)) for i in range(0, k, step)]
+    for rows in blocks:
+        right[rows] = rng.standard_gamma(shape_a, out=scratch[:rows.stop - rows.start])
+    dead = {}
+    for i, rows in enumerate(blocks):
+        ga, left = right[rows], mass[rows]
+        gb = rng.standard_gamma(shape_b, out=scratch[:rows.stop - rows.start])
+        total = np.add(ga, gb, out=gb)
+        zero = total == 0.0
+        # where the total is 0 both Gammas are, and v keeps that 0
+        v = np.divide(ga, total, out=total, where=~zero)
+        for cols, value in pins:
+            v[:, cols] = value
+        np.multiply(np.subtract(1.0, v, out=ga), left, out=ga)
+        np.multiply(left, v, out=left)
+        zero &= free
+        if zero.any():
+            dead[i] = zero
+    if dead:
+        odds = fa / (fa + fb)
+        for i, rows in enumerate(blocks[:max(dead) + 1]):
+            u = rng.uniform(size=mass[rows].shape)
+            if i in dead:
+                swap = dead[i] & (u < odds)
+                left, child = mass[rows], right[rows]
+                left[swap], child[swap] = child[swap], left[swap]
 
 
 def _check_binary_chain(chain: PartitionChain, depth: int) -> None:
@@ -126,8 +159,8 @@ def _check_binary_chain(chain: PartitionChain, depth: int) -> None:
 def _polya_draw(system: PolyaTreeSystem, chain: PartitionChain, depth: int):
     """Top-down product of independent splitting draws, grown in place in
     the output rows: level l's masses sit every ``2**(depth - l)`` columns,
-    and each level writes its right children ``mass * (1 - v)`` into their
-    own columns before turning each parent into its left child ``mass * v``.
+    and each level splits every parent into its left child, in place, and
+    its right child, in the columns between (see `_split_level`).
 
     Level l consumes its own substream ``child(l)``, so a depth-(m-1) run
     replays exactly the first m-1 levels of a depth-m run with the same
@@ -145,12 +178,9 @@ def _polya_draw(system: PolyaTreeSystem, chain: PartitionChain, depth: int):
         tree = out[:, partition.has_atom:]
         tree[:, 0] = tree_mass
         for level, (a, b) in enumerate(pairs, start=1):
-            v = _beta_matrix(sub.child(level).generator(), a, b, k)
             step = 1 << (depth - level)
-            mass, right = tree[:, 0::2 * step], tree[:, step::2 * step]
-            np.multiply(np.subtract(1.0, v, out=right), mass, out=right)
-            np.multiply(mass, v, out=mass)
-            del v  # freed before the next level draws its Beta pair
+            _split_level(sub.child(level).generator(), a, b,
+                         tree[:, 0::2 * step], tree[:, step::2 * step])
         if partition.has_atom:
             out[:, 0] = system.p0
         return out

@@ -508,6 +508,14 @@ class DiagonalCovariance:
             raise ValidationError("covariance/diagonal",
                                   f"variance measure must be >= 0, got scale {self.sigma2.scale}")
 
+    def variances(self, partition: Partition) -> np.ndarray:
+        """The cell variances, read off the variance measure without the
+        matrix: the diagonal of `assemble_sigma`, whose symmetrisation
+        doubles and halves each mass (so a mass of 2**1023 or more is inf
+        there, and here)."""
+        masses = self.sigma2.cell_masses(partition)
+        return 0.5 * (masses + masses)
+
     def to_json(self) -> dict:
         return {"variant": "diagonal", "sigma2": self.sigma2.to_json()}
 
@@ -767,7 +775,9 @@ class GaussianSystem:
     def spread(self, partition: Partition) -> np.ndarray:
         """Per-cell sqrt(2 Sigma_ii / pi), the expected absolute cell mass of
         the centred field."""
-        diag = np.diag(assemble_sigma(self.covariance, partition))
+        spec = self.covariance
+        diag = (spec.variances(partition) if isinstance(spec, DiagonalCovariance)
+                else np.diag(assemble_sigma(spec, partition)))
         return np.sqrt(2.0 * diag / math.pi)
 
     def q_alpha(self, partition: Partition) -> Histogram:

@@ -29,7 +29,7 @@ from histolim.conditions import (
     polya_weak_condition,
 )
 from histolim.errors import ValidationError
-from histolim.partitions import dyadic_chain
+from histolim.partitions import Domain, dyadic_chain
 from histolim.systems import (
     AtomicBase,
     CantorTrigRule,
@@ -45,6 +45,7 @@ from histolim.systems import (
     PointMassCovariance,
     PolyaTreeSystem,
     TableRule,
+    assemble_sigma,
 )
 
 CHAIN10 = dyadic_chain(depth=10)
@@ -342,3 +343,50 @@ def test_product_depth_parameter():
     assert len(v.evidence) == 12
     assert v.evidence[-1][0] == 12
     assert PRODUCT_DEPTH == 40
+
+
+# --- diagonal covariances: variances without the dense matrix ---------------
+
+def _dense_variances(spec, partition):
+    """The diagonal of the assembled matrix as `spread` and the Gaussian
+    conditions read it before they skipped the matrix for diagonal specs."""
+    return np.diag(assemble_sigma(spec, partition))
+
+
+@pytest.mark.parametrize("sigma2, closed", [
+    (LebesgueBase(), False),
+    (LebesgueBase(), True),  # the atom cell has no variance
+    (LebesgueBase(0.0), False),
+    (LebesgueBase(1.5 * 2.0 ** 1023), False),  # level 0's one mass doubles to inf
+    (AtomicBase((0.25, 0.6, 0.61), (5e-324, 1.0, 3.0)), False),
+    (AtomicBase((0.25, 0.6), (2.0 ** 1023, 1.0)), False),  # inf at every level
+    (AtomicBase((0.25, 0.26), (1e308, 1e308)), False),  # the masses sum to inf
+], ids=["lebesgue", "closed-left", "zero", "huge-scale", "atoms", "huge-atom", "inf-cell"])
+def test_diagonal_variances_give_the_dense_diagonal(sigma2, closed, monkeypatch):
+    """`DiagonalCovariance.variances` has the bits of the symmetrised
+    matrix's diagonal, where masses of 2**1023 or more double to inf, and
+    `spread` and the Gaussian verdicts that read it are those of the dense
+    path.  Where the dense path ends in `eigvalsh` failing to converge on
+    an inf diagonal, the variances are still that diagonal."""
+    from numpy.linalg import LinAlgError
+
+    spec = DiagonalCovariance(sigma2)
+    system = GaussianSystem(spec)
+    chain = dyadic_chain(Domain.unit(closed_left=closed), depth=6)
+    converged = True
+    with np.errstate(over="ignore"):
+        for level in range(7):
+            part = chain[level]
+            masses = np.diag(sigma2.cell_masses(part))
+            want = np.diag(0.5 * (masses + masses.T))
+            got = spec.variances(part)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(system.spread(part), np.sqrt(2.0 * want / math.pi))
+            try:
+                assert np.array_equal(_dense_variances(spec, part), want)
+            except LinAlgError:
+                converged = False
+        verdicts = gaussian_conditions(system, chain, depth=6)
+        if converged:  # the verdicts of the dense path
+            monkeypatch.setattr(DiagonalCovariance, "variances", _dense_variances)
+            assert gaussian_conditions(system, chain, depth=6) == verdicts

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -475,3 +476,97 @@ def test_refine_map_matches_cell_walk(first, second, nested):
             assert got == want, (ca.level, fb.level)
             if nested and ca.level <= fb.level:
                 assert isinstance(got, list), got
+
+
+# --- whole-row validation against the per-value loop ------------------------
+
+def _old_triangular_checks(rows, domain):
+    """The validation loop of `triangular_chain` as it was written before it
+    checked whole rows, one value at a time: raises the first violation."""
+    parsed = []
+    for n, row in enumerate(rows, start=1):
+        row = [float(v) for v in row]
+        if len(row) != (1 << n) - 1:
+            raise ValidationError(
+                "partition/row-length",
+                f"row {n} has {len(row)} points, expected {(1 << n) - 1}",
+            )
+        for m, v in enumerate(row, start=1):
+            if not np.isfinite(v):
+                raise ValidationError("partition/ordering", f"q[{n}][{m}]={v!r} is not finite")
+            if not domain.contains(v):
+                raise ValidationError(
+                    "partition/domain",
+                    f"q[{n}][{m}]={v!r} lies outside the domain {domain.describe()}",
+                )
+        for m in range(1, len(row)):
+            if not row[m - 1] < row[m]:
+                raise ValidationError(
+                    "partition/ordering",
+                    f"row {n} is not strictly increasing at (n, m)=({n}, {m + 1}): "
+                    f"q[{n}][{m + 1}]={row[m]!r} <= q[{n}][{m}]={row[m - 1]!r}",
+                )
+        if n > 1:
+            prev = parsed[-1]
+            for m in range(1, len(prev) + 1):
+                if row[2 * m - 1] != prev[m - 1]:
+                    raise ValidationError(
+                        "partition/nesting",
+                        f"nesting violated at (n, m)=({n}, {2 * m}): "
+                        f"q[{n}][{2 * m}]={row[2 * m - 1]!r} != q[{n - 1}][{m}]={prev[m - 1]!r}",
+                    )
+        parsed.append(row)
+    return parsed
+
+
+ROW_DOMAINS = {
+    "real-line": (Domain.real_line(), lambda t: (2.0 * t - 1.0) ** 3),
+    "unit": (Domain.unit(), lambda t: t * t),
+    # float(1/3) lies below 1/3 and float(2/3) above 2/3: both outside
+    "thirds": (Domain(Fraction(1, 3), Fraction(2, 3)), lambda t: 1 / 3 + t / 3 + 1e-9),
+    # float(1/5) lies above 1/5 and float(7/5) below 7/5: both inside
+    "fifths": (Domain(Fraction(1, 5), Fraction(7, 5)), lambda t: 0.2 + 1.2 * t),
+}
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValidationError as e:
+        return e.code, str(e)
+
+
+@pytest.mark.parametrize("name", ROW_DOMAINS)
+def test_whole_row_checks_report_what_the_per_value_loop_reports(name):
+    """Rows with non-finite, out-of-domain, unordered and unnested values,
+    one or two at a time, get the per-value loop's first error, code and
+    text; values at an exact domain end's float are compared exactly."""
+    domain, warp = ROW_DOMAINS[name]
+    rows = warped_rows(5, warp)
+    ends = [float(domain.left), float(domain.right)]
+    specials = [math.nan, math.inf, -math.inf, *ends,
+                *(math.nextafter(e, s) for e in ends for s in (-math.inf, math.inf)
+                  if math.isfinite(e)), 0.0, -0.0, 1.0, 2.0]
+    rng = random.Random(name)
+    cases = [[]]
+    for n in range(5):
+        for m in sorted({0, len(rows[n]) // 2, len(rows[n]) - 1, rng.randrange(len(rows[n]))}):
+            row = rows[n]
+            cases += [[(n, m, v)] for v in specials]
+            cases.append([(n, m, row[m] + 1e-12)])  # off the row above where m is odd
+            if m > 0:
+                cases.append([(n, m, row[m - 1])])  # a repeated cut
+            if m + 1 < len(row):
+                cases.append([(n, m, row[m + 1] + 1e-3)])  # past its right neighbour
+    cases += [[rng.choice(cases[1:])[0], rng.choice(cases[1:])[0]] for _ in range(60)]
+    assert len(cases) > 200
+    for changes in cases:
+        mutated = [list(row) for row in rows]
+        for n, m, v in changes:
+            mutated[n][m] = v
+        want = _outcome(lambda: _old_triangular_checks(mutated, domain))
+        got = _outcome(lambda: triangular_chain(mutated, domain=domain))
+        if isinstance(want, tuple):
+            assert got == want, changes
+        else:
+            assert [p.cut_points()[1:-1] for p in got.partitions[1:]] == want, changes
