@@ -56,7 +56,7 @@ from .histograms import (
     truncation_values,
     tv_distance_density,
 )
-from .partitions import Partition, PartitionChain, endpoint_to_float, max_depth
+from .partitions import Partition, PartitionChain, max_depth
 from .sampling import _BLOCK_CELLS, level_drawer, sample_stack
 from .streams import CHUNK_SIZE, RandomStream, run_grids
 from .systems import (
@@ -426,11 +426,10 @@ def _cell_masses(density: Density, partition: Partition) -> np.ndarray:
     from scipy.integrate import quad
 
     masses = np.zeros(len(partition))
-    for i, cell in enumerate(partition.cells):
-        if cell.is_atom or not cell.bounded:
+    edges = partition.edges().tolist()
+    for i, (a, b) in enumerate(zip(edges, edges[1:]), start=partition.has_atom):
+        if not (-math.inf < a and b < math.inf):
             continue
-        a = endpoint_to_float(cell.left)
-        b = endpoint_to_float(cell.right)
         if isinstance(density, PolynomialDensity):
             masses[i] = density.integral(a, b)
         elif isinstance(density, PiecewiseDensity):

@@ -23,24 +23,15 @@ halving until successive estimates agree within 1e-9) otherwise.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import InitVar, dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .partitions import (
-    Cell,
-    Partition,
-    RefinementMap,
-    endpoint_to_float,
-    format_endpoint,
-    refine_map,
-)
+from .partitions import Partition, RefinementMap, format_endpoint, refine_map
 
 PROBABILITY = "probability"
 POSITIVE = "positive"
@@ -59,7 +50,7 @@ def _frozen_array(values, shape_len: int, copy: bool = True) -> np.ndarray:
     return arr
 
 
-def _check_kind(values: np.ndarray, kind: str, normalize: bool) -> np.ndarray:
+def _check_kind(values: np.ndarray, kind: str) -> None:
     if kind not in _KINDS:
         raise ValidationError("histogram/kind", f"unknown kind {kind!r}")
     finite = bool(np.all(np.isfinite(values)))
@@ -68,13 +59,8 @@ def _check_kind(values: np.ndarray, kind: str, normalize: bool) -> np.ndarray:
     off = 0.0
     if kind == PROBABILITY and finite and not negative:
         totals = values.sum(axis=-1)
-        if normalize:
-            if np.any(totals <= 0):
-                raise ValidationError("histogram/normalize", "cannot normalize zero total mass")
-            return values / totals[..., None] if values.ndim > 1 else values / totals
         off = float(np.abs(totals - 1.0).max()) if totals.size else 0.0
     check_summary(kind, finite, low, off)
-    return values
 
 
 def check_summary(kind: str, finite: bool, low: float, off: float) -> None:
@@ -107,15 +93,8 @@ class Histogram:
                 "histogram/shape",
                 f"{len(arr)} values for {len(self.partition)} cells",
             )
-        arr = _check_kind(arr, self.kind, normalize=False)
-        arr.setflags(write=False)
+        _check_kind(arr, self.kind)
         object.__setattr__(self, "values", arr)
-
-    @staticmethod
-    def probability(partition: Partition, values, *, normalize: bool = False) -> "Histogram":
-        arr = np.array(values, dtype=float)
-        arr = _check_kind(arr, PROBABILITY, normalize=normalize)
-        return Histogram(partition, arr, PROBABILITY)
 
     def total(self) -> float:
         return float(self.values.sum())
@@ -141,8 +120,7 @@ class HistogramStack:
                 "histogram/shape",
                 f"{arr.shape[1]} columns for {len(self.partition)} cells",
             )
-        arr = _check_kind(arr, self.kind, normalize=False)
-        arr.setflags(write=False)
+        _check_kind(arr, self.kind)
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -263,7 +241,7 @@ def histogram_density(p: Histogram, q: Histogram) -> PiecewiseDensity:
         i = int(np.argmax(zero & (p.values != 0)))
         raise ValidationError(
             "density/zero-reference-cell",
-            f"cell {p.partition.cells[i]!r} has zero reference mass but p={p.values[i]}",
+            f"cell {p.partition.describe_cell(i)} has zero reference mass but p={p.values[i]}",
         )
     out = np.zeros_like(p.values)
     np.divide(p.values, q.values, out=out, where=~zero)
@@ -319,29 +297,27 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     return recurse(a, b, whole, mid, 48)  # bisection budget
 
 
-def _density_on_cell(f: Density, cell: Cell):
-    """(polynomial | callable) restricted to a cell."""
-    if isinstance(f, PiecewiseDensity):
-        try:
-            idx = f.partition.index(cell)
-        except ValueError:
-            raise ValidationError(
-                "density/partition-mismatch",
-                "piecewise density does not align with the integration cells") from None
-        return PolynomialDensity((float(f.values[idx]),))
-    return f
+def _positions_in(other: Partition, partition: Partition, pts: list) -> list:
+    """Position in `other` of each interval cell of `partition` (cut points
+    `pts`), or None where `other` lacks that cell.  An interval cell is its
+    level, its place among the interval cells and its two cut points, so
+    `other` has it when all three agree, the cut points compared exactly."""
+    n = len(pts) - 1
+    if other.level != partition.level:
+        return [None] * n
+    theirs = pts if other is partition else other.cut_points()
+    return [k + other.has_atom
+            if k < len(theirs) - 1 and theirs[k] == pts[k] and theirs[k + 1] == pts[k + 1]
+            else None
+            for k in range(n)]
 
 
-def _common_cells(f: Density, g: Density,
-                  partition: Partition | None) -> Sequence[Cell]:
-    for d in (f, g):
-        if isinstance(d, PiecewiseDensity):
-            if partition is None or len(d.partition) >= len(partition):
-                partition = d.partition
-    if partition is None:
-        raise ValidationError("density/no-cells",
-                              "need a partition when neither density is piecewise")
-    return [c for c in partition.cells if not c.is_atom]
+def _step_on_cell(f: PiecewiseDensity, pos: int | None) -> PolynomialDensity:
+    """The constant a piecewise density takes on the cell at `pos`."""
+    if pos is None:
+        raise ValidationError("density/partition-mismatch",
+                              "piecewise density does not align with the integration cells")
+    return PolynomialDensity((float(f.values[pos]),))
 
 
 def tv_distance_density(f: Density, g: Density, *,
@@ -349,36 +325,45 @@ def tv_distance_density(f: Density, g: Density, *,
                         reference: Histogram | None = None) -> float:
     """Total-variation distance (1/2) * integral |f - g| d(ref).
 
-    The reference defaults to the flat measure on the cells (Lebesgue); a
-    positive reference histogram reweights each cell uniformly.  When both
-    densities are piecewise constant / polynomial on the cells the integral
-    is exact; otherwise each cell falls back to adaptive Simpson.
+    The integral runs over the interval cells of the partition with the
+    most cells among `partition` and the piecewise densities' own (the last
+    of them on a tie).  The reference defaults to the flat measure on the
+    cells (Lebesgue); a positive reference histogram reweights each cell
+    uniformly.  When both densities are piecewise constant / polynomial on
+    the cells the integral is exact; otherwise each cell falls back to
+    adaptive Simpson.
     """
-    cells = _common_cells(f, g, partition)
+    for d in (f, g):
+        if isinstance(d, PiecewiseDensity):
+            if partition is None or len(d.partition) >= len(partition):
+                partition = d.partition
+    if partition is None:
+        raise ValidationError("density/no-cells",
+                              "need a partition when neither density is piecewise")
     if reference is not None and np.any(reference.values < 0):
         raise ValidationError("histogram/negative-reference",
                               "reference histogram must be nonnegative")
-    ref_lookup = None
-    if reference is not None:
-        ref_lookup = {c: float(v) for c, v in zip(reference.partition.cells, reference.values)}
+    pts = partition.cut_points()
+    edges = partition.edges().tolist()
+    steps = [_positions_in(d.partition, partition, pts) if isinstance(d, PiecewiseDensity)
+             else None for d in (f, g)]
+    ref_at = None if reference is None else _positions_in(reference.partition, partition, pts)
     total = 0.0
-    for cell in cells:
-        if not cell.bounded:
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
+        if not (-math.inf < a and b < math.inf):
             raise ValidationError("density/unbounded",
                                   "density distances need bounded cells")
-        a, b = endpoint_to_float(cell.left), endpoint_to_float(cell.right)
         if b <= a:
             continue
         weight = 1.0
-        if ref_lookup is not None:
-            mass = ref_lookup.get(cell)
-            if mass is None:
+        if ref_at is not None:
+            if ref_at[i] is None:
                 raise ValidationError("density/partition-mismatch",
                                       "reference histogram does not cover the integration cells")
-            weight = mass / (b - a)
+            weight = float(reference.values[ref_at[i]]) / (b - a)
             if weight == 0.0:
                 continue
-        fc, gc = _density_on_cell(f, cell), _density_on_cell(g, cell)
+        fc, gc = (d if at is None else _step_on_cell(d, at[i]) for d, at in zip((f, g), steps))
         if isinstance(fc, PolynomialDensity) and isinstance(gc, PolynomialDensity):
             n = max(len(fc.coefficients), len(gc.coefficients))
             diff = tuple(
@@ -405,14 +390,6 @@ def histogram_to_json(h: Histogram) -> dict:
     }
 
 
-def histogram_from_json(obj: dict, partition: Partition) -> Histogram:
-    values = np.array(obj["values"], dtype=float)
-    expect = [format_endpoint(e) for e in partition.cut_points()]
-    if list(obj.get("endpoints", expect)) != expect:
-        raise ValidationError("histogram/reload", "endpoints do not match the given partition")
-    return Histogram(partition, values, obj.get("kind", SIGNED))
-
-
 def histogram_to_csv(h: Histogram, write: Callable[[str], object]) -> None:
     """CSV rows (cell_left, cell_right, value), passed to `write`; floats
     via repr so that a read-back reproduces the exact doubles."""
@@ -423,27 +400,6 @@ def histogram_to_csv(h: Histogram, write: Callable[[str], object]) -> None:
         rights.insert(0, ends[0])
     rows = map(",".join, zip(lefts, rights, map(repr, h.values.tolist())))
     write("\n".join(["cell_left,cell_right,value", *rows, ""]))
-
-
-def histogram_from_csv(text: str, partition: Partition, kind: str = SIGNED) -> Histogram:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["cell_left", "cell_right", "value"]:
-        raise ValidationError("histogram/csv", "missing cell_left,cell_right,value header")
-    body = rows[1:]
-    if len(body) != len(partition):
-        raise ValidationError("histogram/csv",
-                              f"{len(body)} rows for {len(partition)} cells")
-    values = []
-    for row, cell in zip(body, partition.cells):
-        if len(row) != 3:
-            raise ValidationError("histogram/csv", f"malformed row {row!r}")
-        left, right, value = row
-        if (left != format_endpoint(cell.left)
-                and float(left) != endpoint_to_float(cell.left)):
-            raise ValidationError("histogram/csv",
-                                  f"row endpoint {left!r} does not match cell {cell!r}")
-        values.append(float(value))
-    return Histogram(partition, np.array(values), kind)
 
 
 def stack_to_csv(stack: HistogramStack, write: Callable[[str], object]) -> None:

@@ -2,7 +2,8 @@
 
 A partition splits a one-dimensional domain into finitely many half-open
 cells (l, r] — plus, on a left-closed domain, the singleton cell {left} —
-ordered left to right.  A chain is a sequence of partitions in which every
+ordered left to right, and a cell is named by its position in that order
+(the singleton first).  A chain is a sequence of partitions in which every
 cell of level m+1 sits inside exactly one cell of level m, so each interval
 cell carries a binary address: the root cell is (), and the two children of
 address b extend it by 0 (left) and 1 (right).
@@ -23,9 +24,9 @@ Two chain builders are provided:
   unbounded end cells on the real line.  Each level stores its row with
   the domain ends.  Only dyadic chains may be left-closed.
 
-Either way a level is its domain, level and cut points: sizes, widths,
-labels and cell lookups read the cut points, and a level's `Cell` objects
-are built on demand.
+Either way a level is its domain, level and cut points, and there are no
+cell objects: sizes, widths, edges, labels and lookups read positions off
+the cut points.
 
 `cantor_midpoint` returns the exact mid-point of the ternary middle-thirds
 interval addressed by a bit string; it parameterizes the trigonometric
@@ -44,7 +45,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -66,6 +67,16 @@ def max_depth() -> int:
     if value < 0:
         raise ValidationError("config/max-depth", f"{MAX_DEPTH_ENV} must be >= 0, got {value}")
     return value
+
+
+def check_depth_capacity(depth: int) -> None:
+    """Refuse a chain of more than `max_depth()` levels below level 0."""
+    cap = max_depth()
+    if depth > cap:
+        raise ValidationError(
+            "partition/depth-capacity",
+            f"depth {depth} exceeds the configured maximum {cap} (set {MAX_DEPTH_ENV} to raise it)",
+        )
 
 
 #: a cut point; +-math.inf marks an unbounded end.  Infinity tests compare
@@ -151,37 +162,6 @@ class CellIndex:
 
 
 @dataclass(frozen=True)
-class Cell:
-    """Half-open interval (left, right], or the singleton {left} when the
-    index is an atom (then left == right)."""
-
-    left: Endpoint
-    right: Endpoint
-    index: CellIndex
-
-    @property
-    def is_atom(self) -> bool:
-        return self.index.atom
-
-    @property
-    def bounded(self) -> bool:
-        return -math.inf < self.left and self.right < math.inf
-
-    def width(self) -> float:
-        return 0.0 if self.is_atom else float(self.right - self.left)
-
-    def contains(self, x) -> bool:
-        if self.is_atom:
-            return x == self.left
-        return self.left < x <= self.right
-
-    def __repr__(self) -> str:
-        if self.is_atom:
-            return f"{{{format_endpoint(self.left)}}}"
-        return f"({format_endpoint(self.left)}, {format_endpoint(self.right)}]"
-
-
-@dataclass(frozen=True)
 class Domain:
     """Interval descriptor.  `closed_left` marks whether the left endpoint
     itself belongs to the domain (and hence appears as a singleton cell)."""
@@ -225,9 +205,11 @@ class Partition:
 
     A partition is its domain, its level and its cut points (domain ends
     included).  A dyadic level keeps its cut points as arithmetic on an
-    exact `Fraction` grid; any other kind stores them in `cuts`.  Sizes,
-    widths, labels and cell lookups read the cut points, and the `cells`
-    tuple is built only on first access.
+    exact `Fraction` grid; any other kind stores them in `cuts`.  Cell
+    `pos` (0-based, left to right) is the singleton {left} when `pos` is 0
+    on a left-closed domain, and otherwise the interval between the two
+    cut points at `pos - has_atom`; sizes, widths, labels and lookups read
+    the cut points.
     """
 
     domain: Domain
@@ -252,34 +234,19 @@ class Partition:
     def _intervals(self) -> int:
         return (1 << self.level) if self.cuts is None else len(self.cuts) - 1
 
-    @cached_property
-    def cells(self) -> tuple[Cell, ...]:
-        return tuple(self.cell_at(pos) for pos in range(len(self)))
-
     def __len__(self) -> int:
         return self._intervals + self.has_atom
-
-    def __iter__(self) -> Iterator[Cell]:
-        return iter(self.cells)
 
     @property
     def has_atom(self) -> bool:
         return self.domain.closed_left
 
-    @property
-    def interval_cells(self) -> tuple[Cell, ...]:
-        return self.cells[1:] if self.has_atom else self.cells
-
-    def cell_at(self, pos: int) -> Cell:
-        """Cell at position `pos` (0-based, left to right, atom first)."""
-        if not 0 <= pos < len(self):
-            raise IndexError(f"cell position {pos} outside 0..{len(self) - 1}")
-        if self.has_atom:
-            if pos == 0:
-                left = self._cut(0)
-                return Cell(left, left, CellIndex((), self.level, atom=True))
-            pos -= 1
-        return Cell(self._cut(pos), self._cut(pos + 1), CellIndex.at(pos, self.level))
+    def describe_cell(self, pos: int) -> str:
+        """Text of cell `pos`: '{left}' for the singleton, '(l, r]' otherwise."""
+        if self.has_atom and pos == 0:
+            return f"{{{format_endpoint(self._cut(0))}}}"
+        k = pos - self.has_atom
+        return f"({format_endpoint(self._cut(k))}, {format_endpoint(self._cut(k + 1))}]"
 
     def widths(self) -> np.ndarray:
         if self.cuts is not None:
@@ -334,18 +301,6 @@ class Partition:
                 return j + self.has_atom
         raise ValidationError("partition/domain", f"no cell contains x={x!r}")  # pragma: no cover
 
-    def cell_of(self, x) -> Cell:
-        """Cell containing x under the right-endpoint-included convention."""
-        return self.cell_at(self.position_of(x))
-
-    def index(self, cell: Cell) -> int:
-        """Position of `cell`, read off its address; ValueError when the
-        partition does not have it."""
-        pos = 0 if cell.is_atom else cell.index.position + self.has_atom
-        if cell.index.level != self.level or pos >= len(self) or self.cell_at(pos) != cell:
-            raise ValueError(f"{cell!r} is not a cell of this partition")
-        return pos
-
 
 @dataclass(frozen=True, eq=False)
 class RefinementMap:
@@ -359,15 +314,6 @@ class RefinementMap:
     coarse: Partition
     fine: Partition
     boundaries: np.ndarray
-
-    def compose(self, finer: "RefinementMap") -> "RefinementMap":
-        """Chain two maps: self (coarse->mid) with finer (mid->fine)."""
-        if finer.coarse is not self.fine and finer.coarse != self.fine:
-            raise ValidationError(
-                "refinement/compose",
-                "intermediate partitions do not match",
-            )
-        return RefinementMap(self.coarse, finer.fine, finer.boundaries[self.boundaries])
 
 
 def refine_map(coarse: Partition, fine: Partition) -> RefinementMap:
@@ -392,7 +338,7 @@ def refine_map(coarse: Partition, fine: Partition) -> RefinementMap:
         if fine._cut(pos + 1 - fine.has_atom) != cut:
             raise ValidationError(
                 "refinement/straddle",
-                f"fine cell {fine.cell_at(pos)!r} straddles the coarse boundary at {format_endpoint(cut)}",
+                f"fine cell {fine.describe_cell(pos)} straddles the coarse boundary at {format_endpoint(cut)}",
             )
         starts.append(pos + 1)
     return RefinementMap(coarse, fine, np.array(starts, dtype=np.intp))
@@ -474,19 +420,13 @@ def dyadic_chain(domain: Domain | None = None, depth: int = 0) -> PartitionChain
     Level m has 2^m interval cells with exact Fraction endpoints; a
     left-closed domain additionally carries the singleton {left} at every
     level (its mass is specified separately by the samplers).  Levels are
-    implicit: building the chain is O(depth), and a level's `Cell` objects
-    are made only when its `cells` are first read.
+    implicit: building the chain is O(depth).
     """
     if domain is None:
         domain = Domain.unit()
     if not domain.bounded:
         raise ValidationError("partition/unbounded", "equal dyadic refinement needs a bounded domain")
-    cap = max_depth()
-    if depth > cap:
-        raise ValidationError(
-            "partition/depth-capacity",
-            f"depth {depth} exceeds the configured maximum {cap} (set {MAX_DEPTH_ENV} to raise it)",
-        )
+    check_depth_capacity(depth)
     if depth < 0:
         raise ValidationError("partition/depth", f"depth must be >= 0, got {depth}")
     if Fraction(domain.right) <= Fraction(domain.left):
@@ -517,12 +457,7 @@ def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = No
     if domain.closed_left:
         raise ValidationError("partition/unsupported-domain",
                               "nested-row chains support open-left domains only")
-    cap = max_depth()
-    if len(rows) > cap:
-        raise ValidationError(
-            "partition/depth-capacity",
-            f"depth {len(rows)} exceeds the configured maximum {cap} (set {MAX_DEPTH_ENV} to raise it)",
-        )
+    check_depth_capacity(len(rows))
     # a float is beyond an exact end exactly when it is beyond that end's
     # float, except when it equals it; that one value is compared exactly
     left, right = float(domain.left), float(domain.right)

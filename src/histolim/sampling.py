@@ -4,9 +4,6 @@ Every sampler is a pure function of (system, partition or chain, stream):
 the same ``RandomStream`` reproduces the same draws bit for bit, replicate
 sweeps are carved into the fixed chunk grid of :mod:`histolim.streams` with
 one substream per chunk, and the worker count never changes the output.
-
-Chain sampling draws once at the finest level and projects down, so the
-returned family is coherent by construction rather than by luck.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .histograms import PROBABILITY, SIGNED, Histogram, HistogramStack, project
+from .histograms import PROBABILITY, SIGNED, Histogram, HistogramStack
 from .partitions import Partition, PartitionChain
 from .streams import RandomStream, chunk_ranges, run_chunked
 from .systems import (
@@ -255,21 +252,6 @@ def sample_stack(system: HistogramSystem, chain: PartitionChain, depth: int,
     """Replicate sweep for any family at one level of a chain."""
     _check_replicates(replicates)
     return _sweep(*level_drawer(system, chain, depth), stream, replicates, jobs)
-
-
-def chain_sample(system: HistogramSystem, chain: PartitionChain, depth: int,
-                 stream: RandomStream) -> list[Histogram]:
-    """One draw at level ``depth``, all coarser levels by projection.
-
-    The returned list (levels 0..depth) is exactly coherent: each entry is
-    the pushforward of the next, by construction.
-    """
-    finest = sample_stack(system, chain, depth, stream, 1).histogram(0)
-    out = [finest]
-    for level in range(depth, 0, -1):
-        out.append(project(out[-1], chain.refinement(level - 1, level)))
-    out.reverse()
-    return out
 
 
 def path_from_histogram(h: Histogram | HistogramStack):

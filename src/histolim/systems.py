@@ -44,6 +44,7 @@ from .partitions import (
     Partition,
     PartitionChain,
     cantor_midpoint,
+    check_depth_capacity,
     dyadic_cell_bounds,
     endpoint_to_float,
     triangular_chain,
@@ -696,27 +697,30 @@ def _quadrature_matrix(kernel: Callable[[float, float], float],
 def assemble_sigma(spec: CovarianceSpec, partition: Partition) -> np.ndarray:
     """Cell-pair covariance matrix of the given spec on the partition.
 
-    The assembled matrix is validated: eigenvalues below
-    -1e-10 * (largest eigenvalue) raise a numeric error.
+    The assembled matrix is validated: entries that are not finite, and
+    eigenvalues below -1e-10 * (largest eigenvalue), raise a numeric error.
     """
     n = len(partition)
-    if isinstance(spec, DiagonalCovariance):
-        sigma = np.diag(spec.sigma2.cell_masses(partition))
-    elif isinstance(spec, ConstantCovariance):
-        w = LebesgueBase().cell_masses(partition)
-        sigma = spec.c * np.outer(w, w)
-    elif isinstance(spec, PointMassCovariance):
-        sigma = np.zeros((n, n))
-        rows = [partition.position_of(s) for s in spec.sites]
-        for a, ia in enumerate(rows):
-            for b, ib in enumerate(rows):
-                sigma[ia, ib] += spec.matrix[a, b]
-    elif isinstance(spec, (KernelCovariance, GreensCovariance)):
-        sigma = _quadrature_matrix(spec.kernel(), partition, spec.order)
-    else:
-        raise ValidationError("covariance/json", f"unknown covariance spec {spec!r}")
-
-    sigma = 0.5 * (sigma + sigma.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below as not finite
+        if isinstance(spec, DiagonalCovariance):
+            sigma = np.diag(spec.sigma2.cell_masses(partition))
+        elif isinstance(spec, ConstantCovariance):
+            w = LebesgueBase().cell_masses(partition)
+            sigma = spec.c * np.outer(w, w)
+        elif isinstance(spec, PointMassCovariance):
+            sigma = np.zeros((n, n))
+            rows = [partition.position_of(s) for s in spec.sites]
+            for a, ia in enumerate(rows):
+                for b, ib in enumerate(rows):
+                    sigma[ia, ib] += spec.matrix[a, b]
+        elif isinstance(spec, (KernelCovariance, GreensCovariance)):
+            sigma = _quadrature_matrix(spec.kernel(), partition, spec.order)
+        else:
+            raise ValidationError("covariance/json", f"unknown covariance spec {spec!r}")
+        sigma = 0.5 * (sigma + sigma.T)
+    if not np.isfinite(sigma).all():  # eigvalsh would not converge
+        raise NumericError("covariance/not-finite",
+                           "assembled covariance has entries that are inf or nan")
     eigs = np.linalg.eigvalsh(sigma)
     top = max(float(eigs.max()), 0.0)
     if float(eigs.min()) < -PSD_RELATIVE_TOL * max(top, 1.0):
@@ -835,6 +839,7 @@ class LeakageSystem:
             raise ValidationError("system/depth", f"need depth >= 1, got {self.depth}")
 
     def chain(self) -> PartitionChain:
+        check_depth_capacity(self.depth)  # before a row of 2^depth - 1 cuts is built
         rows = leakage_rows(self.depth)
         if self.interior:
             rows = [[0.5 + math.atan(q) / math.pi for q in row] for row in rows]

@@ -217,6 +217,43 @@ def test_diagnose_enforces_sample_floor(systems, capsys):
     assert err.startswith("error[cli/samples]")
 
 
+@pytest.mark.parametrize("argv", [
+    ("check",),
+    ("sample", "--depth", "3", "--seed", "1"),
+    ("diagnose", "--depths", "2,3", "--N", "1000", "--seed", "1", "--jobs", "1"),
+], ids=lambda argv: argv[0])
+def test_overflowing_point_mass_covariance_is_one_numeric_error(tmp_path, capsys, argv):
+    """Two sites in one cell whose entries sum past the float range give an
+    infinite covariance entry: one error line and exit 2, not the
+    eigenvalue solver's traceback."""
+    system = tmp_path / "point_mass.json"
+    system.write_text(json.dumps({
+        "family": "gaussian",
+        "covariance": {"variant": "point_mass", "sites": [0.3, 0.31],
+                       "matrix": [[1e308, 1e308], [1e308, 1e308]]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv[0], "--system", str(system), *argv[1:])
+    assert code == 2
+    assert err == "error[covariance/not-finite] assembled covariance has entries that are inf or nan\n"
+
+
+def test_counterexample_checks_the_depth_cap_before_building_rows(monkeypatch, capsys):
+    from histolim import systems as system_module
+
+    built = []
+    rows = system_module.leakage_rows
+    monkeypatch.setattr(system_module, "leakage_rows",
+                        lambda depth: built.append(depth) or rows(depth))
+    monkeypatch.setenv("HISTOLIM_MAX_DEPTH", "3")
+    code, out, err = run(capsys, "counterexample", "--delta", "0.2", "--depth", "12")
+    assert (code, out, built) == (1, "", [])
+    assert err == ("error[partition/depth-capacity] depth 12 exceeds the configured "
+                   "maximum 3 (set HISTOLIM_MAX_DEPTH to raise it)\n")
+    code, out, err = run(capsys, "counterexample", "--delta", "0.2", "--depth", "3")
+    assert (code, built) == (0, [3])
+
+
 def test_depth_capacity_env(systems):
     env = dict(os.environ, HISTOLIM_MAX_DEPTH="6")
     proc = subprocess.run(

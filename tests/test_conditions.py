@@ -28,7 +28,7 @@ from histolim.conditions import (
     polya_tight_condition,
     polya_weak_condition,
 )
-from histolim.errors import ValidationError
+from histolim.errors import NumericError, ValidationError
 from histolim.partitions import Domain, dyadic_chain
 from histolim.systems import (
     AtomicBase,
@@ -366,10 +366,8 @@ def test_diagonal_variances_give_the_dense_diagonal(sigma2, closed, monkeypatch)
     """`DiagonalCovariance.variances` has the bits of the symmetrised
     matrix's diagonal, where masses of 2**1023 or more double to inf, and
     `spread` and the Gaussian verdicts that read it are those of the dense
-    path.  Where the dense path ends in `eigvalsh` failing to converge on
-    an inf diagonal, the variances are still that diagonal."""
-    from numpy.linalg import LinAlgError
-
+    path.  Where the dense path refuses an inf diagonal as not finite, the
+    variances are still that diagonal."""
     spec = DiagonalCovariance(sigma2)
     system = GaussianSystem(spec)
     chain = dyadic_chain(Domain.unit(closed_left=closed), depth=6)
@@ -384,7 +382,8 @@ def test_diagonal_variances_give_the_dense_diagonal(sigma2, closed, monkeypatch)
             assert np.array_equal(system.spread(part), np.sqrt(2.0 * want / math.pi))
             try:
                 assert np.array_equal(_dense_variances(spec, part), want)
-            except LinAlgError:
+            except NumericError as e:
+                assert e.code == "covariance/not-finite"
                 converged = False
         verdicts = gaussian_conditions(system, chain, depth=6)
         if converged:  # the verdicts of the dense path

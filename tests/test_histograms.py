@@ -1,10 +1,18 @@
 """Histogram values, projection, truncation, densities, serialization."""
 
+import csv
+import functools
+import io
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from histolim import diagnostics, histograms
+from histolim.diagnostics import tv_martingale_curve
 from histolim.errors import ValidationError
 from histolim.histograms import (
     POSITIVE,
@@ -15,8 +23,6 @@ from histolim.histograms import (
     PiecewiseDensity,
     PolynomialDensity,
     histogram_density,
-    histogram_from_csv,
-    histogram_from_json,
     histogram_to_csv,
     histogram_to_json,
     lebesgue_reference,
@@ -27,7 +33,9 @@ from histolim.histograms import (
     tv_distance_density,
     tv_norm,
 )
-from histolim.partitions import dyadic_chain
+from histolim.partitions import Domain, dyadic_chain, triangular_chain
+
+from cell_walk import cells_of
 
 
 def text_of(export, *args) -> str:
@@ -49,13 +57,8 @@ def test_probability_kind_enforces_simplex():
         prob(1, [0.7, 0.4])
     with pytest.raises(ValidationError):
         prob(1, [1.1, -0.1])
-    h = Histogram.probability(CHAIN[1], [0.35, 0.65])
+    h = prob(1, [0.35, 0.65])
     assert h.total() == pytest.approx(1.0)
-
-
-def test_probability_normalize_flag():
-    h = Histogram.probability(CHAIN[1], [2.0, 6.0], normalize=True)
-    assert h.values.tolist() == [0.25, 0.75]
 
 
 def test_values_are_frozen():
@@ -186,24 +189,18 @@ def test_tv_distance_weighted_reference():
 
 def test_histogram_json_round_trip():
     h = prob(2, [0.1, 0.2, 0.3, 0.4])
-    back = histogram_from_json(histogram_to_json(h), CHAIN[2])
-    assert back.values.tolist() == h.values.tolist()
-    assert back.kind == h.kind
+    back = json.loads(json.dumps(histogram_to_json(h)))
+    assert back["values"] == h.values.tolist()
+    assert back["kind"] == h.kind
+    assert back["endpoints"] == ["0", "1/4", "1/2", "3/4", "1"]
 
 
 def test_histogram_csv_round_trip_is_exact():
     vals = np.array([1 / 3, 0.1 + 0.2, 1e-17, 1 - 1e-16])
     h = Histogram(CHAIN[2], vals, SIGNED)
-    back = histogram_from_csv(text_of(histogram_to_csv, h), CHAIN[2])
-    assert back.values.tolist() == vals.tolist()  # bit-exact via repr
-
-
-def test_csv_header_and_shape_checks():
-    with pytest.raises(ValidationError):
-        histogram_from_csv("a,b\n1,2\n", CHAIN[1])
-    good = text_of(histogram_to_csv, prob(1, [0.5, 0.5]))
-    with pytest.raises(ValidationError):
-        histogram_from_csv(good, CHAIN[2])
+    rows = list(csv.reader(io.StringIO(text_of(histogram_to_csv, h))))
+    assert rows[0] == ["cell_left", "cell_right", "value"]
+    assert [float(v) for _, _, v in rows[1:]] == vals.tolist()  # bit-exact via repr
 
 
 def test_stack_csv_layout():
@@ -224,3 +221,272 @@ def test_stack_never_freezes_or_aliases_the_callers_array():
     # only a fresh array handed over with owned=True is held as it is
     adopted = HistogramStack(CHAIN[2], values, PROBABILITY, owned=True)
     assert adopted.values is values and not values.flags.writeable
+
+
+def test_zero_reference_cell_error_prints_the_cell():
+    """The cell is printed as '{left}' for the atom and '(l, r]' otherwise,
+    each end in its text form."""
+    closed = dyadic_chain(Domain.unit(closed_left=True), depth=2)[2]
+    real = triangular_chain([[0.0], [-1.0, 0.0, 1.0]])[2]
+    cases = [(closed, 0, "{0}"), (closed, 2, "(1/4, 1/2]"),
+             (real, 3, "(1.0, +inf]"), (real, 0, "(-inf, -1.0]")]
+    for part, i, cell in cases:
+        p, q = np.zeros(len(part)), np.ones(len(part))
+        p[[i, i - 1]], q[i] = 0.5, 0.0
+        with pytest.raises(ValidationError) as e:
+            histogram_density(Histogram(part, p, PROBABILITY), Histogram(part, q, POSITIVE))
+        text = f"cell {cell} has zero reference mass but p=0.5"
+        assert (e.value.code, str(e.value)) == ("density/zero-reference-cell", text)
+
+
+# --- total variation: error paths -------------------------------------------
+
+def tv_error(*args, **kwargs):
+    with pytest.raises(ValidationError) as e:
+        tv_distance_density(*args, **kwargs)
+    return e.value.code, str(e.value)
+
+
+PIECEWISE_MISMATCH = ("density/partition-mismatch",
+                      "piecewise density does not align with the integration cells")
+REFERENCE_MISMATCH = ("density/partition-mismatch",
+                      "reference histogram does not cover the integration cells")
+UNIT_ROWS = [[(k / (1 << n)) ** 2 for k in range(1, 1 << n)] for n in range(1, 6)]
+
+
+def test_tv_distance_refuses_a_piecewise_density_on_another_partition():
+    flat = PolynomialDensity((1.0,))
+    step = PiecewiseDensity(CHAIN[2], np.arange(4.0))
+    other = PiecewiseDensity(triangular_chain(UNIT_ROWS, Domain.unit())[2], np.arange(4.0))
+    # the last piecewise density with as many cells sets the cells
+    assert tv_error(step, other) == PIECEWISE_MISMATCH
+    assert tv_error(other, step) == PIECEWISE_MISMATCH
+    # an explicit finer partition is kept, and the step does not cover it
+    assert tv_error(step, flat, partition=CHAIN[3]) == PIECEWISE_MISMATCH
+    # an explicit coarser partition gives way to the step's own cells
+    assert tv_distance_density(step, flat, partition=CHAIN[1]) == \
+        tv_distance_density(step, flat, partition=CHAIN[2])
+
+
+def test_tv_distance_refuses_a_reference_that_does_not_cover_the_cells():
+    flat, slope = PolynomialDensity((1.0,)), PolynomialDensity((0.0, 2.0))
+    assert tv_error(flat, slope, partition=CHAIN[2],
+                    reference=lebesgue_reference(CHAIN[1])) == REFERENCE_MISMATCH
+    assert tv_error(flat, slope, partition=CHAIN[2],
+                    reference=lebesgue_reference(CHAIN[3])) == REFERENCE_MISMATCH
+
+
+def test_tv_distance_needs_cells_and_bounded_cells():
+    flat, slope = PolynomialDensity((1.0,)), PolynomialDensity((0.0, 2.0))
+    assert tv_error(flat, slope) == (
+        "density/no-cells", "need a partition when neither density is piecewise")
+    real = triangular_chain([[0.0], [-1.0, 0.0, 1.0]])
+    assert tv_error(flat, slope, partition=real[2]) == (
+        "density/unbounded", "density distances need bounded cells")
+
+
+def test_tv_distance_reports_the_first_fault_first():
+    flat = PolynomialDensity((1.0,))
+    step = PiecewiseDensity(CHAIN[2], np.ones(4))
+    negative = Histogram(CHAIN[1], np.array([1.0, -1.0]), SIGNED)
+    # no cells before a negative reference
+    assert tv_error(flat, flat, reference=negative)[0] == "density/no-cells"
+    # a negative reference before any cell is read
+    assert tv_error(step, flat, partition=CHAIN[3], reference=negative)[0] == \
+        "histogram/negative-reference"
+    # in a cell, the reference is looked up before the densities
+    assert tv_error(step, flat, partition=CHAIN[3],
+                    reference=lebesgue_reference(CHAIN[2])) == REFERENCE_MISMATCH
+    # a cell of zero reference mass is skipped: the fault is in the next cell
+    zeros = Histogram(CHAIN[3], np.array([0.0] + [1.0] * 7), POSITIVE)
+    assert tv_error(step, flat, partition=CHAIN[3], reference=zeros) == PIECEWISE_MISMATCH
+    # on the real line the unbounded first cell comes before any mismatch
+    real = triangular_chain([[0.0], [-1.0, 0.0, 1.0]])
+    assert tv_error(flat, flat, partition=real[2],
+                    reference=lebesgue_reference(CHAIN[2]))[0] == "density/unbounded"
+
+
+# --- total variation against the cell walk ----------------------------------
+# The distance and the cell masses as they were computed by walking `Cell`
+# objects, a density's cell found by `Partition.index`; the package reads
+# positions and edges, and must give the same floats and the same errors.
+
+@functools.lru_cache(maxsize=None)
+def _cells(partition):
+    return cells_of(partition)
+
+
+def oracle_index(partition, cell):
+    """Position of `cell`, read off its address; ValueError when the
+    partition does not have it."""
+    pos = 0 if cell.is_atom else cell.index.position + partition.has_atom
+    if cell.index.level != partition.level or pos >= len(partition) or _cells(partition)[pos] != cell:
+        raise ValueError(f"{cell!r} is not a cell of this partition")
+    return pos
+
+
+def oracle_density_on_cell(f, cell):
+    if isinstance(f, PiecewiseDensity):
+        try:
+            idx = oracle_index(f.partition, cell)
+        except ValueError:
+            raise ValidationError(
+                "density/partition-mismatch",
+                "piecewise density does not align with the integration cells") from None
+        return PolynomialDensity((float(f.values[idx]),))
+    return f
+
+
+def oracle_common_cells(f, g, partition):
+    for d in (f, g):
+        if isinstance(d, PiecewiseDensity):
+            if partition is None or len(d.partition) >= len(partition):
+                partition = d.partition
+    if partition is None:
+        raise ValidationError("density/no-cells",
+                              "need a partition when neither density is piecewise")
+    return [c for c in _cells(partition) if not c.is_atom]
+
+
+def oracle_tv_distance_density(f, g, *, partition=None, reference=None):
+    cells = oracle_common_cells(f, g, partition)
+    if reference is not None and np.any(reference.values < 0):
+        raise ValidationError("histogram/negative-reference",
+                              "reference histogram must be nonnegative")
+    ref_lookup = None
+    if reference is not None:
+        ref_lookup = {c: float(v) for c, v in zip(_cells(reference.partition), reference.values)}
+    total = 0.0
+    for cell in cells:
+        if not cell.bounded:
+            raise ValidationError("density/unbounded",
+                                  "density distances need bounded cells")
+        a, b = float(cell.left), float(cell.right)
+        if b <= a:
+            continue
+        weight = 1.0
+        if ref_lookup is not None:
+            mass = ref_lookup.get(cell)
+            if mass is None:
+                raise ValidationError("density/partition-mismatch",
+                                      "reference histogram does not cover the integration cells")
+            weight = mass / (b - a)
+            if weight == 0.0:
+                continue
+        fc, gc = oracle_density_on_cell(f, cell), oracle_density_on_cell(g, cell)
+        if isinstance(fc, PolynomialDensity) and isinstance(gc, PolynomialDensity):
+            n = max(len(fc.coefficients), len(gc.coefficients))
+            diff = tuple(
+                (fc.coefficients[k] if k < len(fc.coefficients) else 0.0)
+                - (gc.coefficients[k] if k < len(gc.coefficients) else 0.0)
+                for k in range(n)
+            )
+            total += weight * histograms._abs_polynomial_integral(PolynomialDensity(diff), a, b)
+        else:
+            total += weight * histograms._adaptive_simpson(lambda x: abs(fc(x) - gc(x)), a, b)
+    return 0.5 * total
+
+
+def oracle_cell_masses(density, partition):
+    from scipy.integrate import quad
+
+    masses = np.zeros(len(partition))
+    for i, cell in enumerate(_cells(partition)):
+        if cell.is_atom or not cell.bounded:
+            continue
+        a = float(cell.left)
+        b = float(cell.right)
+        if isinstance(density, PolynomialDensity):
+            masses[i] = density.integral(a, b)
+        elif isinstance(density, PiecewiseDensity):
+            masses[i] = density((a + b) / 2.0) * (b - a)
+        else:
+            masses[i], _ = quad(density, a, b)
+    return masses
+
+
+def oracle_tv_martingale_curve(density, chain, depths):
+    out = []
+    for m in depths:
+        part = chain[m]
+        h = Histogram(part, oracle_cell_masses(density, part), POSITIVE)
+        step = histogram_density(h, lebesgue_reference(part))
+        out.append((int(m), oracle_tv_distance_density(density, step, partition=part)))
+    return tuple(out)
+
+
+def outcome(call):
+    """A float result as its repr (so -0.0 and 0.0 differ), or the error's
+    type, code and text."""
+    try:
+        result = call()
+    except ValueError as e:  # ValidationError among them
+        return type(e).__name__, getattr(e, "code", None), str(e)
+    return repr(result)
+
+
+TV_CHAINS = {
+    "dyadic-open": dyadic_chain(Domain.unit(), depth=6),
+    "dyadic-closed": dyadic_chain(Domain.unit(closed_left=True), depth=6),
+    "triangular-unit": triangular_chain(UNIT_ROWS, Domain.unit()),
+    "triangular-real": triangular_chain([[(2.0 * k / (1 << n) - 1.0) ** 3 for k in range(1, 1 << n)]
+                                         for n in range(1, 5)]),
+}
+TV_DENSITIES = {
+    "slope": PolynomialDensity((0.0, 2.0)),
+    "bowl": PolynomialDensity((0.5, -2.0, 2.5)),
+    "wave": lambda x: 1.0 + 0.5 * math.sin(7.0 * x),
+    "step": PiecewiseDensity(TV_CHAINS["dyadic-open"][2], np.array([0.5, 2.0, 0.0, 1.5])),
+}
+
+
+def _steps(part, rng):
+    """Two step densities on `part`, one with zero cells."""
+    n = len(part)
+    values = rng.uniform(0.0, 3.0, size=(2, n))
+    values[1, ::3] = 0.0
+    return PiecewiseDensity(part, values[0]), PiecewiseDensity(part, values[1])
+
+
+@pytest.mark.parametrize("name", TV_CHAINS)
+def test_tv_distance_matches_the_cell_walk(name):
+    chain = TV_CHAINS[name]
+    rng = np.random.default_rng(sorted(TV_CHAINS).index(name))
+    others = [c for key, c in TV_CHAINS.items() if key != name]
+    cases = 0
+    for m in range(chain.depth):
+        part = chain[m]
+        step, zeroed = _steps(part, rng)
+        finer, coarser = chain[m + 1], chain[max(m - 1, 0)]
+        widths = part.widths()
+        refs = [None, Histogram(part, rng.uniform(0.0, 1.0, len(part)) * (widths > 0), POSITIVE),
+                Histogram(part, np.where(np.arange(len(part)) % 2, 0.0, 1.0), POSITIVE),
+                Histogram(finer, np.ones(len(finer)), POSITIVE)]
+        refs += [Histogram(o[m], np.ones(len(o[m])), POSITIVE) for o in others if o.depth >= m]
+        alien = [PiecewiseDensity(o[m], np.ones(len(o[m]))) for o in others if o.depth >= m]
+        pairs = [(f, g, part) for f in TV_DENSITIES.values() for g in TV_DENSITIES.values()]
+        pairs += [(step, g, None) for g in TV_DENSITIES.values()]
+        pairs += [(g, zeroed, None) for g in TV_DENSITIES.values()]
+        pairs += [(step, zeroed, None), (zeroed, step, finer), (step, zeroed, coarser)]
+        pairs += [(step, a, None) for a in alien] + [(a, step, None) for a in alien]
+        for f, g, partition in pairs:
+            for reference in refs:
+                want = outcome(lambda: oracle_tv_distance_density(
+                    f, g, partition=partition, reference=reference))
+                got = outcome(lambda: tv_distance_density(
+                    f, g, partition=partition, reference=reference))
+                assert got == want, (m, f, g, partition, reference)
+                cases += 1
+    assert cases > 500
+
+
+@pytest.mark.parametrize("name", TV_CHAINS)
+@pytest.mark.parametrize("density", TV_DENSITIES)
+def test_tv_martingale_curve_matches_the_cell_walk(name, density):
+    chain, f = TV_CHAINS[name], TV_DENSITIES[density]
+    depths = range(1, chain.depth + 1)
+    want = outcome(lambda: oracle_tv_martingale_curve(f, chain, depths))
+    assert outcome(lambda: tv_martingale_curve(f, chain, depths)) == want
+    for m in depths:
+        assert outcome(lambda: diagnostics._cell_masses(f, chain[m]).tolist()) == \
+            outcome(lambda: oracle_cell_masses(f, chain[m]).tolist())

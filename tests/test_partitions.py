@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from histolim.errors import ValidationError
 from histolim.partitions import (
-    Cell,
     CellIndex,
     Domain,
     Partition,
@@ -29,6 +28,8 @@ from histolim.partitions import (
     refine_map,
     triangular_chain,
 )
+
+from cell_walk import cell_walk_boundaries, cells_of, oracle_cells
 
 bits_st = st.lists(st.integers(0, 1), min_size=0, max_size=12)
 
@@ -50,9 +51,8 @@ def test_unit_chain_shapes():
 
 def test_level_zero_is_whole_domain():
     part = dyadic_chain(depth=0)[0]
-    (cell,) = part.cells
-    assert cell.index.label() == "()"
-    assert float(cell.left) == 0.0 and float(cell.right) == 1.0
+    assert part.labels() == ["()"]
+    assert part.edges().tolist() == [0.0, 1.0]
 
 
 @given(bits_st)
@@ -74,12 +74,12 @@ def test_children_tile_parent(bits):
 
 
 @given(st.integers(1, 7), st.floats(0.0, 1.0, exclude_min=True))
-def test_cell_of_locates_points(depth, x):
+def test_position_of_locates_points(depth, x):
     part = dyadic_chain(depth=depth)[depth]
-    cell = part.cell_of(x)
-    assert cell.contains(x)
+    cells = cells_of(part)
+    assert cells[part.position_of(x)].contains(x)
     # exactly one cell contains it
-    assert sum(c.contains(x) for c in part.cells) == 1
+    assert sum(c.contains(x) for c in cells) == 1
 
 
 @given(st.integers(0, 6), st.integers(0, 6))
@@ -93,8 +93,8 @@ def test_refinement_composition(a, b):
     assert starts[-1] < len(chain[fine])
     # composing through an intermediate level gives the same map
     mid = (coarse + fine) // 2
-    via = chain.refinement(coarse, mid).compose(chain.refinement(mid, fine))
-    assert np.array_equal(via.boundaries, starts)
+    via = chain.refinement(mid, fine).boundaries[chain.refinement(coarse, mid).boundaries]
+    assert np.array_equal(via, starts)
 
 
 def test_refinement_boundaries_are_group_starts():
@@ -121,9 +121,9 @@ def test_triangular_chain_on_real_line():
     for n in range(4):
         assert len(chain[n]) == 2**n
     part = chain[3]
-    assert not part.cells[0].bounded
-    assert not part.cells[-1].bounded
-    assert all(c.bounded for c in part.cells[1:-1])
+    edges = part.edges()
+    assert (edges[0], edges[-1]) == (-math.inf, math.inf)
+    assert np.isfinite(edges[1:-1]).all()
     # binary refinement structure: every coarse cell covers two fine cells
     rmap = chain.refinement(2, 3)
     assert np.diff(rmap.boundaries, append=len(part)).tolist() == [2] * 4
@@ -150,9 +150,9 @@ def test_closed_left_domain_gets_atom_cell():
     chain = dyadic_chain(Domain.unit(closed_left=True), depth=2)
     part = chain[2]
     assert part.has_atom
-    assert part.cells[0].is_atom
-    assert part.cells[0].index.label() == "{left}"
-    assert part.cells[0].width() == 0.0
+    assert part.labels()[0] == "{left}"
+    assert part.widths()[0] == 0.0
+    assert part.describe_cell(0) == "{0}"
     assert len(part) == 4 + 1
     # the atom refines onto itself
     rmap = chain.refinement(1, 2)
@@ -178,8 +178,7 @@ def test_dyadic_chain_json_round_trip():
     assert isinstance(back, PartitionChain)
     assert back.depth == 4
     for m in range(5):
-        assert [c.index.label() for c in back[m].cells] == \
-            [c.index.label() for c in chain[m].cells]
+        assert back[m].labels() == chain[m].labels()
     assert chain_to_json_text(back) == text
 
 
@@ -188,8 +187,7 @@ def test_triangular_chain_json_round_trip():
     back = chain_from_json_text(chain_to_json_text(chain))
     assert back.depth == 3
     for n in range(4):
-        assert [c.width() for c in back[n].cells] == \
-            [c.width() for c in chain[n].cells]
+        assert back[n].widths().tolist() == chain[n].widths().tolist()
 
 
 def test_cantor_midpoint_values():
@@ -232,56 +230,6 @@ def eager_dyadic_levels(domain, depth):
             for m in range(depth + 1)]
 
 
-def oracle_cells(domain, level, pts):
-    """The cells a level with cut points `pts` had when every level was
-    built cell by cell: the singleton of a left-closed domain, then
-    (pts[k], pts[k + 1]] addressed by position."""
-    atom = [Cell(pts[0], pts[0], CellIndex((), level, atom=True))] if domain.closed_left else []
-    return tuple(atom + [Cell(pts[k], pts[k + 1], CellIndex.at(k, level))
-                         for k in range(len(pts) - 1)])
-
-
-def cell_walk_boundaries(coarse_cells, fine_cells):
-    """Refinement starts by walking both cell tuples side by side, the way
-    `refine_map` matched every pair that was not dyadic into dyadic."""
-    starts = []
-    j = 0
-    for big in coarse_cells:
-        starts.append(j)
-        if big.is_atom:
-            if j >= len(fine_cells) or not fine_cells[j].is_atom or fine_cells[j].left != big.left:
-                raise ValidationError(
-                    "refinement/gap",
-                    f"coarse singleton {big!r} has no matching fine singleton",
-                )
-            j += 1
-            continue
-        if j >= len(fine_cells) or fine_cells[j].left != big.left:
-            got = fine_cells[j] if j < len(fine_cells) else None
-            raise ValidationError(
-                "refinement/gap",
-                f"fine cells do not start coarse cell {big!r} (next fine cell: {got!r})",
-            )
-        while True:
-            small = fine_cells[j]
-            if small.right > big.right:
-                raise ValidationError(
-                    "refinement/straddle",
-                    f"fine cell {small!r} straddles the coarse boundary at {format_endpoint(big.right)}",
-                )
-            j += 1
-            if small.right == big.right:
-                break
-            if j >= len(fine_cells):
-                raise ValidationError(
-                    "refinement/gap",
-                    f"fine cells stop before the end of coarse cell {big!r}",
-                )
-    if j != len(fine_cells):
-        raise ValidationError("refinement/gap", "fine partition has cells beyond the coarse cover")
-    return starts
-
-
 DOMAINS = [Domain.unit(), Domain.unit(closed_left=True),
            Domain(Fraction(-3, 2), Fraction(5, 4)),
            Domain(Fraction(-3, 2), Fraction(5, 4), closed_left=True),
@@ -297,17 +245,15 @@ def test_implicit_dyadic_levels_match_eager_construction(domain):
         assert part.cut_points() == ref.cut_points()
         assert np.array_equal(part.edges(), [float(e) for e in ref.cut_points()])
         assert np.array_equal(part.widths(), ref.widths())
+        cells = oracle_cells(domain, part.level, ref.cut_points())
         probes = ref.cut_points() + [(a + b) / 2 for a, b in
                                      zip(ref.cut_points(), ref.cut_points()[1:])]
         for x in probes + [float(x) for x in probes]:
             if not domain.contains(x):
                 continue
-            (expect,) = [c for c in ref.cells if c.contains(x)]
-            assert part.cell_of(x) == expect
-        assert part.cells == ref.cells == oracle_cells(domain, part.level, ref.cut_points())
-        assert [part.index(c) for c in ref.cells] == list(range(len(ref)))
-    with pytest.raises(ValueError):
-        chain[3].index(eager[4].cells[-1])
+            (expect,) = [i for i, c in enumerate(cells) if c.contains(x)]
+            assert part.position_of(x) == ref.position_of(x) == expect
+        assert [part.describe_cell(i) for i in range(len(part))] == list(map(repr, cells))
     levels = [[format_endpoint(e) for e in p.cut_points()] for p in eager]
     assert chain_to_json_text(chain) == json.dumps(
         {"domain": domain.to_json(), "kind": "dyadic", "levels": levels},
@@ -320,7 +266,7 @@ def test_dyadic_refinement_matches_cell_walk(domain):
     eager = eager_dyadic_levels(domain, 6)
     for coarse in range(7):
         for fine in range(coarse, 7):
-            walk = cell_walk_boundaries(eager[coarse].cells, eager[fine].cells)
+            walk = cell_walk_boundaries(cells_of(eager[coarse]), cells_of(eager[fine]))
             assert refine_map(chain[coarse], chain[fine]).boundaries.tolist() == walk
             assert refine_map(eager[coarse], eager[fine]).boundaries.tolist() == walk
 
@@ -332,7 +278,8 @@ def test_dyadic_chain_reaches_max_depth(closed_left, monkeypatch):
     assert depth == 30
     chain = dyadic_chain(Domain.unit(closed_left), depth=depth)
     assert len(chain[30]) == 2**30 + closed_left
-    assert chain[30].cell_of(1.0).index.bits == (1,) * 30
+    pos = chain[30].position_of(1.0) - closed_left
+    assert CellIndex.at(pos, 30).bits == (1,) * 30
 
 
 def test_unbounded_ends_are_ieee_infinities():
@@ -364,10 +311,9 @@ def test_parse_endpoint_keeps_exact_and_float_forms():
 
 def test_predicates_at_unbounded_ends():
     part = triangular_chain(nested_rows(1))[1]
-    lower, upper = part.cells
-    assert (lower.width(), upper.width()) == (math.inf, math.inf)
-    assert lower.contains(-1e308) and lower.contains(0.0) and not lower.contains(1e-300)
-    assert upper.contains(1e308) and not upper.contains(0.0)
+    assert part.widths().tolist() == [math.inf, math.inf]
+    assert [part.position_of(x) for x in (-1e308, 0.0, 1e-300, 1e308)] == [0, 0, 1, 1]
+    assert [part.describe_cell(i) for i in range(2)] == ["(-inf, 0.0]", "(0.0, +inf]"]
     assert Domain.real_line().contains(-1e308) and not Domain.real_line().contains(-math.inf)
     half_line = Domain(Fraction(0), math.inf, closed_left=True)
     assert half_line.contains(0) and half_line.contains(Fraction(10**400))
@@ -378,7 +324,8 @@ def test_huge_finite_fraction_never_turns_into_a_float():
     big = Fraction(10**400)
     domain = Domain(Fraction(0), big)
     assert domain.bounded and domain.contains(big) and not domain.contains(big + 1)
-    assert Cell(Fraction(1), big, CellIndex((), 0)).contains(Fraction(10**399))
+    part = dyadic_chain(domain, depth=1)[1]
+    assert [part.position_of(x) for x in (Fraction(10**399), big / 2 + 1, big)] == [0, 1, 1]
 
 
 @pytest.mark.parametrize("coarse, fine, at", [(1, 0, "0.0"), (2, 1, "-0.5")],
@@ -391,6 +338,24 @@ def test_straddling_fine_cell_is_refused(coarse, fine, at):
         refine_map(chain[coarse], chain[fine])
     assert e.value.code == "refinement/straddle"
     assert str(e.value).endswith(f"straddles the coarse boundary at {at}")
+
+
+def test_straddle_error_prints_the_fine_cell_in_full():
+    """The straddle error prints the fine cell as '(l, r]', each end in its
+    text form: exact ends as fractions, float ends by repr, unbounded ends
+    as '-inf' and '+inf'."""
+    real, unit = triangular_chain(nested_rows(2)), CHAINS["triangular-unit"]()
+    dyadic = dyadic_chain(depth=2)
+    cases = [(real[1], real[0], "(-inf, +inf]", "0.0"),
+             (real[2], real[1], "(-inf, 0.0]", "-0.5"),
+             (unit[1], dyadic[1], "(0, 1/2]", "0.25"),
+             (dyadic[1], unit[1], "(0.25, 1]", "1/2"),
+             (dyadic[2], unit[2], "(0.25, 0.5625]", "1/2")]
+    for coarse, fine, cell, at in cases:
+        with pytest.raises(ValidationError) as e:
+            refine_map(coarse, fine)
+        assert e.value.code == "refinement/straddle"
+        assert str(e.value) == f"fine cell {cell} straddles the coarse boundary at {at}"
 
 
 def test_triangular_chain_refuses_every_closed_left_domain():
@@ -428,15 +393,13 @@ def test_triangular_levels_read_cut_points_without_cells(name):
         assert part.labels() == [c.index.label() for c in cells]
         mids = [(a + b) / 2 for a, b in zip(pts[1:-2], pts[2:-1])]
         for x in pts[1:-1] + mids:
-            (expect,) = [c for c in cells if c.contains(x)]
-            assert part.cell_of(x) == expect
-        assert [part.index(c) for c in cells] == list(range(len(cells)))
+            (expect,) = [i for i, c in enumerate(cells) if c.contains(x)]
+            assert part.position_of(x) == expect
+        assert [part.describe_cell(i) for i in range(len(part))] == list(map(repr, cells))
         if n:
             walk = cell_walk_boundaries(oracle_cells(domain, n - 1, chain[n - 1].cut_points()),
                                         cells)
             assert chain.refinement(n - 1, n).boundaries.tolist() == walk
-        assert "cells" not in part.__dict__
-        assert part.cells == cells
 
 
 def _refinement_outcome(refine, coarse, fine):
@@ -472,7 +435,8 @@ def test_refine_map_matches_cell_walk(first, second, nested):
     for ca in a.partitions:
         for fb in b.partitions:
             got = _refinement_outcome(lambda c, f: refine_map(c, f).boundaries.tolist(), ca, fb)
-            want = _refinement_outcome(lambda c, f: cell_walk_boundaries(c.cells, f.cells), ca, fb)
+            want = _refinement_outcome(
+                lambda c, f: cell_walk_boundaries(cells_of(c), cells_of(f)), ca, fb)
             assert got == want, (ca.level, fb.level)
             if nested and ca.level <= fb.level:
                 assert isinstance(got, list), got

@@ -10,7 +10,6 @@ from histolim.errors import ValidationError
 from histolim.histograms import PROBABILITY, project
 from histolim.partitions import Domain, dyadic_chain
 from histolim.sampling import (
-    chain_sample,
     path_from_histogram,
     sample_stack,
 )
@@ -106,7 +105,7 @@ def test_polya_rejects_non_binary_chain():
     assert stack.values.shape == (5, 4)
     bad = triangular_chain([[0.0], [-1.0, 0.0, 1.0],
                             [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]])
-    assert len(bad[3].interval_cells) == 8  # still binary; build a broken one
+    assert len(bad[3]) - bad[3].has_atom == 8  # still binary; build a broken one
     with pytest.raises(ValidationError):
         sample_stack(system, CHAIN, 99, RandomStream(1), 5)
 
@@ -178,15 +177,6 @@ def test_sample_stack_jobs_invariance():
         one = sample_stack(system, CHAIN, 4, RandomStream(42), 9000, jobs=1)
         four = sample_stack(system, CHAIN, 4, RandomStream(42), 9000, jobs=4)
         assert np.array_equal(one.values, four.values), type(system).__name__
-
-
-def test_chain_sample_is_exactly_coherent():
-    system = PolyaTreeSystem(HomogeneousRule("m^2"))
-    family = chain_sample(system, CHAIN, 5, RandomStream(13))
-    assert len(family) == 6
-    for level in range(5):
-        pushed = project(family[level + 1], CHAIN.refinement(level, level + 1))
-        assert np.array_equal(pushed.values, family[level].values)
 
 
 def test_path_from_histogram_endpoints():

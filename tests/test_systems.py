@@ -33,6 +33,8 @@ from histolim.systems import (
     system_from_json,
 )
 
+from cell_walk import cells_of
+
 CHAIN = dyadic_chain(depth=4)
 
 
@@ -229,7 +231,7 @@ def test_polya_mean_equals_per_cell_products(rule, p0, domain):
     chain = dyadic_chain(domain, depth=8)
     for part in chain.partitions:
         per_cell = [p0 if c.is_atom else mean_of_index(system, c.index)
-                    for c in part.cells]
+                    for c in cells_of(part)]
         assert np.array_equal(system.mean(part).values, per_cell)
 
 
