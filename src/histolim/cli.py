@@ -25,21 +25,6 @@ from typing import Optional
 import click
 import numpy as np
 
-# `check` reaches the evaluators through `family_verdicts`; they stay imported
-# because perfbench/spans.py wraps them by name on this module
-from .conditions import (
-    EVALUATOR_TAGS,
-    MATRIX_DEPTH,
-    PRODUCT_DEPTH,
-    dirichlet_condition,
-    dirichlet_weak_condition,
-    gaussian_conditions,
-    leakage_counterexample,
-    polya_leakage_condition,
-    polya_tight_condition,
-    polya_weak_condition,
-)
-from .diagnostics import MIN_STATISTICAL_SAMPLES, family_verdicts, phase_report
 from .errors import NumericError, ValidationError
 from .histograms import dump_json, histogram_to_csv, histogram_to_json, stack_to_csv
 from .partitions import (
@@ -52,11 +37,49 @@ from .sampling import path_from_histogram, sample_stack
 from .streams import RandomStream
 from .systems import LeakageSystem, system_from_json
 
-_EVALUATOR_LINES = "\n".join(
-    f"  {name}  [{tag}]" for name, tag in sorted(EVALUATOR_TAGS.items()))
+# `conditions` and `diagnostics` load only in the subcommands that run them.
+# These names still resolve here, on first access: perfbench/spans.py wraps
+# them by name on this module, and `diagnose` calls `phase_report` through
+# the module attribute so that an installed wrapper sees the call.
+_ON_DEMAND = ("dirichlet_condition", "dirichlet_weak_condition", "gaussian_conditions",
+              "polya_leakage_condition", "polya_tight_condition", "polya_weak_condition",
+              "phase_report")
+_module = sys.modules[__name__]
 
-EPILOG = ("Condition evaluators and their condition tags:\n\n"
-          + _EVALUATOR_LINES)
+
+def __getattr__(name: str):
+    if name not in _ON_DEMAND:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
+
+class _ConditionsHelp:
+    """Fills the ``{fields}`` of a command's epilog and option help from
+    `conditions` when the help is printed, the one time it is needed."""
+
+    def format_help(self, ctx, formatter):
+        from . import conditions
+
+        fields = {"PRODUCT_DEPTH": conditions.PRODUCT_DEPTH,
+                  "MATRIX_DEPTH": conditions.MATRIX_DEPTH,
+                  "evaluators": "\n".join(f"  {name}  [{tag}]" for name, tag
+                                          in sorted(conditions.EVALUATOR_TAGS.items()))}
+        self.epilog = self.epilog and self.epilog.format(**fields)
+        for param in self.params:
+            param.help = param.help and param.help.format(**fields)
+        super().format_help(ctx, formatter)
+
+
+class _Group(_ConditionsHelp, click.Group):
+    pass
+
+
+class _Command(_ConditionsHelp, click.Command):
+    pass
+
+
+EPILOG = "Condition evaluators and their condition tags:\n\n{evaluators}"
 
 
 def _load_system(path: str):
@@ -167,7 +190,7 @@ def _jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-@click.group(epilog=EPILOG)
+@click.group(cls=_Group, epilog=EPILOG)
 def cli():
     """Coherent systems of random histograms: sample them, check the
     existence and domination conditions, and diagnose the phase."""
@@ -256,16 +279,18 @@ def path(system_path, chain_path, depth, replicates, seed, jobs, out, force):
     _export(out, force, rows)
 
 
-@cli.command()
+@cli.command(cls=_Command)
 @system_option
 @chain_option
 @click.option("--depth", default=None, type=int,
-              help=f"Evaluation depth (default {PRODUCT_DEPTH} for product "
-                   f"conditions, {MATRIX_DEPTH} for covariance conditions).")
+              help="Evaluation depth (default {PRODUCT_DEPTH} for product "
+                   "conditions, {MATRIX_DEPTH} for covariance conditions).")
 @out_option
 @force_option
 def check(system_path, chain_path, depth, out, force):
     """Evaluate every condition for the family; JSON verdicts."""
+    from .diagnostics import family_verdicts
+
     _check_depth(depth)
     system = _load_system(system_path)
     verdicts = family_verdicts(system, partial(_resolve_chain, system, chain_path), depth)[0]
@@ -295,6 +320,8 @@ def check(system_path, chain_path, depth, out, force):
 def diagnose(system_path, chain_path, depths_raw, depth_max, n, seed,
              l_grid_raw, delta, jobs, out, fmt, force):
     """Aggregate phase report: condition verdicts plus Monte-Carlo curves."""
+    from .diagnostics import MIN_STATISTICAL_SAMPLES
+
     if n < MIN_STATISTICAL_SAMPLES:
         raise ValidationError("cli/samples",
                               f"--N must be >= {MIN_STATISTICAL_SAMPLES}, got {n}")
@@ -310,9 +337,9 @@ def diagnose(system_path, chain_path, depths_raw, depth_max, n, seed,
     top = max(depths) if depths else 8
     chain = _resolve_chain(system, chain_path, top)
     l_grid = _parse_number_list(l_grid_raw, "--L-grid")
-    report = phase_report(system, chain, depths=depths, replicates=n,
-                          seed=seed, L_grid=l_grid, delta=delta,
-                          jobs=_jobs(jobs))
+    report = _module.phase_report(system, chain, depths=depths, replicates=n,
+                                  seed=seed, L_grid=l_grid, delta=delta,
+                                  jobs=_jobs(jobs))
     if fmt == "csv":
         if out is None:
             raise ValidationError("cli/out",
@@ -336,6 +363,8 @@ def diagnose(system_path, chain_path, depths_raw, depth_max, n, seed,
 @force_option
 def counterexample(delta, depth, interior, out, fmt, force):
     """Outside-mass table of the escaping-mass construction."""
+    from .conditions import leakage_counterexample
+
     report = leakage_counterexample(delta, depth, interior=interior)
     if fmt == "json":
         _export(out, force, dump_json, report.to_json())

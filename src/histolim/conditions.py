@@ -691,7 +691,7 @@ def gaussian_conditions(system: GaussianSystem, chain: PartitionChain,
         if isinstance(spec, DiagonalCovariance):  # no matrix: tau is the largest variance
             diag = spec.variances(part)
         else:
-            sigma = assemble_sigma(spec, part)
+            sigma, eigs = assemble_sigma(spec, part, spectrum=True)
             diag = np.diag(sigma)
         curves["diagonal"].append((m, float(diag.max())))
         curves["weak"].append((m, float(np.sqrt(diag).sum())))
@@ -702,7 +702,7 @@ def gaussian_conditions(system: GaussianSystem, chain: PartitionChain,
         elif spec.is_diagonal:
             tau = float(diag.max())
         else:
-            tau = float(np.linalg.eigvalsh(sigma)[-1])
+            tau = float(eigs[-1])
         curves["spectral"].append((m, len(part) * tau))
 
     settled = _settled_statistics(spec, curves["weak"])

@@ -76,7 +76,7 @@ def check_summary(kind: str, finite: bool, low: float, off: float) -> None:
         raise ValidationError(
             "histogram/total-mass",
             f"probability histogram total differs from 1 by {off:.3e} "
-            f"(> {PROBABILITY_SUM_TOL}); pass normalize=True to rescale explicitly",
+            f"(> {PROBABILITY_SUM_TOL})",
         )
 
 

@@ -14,7 +14,6 @@ of worker threads, and a prefix of a larger run equals the smaller run.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -101,6 +100,8 @@ def run_grids(grids: Sequence[tuple[RandomStream, int, Callable]], *,
     if jobs == 1 or len(tasks) <= 1:
         collect(map(one, tasks))
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging and threading
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             collect(pool.map(one, tasks))
     return [tuple(np.concatenate(field, axis=0) for field in zip(*p)) if p else r

@@ -543,6 +543,8 @@ class PointMassCovariance:
     def __post_init__(self):
         sites = tuple(float(s) for s in self.sites)
         mat = np.array(self.matrix, dtype=float)
+        if not np.isfinite(mat).all():
+            raise ValidationError("covariance/point-mass", "site matrix entries must be finite")
         n = len(sites)
         if mat.shape != (n, n):
             raise ValidationError("covariance/point-mass",
@@ -591,6 +593,13 @@ class KernelCovariance:
                                   f"unknown kernel {self.name!r}; have {sorted(_NAMED_KERNELS)}")
         if self.order < 1:
             raise ValidationError("covariance/kernel", f"quadrature order must be >= 1, got {self.order}")
+        if self.name != "constant":  # non-numbers fail when the kernel is first called
+            length, scale = self.params.get("length", 1.0), self.params.get("scale", 1.0)
+            if isinstance(length, (int, float)) and (length == 0 or not math.isfinite(length)):
+                raise ValidationError("covariance/kernel",
+                                      f"kernel length must be finite and nonzero, got {length!r}")
+            if isinstance(scale, (int, float)) and not math.isfinite(scale):  # 0 is the zero covariance
+                raise ValidationError("covariance/kernel", f"kernel scale must be finite, got {scale!r}")
         k = self.kernel()
         for x, y in ((0.1, 0.7), (0.25, 0.9), (0.4, 0.45)):
             if abs(k(x, y) - k(y, x)) > 1e-12:
@@ -694,11 +703,14 @@ def _quadrature_matrix(kernel: Callable[[float, float], float],
     return out
 
 
-def assemble_sigma(spec: CovarianceSpec, partition: Partition) -> np.ndarray:
+def assemble_sigma(spec: CovarianceSpec, partition: Partition, *,
+                   spectrum: bool = False):
     """Cell-pair covariance matrix of the given spec on the partition.
 
     The assembled matrix is validated: entries that are not finite, and
     eigenvalues below -1e-10 * (largest eigenvalue), raise a numeric error.
+    With ``spectrum=True`` the result is ``(matrix, eigenvalues)``, the
+    ascending spectrum that check computed.
     """
     n = len(partition)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below as not finite
@@ -729,7 +741,7 @@ def assemble_sigma(spec: CovarianceSpec, partition: Partition) -> np.ndarray:
             f"assembled covariance has eigenvalue {float(eigs.min()):.6e} "
             f"below -{PSD_RELATIVE_TOL:g} * {max(top, 1.0):.6e}",
         )
-    return sigma
+    return (sigma, eigs) if spectrum else sigma
 
 
 def sigma_factor(spec: CovarianceSpec, partition: Partition) -> np.ndarray:

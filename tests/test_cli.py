@@ -17,6 +17,7 @@ except ModuleNotFoundError:  # Python 3.10: tomllib arrived in 3.11
     tomllib = None
 
 from histolim.cli import main
+from histolim.conditions import EVALUATOR_TAGS
 
 
 @pytest.fixture
@@ -162,10 +163,9 @@ def test_sample_bytes_equal_across_jobs(systems, capsys, tmp_path):
 def test_help_lists_evaluators_with_tags(capsys):
     code, out, err = run(capsys, "--help")
     assert code == 0
-    for name, tag in (("polya-tight", "P-tight"),
-                      ("gaussian-spectral", "P-Gauss"),
-                      ("dirichlet-weak", "P-weak")):
-        assert name in out and f"[{tag}]" in out
+    out = "".join(out.split())  # help wraps lines, also inside hyphenated names
+    for name, tag in EVALUATOR_TAGS.items():
+        assert f"{name}[{tag}]" in out
 
 
 def test_mean_json(systems, capsys):
@@ -557,6 +557,42 @@ def test_closed_left_triangular_chain_is_refused(tmp_path, capsys):
     code, err = _chain_error(capsys, tmp_path, json.dumps(chain))
     assert code == 1
     assert err.startswith("error[partition/unsupported-domain]")
+
+
+@pytest.mark.parametrize("covariance, err", [
+    ('{"variant": "point_mass", "sites": [0.3], "matrix": [[1e999]]}',
+     "error[covariance/point-mass] site matrix entries must be finite\n"),
+    ('{"variant": "point_mass", "sites": [0.3], "matrix": [[NaN]]}',
+     "error[covariance/point-mass] site matrix entries must be finite\n"),
+    ('{"variant": "kernel", "name": "gaussian", "params": {"length": 0}}',
+     "error[covariance/kernel] kernel length must be finite and nonzero, got 0\n"),
+    ('{"variant": "kernel", "name": "exponential", "params": {"length": 0.0}}',
+     "error[covariance/kernel] kernel length must be finite and nonzero, got 0.0\n"),
+    ('{"variant": "kernel", "name": "exponential", "params": {"length": NaN}}',
+     "error[covariance/kernel] kernel length must be finite and nonzero, got nan\n"),
+    ('{"variant": "kernel", "name": "gaussian", "params": {"scale": 1e999}}',
+     "error[covariance/kernel] kernel scale must be finite, got inf\n"),
+], ids=["point-mass-inf", "point-mass-nan", "gaussian-length-0",
+        "exponential-length-0", "exponential-length-nan", "gaussian-scale-inf"])
+def test_malformed_covariance_is_one_validation_error(covariance, err, tmp_path, capsys):
+    """Site-matrix entries that are not finite, a kernel length that is zero
+    or not finite and a kernel scale that is not finite are refused when the
+    system is read (exit 1), not at assembly (exit 2) or by a
+    ZeroDivisionError traceback."""
+    path = tmp_path / "system.json"
+    path.write_text('{"family": "gaussian", "covariance": %s}' % covariance)
+    assert run(capsys, "check", "--system", str(path)) == (1, "", err)
+
+
+@pytest.mark.parametrize("params", [{"length": -0.5}, {"scale": 0}],
+                         ids=["negative-length", "zero-scale"])
+def test_kernel_parameters_left_as_they_were_are_accepted(params, tmp_path, capsys):
+    """A negative length and a zero scale (the zero covariance) still run."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"family": "gaussian", "covariance": {
+        "variant": "kernel", "name": "gaussian", "params": params}}))
+    code, out, err = run(capsys, "check", "--system", str(path), "--depth", "2")
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("argv", [

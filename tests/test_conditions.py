@@ -289,6 +289,23 @@ def test_point_mass_cancelling_offdiagonal_is_undetermined():
     assert out["spectral"].status == UNDETERMINED
 
 
+@pytest.mark.parametrize("spec", [
+    PointMassCovariance((0.25, 0.75), np.array([[1.0, 0.5], [0.5, 1.0]])),
+    KernelCovariance("gaussian", {"length": 0.3}, order=3),
+], ids=["point-mass", "kernel"])
+def test_one_spectrum_per_gaussian_level(spec, monkeypatch):
+    """The PSD check's spectrum gives `tau`: one `eigvalsh` per level."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args, **kwargs: calls.append(a.shape)
+                        or eigvalsh(a, *args, **kwargs))
+    out = gaussian_conditions(GaussianSystem(spec), CHAIN10, depth=4)
+    # `leggauss` finds the order-3 quadrature nodes with one 3x3 `eigvalsh`
+    assert [shape for shape in calls if shape != (3, 3)] == [(2**m, 2**m) for m in range(5)]
+    assert [m for m, _ in out["spectral"].evidence] == list(range(5))
+
+
 def test_quadrature_kernels_stay_undetermined():
     for spec in (KernelCovariance("gaussian", {"length": 0.3}),
                  GreensCovariance(1)):

@@ -53,8 +53,11 @@ def prob(level, values):
 
 
 def test_probability_kind_enforces_simplex():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as e:
         prob(1, [0.7, 0.4])
+    assert (e.value.code, str(e.value)) == (
+        "histogram/total-mass",
+        "probability histogram total differs from 1 by 1.000e-01 (> 1e-12)")
     with pytest.raises(ValidationError):
         prob(1, [1.1, -0.1])
     h = prob(1, [0.35, 0.65])

@@ -313,6 +313,13 @@ def test_point_mass_covariance_checks():
         PointMassCovariance((0.25, 0.75), np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValidationError):
         PointMassCovariance((0.25,), np.array([[1.0, 0.0], [0.0, 1.0]]))
+    # refused before the symmetry check, which counts inf == inf and calls
+    # a nan asymmetric
+    for entry in (math.inf, math.nan):
+        with pytest.raises(ValidationError) as e:
+            PointMassCovariance((0.3,), np.array([[entry]]))
+        assert (e.value.code, str(e.value)) == ("covariance/point-mass",
+                                                "site matrix entries must be finite")
 
 
 def test_point_mass_assembly_lands_on_containing_cells():
