@@ -79,7 +79,8 @@ class _Command(_ConditionsHelp, click.Command):
     pass
 
 
-EPILOG = "Condition evaluators and their condition tags:\n\n{evaluators}"
+#: "\b" keeps click from re-wrapping the evaluator table into one paragraph
+EPILOG = "Condition evaluators and their condition tags:\n\n\b\n{evaluators}"
 
 
 def _load_system(path: str):
@@ -190,7 +191,7 @@ def _jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-@click.group(cls=_Group, epilog=EPILOG)
+@click.group(cls=_Group, epilog=EPILOG, no_args_is_help=False)
 def cli():
     """Coherent systems of random histograms: sample them, check the
     existence and domination conditions, and diagnose the phase."""

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .partitions import CellIndex, Domain, PartitionChain
+from .partitions import Domain, Partition, PartitionChain
 from .systems import (
     AtomicBase,
     CantorTrigRule,
@@ -122,9 +122,8 @@ def _directional_terms(system: PolyaTreeSystem, bit: int,
     """
     terms: list[float] = []
     for m in range(depth):
-        node = CellIndex((bit,) * m, m)
         try:
-            b0, b1 = system.rule.pair(node)
+            b0, b1 = system.rule.pair(m, ((1 << m) - 1) * bit)
         except ValidationError:
             return terms, False, m
         path, other = (b0, b1) if bit == 0 else (b1, b0)
@@ -605,14 +604,14 @@ def dirichlet_condition(system: DirichletSystem,
                    ((0, float(total)),))
 
 
-def _atomic_cell_count(base: AtomicBase, level: int) -> int:
-    cells = set()
-    for x in base.points:
-        if x <= 0.0:
-            cells.add(-1)  # the boundary atom cell
-        else:
-            cells.add(min((1 << level) - 1, math.ceil(x * (1 << level)) - 1))
-    return len(cells)
+def _atomic_cell_count(points: list[float], domain: Domain, level: int) -> int:
+    """Cells of dyadic level `level` holding one of `points`, where `cell_masses`
+    puts them (the unit interval's cells on an unbounded domain)."""
+    if domain.bounded:
+        partition = Partition(domain, "dyadic", level)
+        return len({partition.position_of(x) for x in points})
+    last = (1 << level) - 1  # -1 below is the boundary atom cell
+    return len({-1 if x <= 0.0 else min(last, math.ceil(x * (1 << level)) - 1) for x in points})
 
 
 def dirichlet_weak_condition(system: DirichletSystem,
@@ -621,8 +620,8 @@ def dirichlet_weak_condition(system: DirichletSystem,
     """Domination statistic sum over cells of (nu(A)+1)/(nu(X)+1), counting
     only cells of positive base mass.
 
-    Purely atomic bases keep the statistic bounded by
-    (total + #atoms)/(total + 1) at every depth; a continuous base puts
+    Purely atomic bases keep the statistic bounded by (total + #atoms of
+    positive weight)/(total + 1) at every depth; a continuous base puts
     positive mass in all 2^m cells, and the statistic diverges.  Both
     directions are exact — domination holds if and only if the base is
     purely atomic.
@@ -632,12 +631,13 @@ def dirichlet_weak_condition(system: DirichletSystem,
     name, anchor = "dirichlet-weak", EVALUATOR_TAGS["dirichlet-weak"]
     total = system.base.total(domain)
     if isinstance(system.base, AtomicBase):
+        points = [x for x, w in zip(system.base.points, system.base.weights) if w > 0]
         evidence = tuple(
-            (m, (total + _atomic_cell_count(system.base, m)) / (total + 1.0))
+            (m, (total + _atomic_cell_count(points, domain, m)) / (total + 1.0))
             for m in range(1, depth + 1))
-        bound = (total + len(system.base.points)) / (total + 1.0)
+        bound = (total + len(points)) / (total + 1.0)
         return Verdict(name, HOLDS, anchor,
-                       f"purely atomic base: at most {len(system.base.points)} "
+                       f"purely atomic base: at most {len(points)} "
                        "cells ever carry mass, so the statistic never exceeds "
                        f"{bound:.6g}",
                        evidence)

@@ -4,9 +4,11 @@ A partition splits a one-dimensional domain into finitely many half-open
 cells (l, r] — plus, on a left-closed domain, the singleton cell {left} —
 ordered left to right, and a cell is named by its position in that order
 (the singleton first).  A chain is a sequence of partitions in which every
-cell of level m+1 sits inside exactly one cell of level m, so each interval
-cell carries a binary address: the root cell is (), and the two children of
-address b extend it by 0 (left) and 1 (right).
+cell of level m+1 sits inside exactly one cell of level m, so an interval
+cell, like a node of a splitting tree, is addressed by the integers
+(level, pos): the root is (0, 0), and the two children of (m, pos) are
+(m + 1, 2 pos) on the left and (m + 1, 2 pos + 1) on the right.  Its label
+is pos as `level` binary digits, or '()' for the root.
 
 An endpoint is a plain number: an exact `Fraction` (or int), a float, or
 the IEEE -math.inf / math.inf of an unbounded end, so membership and order
@@ -27,10 +29,6 @@ Two chain builders are provided:
 Either way a level is its domain, level and cut points, and there are no
 cell objects: sizes, widths, edges, labels and lookups read positions off
 the cut points.
-
-`cantor_midpoint` returns the exact mid-point of the ternary middle-thirds
-interval addressed by a bit string; it parameterizes the trigonometric
-split-ratio rule used elsewhere.
 
 Depth is capped (default 30 levels, overridable via the HISTOLIM_MAX_DEPTH
 environment variable) because cell counts grow as 2^m.
@@ -123,42 +121,10 @@ def parse_endpoint(text) -> Endpoint:
     return value
 
 
-@dataclass(frozen=True)
-class CellIndex:
-    """Binary refinement address.  Interval cells satisfy level == len(bits);
-    the singleton cell of a left-closed domain keeps empty bits at every
-    level and is marked with `atom=True`."""
-
-    bits: tuple[int, ...]
-    level: int
-    atom: bool = False
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValidationError("partition/bits", f"bits must be 0/1, got {self.bits}")
-        if self.atom and self.bits:
-            raise ValidationError("partition/bits", "singleton cells carry no bits")
-        if not self.atom and self.level != len(self.bits):
-            raise ValidationError(
-                "partition/bits",
-                f"interval cell level {self.level} != len(bits) {len(self.bits)}",
-            )
-
-    @classmethod
-    def at(cls, position: int, level: int) -> "CellIndex":
-        """Address of interval cell `position` (0-based, left to right) of
-        a binary level."""
-        return cls(tuple((position >> (level - 1 - k)) & 1 for k in range(level)), level)
-
-    @property
-    def position(self) -> int:
-        """Inverse of `at`: the interval cell's position in its level."""
-        return sum(b << (self.level - 1 - k) for k, b in enumerate(self.bits))
-
-    def label(self) -> str:
-        if self.atom:
-            return "{left}"
-        return "".join(str(b) for b in self.bits) if self.bits else "()"
+def node_label(level: int, pos: int) -> str:
+    """Label of interval cell or tree node (level, pos): pos as `level`
+    binary digits, left-most split first, or '()' at level 0."""
+    return format(pos, f"0{level}b") if level else "()"
 
 
 @dataclass(frozen=True)
@@ -223,7 +189,7 @@ class Partition:
         left = Fraction(self.domain.left)
         return left, (Fraction(self.domain.right) - left) / (1 << self.level)
 
-    def _cut(self, i: int) -> Endpoint:
+    def cut(self, i: int) -> Endpoint:
         """Cut point i, counted from the domain's left end."""
         if self.cuts is not None:
             return self.cuts[i]
@@ -244,9 +210,9 @@ class Partition:
     def describe_cell(self, pos: int) -> str:
         """Text of cell `pos`: '{left}' for the singleton, '(l, r]' otherwise."""
         if self.has_atom and pos == 0:
-            return f"{{{format_endpoint(self._cut(0))}}}"
+            return f"{{{format_endpoint(self.cut(0))}}}"
         k = pos - self.has_atom
-        return f"({format_endpoint(self._cut(k))}, {format_endpoint(self._cut(k + 1))}]"
+        return f"({format_endpoint(self.cut(k))}, {format_endpoint(self.cut(k + 1))}]"
 
     def widths(self) -> np.ndarray:
         if self.cuts is not None:
@@ -278,8 +244,8 @@ class Partition:
     def labels(self) -> list[str]:
         """Cell labels in cell order, read off the positions without
         building the cells."""
-        atom = [CellIndex((), self.level, atom=True).label()] if self.has_atom else []
-        return atom + [CellIndex.at(pos, self.level).label() for pos in range(self._intervals)]
+        atom = ["{left}"] if self.has_atom else []
+        return atom + [node_label(self.level, pos) for pos in range(self._intervals)]
 
     def position_of(self, x) -> int:
         """Position of the cell containing x under the right-endpoint-included
@@ -335,7 +301,7 @@ def refine_map(coarse: Partition, fine: Partition) -> RefinementMap:
     starts = [0] * coarse.has_atom + [fine.has_atom]
     for cut in coarse.cut_points()[1:-1]:
         pos = fine.position_of(cut)
-        if fine._cut(pos + 1 - fine.has_atom) != cut:
+        if fine.cut(pos + 1 - fine.has_atom) != cut:
             raise ValidationError(
                 "refinement/straddle",
                 f"fine cell {fine.describe_cell(pos)} straddles the coarse boundary at {format_endpoint(cut)}",
@@ -434,16 +400,6 @@ def dyadic_chain(domain: Domain | None = None, depth: int = 0) -> PartitionChain
     return PartitionChain(tuple(Partition(domain, "dyadic", m) for m in range(depth + 1)))
 
 
-def dyadic_cell_bounds(bits: Sequence[int], domain: Domain | None = None) -> tuple[Fraction, Fraction]:
-    """Exact endpoints of the dyadic cell addressed by a bit string."""
-    if domain is None:
-        domain = Domain.unit()
-    left = Fraction(domain.left)
-    h = (Fraction(domain.right) - left) / (1 << len(bits))
-    i = CellIndex(tuple(bits), len(bits)).position
-    return left + i * h, left + (i + 1) * h
-
-
 def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = None) -> PartitionChain:
     """Chain over the real line from nested rows of cut points.
 
@@ -506,22 +462,6 @@ def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = No
     lo, hi = domain.left, domain.right
     return PartitionChain(tuple(Partition(domain, "triangular", n, (lo, *row, hi))
                                 for n, row in enumerate([[]] + parsed)))
-
-
-def cantor_midpoint(bits: Sequence[int]) -> Fraction:
-    """Exact mid-point of the middle-thirds interval addressed by `bits`.
-
-    The empty address gives 1/2; extending by 0 or 1 descends into the left
-    or right surviving third.  Along all-zeros the value is (1/2) 3^-m, and
-    mirror symmetry gives x(all ones) = 1 - x(all zeros).
-    """
-    x = Fraction(0)
-    for l, b in enumerate(bits, start=1):
-        if b not in (0, 1):
-            raise ValidationError("partition/bits", f"bits must be 0/1, got {bits!r}")
-        if b:
-            x += Fraction(2, 3**l)
-    return x + Fraction(1, 2 * 3 ** len(bits))
 
 
 def chain_to_json_text(chain: PartitionChain) -> str:

@@ -39,14 +39,12 @@ import numpy as np
 from .errors import HistolimError, NumericError, ValidationError
 from .histograms import Histogram, POSITIVE, PROBABILITY, SIGNED
 from .partitions import (
-    CellIndex,
     Domain,
     Partition,
     PartitionChain,
-    cantor_midpoint,
     check_depth_capacity,
-    dyadic_cell_bounds,
     endpoint_to_float,
+    node_label,
     triangular_chain,
 )
 
@@ -278,8 +276,8 @@ class HomogeneousRule:
                                   f"expression {self.expr!r} gives non-positive value {value} at m={m}")
         return value
 
-    def pair(self, node: CellIndex) -> tuple[float, float]:
-        b = self.level_parameter(node.level + 1)
+    def pair(self, level: int, pos: int) -> tuple[float, float]:
+        b = self.level_parameter(level + 1)
         return (b, b)
 
     def level_pairs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,13 +306,12 @@ class TableRule:
     kind = "table"
     completely_random = False
 
-    def pair(self, node: CellIndex) -> tuple[float, float]:
-        got = self.pairs.get(node.label())
-        if got is None:
-            got = self.default
+    def pair(self, level: int, pos: int) -> tuple[float, float]:
+        label = node_label(level, pos)
+        got = self.pairs.get(label, self.default)
         if got is None:
             raise ValidationError("system/beta",
-                                  f"no splitting parameters for node '{node.label()}'")
+                                  f"no splitting parameters for node '{label}'")
         return got
 
     def level_pairs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +319,7 @@ class TableRule:
         a = np.empty(1 << width)
         b = np.empty(1 << width)
         for i in range(1 << width):
-            a[i], b[i] = self.pair(CellIndex.at(i, width))
+            a[i], b[i] = self.pair(width, i)
         return a, b
 
     def to_json(self) -> dict:
@@ -341,14 +338,18 @@ class CantorTrigRule:
     kind = "cantor_trig"
     completely_random = False
 
-    def pair(self, node: CellIndex) -> tuple[float, float]:
-        angle = 0.5 * math.pi * float(cantor_midpoint(node.bits))
+    def pair(self, level: int, pos: int) -> tuple[float, float]:
+        # the midpoint is N / (2 * 3^level): N = 1 at the root, and 3N - 2 and
+        # 3N + 2 at the children of N; an int / int division rounds correctly
+        num = 1
+        for k in reversed(range(level)):
+            num = 3 * num + (2 if pos >> k & 1 else -2)
+        angle = 0.5 * math.pi * (num / (2 * 3**level))
         return (math.cos(angle), math.sin(angle))
 
     def level_pairs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        # midpoints are N / (2 * 3^width): the root has N = 1 and the
-        # children of N have 3N - 2 and 3N + 2.  N < 2^53, so the float
-        # division rounds exactly like float(cantor_midpoint(...)).
+        # the recurrence of `pair`, a level at a time.  N < 2^53, so the
+        # float division is the correctly rounded one of `pair`.
         width = level - 1
         num = np.ones(1, dtype=np.int64)
         for _ in range(width):
@@ -374,15 +375,12 @@ class DirichletMatchRule:
     kind = "dirichlet"
     completely_random = True
 
-    def _mass(self, bits: tuple[int, ...]) -> float:
-        left, right = dyadic_cell_bounds(bits, self.domain)
-        return self.base.mass_of_interval(left, right)
-
-    def pair(self, node: CellIndex) -> tuple[float, float]:
-        b0 = self._mass(node.bits + (0,))
-        b1 = self._mass(node.bits + (1,))
+    def pair(self, level: int, pos: int) -> tuple[float, float]:
+        cut = Partition(self.domain, "dyadic", level + 1).cut
+        b0 = self.base.mass_of_interval(cut(2 * pos), cut(2 * pos + 1))
+        b1 = self.base.mass_of_interval(cut(2 * pos + 1), cut(2 * pos + 2))
         if b0 <= 0 or b1 <= 0:
-            raise self._zero_mass(node)
+            raise self._zero_mass(level, pos)
         return (b0, b1)
 
     def level_pairs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -390,14 +388,14 @@ class DirichletMatchRule:
         a, b = masses[0::2], masses[1::2]
         bad = np.flatnonzero((a <= 0) | (b <= 0))
         if len(bad):
-            raise self._zero_mass(CellIndex.at(int(bad[0]), level - 1))
+            raise self._zero_mass(level - 1, int(bad[0]))
         return a, b
 
     @staticmethod
-    def _zero_mass(node: CellIndex) -> ValidationError:
+    def _zero_mass(level: int, pos: int) -> ValidationError:
         return ValidationError(
             "system/beta",
-            f"base measure gives a zero-mass child at node '{node.label()}'; "
+            f"base measure gives a zero-mass child at node '{node_label(level, pos)}'; "
             "the matching tree needs strictly positive cell masses",
         )
 
@@ -405,10 +403,11 @@ class DirichletMatchRule:
         return {"rule": "dirichlet", "base": self.base.to_json()}
 
 
-#: Each rule gives `pair(node)` for one node and `level_pairs(level)`: the
-#: (a, b) arrays of the 2^(level-1) parent nodes of `level`, left to right,
-#: equal to `pair` node by node and raising the error of the first failing
-#: node in level order.
+#: Each rule gives `pair(level, pos)` for the tree node addressed like cell
+#: (level, pos) of a dyadic level, and `level_pairs(level)`: the (a, b) arrays
+#: of the 2^(level-1) parent nodes of `level`, left to right, equal to
+#: `pair(level - 1, pos)` node by node and raising the error of the first
+#: failing node in level order.
 BetaRule = Union[HomogeneousRule, TableRule, CantorTrigRule, DirichletMatchRule]
 
 
@@ -595,9 +594,9 @@ class KernelCovariance:
             raise ValidationError("covariance/kernel", f"quadrature order must be >= 1, got {self.order}")
         if self.name != "constant":  # non-numbers fail when the kernel is first called
             length, scale = self.params.get("length", 1.0), self.params.get("scale", 1.0)
-            if isinstance(length, (int, float)) and (length == 0 or not math.isfinite(length)):
+            if isinstance(length, (int, float)) and not 0 < length < math.inf:
                 raise ValidationError("covariance/kernel",
-                                      f"kernel length must be finite and nonzero, got {length!r}")
+                                      f"kernel length must be finite and positive, got {length!r}")
             if isinstance(scale, (int, float)) and not math.isfinite(scale):  # 0 is the zero covariance
                 raise ValidationError("covariance/kernel", f"kernel scale must be finite, got {scale!r}")
         k = self.kernel()

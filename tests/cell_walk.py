@@ -1,17 +1,119 @@
-"""Cell-object reference forms for the tests.
+"""Cell-object and bit-address reference forms for the tests.
 
 A level of a partition is its domain, its level and its cut points, and the
 package reads positions off them.  These oracles build the cells the way
 every level used to be built, one `Cell` per position with exact
 endpoints, and walk them: `Cell` below is the class the package kept
 before it read positions, copied unchanged.
+
+A cell or tree node is addressed by the integers (level, pos).  Before
+that, it was addressed by a bit string: `CellIndex`, `dyadic_cell_bounds`
+and `cantor_midpoint` below are the package's bit-address forms, copied
+unchanged, and `oracle_pair` is every splitting rule's `pair` as it was
+computed from a `CellIndex`.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
 
 from histolim.errors import ValidationError
-from histolim.partitions import CellIndex, Endpoint, format_endpoint
+from histolim.partitions import Domain, Endpoint, format_endpoint
+from histolim.systems import CantorTrigRule, DirichletMatchRule, HomogeneousRule, TableRule
+
+
+@dataclass(frozen=True)
+class CellIndex:
+    """Binary refinement address.  Interval cells satisfy level == len(bits);
+    the singleton cell of a left-closed domain keeps empty bits at every
+    level and is marked with `atom=True`."""
+
+    bits: tuple[int, ...]
+    level: int
+    atom: bool = False
+
+    def __post_init__(self):
+        if any(b not in (0, 1) for b in self.bits):
+            raise ValidationError("partition/bits", f"bits must be 0/1, got {self.bits}")
+        if self.atom and self.bits:
+            raise ValidationError("partition/bits", "singleton cells carry no bits")
+        if not self.atom and self.level != len(self.bits):
+            raise ValidationError(
+                "partition/bits",
+                f"interval cell level {self.level} != len(bits) {len(self.bits)}",
+            )
+
+    @classmethod
+    def at(cls, position: int, level: int) -> "CellIndex":
+        """Address of interval cell `position` (0-based, left to right) of
+        a binary level."""
+        return cls(tuple((position >> (level - 1 - k)) & 1 for k in range(level)), level)
+
+    @property
+    def position(self) -> int:
+        """Inverse of `at`: the interval cell's position in its level."""
+        return sum(b << (self.level - 1 - k) for k, b in enumerate(self.bits))
+
+    def label(self) -> str:
+        if self.atom:
+            return "{left}"
+        return "".join(str(b) for b in self.bits) if self.bits else "()"
+
+
+def dyadic_cell_bounds(bits: Sequence[int], domain: Domain | None = None) -> tuple[Fraction, Fraction]:
+    """Exact endpoints of the dyadic cell addressed by a bit string."""
+    if domain is None:
+        domain = Domain.unit()
+    left = Fraction(domain.left)
+    h = (Fraction(domain.right) - left) / (1 << len(bits))
+    i = CellIndex(tuple(bits), len(bits)).position
+    return left + i * h, left + (i + 1) * h
+
+
+def cantor_midpoint(bits: Sequence[int]) -> Fraction:
+    """Exact mid-point of the middle-thirds interval addressed by `bits`.
+
+    The empty address gives 1/2; extending by 0 or 1 descends into the left
+    or right surviving third.  Along all-zeros the value is (1/2) 3^-m, and
+    mirror symmetry gives x(all ones) = 1 - x(all zeros).
+    """
+    x = Fraction(0)
+    for l, b in enumerate(bits, start=1):
+        if b not in (0, 1):
+            raise ValidationError("partition/bits", f"bits must be 0/1, got {bits!r}")
+        if b:
+            x += Fraction(2, 3**l)
+    return x + Fraction(1, 2 * 3 ** len(bits))
+
+
+def oracle_pair(rule, node: CellIndex) -> tuple[float, float]:
+    """`rule.pair` of the node at bit address `node`, computed the way each
+    rule computed it from the bits."""
+    if isinstance(rule, HomogeneousRule):
+        b = rule.level_parameter(node.level + 1)
+        return (b, b)
+    if isinstance(rule, TableRule):
+        got = rule.pairs.get(node.label())
+        if got is None:
+            got = rule.default
+        if got is None:
+            raise ValidationError("system/beta",
+                                  f"no splitting parameters for node '{node.label()}'")
+        return got
+    if isinstance(rule, CantorTrigRule):
+        angle = 0.5 * math.pi * float(cantor_midpoint(node.bits))
+        return (math.cos(angle), math.sin(angle))
+    assert isinstance(rule, DirichletMatchRule)
+    b0, b1 = (rule.base.mass_of_interval(*dyadic_cell_bounds(node.bits + (b,), rule.domain))
+              for b in (0, 1))
+    if b0 <= 0 or b1 <= 0:
+        raise ValidationError(
+            "system/beta",
+            f"base measure gives a zero-mass child at node '{node.label()}'; "
+            "the matching tree needs strictly positive cell masses",
+        )
+    return (b0, b1)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from histolim.conditions import (gaussian_conditions, leakage_counterexample,
 from histolim.diagnostics import (coherence_test, phase_report,
                                   quadratic_variation, tv_martingale_curve)
 from histolim.histograms import PolynomialDensity
-from histolim.partitions import CellIndex, dyadic_chain
+from histolim.partitions import dyadic_chain
 from histolim.sampling import path_from_histogram, sample_stack
 from histolim.streams import RandomStream
 from histolim.systems import (AtomicBase, CantorTrigRule, ConstantCovariance,
@@ -44,14 +44,15 @@ COHERENCE_SUITE = (
 )
 
 
-def _path_moment(system: PolyaTreeSystem, index: CellIndex, power: int) -> float:
-    """E P(cell)^power, power 1 or 2, as the product of the Beta split
-    moments along the cell's address (finite splitting parameters)."""
+def _path_moment(system: PolyaTreeSystem, level: int, pos: int, power: int) -> float:
+    """E P(cell)^power, power 1 or 2, of interval cell (level, pos), as the
+    product of the Beta split moments along its path from the root (finite
+    splitting parameters)."""
     value = 1.0
-    for l in range(index.level):
-        b0, b1 = system.rule.pair(CellIndex(index.bits[:l], l))
+    for l in range(level):
+        b0, b1 = system.rule.pair(l, pos >> (level - l))
         total = b0 + b1
-        share = (b0, b1)[index.bits[l]] / total
+        share = (b0, b1)[pos >> (level - l - 1) & 1] / total
         value *= share if power == 1 else b0 * b1 / (total * total * (total + 1.0)) + share ** 2
     return value * (1.0 - system.p0) ** power
 
@@ -100,17 +101,17 @@ def test_criterion_03_dirichlet_second_moment():
 
 def test_criterion_04_polya_moment_closed_forms():
     chain = dyadic_chain(depth=2)
-    cell = CellIndex((0, 1), 2)
+    cell = (2, 0b01)
 
     het = PolyaTreeSystem(TableRule({"()": (2.0, 1.0), "0": (1.0, 3.0)},
                                     default=(1.0, 1.0)))
-    assert _path_moment(het, cell, 1) == pytest.approx(0.5, abs=1e-15)
+    assert _path_moment(het, *cell, 1) == pytest.approx(0.5, abs=1e-15)
     stack = sample_stack(het, chain, 2, RandomStream(55), 100_000, jobs=JOBS)
     z_het = _z(stack.values[:, 1], 0.5)
     assert abs(z_het) < 4.0
 
     homog = PolyaTreeSystem(HomogeneousRule("1"))
-    assert _path_moment(homog, cell, 2) == pytest.approx(1 / 9, abs=1e-15)
+    assert _path_moment(homog, *cell, 2) == pytest.approx(1 / 9, abs=1e-15)
     stack = sample_stack(homog, chain, 2, RandomStream(56), 100_000, jobs=JOBS)
     z_homog = _z(stack.values[:, 1] ** 2, 1 / 9)
     assert abs(z_homog) < 4.0

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ except ModuleNotFoundError:  # Python 3.10: tomllib arrived in 3.11
 
 from histolim.cli import main
 from histolim.conditions import EVALUATOR_TAGS
+from histolim.partitions import Domain, chain_to_json_text, dyadic_chain
 
 
 @pytest.fixture
@@ -161,11 +163,29 @@ def test_sample_bytes_equal_across_jobs(systems, capsys, tmp_path):
 
 
 def test_help_lists_evaluators_with_tags(capsys):
+    """One evaluator a line: the table is not re-wrapped into a paragraph."""
     code, out, err = run(capsys, "--help")
     assert code == 0
-    out = "".join(out.split())  # help wraps lines, also inside hyphenated names
+    lines = [line.strip() for line in out.splitlines()]
     for name, tag in EVALUATOR_TAGS.items():
-        assert f"{name}[{tag}]" in out
+        assert lines.count(f"{name}  [{tag}]") == 1
+
+
+def test_no_arguments_is_one_usage_line(capsys):
+    assert run(capsys) == (1, "", "error[cli/usage] Missing command.\n")
+
+
+def test_dirichlet_weak_reads_atoms_on_the_chain_domain(tmp_path, capsys):
+    """Atoms at 1.5 and 3.5 on (0, 4] fall in two cells of every level."""
+    system, chain = tmp_path / "system.json", tmp_path / "chain.json"
+    system.write_text(json.dumps({"family": "dirichlet", "base": {
+        "type": "atoms", "points": [1.5, 3.5], "weights": [1, 1]}}))
+    chain.write_text(chain_to_json_text(dyadic_chain(Domain(Fraction(0), Fraction(4)), 3)))
+    code, out, err = run(capsys, "check", "--system", str(system), "--chain", str(chain),
+                         "--depth", "3")
+    assert (code, err) == (0, "")
+    weak = json.loads(out)["conditions"]["dirichlet-weak"]
+    assert weak["evidence"] == [[m, 4 / 3] for m in (1, 2, 3)]
 
 
 def test_mean_json(systems, capsys):
@@ -565,29 +585,33 @@ def test_closed_left_triangular_chain_is_refused(tmp_path, capsys):
     ('{"variant": "point_mass", "sites": [0.3], "matrix": [[NaN]]}',
      "error[covariance/point-mass] site matrix entries must be finite\n"),
     ('{"variant": "kernel", "name": "gaussian", "params": {"length": 0}}',
-     "error[covariance/kernel] kernel length must be finite and nonzero, got 0\n"),
+     "error[covariance/kernel] kernel length must be finite and positive, got 0\n"),
     ('{"variant": "kernel", "name": "exponential", "params": {"length": 0.0}}',
-     "error[covariance/kernel] kernel length must be finite and nonzero, got 0.0\n"),
+     "error[covariance/kernel] kernel length must be finite and positive, got 0.0\n"),
     ('{"variant": "kernel", "name": "exponential", "params": {"length": NaN}}',
-     "error[covariance/kernel] kernel length must be finite and nonzero, got nan\n"),
+     "error[covariance/kernel] kernel length must be finite and positive, got nan\n"),
+    ('{"variant": "kernel", "name": "exponential", "params": {"length": -0.5}}',
+     "error[covariance/kernel] kernel length must be finite and positive, got -0.5\n"),
+    ('{"variant": "kernel", "name": "gaussian", "params": {"length": -0.5}}',
+     "error[covariance/kernel] kernel length must be finite and positive, got -0.5\n"),
     ('{"variant": "kernel", "name": "gaussian", "params": {"scale": 1e999}}',
      "error[covariance/kernel] kernel scale must be finite, got inf\n"),
 ], ids=["point-mass-inf", "point-mass-nan", "gaussian-length-0",
-        "exponential-length-0", "exponential-length-nan", "gaussian-scale-inf"])
+        "exponential-length-0", "exponential-length-nan", "exponential-length-negative",
+        "gaussian-length-negative", "gaussian-scale-inf"])
 def test_malformed_covariance_is_one_validation_error(covariance, err, tmp_path, capsys):
-    """Site-matrix entries that are not finite, a kernel length that is zero
-    or not finite and a kernel scale that is not finite are refused when the
-    system is read (exit 1), not at assembly (exit 2) or by a
+    """Site-matrix entries that are not finite, a kernel length that is not
+    finite and positive and a kernel scale that is not finite are refused
+    when the system is read (exit 1), not at assembly (exit 2) or by a
     ZeroDivisionError traceback."""
     path = tmp_path / "system.json"
     path.write_text('{"family": "gaussian", "covariance": %s}' % covariance)
     assert run(capsys, "check", "--system", str(path)) == (1, "", err)
 
 
-@pytest.mark.parametrize("params", [{"length": -0.5}, {"scale": 0}],
-                         ids=["negative-length", "zero-scale"])
+@pytest.mark.parametrize("params", [{"scale": 0}], ids=["zero-scale"])
 def test_kernel_parameters_left_as_they_were_are_accepted(params, tmp_path, capsys):
-    """A negative length and a zero scale (the zero covariance) still run."""
+    """A zero scale (the zero covariance) still runs."""
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"family": "gaussian", "covariance": {
         "variant": "kernel", "name": "gaussian", "params": params}}))

@@ -8,6 +8,7 @@ closed form.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,6 +235,27 @@ def test_dirichlet_weak_splits_on_base_type():
     assert all(s == pytest.approx((3.0 + 2) / 4.0) for _, s in v.evidence)
     lebesgue = DirichletSystem(LebesgueBase())
     assert dirichlet_weak_condition(lebesgue).status == FAILS
+
+
+@pytest.mark.parametrize("points, weights, domain, cells", [
+    ((1.5, 3.5), (1.0, 1.0), Domain(Fraction(0), Fraction(4)), [2, 2, 2]),
+    ((0.3, 0.6), (1.0, 0.0), Domain.unit(), [1, 1, 1]),
+    ((0.0, 0.3, 0.45), (1.0, 1.0, 1.0), Domain.unit(closed_left=True), [2, 2, 3]),
+], ids=["wide-domain", "zero-weight-atom", "atom-at-left-end"])
+def test_dirichlet_weak_counts_the_cells_that_sampling_fills(points, weights, domain, cells):
+    """Each level counts the cells where `cell_masses` puts the atoms of
+    positive weight, and the bound counts only those atoms."""
+    system = DirichletSystem(AtomicBase(points, weights))
+    total = sum(weights)
+    v = dirichlet_weak_condition(system, domain, depth=3)
+    assert v.evidence == tuple((m, (total + c) / (total + 1.0))
+                               for m, c in enumerate(cells, start=1))
+    for m, c in enumerate(cells, start=1):
+        masses = system.base.cell_masses(dyadic_chain(domain, depth=m)[m])
+        assert np.count_nonzero(masses) == c
+    atoms = sum(w > 0 for w in weights)
+    assert f"at most {atoms} cells" in v.argument
+    assert v.argument.endswith(f"{(total + atoms) / (total + 1.0):.6g}")
 
 
 # --- Gaussian conditions ----------------------------------------------------

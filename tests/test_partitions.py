@@ -12,24 +12,28 @@ from hypothesis import strategies as st
 
 from histolim.errors import ValidationError
 from histolim.partitions import (
-    CellIndex,
     Domain,
     Partition,
     PartitionChain,
-    cantor_midpoint,
     chain_from_json_text,
     chain_to_json_text,
-    dyadic_cell_bounds,
     dyadic_chain,
     endpoint_to_float,
     format_endpoint,
     max_depth,
+    node_label,
     parse_endpoint,
     refine_map,
     triangular_chain,
 )
 
-from cell_walk import cell_walk_boundaries, cells_of, oracle_cells
+from cell_walk import (
+    cantor_midpoint,
+    cell_walk_boundaries,
+    cells_of,
+    dyadic_cell_bounds,
+    oracle_cells,
+)
 
 bits_st = st.lists(st.integers(0, 1), min_size=0, max_size=12)
 
@@ -71,6 +75,24 @@ def test_children_tile_parent(bits):
     l0, h0 = dyadic_cell_bounds(bits + [0])
     l1, h1 = dyadic_cell_bounds(bits + [1])
     assert l0 == lo and h0 == l1 and h1 == hi
+
+
+@pytest.mark.parametrize("domain", [Domain.unit(), Domain.unit(closed_left=True),
+                                    Domain(Fraction(-3, 2), Fraction(5, 4), True)],
+                         ids=Domain.describe)
+def test_labels_match_the_bit_addresses(domain):
+    for part in dyadic_chain(domain, depth=11).partitions:
+        assert part.labels() == [c.index.label() for c in cells_of(part)]
+
+
+@given(bits_st)
+def test_dyadic_cut_points_are_the_bit_address_bounds(bits):
+    domain = Domain(Fraction(-3, 2), Fraction(5, 4))
+    part = Partition(domain, "dyadic", len(bits))
+    label = "".join(map(str, bits))
+    pos = int(label or "0", 2)
+    assert (part.cut(pos), part.cut(pos + 1)) == dyadic_cell_bounds(bits, domain)
+    assert node_label(len(bits), pos) == (label or "()")
 
 
 @given(st.integers(1, 7), st.floats(0.0, 1.0, exclude_min=True))
@@ -279,7 +301,7 @@ def test_dyadic_chain_reaches_max_depth(closed_left, monkeypatch):
     chain = dyadic_chain(Domain.unit(closed_left), depth=depth)
     assert len(chain[30]) == 2**30 + closed_left
     pos = chain[30].position_of(1.0) - closed_left
-    assert CellIndex.at(pos, 30).bits == (1,) * 30
+    assert node_label(30, pos) == "1" * 30
 
 
 def test_unbounded_ends_are_ieee_infinities():

@@ -1,6 +1,7 @@
 """System families: base measures, splitting rules, covariances, JSON."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from histolim.conditions import polya_weak_condition
 from histolim.errors import NumericError, ValidationError
-from histolim.partitions import CellIndex, Domain, cantor_midpoint, dyadic_chain
+from histolim.partitions import Domain, dyadic_chain
 from histolim.sampling import sample_stack
 from histolim.streams import RandomStream
 from histolim.systems import (
@@ -33,7 +34,7 @@ from histolim.systems import (
     system_from_json,
 )
 
-from cell_walk import cells_of
+from cell_walk import CellIndex, cantor_midpoint, dyadic_cell_bounds, oracle_pair
 
 CHAIN = dyadic_chain(depth=4)
 
@@ -66,23 +67,21 @@ def split_second_moment(b0: float, b1: float) -> tuple[float, float]:
     return (common + (b0 / total) ** 2, common + (b1 / total) ** 2)
 
 
-def mean_of_index(system: PolyaTreeSystem, index: CellIndex) -> float:
+def mean_of_cell(system: PolyaTreeSystem, level: int, pos: int) -> float:
     """E P(cell) as the product of expected split fractions along the
-    label path."""
+    path from the root to interval cell (level, pos)."""
     value = 1.0
-    for l in range(index.level):
-        node = CellIndex(index.bits[:l], l)
-        b0, b1 = system.rule.pair(node)
-        value *= split_mean(b0, b1)[index.bits[l]]
+    for l in range(level):
+        b0, b1 = system.rule.pair(l, pos >> (level - l))
+        value *= split_mean(b0, b1)[pos >> (level - l - 1) & 1]
     return value * (1.0 - system.p0)
 
 
-def second_moment_of_index(system: PolyaTreeSystem, index: CellIndex) -> float:
+def second_moment_of_cell(system: PolyaTreeSystem, level: int, pos: int) -> float:
     value = 1.0
-    for l in range(index.level):
-        node = CellIndex(index.bits[:l], l)
-        b0, b1 = system.rule.pair(node)
-        value *= split_second_moment(b0, b1)[index.bits[l]]
+    for l in range(level):
+        b0, b1 = system.rule.pair(l, pos >> (level - l))
+        value *= split_second_moment(b0, b1)[pos >> (level - l - 1) & 1]
     return value * (1.0 - system.p0) ** 2
 
 
@@ -143,7 +142,7 @@ def test_homogeneous_rule_expressions():
     rule = HomogeneousRule("m^2 + 1")
     assert rule.level_parameter(3) == 10.0
     # children of a level-2 node split at level m = 3
-    assert rule.pair(CellIndex((0, 1), 2)) == (10.0, 10.0)
+    assert rule.pair(2, 0b01) == (10.0, 10.0)
     with pytest.raises(ValidationError):
         HomogeneousRule("__import__('os')")
     with pytest.raises(ValidationError):
@@ -152,36 +151,34 @@ def test_homogeneous_rule_expressions():
 
 def test_table_rule_lookup_and_default():
     rule = TableRule({"0": (2.0, 1.0)}, default=(1.0, 3.0))
-    assert rule.pair(CellIndex((0,), 1)) == (2.0, 1.0)
-    assert rule.pair(CellIndex((1, 1), 2)) == (1.0, 3.0)
+    assert rule.pair(1, 0b0) == (2.0, 1.0)
+    assert rule.pair(2, 0b11) == (1.0, 3.0)
     bare = TableRule({"()": (1.0, 1.0)})
     with pytest.raises(ValidationError) as e:
-        bare.pair(CellIndex((0,), 1))
+        bare.pair(1, 0b0)
     assert e.value.code == "system/beta"
 
 
 def test_table_rule_accepts_inf():
     rule = TableRule({}, default=(math.inf, 1.0))
-    assert rule.pair(CellIndex((), 0)) == (math.inf, 1.0)
+    assert rule.pair(0, 0) == (math.inf, 1.0)
 
 
 def test_cantor_rule_is_trig_of_midpoint():
     rule = CantorTrigRule()
-    node = CellIndex((0, 1), 2)
-    angle = 0.5 * math.pi * float(cantor_midpoint(node.bits))
-    b0, b1 = rule.pair(node)
+    angle = 0.5 * math.pi * float(cantor_midpoint((0, 1)))
+    b0, b1 = rule.pair(2, 0b01)
     assert (b0, b1) == (math.cos(angle), math.sin(angle))
     assert b0**2 + b1**2 == pytest.approx(1.0)
 
 
 def test_dirichlet_match_rule_sums_to_parent():
     rule = DirichletMatchRule(LebesgueBase(scale=4.0))
-    node = CellIndex((1,), 1)
-    b0, b1 = rule.pair(node)
-    assert b0 + b1 == pytest.approx(rule._mass(node.bits))
+    b0, b1 = rule.pair(1, 0b1)
+    assert b0 + b1 == pytest.approx(rule.base.mass_of_interval(*dyadic_cell_bounds((1,))))
     zero = DirichletMatchRule(AtomicBase((0.1,), (1.0,)))
     with pytest.raises(ValidationError):
-        zero.pair(CellIndex((1,), 1))  # right half has no base mass
+        zero.pair(1, 0b1)  # right half has no base mass
 
 
 def test_split_moments_closed_forms():
@@ -198,12 +195,11 @@ def test_split_moments_closed_forms():
 def test_polya_mean_and_second_moment():
     het = TableRule({"()": (2.0, 1.0), "0": (1.0, 3.0)}, default=(1.0, 1.0))
     system = PolyaTreeSystem(het)
-    idx = CellIndex((0, 1), 2)
-    # E = (2/3) * (3/4); E^2 uses Beta second moments per level
-    assert mean_of_index(system, idx) == pytest.approx(0.5)
+    # cell 01: E = (2/3) * (3/4); E^2 uses Beta second moments per level
+    assert mean_of_cell(system, 2, 0b01) == pytest.approx(0.5)
     s1 = split_second_moment(2.0, 1.0)[0]
     s2 = split_second_moment(1.0, 3.0)[1]
-    assert second_moment_of_index(system, idx) == pytest.approx(s1 * s2)
+    assert second_moment_of_cell(system, 2, 0b01) == pytest.approx(s1 * s2)
     total = system.mean(CHAIN[2]).total()
     assert total == pytest.approx(1.0)
 
@@ -230,8 +226,8 @@ def test_polya_mean_equals_per_cell_products(rule, p0, domain):
     system = PolyaTreeSystem(rule, p0)
     chain = dyadic_chain(domain, depth=8)
     for part in chain.partitions:
-        per_cell = [p0 if c.is_atom else mean_of_index(system, c.index)
-                    for c in cells_of(part)]
+        per_cell = [p0] * part.has_atom + [mean_of_cell(system, part.level, pos)
+                                           for pos in range(1 << part.level)]
         assert np.array_equal(system.mean(part).values, per_cell)
 
 
@@ -251,11 +247,11 @@ def test_polya_table_without_default_stops_at_missing_node():
 def per_node_pairs(rule, level):
     """The node-by-node loop that `level_pairs` replaces."""
     width = level - 1
-    pairs = [rule.pair(CellIndex.at(i, width)) for i in range(1 << width)]
+    pairs = [rule.pair(width, i) for i in range(1 << width)]
     return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
 
-@pytest.mark.parametrize("rule", [
+RULES = [
     HomogeneousRule("m**2"),
     HomogeneousRule("0.5"),
     HomogeneousRule("m*m + -6*m + 9"),  # zero at m = 3 only
@@ -266,7 +262,10 @@ def per_node_pairs(rule, level):
                                   (1.0, 2.0, 0.5, 0.25, 1.0, 3.0))),  # fails at node 10
     TableRule({"()": (2.0, 1.0), "01": (0.5, math.inf)}, default=(1.5, 2.5)),
     TableRule({"()": (1.0, 1.0), "0": (2.0, 2.0), "1": (3.0, 1.0)}),
-], ids=lambda rule: rule.kind)
+]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.kind)
 def test_level_pairs_equal_per_node_pairs(rule):
     for level in range(1, 13):
         try:
@@ -278,6 +277,25 @@ def test_level_pairs_equal_per_node_pairs(rule):
             continue
         a, b = rule.level_pairs(level)
         assert np.array_equal(a, expect[0]) and np.array_equal(b, expect[1])
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.kind)
+def test_pair_equals_the_bit_address_oracle(rule):
+    """`pair(level, pos)` gives what the rule gave the node's bit address:
+    the same floats, or the same error code and text.  Levels reach past
+    the 40 of the boundary-path conditions and past 3^m > 2^53."""
+    rng = random.Random(20)
+    for level in range(46):
+        top = (1 << level) - 1
+        for pos in sorted({0, top, *(rng.randint(0, top) for _ in range(6))}):
+            try:
+                expect = oracle_pair(rule, CellIndex.at(pos, level))
+            except ValidationError as e:
+                with pytest.raises(ValidationError) as got:
+                    rule.pair(level, pos)
+                assert (got.value.code, str(got.value)) == (e.code, str(e))
+                continue
+            assert rule.pair(level, pos) == expect
 
 
 def test_polya_completely_random_tracks_rule():
