@@ -26,7 +26,13 @@ import click
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .histograms import dump_json, histogram_to_csv, histogram_to_json, stack_to_csv
+from .histograms import (
+    dump_json,
+    float_rows,
+    histogram_to_csv,
+    histogram_to_json,
+    stack_to_csv,
+)
 from .partitions import (
     PartitionChain,
     chain_from_json_text,
@@ -265,7 +271,8 @@ def path(system_path, chain_path, depth, replicates, seed, jobs, out, force):
                          replicates, jobs=_jobs(jobs))
     origin = endpoint_to_float(chain.domain.left)
     t, values = path_from_histogram(stack)
-    # each row's points as "t,value" tails, the t column formatted once
+    # each row's points as "t," heads, the t column formatted once, paired
+    # with the values of that row's `float_rows` text
     heads = [f"{x!r}," for x in t.tolist()]
     first = []
     if np.isfinite(origin):
@@ -274,8 +281,8 @@ def path(system_path, chain_path, depth, replicates, seed, jobs, out, force):
 
     def rows(write):  # one replicate at a time
         write("replicate,t,value\n")
-        for r, row in enumerate(values if heads else ()):
-            tails = map(operator.add, heads, itertools.chain(first, map(repr, row.tolist())))
+        for r, text in enumerate(float_rows(values) if heads else ()):
+            tails = map(operator.add, heads, itertools.chain(first, text.split(",")))
             write(f"{r}," + f"\n{r},".join(tails) + "\n")
     _export(out, force, rows)
 

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .partitions import Domain, Partition, PartitionChain
+from .partitions import Domain, Partition, PartitionChain, dyadic_chain
 from .systems import (
     AtomicBase,
     CantorTrigRule,
@@ -604,19 +604,22 @@ def dirichlet_condition(system: DirichletSystem,
                    ((0, float(total)),))
 
 
-def _atomic_cell_count(points: list[float], domain: Domain, level: int) -> int:
-    """Cells of dyadic level `level` holding one of `points`, where `cell_masses`
-    puts them (the unit interval's cells on an unbounded domain)."""
-    if domain.bounded:
-        partition = Partition(domain, "dyadic", level)
-        return len({partition.position_of(x) for x in points})
-    last = (1 << level) - 1  # -1 below is the boundary atom cell
-    return len({-1 if x <= 0.0 else min(last, math.ceil(x * (1 << level)) - 1) for x in points})
+def _chain_levels(chain: PartitionChain, depth: int):
+    """(m, level m) for m = 1..depth: a dyadic chain goes on halving past its
+    last level, any other chain stops there."""
+    for m in range(1, depth + 1):
+        if m <= chain.depth:
+            yield m, chain[m]
+        elif chain.kind == "dyadic":
+            yield m, Partition(chain.domain, "dyadic", m)
+        else:
+            return
 
 
 def dirichlet_weak_condition(system: DirichletSystem,
                              domain: Optional[Domain] = None,
-                             depth: int = PRODUCT_DEPTH) -> Verdict:
+                             depth: int = PRODUCT_DEPTH,
+                             chain: Optional[PartitionChain] = None) -> Verdict:
     """Domination statistic sum over cells of (nu(A)+1)/(nu(X)+1), counting
     only cells of positive base mass.
 
@@ -625,16 +628,21 @@ def dirichlet_weak_condition(system: DirichletSystem,
     positive mass in all 2^m cells, and the statistic diverges.  Both
     directions are exact — domination holds if and only if the base is
     purely atomic.
+
+    The evidence runs over the levels of `chain` up to `depth`; at each, the
+    atomic count is of the cells where `cell_masses` puts the atoms of
+    positive weight.  The chain defaults to the dyadic chain of `domain`
+    (the unit interval when None); given, it also gives the domain.
     """
-    if domain is None:
-        domain = Domain.unit()
+    if chain is None:
+        chain = dyadic_chain(Domain.unit() if domain is None else domain)
     name, anchor = "dirichlet-weak", EVALUATOR_TAGS["dirichlet-weak"]
-    total = system.base.total(domain)
+    total = system.base.total(chain.domain)
     if isinstance(system.base, AtomicBase):
         points = [x for x, w in zip(system.base.points, system.base.weights) if w > 0]
         evidence = tuple(
-            (m, (total + _atomic_cell_count(points, domain, m)) / (total + 1.0))
-            for m in range(1, depth + 1))
+            (m, (total + len({level.position_of(x) for x in points})) / (total + 1.0))
+            for m, level in _chain_levels(chain, depth))
         bound = (total + len(points)) / (total + 1.0)
         return Verdict(name, HOLDS, anchor,
                        f"purely atomic base: at most {len(points)} "
@@ -642,7 +650,7 @@ def dirichlet_weak_condition(system: DirichletSystem,
                        f"{bound:.6g}",
                        evidence)
     evidence = tuple((m, (total + 2.0 ** m) / (total + 1.0))
-                     for m in range(1, depth + 1))
+                     for m, _ in _chain_levels(chain, depth))
     return Verdict(name, FAILS, anchor,
                    "continuous base: every cell keeps positive mass, the "
                    "statistic equals (total + 2^m)/(total + 1) and diverges; "

@@ -526,10 +526,10 @@ def family_verdicts(system: HistogramSystem,
     evaluation depth (None or 0: each condition's default).
     """
     if isinstance(system, DirichletSystem):
-        domain = chain_at(0).domain
-        existence = dirichlet_condition(system, domain)
-        dominated = dirichlet_weak_condition(system, domain,
-                                             depth=depth or PRODUCT_DEPTH)
+        chain = chain_at(0)
+        existence = dirichlet_condition(system, chain.domain)
+        dominated = dirichlet_weak_condition(system, depth=depth or PRODUCT_DEPTH,
+                                             chain=chain)
         return {"existence": existence, "dominated": dominated}, existence, dominated
     if isinstance(system, PolyaTreeSystem):
         d = depth or PRODUCT_DEPTH

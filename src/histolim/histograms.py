@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import InitVar, dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -402,12 +403,53 @@ def histogram_to_csv(h: Histogram, write: Callable[[str], object]) -> None:
     write("\n".join(["cell_left,cell_right,value", *rows, ""]))
 
 
+#: floats formatted per `orjson.dumps` call, so that a block's text stays a
+#: few MB however large the array
+FLOAT_BLOCK = 1 << 15
+
+# orjson's spellings that `repr` writes otherwise
+_PLUS_EXPONENT = re.compile(r"e(?=\d)")  # 1e16: 1e+16
+_ONE_DIGIT_EXPONENT = re.compile(r"e-(\d)(?=[,\]])")  # 1e-7: 1e-07
+_POSITIONAL = re.compile(r"0\.0000(\d)(\d*)")  # 0.0000123: 1.23e-05
+
+
+def _scientific(match: re.Match) -> str:
+    if match.string[match.start() - 1].isdigit():  # the tail of 160.00008
+        return match[0]
+    return f"{match[1]}.{match[2]}e-05" if match[2] else f"{match[1]}e-05"
+
+
+def float_rows(values: np.ndarray) -> Iterator[str]:
+    """Each row of a finite 2-D float array as the comma-joined
+    `float.__repr__` text of its values.
+
+    The digits come from orjson, about `FLOAT_BLOCK` floats at a time: like
+    `repr`, it writes the shortest digits that read back to the same double,
+    and of those the closest (Ryu).  It lays them out otherwise, as ``1e16``,
+    ``1e-7`` and ``0.0000123`` where `repr` writes ``1e+16``, ``1e-07`` and
+    ``1.23e-05``; three rewrites of each block's text give the `repr`
+    spelling."""
+    import orjson
+
+    rows = max(1, FLOAT_BLOCK // max(1, values.shape[1]))
+    for lo in range(0, len(values), rows):
+        block = np.ascontiguousarray(values[lo:lo + rows], dtype=np.float64)
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        if "n" in text:  # orjson writes NaN and the infinities as null
+            raise ValidationError("histogram/not-finite", "histogram values must be finite")
+        text = _ONE_DIGIT_EXPONENT.sub(r"e-0\1", _PLUS_EXPONENT.sub("e+", text))
+        if "0.0000" in text:
+            text = _POSITIONAL.sub(_scientific, text)
+        yield from text[2:-2].split("],[")
+
+
 def stack_to_csv(stack: HistogramStack, write: Callable[[str], object]) -> None:
     """Wide CSV, written a row at a time: one row per sample, one column per
-    cell (by cell order)."""
+    cell (by cell order), the floats spelled as `repr` spells them
+    (`float_rows`)."""
     write(",".join(["sample", *stack.partition.labels()]) + "\n")
-    for i, row in enumerate(stack.values):
-        write(f"{i},{','.join(map(repr, row.tolist()))}\n")
+    for i, text in enumerate(float_rows(stack.values)):
+        write(f"{i},{text}\n")
 
 
 _ARRAY_TOKEN = "\x00ndarray {}"
@@ -426,14 +468,18 @@ def _json_float(x: float) -> str:
 
 def _array_block(values: np.ndarray, indent: str, write: Callable[[str], object]) -> None:
     """Write a 2-D float array a row at a time, as `json.dumps(values.tolist(),
-    indent=2)` lays it out when its opening bracket is indented by `indent`."""
+    indent=2)` lays it out when its opening bracket is indented by `indent`.
+    A finite array's rows come from `float_rows`; an array holding NaN or an
+    infinity is formatted a float at a time, those by name."""
     row_pad, item_pad = indent + "  ", indent + "    "
-    fmt = float.__repr__ if np.isfinite(values).all() else _json_float
     sep = ",\n" + item_pad
+    if np.isfinite(values).all():
+        texts = (text.replace(",", sep) for text in float_rows(values))
+    else:
+        texts = (sep.join(map(_json_float, row.tolist())) for row in values)
     lead = f"[\n{row_pad}"
-    for row in values:
-        write(lead + (f"[\n{item_pad}{sep.join(map(fmt, row.tolist()))}\n{row_pad}]"
-                      if len(row) else "[]"))
+    for text in texts:
+        write(lead + (f"[\n{item_pad}{text}\n{row_pad}]" if values.shape[1] else "[]"))
         lead = f",\n{row_pad}"
     write(f"\n{indent}]" if len(values) else "[]")
 
@@ -441,8 +487,9 @@ def _array_block(values: np.ndarray, indent: str, write: Callable[[str], object]
 def dump_json(obj, write: Callable[[str], object]) -> None:
     """Write `json.dumps(obj, indent=2, sort_keys=True)`, where obj may also
     hold 2-D float numpy arrays (inside dicts and lists), as nested lists of
-    floats.  Such arrays are formatted and written a row at a time, not
-    through json's pure-Python indenting encoder; the bytes are the same."""
+    floats.  Such arrays are written a row at a time by `_array_block`, not
+    through json's pure-Python indenting encoder, their floats spelled by
+    `float_rows`; the bytes are the same."""
     arrays: list[np.ndarray] = []
 
     def swap(o):

@@ -188,6 +188,28 @@ def test_dirichlet_weak_reads_atoms_on_the_chain_domain(tmp_path, capsys):
     assert weak["evidence"] == [[m, 4 / 3] for m in (1, 2, 3)]
 
 
+def test_dirichlet_weak_reads_the_levels_of_a_triangular_chain(tmp_path, capsys):
+    """On the line, level 1 is (-inf, 0] and (0, inf): the atoms -1.5 | 0.25,
+    3.0 fill two cells there, three below.  The chain has three levels, and
+    the evidence stops with them at the default depth too."""
+    system, chain = tmp_path / "system.json", tmp_path / "chain.json"
+    system.write_text(json.dumps({"family": "dirichlet", "base": {
+        "type": "atoms", "points": [0.25, -1.5, 3.0], "weights": [1.0, 2.0, 0.5]}}))
+    chain.write_text(json.dumps({
+        "domain": {"left": "-inf", "right": "+inf", "closed_left": False},
+        "kind": "triangular",
+        "levels": [["-inf", "+inf"], ["-inf", "0.0", "+inf"],
+                   ["-inf", "-1.0", "0.0", "1.0", "+inf"],
+                   ["-inf", "-2.0", "-1.0", "-0.5", "0.0", "0.5", "1.0", "2.0", "+inf"]]}))
+    for depth in (["--depth", "3"], []):
+        code, out, err = run(capsys, "check", "--system", str(system), "--chain", str(chain),
+                             *depth)
+        assert (code, err) == (0, "")
+        weak = json.loads(out)["conditions"]["dirichlet-weak"]
+        assert weak["evidence"] == [[1, 1.2222222222222223], [2, 1.4444444444444444],
+                                    [3, 1.4444444444444444]]
+
+
 def test_mean_json(systems, capsys):
     code, out, err = run(capsys, "mean", "--system", systems["dir_leb"],
                          "--depth", "3", "--format", "json")

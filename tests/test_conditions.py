@@ -30,7 +30,7 @@ from histolim.conditions import (
     polya_weak_condition,
 )
 from histolim.errors import NumericError, ValidationError
-from histolim.partitions import Domain, dyadic_chain
+from histolim.partitions import Domain, dyadic_chain, triangular_chain
 from histolim.systems import (
     AtomicBase,
     CantorTrigRule,
@@ -256,6 +256,31 @@ def test_dirichlet_weak_counts_the_cells_that_sampling_fills(points, weights, do
     atoms = sum(w > 0 for w in weights)
     assert f"at most {atoms} cells" in v.argument
     assert v.argument.endswith(f"{(total + atoms) / (total + 1.0):.6g}")
+
+
+ON_LINE = triangular_chain([[0.0], [-1.0, 0.0, 1.0], [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]])
+
+
+@pytest.mark.parametrize("chain, depth, cells", [
+    (ON_LINE, 3, [2, 3, 3]),
+    (ON_LINE, PRODUCT_DEPTH, [2, 3, 3]),
+    (dyadic_chain(Domain(Fraction(-2), Fraction(4)), 1), 4, [2, 3, 3, 3]),
+], ids=["triangular", "triangular-past-its-depth", "dyadic-past-its-depth"])
+def test_dirichlet_weak_counts_atoms_in_the_chain_levels(chain, depth, cells):
+    """Level m counts the cells of the chain's own level m that sampling
+    fills: on the line, (-inf, 0] and (0, inf) hold -1.5 | 0.25, 3.0 at
+    level 1.  A dyadic chain goes on halving past its depth; a triangular
+    one has no levels past its depth and no evidence there."""
+    system = DirichletSystem(AtomicBase((0.25, -1.5, 3.0), (1.0, 2.0, 0.5)))
+    v = dirichlet_weak_condition(system, depth=depth, chain=chain)
+    assert v.evidence == tuple((m, (3.5 + c) / 4.5) for m, c in enumerate(cells, start=1))
+    for m, c in enumerate(cells[:chain.depth], start=1):
+        assert np.count_nonzero(system.base.cell_masses(chain[m])) == c
+    lebesgue = DirichletSystem(LebesgueBase())
+    bounded = dyadic_chain(depth=1) if chain.kind == "dyadic" else triangular_chain(
+        [[k / 2 ** n for k in range(1, 2 ** n)] for n in (1, 2, 3)], domain=Domain.unit())
+    assert [m for m, _ in dirichlet_weak_condition(lebesgue, depth=depth, chain=bounded)
+            .evidence] == [m for m, _ in v.evidence]
 
 
 # --- Gaussian conditions ----------------------------------------------------

@@ -16,12 +16,15 @@ import numpy as np
 import pytest
 
 from histolim.cli import main
+from histolim.errors import ValidationError
 from histolim.histograms import (
+    FLOAT_BLOCK,
     PROBABILITY,
     SIGNED,
     Histogram,
     HistogramStack,
     dump_json,
+    float_rows,
     histogram_to_csv,
     stack_to_csv,
 )
@@ -183,6 +186,8 @@ def test_leakage_path_skips_both_infinite_ends():
     np.empty((0, 3)),
     np.empty((2, 0)),
     np.array([[1.0, -2.5e-310, 1 / 3]] * 3),
+    np.arange(6.0).reshape(2, 3).T / 7,
+    (np.arange(6.0).reshape(2, 3) / 7).astype(np.float32),
 ])
 def test_dump_json_arrays_match_json_dumps(values):
     payloads = [
@@ -207,6 +212,76 @@ def test_dump_json_with_a_string_spelling_the_placeholder():
 def test_dump_json_small_payloads_unchanged():
     payload = {"conditions": {"x": {"status": "holds", "value": 0.1}}, "n": [1, 2.5]}
     assert text_of(dump_json, payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# float_rows against repr
+
+def oracle_rows(values):
+    return [",".join(map(repr, row.tolist())) for row in values]
+
+
+def _repr_corpus():
+    """Doubles where orjson's layout and repr's differ, or could, with their
+    negatives; then 2x10^5 random bit patterns over all exponents."""
+    rng = np.random.default_rng(20240518)
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    positional = np.concatenate([  # orjson writes [1e-5, 1e-4) as 0.0000ddd
+        np.linspace(1e-5, 1e-4, 2001), rng.uniform(1e-5, 1e-4, 5000),
+        rng.uniform(1e-6, 1e-5, 1000),
+        [1e-5, np.nextafter(1e-5, 0.0), 9.999999999999999e-05, 1e-4, 1e-6]])
+    pieces = [
+        powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf),
+        rng.integers(1, 2**52, size=5000, dtype=np.uint64).view(np.float64),  # subnormal
+        [0.0, 5e-324], positional,
+        160.0 + positional, 10.0 + positional, [160.00008999742772, 10.00001],
+        1e16 + 2.0 * np.arange(-500, 501), [9999999999999998.0, 1e15, 1e17],
+        *(2.0**e + np.arange(-300, 301) * 2.0 ** (e - 52) for e in range(53, 65)),
+        rng.gamma(2.0**-10, size=10_000)]
+    special = np.concatenate([np.asarray(v, dtype=np.float64) for v in pieces])
+    bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+    return np.concatenate([special, -special, bits[np.isfinite(bits)]])
+
+
+REPR_CORPUS = _repr_corpus()
+
+
+def test_float_rows_spell_floats_as_repr():
+    """Every float of the corpus, 1000 to a row: 32 rows to a block, and a
+    last block that is not full."""
+    values = REPR_CORPUS[:len(REPR_CORPUS) // 1000 * 1000].reshape(-1, 1000)
+    assert len(values) % (FLOAT_BLOCK // 1000)
+    assert list(float_rows(values)) == oracle_rows(values)
+
+
+@pytest.mark.parametrize("columns", [1, 7, FLOAT_BLOCK + 3])
+def test_float_rows_split_rows_and_blocks(columns):
+    """Rows of one float (three blocks), of a few, and longer than a block."""
+    values = REPR_CORPUS[:(2 * FLOAT_BLOCK + 5) // columns * columns].reshape(-1, columns)
+    assert list(float_rows(values)) == oracle_rows(values)
+
+
+def test_float_rows_of_dirichlet_cells():
+    """Normalized Gamma(2^-10) rows, like depth-10 Dirichlet cells: half
+    exact zeros, the rest down to subnormals."""
+    draws = np.random.default_rng(7).gamma(2.0**-10, size=(45, 1024))
+    draws /= draws.sum(axis=1, keepdims=True)
+    assert list(float_rows(draws)) == oracle_rows(draws)
+
+
+@pytest.mark.parametrize("values", [
+    np.empty((0, 3)), np.empty((3, 0)), np.arange(12.0).reshape(3, 4).T,
+    (np.arange(6.0).reshape(2, 3) / 7).astype(np.float32),
+    np.array([[1e-5, 2.5]], dtype=">f8"),
+], ids=["no-rows", "no-columns", "transposed", "float32", "big-endian"])
+def test_float_rows_of_any_float_array(values):
+    assert list(float_rows(values)) == oracle_rows(values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_rows_refuse_non_finite_values(bad):
+    with pytest.raises(ValidationError, match="must be finite"):
+        list(float_rows(np.array([[0.5, bad]])))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +341,32 @@ def test_cli_exports_match_oracles(name, depth, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out == text, key
+
+
+@pytest.mark.parametrize("obj", [
+    {"family": "dirichlet", "base": {"type": "lebesgue"}},
+    {"family": "gaussian", "covariance": {"variant": "diagonal", "sigma2": {"type": "lebesgue"}}},
+], ids=["dirichlet", "gaussian"])
+def test_depth_10_exports_match_the_repr_oracles(obj, tmp_path):
+    """`sample` CSV and JSON and `path` at depth 10, N = 37: Dirichlet cells
+    reach subnormals and exact zeros, Gaussian ones are signed."""
+    system = system_from_json(obj)
+    system_path = tmp_path / "system.json"
+    system_path.write_text(json.dumps(obj))
+    args = ["--system", str(system_path), "--depth", "10", "--replicates", "37",
+            "--seed", "11", "--jobs", "1"]
+    chain = dyadic_chain(depth=10)
+    stack = sample_stack(system, chain, 10, RandomStream(11), 37)
+    expected = {
+        "sample-csv": (["sample", *args], oracle_stack_csv(stack)),
+        "sample-json": (["sample", *args, "--format", "json"],
+                        oracle_sample_json(system, 10, 11, stack) + "\n"),
+        "path": (["path", *args], oracle_path_text(stack, _origin(chain))),
+    }
+    for key, (argv, text) in expected.items():
+        target = tmp_path / f"{key}.out"
+        assert main(argv + ["--out", str(target)]) == 0, key
+        assert target.read_text() == text, key
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 the condition evaluators, the phase diagnostics or a thread pool, so
 importing `histolim.cli` and running them in a fresh interpreter must leave
 `histolim.conditions`, `histolim.diagnostics` and `concurrent.futures`
-unloaded.  The names those modules define must still resolve where they
+unloaded.  `orjson`, which spells the floats of `sample` and `path`, loads
+in those two alone: not on import, nor in `check`, `diagnose` or `mean`.  The names those modules define must still resolve where they
 did before: on the package, by `from histolim import *`, and in the help
 (whose evaluator table `test_cli` checks).
 """
@@ -53,6 +54,33 @@ def test_exports_load_neither_conditions_nor_diagnostics():
     steps = json.loads(_fresh(FOOTPRINT))
     assert len(steps) == 6
     assert all(loaded == [] for loaded in steps.values()), steps
+
+
+ORJSON_STEPS = """
+import contextlib, io, json, os, sys, tempfile
+import histolim.cli as cli
+
+steps = {"import": "orjson" in sys.modules}
+with tempfile.TemporaryDirectory() as tmp:
+    system = os.path.join(tmp, "system.json")
+    with open(system, "w") as f:
+        json.dump({"family": "polya", "beta": {"rule": "homogeneous", "expr": "m**2"}}, f)
+    level = ["--system", system, "--depth", "4"]
+    for argv in (["check", *level],
+                 ["diagnose", "--system", system, "--N", "1000", "--depths", "2,3",
+                  "--seed", "1", "--jobs", "1"],
+                 ["mean", *level], ["mean", *level, "--format", "json"],
+                 ["sample", *level, "--seed", "1"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+        steps[" ".join(argv[:1] + argv[-2:])] = "orjson" in sys.modules
+print(json.dumps(steps))
+"""
+
+
+def test_only_sample_and_path_load_orjson():
+    steps = json.loads(_fresh(ORJSON_STEPS))
+    assert list(steps.values()) == [False] * 5 + [True], steps
 
 
 def test_public_names_resolve_lazily():
