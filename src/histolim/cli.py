@@ -22,6 +22,12 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
+# OpenBLAS reads this once, when numpy loads it: an idle worker then spins
+# 2^20 cycles before it sleeps, not the default 2^28 (about 0.1 s of CPU
+# per worker after start-up and after each BLAS call).  The thread count,
+# and with it every result, stays the same; a value set by the user wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 import click
 import numpy as np
 
@@ -165,9 +171,9 @@ def _export(out: Optional[str], force: bool, export, *args) -> None:
         raise ValidationError("cli/write", f"cannot write {out}: {e}") from None
 
 
-def _parse_number_list(raw: str, what: str) -> tuple[float, ...]:
+def _parse_number_list(raw: str, what: str, number=float) -> tuple:
     try:
-        values = tuple(float(v) for v in raw.split(",") if v.strip())
+        values = tuple(number(v) for v in raw.split(",") if v.strip())
     except ValueError:
         raise ValidationError("cli/number-list", f"cannot parse {what} {raw!r}")
     if not values:
@@ -310,7 +316,8 @@ def check(system_path, chain_path, depth, out, force):
 @system_option
 @chain_option
 @click.option("--depths", "depths_raw", default=None,
-              help="Comma-separated Monte-Carlo depths (default 2..8).")
+              help="Comma-separated, strictly increasing Monte-Carlo "
+                   "depths (default 2..8).")
 @click.option("--depth", "depth_max", default=None, type=int,
               help="Shorthand for --depths 2..DEPTH.")
 @click.option("--N", "n", default=10_000, type=int, show_default=True,
@@ -328,23 +335,30 @@ def check(system_path, chain_path, depth, out, force):
 def diagnose(system_path, chain_path, depths_raw, depth_max, n, seed,
              l_grid_raw, delta, jobs, out, fmt, force):
     """Aggregate phase report: condition verdicts plus Monte-Carlo curves."""
-    from .diagnostics import MIN_STATISTICAL_SAMPLES
+    from .diagnostics import MIN_STATISTICAL_SAMPLES, check_domination_args
 
     if n < MIN_STATISTICAL_SAMPLES:
         raise ValidationError("cli/samples",
                               f"--N must be >= {MIN_STATISTICAL_SAMPLES}, got {n}")
-    if depths_raw is None and depth_max is not None and depth_max < 2:
-        raise ValidationError("cli/depth", f"--depth must be >= 2, got {depth_max}")
-    system = _load_system(system_path)
+    if depths_raw is not None and depth_max is not None:
+        raise click.UsageError("--depths and --depth cannot be given together")
     if depths_raw is not None:
-        depths = tuple(int(v) for v in _parse_number_list(depths_raw, "--depths"))
+        # the curves read their first point as the shallowest depth
+        depths = _parse_number_list(depths_raw, "--depths", int)
+        if depths[0] < 0 or any(b <= a for a, b in zip(depths, depths[1:])):
+            raise ValidationError("cli/depth", "--depths must be strictly increasing "
+                                               f"and >= 0, got {depths_raw!r}")
     elif depth_max is not None:
+        if depth_max < 2:
+            raise ValidationError("cli/depth", f"--depth must be >= 2, got {depth_max}")
         depths = tuple(range(2, depth_max + 1))
     else:
         depths = None
+    l_grid = _parse_number_list(l_grid_raw, "--L-grid")
+    check_domination_args(l_grid, delta)
+    system = _load_system(system_path)
     top = max(depths) if depths else 8
     chain = _resolve_chain(system, chain_path, top)
-    l_grid = _parse_number_list(l_grid_raw, "--L-grid")
     report = _module.phase_report(system, chain, depths=depths, replicates=n,
                                   seed=seed, L_grid=l_grid, delta=delta,
                                   jobs=_jobs(jobs))

@@ -336,6 +336,17 @@ def _chunk_reducer(draw, kind: str, q: Optional[np.ndarray], L_grid: Sequence[fl
     return reduce
 
 
+def check_domination_args(L_grid: Sequence[float], delta: float) -> None:
+    """Refuse a truncation level L or a tail threshold delta that is
+    negative, NaN or infinite."""
+    if not all(0 <= L < math.inf for L in L_grid):
+        raise ValidationError("diagnostics/truncation-level",
+                              f"L grid must be finite and nonnegative, got {list(L_grid)}")
+    if not 0 <= delta < math.inf:
+        raise ValidationError("diagnostics/delta",
+                              f"delta must be finite and nonnegative, got {delta}")
+
+
 def _curves(system: HistogramSystem, chain: PartitionChain, depths: Sequence[int],
             replicates: int, *, seed: int, jobs: int, atomicity: bool = True,
             L_grid: Optional[Sequence[float]] = None, delta: float = 0.1,
@@ -350,7 +361,8 @@ def _curves(system: HistogramSystem, chain: PartitionChain, depths: Sequence[int
 
     The steps fail in the order of drawing the curves one after the other:
     every atomicity depth (set-up, then its stack's validation), then the L
-    grid, then every domination depth (reference, set-up, validation).
+    grid and delta, then every domination depth (reference, set-up,
+    validation).
     Set-up runs first and stops at its first error; the draws before it are
     still checked, and that error is raised only if none of them fails.
     """
@@ -369,9 +381,8 @@ def _curves(system: HistogramSystem, chain: PartitionChain, depths: Sequence[int
 
     try:
         for curve in ((0,) if atomicity else ()) + ((1,) if L_grid is not None else ()):
-            if curve == 1 and any(L < 0 for L in L_grid):
-                raise ValidationError("diagnostics/truncation-level",
-                                      f"L grid must be nonnegative, got {list(L_grid)}")
+            if curve == 1:
+                check_domination_args(L_grid, delta)
             root = RandomStream(seed, (curve,))
             for i, depth in enumerate(depths):
                 q = None

@@ -528,6 +528,31 @@ def test_diagnose_refuses_depth_below_two(depth, systems, capsys):
     assert err == f"error[cli/depth] --depth must be >= 2, got {depth}\n"
 
 
+@pytest.mark.parametrize("case", [
+    ("--depths", "2.7,3", "cli/number-list"),
+    ("--depths", "3,2", "cli/depth"),
+    ("--depths", "2,2", "cli/depth"),
+    ("--depths", "-1,3", "cli/depth"),
+    ("--depths", "2,3", "--depth", "5", "cli/usage"),
+    ("--L-grid", "1,nan", "diagnostics/truncation-level"),
+    ("--L-grid", "inf", "diagnostics/truncation-level"),
+    ("--delta", "nan", "diagnostics/delta"),
+    ("--delta", "-1", "diagnostics/delta"),
+    ("--delta", "inf", "diagnostics/delta"),
+], ids=lambda case: " ".join(case[:-1]))
+def test_diagnose_refuses_malformed_curve_options(case, systems, capsys, tmp_path):
+    """Depths that are not increasing integers, and an L or delta that is
+    negative, NaN or infinite, are refused for every family, the leakage
+    one (which draws no curves) included, before any file is written."""
+    *args, expected = case
+    for name in ("dir_leb", "leak"):
+        out = tmp_path / f"{name}.report.json"
+        code, stdout, err = run(capsys, "diagnose", "--system", systems[name],
+                                "--N", "1000", "--seed", "0", "--out", str(out), *args)
+        assert (code, stdout, out.exists()) == (1, "", False)
+        assert err.startswith(f"error[{expected}] ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("command", [
     ("mean",), ("sample", "--seed", "0"), ("path", "--seed", "0"),
 ], ids=lambda command: command[0])

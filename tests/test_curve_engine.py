@@ -187,6 +187,24 @@ def test_negative_L_grid_fails_after_the_atomicity_curve():
     assert code == "sampling/atom-mass"
 
 
+@pytest.mark.parametrize("L_grid, delta, code", [
+    ((1.0, math.nan), 0.1, "diagnostics/truncation-level"),
+    ((math.inf,), 0.1, "diagnostics/truncation-level"),
+    ((1.0, 2.0), math.nan, "diagnostics/delta"),
+    ((1.0, 2.0), -1.0, "diagnostics/delta"),
+    ((1.0, 2.0), math.inf, "diagnostics/delta"),
+])
+def test_non_finite_or_negative_L_and_delta_are_refused(L_grid, delta, code):
+    """A NaN or infinite L would put NaN or Infinity into the report, a NaN
+    delta would make every tail point 0 and a negative one every point 1."""
+    dirichlet = DirichletSystem(LebesgueBase())
+    for call in (lambda: phase_report(dirichlet, UNIT, depths=(2, 3), replicates=1000,
+                                      L_grid=L_grid, delta=delta),
+                 lambda: domination_statistic(dirichlet, UNIT, (2, 3), L_grid, 1000,
+                                              delta=delta)):
+        assert _error(call)[0] == code
+
+
 def _fake_drawer(bad_depth, rows_of, setup_fails_at=None):
     """A level drawer whose chunk j at `bad_depth` gives rows_of(j, k), with
     a set-up error at depth `setup_fails_at`."""

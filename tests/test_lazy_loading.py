@@ -7,12 +7,16 @@ importing `histolim.cli` and running them in a fresh interpreter must leave
 unloaded.  `orjson`, which spells the floats of `sample` and `path`, loads
 in those two alone: not on import, nor in `check`, `diagnose` or `mean`.  The names those modules define must still resolve where they
 did before: on the package, by `from histolim import *`, and in the help
-(whose evaluator table `test_cli` checks).
+(whose evaluator table `test_cli` checks).  `histolim.cli`, and it alone,
+sets OpenBLAS's thread timeout before numpy loads.
 """
 
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 from histolim.cli import main
 from histolim.conditions import MATRIX_DEPTH, PRODUCT_DEPTH
@@ -43,8 +47,8 @@ print(json.dumps(steps))
 """.format(unloaded=UNLOADED)
 
 
-def _fresh(script: str) -> str:
-    proc = subprocess.run([sys.executable, "-c", script],
+def _fresh(script: str, *args: str, env=None) -> str:
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -81,6 +85,40 @@ print(json.dumps(steps))
 def test_only_sample_and_path_load_orjson():
     steps = json.loads(_fresh(ORJSON_STEPS))
     assert list(steps.values()) == [False] * 5 + [True], steps
+
+
+OPENBLAS_STEPS = """
+import json, os, sys
+
+class Watch:
+    \"\"\"Records the variable when numpy is first looked up.\"\"\"
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+
+sys.meta_path.insert(0, Watch())
+before = dict(os.environ)
+for name in sys.argv[1:]:
+    __import__(name)
+after = dict(os.environ)
+print(json.dumps({"at_numpy": Watch.seen,
+                  "changed": sorted(k for k in before.keys() | after.keys()
+                                    if before.get(k) != after.get(k))}))
+"""
+
+
+@pytest.mark.parametrize("modules, preset, expected", [
+    (("histolim.cli",), None, {"at_numpy": ["20"], "changed": ["OPENBLAS_THREAD_TIMEOUT"]}),
+    (("histolim.cli",), "7", {"at_numpy": ["7"], "changed": []}),
+    (("histolim", "histolim.sampling"), None, {"at_numpy": [None], "changed": []}),
+], ids=["cli-sets-it", "user-value-kept", "library-leaves-it"])
+def test_only_the_cli_sets_the_openblas_timeout(modules, preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    assert json.loads(_fresh(OPENBLAS_STEPS, *modules, env=env)) == expected
 
 
 def test_public_names_resolve_lazily():
