@@ -335,7 +335,7 @@ def check(system_path, chain_path, depth, out, force):
 def diagnose(system_path, chain_path, depths_raw, depth_max, n, seed,
              l_grid_raw, delta, jobs, out, fmt, force):
     """Aggregate phase report: condition verdicts plus Monte-Carlo curves."""
-    from .diagnostics import MIN_STATISTICAL_SAMPLES, check_domination_args
+    from .diagnostics import MIN_STATISTICAL_SAMPLES, check_depths, check_domination_args
 
     if n < MIN_STATISTICAL_SAMPLES:
         raise ValidationError("cli/samples",
@@ -343,11 +343,7 @@ def diagnose(system_path, chain_path, depths_raw, depth_max, n, seed,
     if depths_raw is not None and depth_max is not None:
         raise click.UsageError("--depths and --depth cannot be given together")
     if depths_raw is not None:
-        # the curves read their first point as the shallowest depth
         depths = _parse_number_list(depths_raw, "--depths", int)
-        if depths[0] < 0 or any(b <= a for a, b in zip(depths, depths[1:])):
-            raise ValidationError("cli/depth", "--depths must be strictly increasing "
-                                               f"and >= 0, got {depths_raw!r}")
     elif depth_max is not None:
         if depth_max < 2:
             raise ValidationError("cli/depth", f"--depth must be >= 2, got {depth_max}")
@@ -357,8 +353,8 @@ def diagnose(system_path, chain_path, depths_raw, depth_max, n, seed,
     l_grid = _parse_number_list(l_grid_raw, "--L-grid")
     check_domination_args(l_grid, delta)
     system = _load_system(system_path)
-    top = max(depths) if depths else 8
-    chain = _resolve_chain(system, chain_path, top)
+    chain = _resolve_chain(system, chain_path, 8 if depths is None else max(0, *depths))
+    check_depths(depths or (), chain, "cli/depth")
     report = _module.phase_report(system, chain, depths=depths, replicates=n,
                                   seed=seed, L_grid=l_grid, delta=delta,
                                   jobs=_jobs(jobs))

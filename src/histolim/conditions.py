@@ -13,10 +13,9 @@ conditions whose statistic provably diverges report
 from __future__ import annotations
 
 import ast
+import functools
 import math
-import sys
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -42,6 +41,7 @@ from .systems import (
     PolyaTreeSystem,
     TableRule,
     _BINOPS,
+    _level_function,
     assemble_sigma,
     pin_infinite_splits,
 )
@@ -95,13 +95,9 @@ class Verdict:
             raise ValidationError("verdict/status", f"unknown status {self.status!r}")
 
     def to_json(self) -> dict:
-        out = {
-            "condition": self.condition,
-            "status": self.status,
-            "evidence": [[int(d), float(v)] for d, v in self.evidence],
-            "anchor": self.anchor,
-            "argument": self.argument,
-        }
+        out = {"condition": self.condition, "status": self.status,
+               "evidence": [[int(d), float(v)] for d, v in self.evidence],
+               "anchor": self.anchor, "argument": self.argument}
         if self.extrapolation is not None:
             out["extrapolation"] = self.extrapolation
         return out
@@ -129,27 +125,8 @@ def _directional_terms(system: PolyaTreeSystem, bit: int,
         path, other = (b0, b1) if bit == 0 else (b1, b0)
         if math.isinf(other) and math.isfinite(path):
             return terms, True, m + 1
-        if math.isinf(path):
-            terms.append(0.0)
-        else:
-            terms.append(math.log1p(other / path))
+        terms.append(0.0 if math.isinf(path) else math.log1p(other / path))
     return terms, False, depth
-
-
-def _cumulative_evidence(terms: list[float]) -> tuple[tuple[int, float], ...]:
-    return tuple((m + 1, float(s)) for m, s in enumerate(np.cumsum(terms)))
-
-
-def _table_zero_path_horizon(rule: TableRule, bit: int) -> int:
-    """First depth beyond which the constant-bit path only sees the default."""
-    horizon = 0
-    mark = str(bit)
-    for label in rule.pairs:
-        if label == "()":
-            horizon = max(horizon, 1)
-        elif set(label) <= {mark}:
-            horizon = max(horizon, len(label) + 1)
-    return horizon
 
 
 def _directional_product_verdict(system: PolyaTreeSystem, bit: int, depth: int,
@@ -161,7 +138,7 @@ def _directional_product_verdict(system: PolyaTreeSystem, bit: int, depth: int,
     evidence lists S_M per depth.
     """
     terms, hit_zero, upto = _directional_terms(system, bit, depth)
-    evidence = _cumulative_evidence(terms)
+    evidence = tuple((m + 1, float(s)) for m, s in enumerate(np.cumsum(terms)))
     rule = system.rule
     side = "zeroward" if bit == 0 else "oneward"
 
@@ -206,7 +183,9 @@ def _directional_product_verdict(system: PolyaTreeSystem, bit: int, depth: int,
 
     if isinstance(rule, TableRule):
         if rule.default is not None:
-            horizon = _table_zero_path_horizon(rule, bit)
+            # the first depth beyond which the path only sees the default
+            horizon = max((1 if label == "()" else len(label) + 1 for label in rule.pairs
+                           if label == "()" or set(label) <= {str(bit)}), default=0)
             d0, d1 = rule.default
             path_d, other_d = (d0, d1) if bit == 0 else (d1, d0)
             if math.isinf(other_d) and math.isfinite(path_d):
@@ -251,9 +230,7 @@ def _cantor_tail_verdict(terms, name, anchor, evidence) -> Verdict:
     tans = [math.expm1(t) for t in terms]
     # guard the analytic ratio bound only on terms large enough for the
     # cosine near pi/2 to carry relative precision
-    k = 0
-    while k < len(tans) and tans[k] > 1e-9:
-        k += 1
+    k = next((i for i, t in enumerate(tans) if not t > 1e-9), len(tans))
     ratios = [tans[i + 1] / tans[i] for i in range(k - 1)]
     worst = max(ratios) if ratios else 1.0
     if worst > 1.0 / 3.0 + 1e-6:
@@ -280,9 +257,7 @@ def _observed_tail(terms) -> Optional[dict]:
     positive = [t for t in terms if t > 0]
     if len(positive) < 11:
         return None
-    ratios = [positive[i + 1] / positive[i] for i in range(len(positive) - 11,
-                                                           len(positive) - 1)]
-    r = max(ratios)
+    r = max(b / a for a, b in zip(positive[-11:-1], positive[-10:]))
     if r >= 0.9:
         return None
     return {"method": "observed-ratio", "ratio": r,
@@ -318,21 +293,13 @@ def polya_leakage_condition(system: PolyaTreeSystem,
 # ---------------------------------------------------------------------------
 # splitting-tree domination condition
 
-def _split_weak_factors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-child factors of the second-moment-over-mean recursion, as an
-    (n, 2) array over the nodes of a level.
-
-    For a finite split the child factor is
-    (b_sibling/(b0+b1+1) + b_child) / (b0+b1); degenerate infinite weights
-    pin the split, and a zero-mean child contributes factor 0.
-    """
-    s = a + b
-    with np.errstate(all="ignore"):  # infinite nodes are pinned below
-        return pin_infinite_splits(a, b, (b / (s + 1.0) + a) / s, (a / (s + 1.0) + b) / s)
-
-
 def _weak_level_sums(system: PolyaTreeSystem, depth: int) -> list[tuple[int, float]]:
-    """Level sums of second moment over mean across all 2^m cells."""
+    """Level sums of second moment over mean across all 2^m cells.
+
+    Each node's children multiply its ratio by their factors: for a finite
+    split (b_sibling/(b0+b1+1) + b_child) / (b0+b1); infinite weights pin
+    the split, and a zero-mean child contributes factor 0.
+    """
     ratios = np.array([1.0])
     out: list[tuple[int, float]] = []
     for m in range(1, depth + 1):
@@ -340,7 +307,10 @@ def _weak_level_sums(system: PolyaTreeSystem, depth: int) -> list[tuple[int, flo
             a, b = system.rule.level_pairs(m)
         except ValidationError:
             return out
-        ratios = (ratios[:, None] * _split_weak_factors(a, b)).reshape(-1)
+        s = a + b
+        with np.errstate(all="ignore"):  # infinite nodes are pinned below
+            factors = pin_infinite_splits(a, b, (b / (s + 1.0) + a) / s, (a / (s + 1.0) + b) / s)
+        ratios = (ratios[:, None] * factors).reshape(-1)
         out.append((m, float(ratios.sum())))
     return out
 
@@ -350,27 +320,23 @@ def polya_weak_condition(system: PolyaTreeSystem,
     """Is the domination statistic sup_m (level sum of E P(A)^2 / mean(A))
     finite?
 
-    Homogeneous rules admit the closed form (1 + 1/(2 b_m + 1))^m, analysed
-    symbolically through the exponent m/(2 b_m + 1).  Mass-matching rules
-    reduce to (total + 2^m)/(total + 1), which always diverges.  Other rules
-    are enumerated cell by cell, so their trace is capped at depth 14 and
-    left undetermined.
+    Homogeneous rules admit the closed form (1 + 1/(2 b_m + 1))^m, decided
+    by the exact limit of its exponent m/(2 b_m + 1) (`_leading_term_limit`).
+    Mass-matching rules reduce to (total + 2^m)/(total + 1), which always
+    diverges.  Other rules are enumerated cell by cell, so their trace is
+    capped at depth 14 and left undetermined.
     """
     name, anchor = "polya-weak", EVALUATOR_TAGS["polya-weak"]
     rule = system.rule
 
     if isinstance(rule, HomogeneousRule):
-        evidence = []
-        for m in range(1, depth + 1):
-            beta = rule.level_parameter(m)
-            evidence.append((m, (1.0 + 1.0 / (2.0 * beta + 1.0)) ** m))
-        evidence = tuple(evidence)
-        growth = _homogeneous_exponent_limit(rule.expr)
-        if growth is None:
+        evidence = tuple((m, (1.0 + 1.0 / (2.0 * rule.level_parameter(m) + 1.0)) ** m)
+                         for m in range(1, depth + 1))
+        limit = _leading_term_limit(rule.expr)
+        if limit is None:
             return Verdict(name, UNDETERMINED, anchor,
-                           "the exponent m/(2 b_m + 1) has no symbolic limit; "
-                           "statistic trace only", evidence)
-        limit = growth
+                           "the limit of the exponent m/(2 b_m + 1) is not decided "
+                           "exactly for this expression; statistic trace only", evidence)
         if math.isinf(limit):
             # log of the statistic is m log(1+x_m) >= x_m m / 2 with
             # x_m = 1/(2 b_m + 1) < 1, so divergence of the exponent is enough
@@ -420,76 +386,20 @@ def polya_weak_condition(system: PolyaTreeSystem,
                    evidence)
 
 
-def _homogeneous_exponent_limit(expr: str) -> Optional[float]:
-    """Limit of m/(2 f(m) + 1) for the level-parameter expression, or None
-    when it cannot be settled: exact from the leading term of f where f has
-    one, through sympy otherwise."""
-    limit = _leading_term_limit(expr)
-    return _sympy_exponent_limit(expr) if limit is None else limit
-
-
-def _sympy_exponent_limit(expr: str) -> Optional[float]:
-    import sympy  # slow to import and large, so only this fallback loads it
-
-    m = sympy.symbols("m", positive=True)
-    try:
-        f = sympy.sympify(expr.replace("^", "**"), locals={"m": m})
-        limit = sympy.limit(m / (2 * f + 1), m, sympy.oo)
-    except Exception:
-        return None
-    if limit.is_infinite:
-        return math.inf
-    if limit.is_real:
-        return float(limit)
-    return None
-
-
 # ---------------------------------------------------------------------------
-# Exact leading terms of beta expressions
+# Exact growth of beta expressions
 #
-# A beta expression in the grammar of `systems._compile_level_expression`
-# is usually a finite sum of terms c * b^m * m^p with rational c, b > 0 and
-# p, held here as a dict {(b, p): c} without zero coefficients.  Its
-# dominant term, largest in (b, p), decides the limit of m/(2 f + 1).
-#
-# The numbers are read as sympy reads them: m-free subexpressions are
-# folded in floats, and `limit` then takes each float as a nearby simple
-# number (`nsimplify`).  A float of at most six significant digits is its
-# own decimal there; longer ones may move by up to about 1e-7, so they go
-# to sympy, as do like terms with fractional coefficients or powers, which
-# sympy adds in rounded floats before it reads them.
+# The dominant term of 2 f + 1 gives the limit of m/(2 f + 1).  A term
+# q exp(A m^2 + Q m log m + B m + P log m + C) is held as {(A, Q, B, P, C):
+# q}: q, Q, P rational, and A, B, C logs of products of a^r (r, a > 0
+# rational) as sorted (r, a) tuples, one per r, a != 1, integer powers taken
+# into r = 1 (`_log`), and for C into q.  (A, Q, B, P) order terms by growth.
+# A form is such a dict and an error key: it leaves out O(that term), so it
+# keeps only terms that outgrow it.  m-free subexpressions are folded as the
+# system folds them and read as the exact binary values of the results.
 
 class _Outside(Exception):
-    """The expression leaves the form, or sympy could read it differently."""
-
-
-_CONSTANT, _M = (1, 0), (1, 1)
-#: bound on the terms of a form, and on a sum's integer power
-_MAX_TERMS = 64
-
-
-def _fold(node):
-    """An m-free subexpression, evaluated as the system evaluates it."""
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        return _BINOPS[type(node.op)](_fold(node.left), _fold(node.right))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return -_fold(node.operand)
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        return node.value
-    raise _Outside
-
-
-def _number(node) -> Fraction:
-    """An m-free subexpression, read as sympy reads its folded value."""
-    value = _fold(node)
-    if type(value) is int:
-        return Fraction(value)
-    if not (type(value) is float and sys.float_info.min <= abs(value) < math.inf):
-        raise _Outside  # complex, or beyond sympy's unbounded float exponents
-    decimal = Decimal(repr(value))
-    if len(decimal.normalize().as_tuple().digits) > 6:
-        raise _Outside
-    return Fraction(decimal)
+    """The form cannot hold the expression, or cannot order two growths."""
 
 
 def _bits(x: Fraction) -> int:
@@ -504,79 +414,157 @@ def _power(x: Fraction, n: Fraction) -> Fraction:
     return x ** int(n)
 
 
-def _collect(pairs) -> dict:
+def _log(pairs) -> tuple:
     out: dict = {}
-    for key, c in pairs:
-        if max(_bits(key[0]), _bits(c)) > POWER_BIT_LIMIT:
-            raise _Outside
-        if key in out:
-            if not all(x.denominator == 1 and abs(x) < 2 ** 53 for x in (c, out[key])):
-                raise _Outside  # sympy adds these as rounded floats
-            c += out[key]
-        out[key] = c
-    if len(out) > _MAX_TERMS:
+    for r, a in pairs:
+        if r.denominator == 1:
+            r, a = Fraction(1), _power(a, r)
+        out[r] = out.get(r, 1) * a
+    if any(_bits(a) > POWER_BIT_LIMIT for a in out.values()):
         raise _Outside
-    return {key: c for key, c in out.items() if c}
+    return tuple(sorted((r, a) for r, a in out.items() if r and a != 1))
 
 
-def _mul(f: dict, g: dict) -> dict:
-    def times(p1, p2):
-        if p1.denominator > 1 and p2.denominator > 1:
-            raise _Outside  # sympy adds these as rounded floats
-        return p1 + p2
-    return _collect(((b1 * b2, times(p1, p2)), c1 * c2)
-                    for (b1, p1), c1 in f.items() for (b2, p2), c2 in g.items())
+def _cmp(k1, k2) -> int:
+    """Order of growth of two keys."""
+    for x, y in zip(k1[:4], k2[:4]):
+        if x == y:
+            continue
+        if not isinstance(x, tuple):
+            return 1 if x > y else -1
+        x = _log([*x, *((r, 1 / a) for r, a in y)])  # the log of x/y
+        if len(x) == 1:
+            (r, a), = x
+            return 1 if (r > 0) == (a > 1) else -1
+        n = math.lcm(*(r.denominator for r, _ in x))
+        value = math.prod(_power(a, r * n) for r, a in x)
+        if value == 1:
+            raise _Outside  # one growth spelled two ways
+        return 1 if value > 1 else -1
+    return 0
 
 
-def _normal_form(node) -> dict:
-    if not any(isinstance(n, ast.Name) for n in ast.walk(node)):
-        return _collect([(_CONSTANT, _number(node))])
-    if isinstance(node, ast.Name) and node.id == "m":
-        return {_M: Fraction(1)}
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return {key: -c for key, c in _normal_form(node.operand).items()}
-    if not isinstance(node, ast.BinOp):
+_ORDER = functools.cmp_to_key(_cmp)
+_ONE, _M = ((), 0, (), 0, ()), ((), 0, (), 1, ())
+#: bound on the terms of a form, and on a sum's exactly expanded power
+_MAX_TERMS = 64
+
+
+def _times(*keys) -> tuple:
+    """The key of a product of terms."""
+    return tuple(_log([p for x in xs for p in x]) if isinstance(xs[0], tuple) else sum(xs)
+                 for xs in zip(*keys))
+
+
+def _raise(key, n: Fraction, q: Fraction = Fraction(1)) -> tuple:
+    """(q times the term)^n as a (key, coefficient) pair."""
+    *key, C = key
+    return (tuple(_log((r * n, a) for r, a in x) if isinstance(x, tuple) else x * n
+                  for x in (*key, (*C, (1, abs(q))))),
+            _power(Fraction(1 if q > 0 else -1), n))
+
+
+def _top(*keys):
+    return max(filter(None, keys), key=_ORDER, default=None)
+
+
+def _lead(terms) -> tuple:
+    """The key of the dominant term, which must exist and be alone in its
+    growth."""
+    lead = _top(*terms)
+    if lead is None or sum(_cmp(k, lead) == 0 for k in terms) > 1:
         raise _Outside
-    if isinstance(node.op, ast.Add):
-        return _collect([*_normal_form(node.left).items(),
-                         *_normal_form(node.right).items()])
-    if isinstance(node.op, ast.Mult):
-        return _mul(_normal_form(node.left), _normal_form(node.right))
-    if not isinstance(node.op, ast.Pow):
+    return lead
+
+
+def _collect(pairs, err=None) -> tuple:
+    """The form of the sum of (key, q) terms and O(err); beyond
+    `_MAX_TERMS` terms the largest one left out becomes the error key."""
+    out: dict = {}
+    for (*key, C), q in pairs:
+        key = (*key, tuple(p for p in C if p[0] != 1))
+        out[key] = out.get(key, 0) + q * dict(C).get(1, 1)
+    terms = {k: q for k, q in out.items() if q and (err is None or _cmp(k, err) > 0)}
+    if len(terms) > _MAX_TERMS:
+        ranked = sorted(terms, key=_ORDER, reverse=True)
+        err, terms = ranked[_MAX_TERMS], {k: terms[k] for k in ranked[:_MAX_TERMS]}
+    if any(_bits(q) > POWER_BIT_LIMIT for q in terms.values()):
         raise _Outside
-    exponent = _normal_form(node.right)
-    if exponent.keys() <= {_CONSTANT}:
-        base, n = _normal_form(node.left), exponent.get(_CONSTANT, Fraction(0))
-        if len(base) == 1:
-            ((b, p), c), = base.items()
-            return _collect([((_power(b, n), p * n), _power(c, n))])
-        if not (n.denominator == 1 and 0 <= n <= _MAX_TERMS):
-            raise _Outside
-        out = {_CONSTANT: Fraction(1)}
-        for _ in range(int(n)):
-            out = _mul(out, base)
+    return terms, err
+
+
+def _add(f, g) -> tuple:
+    return _collect([*f[0].items(), *g[0].items()], _top(f[1], g[1]))
+
+
+def _mul(f, g) -> tuple:
+    bounds = ((e, _top(*other[0], other[1])) for e, other in ((f[1], g), (g[1], f)))
+    return _collect(((_times(k1, k2), q1 * q2)
+                     for k1, q1 in f[0].items() for k2, q2 in g[0].items()),
+                    _top(*(_times(e, lead) for e, lead in bounds if e and lead)))
+
+
+def _power_form(base, exponent) -> tuple:
+    (terms, err), (g, g_err) = base, exponent
+    if len(terms) == 1 and err is None and g_err is None:  # the product of (q T)^(r m^p)
+        ((key, q), ), out, sign = terms.items(), _ONE, Fraction(1)
+        for (A, Q, B, p, C), r in g.items():
+            if A or Q or B or C or p not in (0, 1, 2) or (p and q < 0):
+                raise _Outside
+            term, s = _raise(key, r, q)
+            for _ in range(int(p)):  # exp(m log T)
+                if term[0] or term[1]:
+                    raise _Outside
+                term = (*term[2:], 0, ())
+            out, sign = _times(out, term), sign * s
+        return _collect([(out, sign)])
+    if g_err is not None or not g.keys() <= {_ONE}:
+        raise _Outside
+    n = g.get(_ONE, Fraction(0))
+    if n.denominator == 1 and 0 <= n <= _MAX_TERMS:
+        out = ({_ONE: Fraction(1)}, None)
+        for bit in format(int(n), "b"):
+            out = _mul(out, out)
+            if bit == "1":
+                out = _mul(out, base)
         return out
-    # const^(k m + j) = const^j * (const^k)^m
-    a = _number(node.left)
-    if a <= 0 or not exponent.keys() <= {_CONSTANT, _M}:
+    # lead^n + n lead^(n-1) rest + O(lead^(n-2) rest^2)
+    lead = _lead(terms)
+    rest = ({k: q for k, q in terms.items() if k != lead}, err)
+    key, q = _raise(lead, n - 1, terms[lead])
+    first = _mul(({key: n * q}, None), rest)
+    lost = _times(_raise(lead, n - 2)[0], *[_top(*rest[0], err)] * 2)
+    return _collect([_raise(lead, n, terms[lead]), *first[0].items()],
+                    _top(first[1], lost))
+
+
+def _normal_form(node) -> tuple:
+    if not any(isinstance(n, ast.Name) for n in ast.walk(node)):  # folded as the system folds it
+        return _collect([(_ONE, Fraction(_level_function(node, "")(0)))])
+    if isinstance(node, ast.Name) and node.id == "m":
+        return {_M: Fraction(1)}, None
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _mul(({_ONE: Fraction(-1)}, None), _normal_form(node.operand))
+    if not isinstance(node, ast.BinOp) or type(node.op) not in _BINOPS:
         raise _Outside
-    k, j = exponent[_M], exponent.get(_CONSTANT, Fraction(0))
-    return _collect([((_power(a, k), 0), _power(a, j))])
+    op = {ast.Add: _add, ast.Mult: _mul, ast.Pow: _power_form}[type(node.op)]
+    return op(_normal_form(node.left), _normal_form(node.right))
 
 
 def _leading_term_limit(expr: str) -> Optional[float]:
-    """Exact limit of m/(2 f + 1), or None when f leaves the form."""
+    """Exact limit of m/(2 f + 1), or None when the form cannot decide it.
+    A finite limit 1/(q e^C) is the float nearest its exact value when C is
+    empty, and is computed in floats otherwise."""
     try:
-        f = _normal_form(ast.parse(expr.replace("^", "**"), mode="eval").body)
-        key = b, p = max(f, default=_CONSTANT)
-        c = f.get(key, Fraction(0))
-        if b > 1 or (b == 1 and p > 1):
-            return 0.0
-        if key == _M:
-            return float(1 / (2 * c))
-        if key == _CONSTANT and 2 * c + 1 == 0:
-            return None  # 2f + 1 loses its leading term
-        return math.inf
+        terms, err = _normal_form(ast.parse(expr.replace("^", "**"), mode="eval").body)
+        terms, _ = _add(({k: 2 * q for k, q in terms.items()}, err),
+                        ({_ONE: Fraction(1)}, None))
+        key = _lead(terms)  # none if 2 f + 1 vanishes, or is lost in the error
+        order = _cmp(key, _M)
+        if order:
+            return 0.0 if order > 0 else math.inf
+        return float(1 / terms[key]) / math.exp(
+            sum(r * (math.log(a.numerator) - math.log(a.denominator)) for r, a in key[4]))
     except (_Outside, ArithmeticError, RecursionError, SyntaxError, TypeError, ValueError):
         return None
 
@@ -589,9 +577,7 @@ def dirichlet_condition(system: DirichletSystem,
     """Existence for normalized-Gamma systems is unconditional: any finite
     positive base measure yields a coherent limit, completely random up to
     normalization.  Records the base total as evidence."""
-    if domain is None:
-        domain = Domain.unit()
-    total = system.base.total(domain)
+    total = system.base.total(Domain.unit() if domain is None else domain)
     if total <= 0:
         raise ValidationError("system/degenerate",
                               "base measure must have positive total mass")
@@ -663,9 +649,8 @@ def dirichlet_weak_condition(system: DirichletSystem,
 
 def _matrix_levels(system: GaussianSystem, chain: PartitionChain,
                    depth: int) -> range:
-    cap = MATRIX_LEVEL_CAP
-    if isinstance(system.covariance, (KernelCovariance, GreensCovariance)):
-        cap = QUADRATURE_LEVEL_CAP
+    quadrature = isinstance(system.covariance, (KernelCovariance, GreensCovariance))
+    cap = QUADRATURE_LEVEL_CAP if quadrature else MATRIX_LEVEL_CAP
     return range(0, min(depth, cap, chain.depth) + 1)
 
 

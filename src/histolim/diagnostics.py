@@ -144,10 +144,8 @@ def coherence_test(system: HistogramSystem, chain: PartitionChain,
         raise ValidationError("diagnostics/insufficient-samples",
                               f"need at least {MIN_STATISTICAL_SAMPLES} replicates, "
                               f"got {replicates}")
+    check_depths(levels, chain, "diagnostics/levels")
     coarse, fine = levels
-    if not (0 <= coarse < fine <= chain.depth):
-        raise ValidationError("diagnostics/levels",
-                              f"need 0 <= coarse < fine <= {chain.depth}, got {levels}")
     rmap = chain.refinement(coarse, fine)
     draw = sample_stack if sampler is None else sampler
     runs = []
@@ -347,6 +345,16 @@ def check_domination_args(L_grid: Sequence[float], delta: float) -> None:
                               f"delta must be finite and nonnegative, got {delta}")
 
 
+def check_depths(depths: Sequence[int], chain: PartitionChain,
+                 code: str = "diagnostics/depth") -> None:
+    """Refuse depths that are not strictly increasing levels of `chain`: a curve reads
+    its first point as the shallowest, and a negative depth indexes the chain from its end."""
+    if depths and (depths[0] < 0 or depths[-1] > chain.depth
+                   or any(b <= a for a, b in zip(depths, depths[1:]))):
+        raise ValidationError(code, "depths must be strictly increasing levels "
+                                    f"0..{chain.depth} of the chain, got {list(depths)}")
+
+
 def _curves(system: HistogramSystem, chain: PartitionChain, depths: Sequence[int],
             replicates: int, *, seed: int, jobs: int, atomicity: bool = True,
             L_grid: Optional[Sequence[float]] = None, delta: float = 0.1,
@@ -366,6 +374,7 @@ def _curves(system: HistogramSystem, chain: PartitionChain, depths: Sequence[int
     Set-up runs first and stops at its first error; the draws before it are
     still checked, and that error is raised only if none of them fails.
     """
+    check_depths(depths, chain)
     if replicates < 2:
         raise ValidationError("diagnostics/insufficient-samples",
                               "need at least 2 replicates for a standard error")
@@ -462,6 +471,7 @@ def tv_martingale_curve(density: Density, chain: PartitionChain,
     """
     if depths is None:
         depths = range(1, chain.depth + 1)
+    check_depths(depths, chain)
     out = []
     for m in depths:
         part = chain[m]
@@ -583,16 +593,19 @@ def phase_report(system: HistogramSystem, chain: PartitionChain, *,
     plateau to keep it; a decreasing curve vetoes the atomic sub-label and
     demotes to the corresponding non-atomic phase.
     """
-    verdicts, existence, dominated = family_verdicts(system, lambda _: chain)
-    completely_random = system.completely_random
     if depths is None:
         depths = tuple(range(2, min(chain.depth, 8) + 1))
+    check_depths(depths, chain)
+    verdicts, existence, dominated = family_verdicts(system, lambda _: chain)
+    completely_random = system.completely_random
 
     atom_curve = dom_result = None
     if depths and replicates >= 2 and dominated is not None:
         atom_curve, dom_result = _curves(
             system, chain, depths, replicates, seed=seed, jobs=jobs,
             L_grid=L_grid, delta=delta)
+    else:  # the curves check these in their order of drawing
+        check_domination_args(L_grid, delta)
 
     flags = {"completely_random": completely_random,
              "atomic_corroborated": None}

@@ -201,6 +201,26 @@ def _bounded_power(base, exponent):
 _BINOPS = {ast.Add: operator.add, ast.Mult: operator.mul, ast.Pow: _bounded_power}
 
 
+def _level_function(node, expr: str) -> Callable[[int], object]:
+    """The function of m that a node of `expr` computes."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        op, left, right = (_BINOPS[type(node.op)], _level_function(node.left, expr),
+                           _level_function(node.right, expr))
+        return lambda m: op(left(m), right(m))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        operand = _level_function(node.operand, expr)
+        return lambda m: -operand(m)
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        value = node.value
+        return lambda m: value
+    if isinstance(node, ast.Name) and node.id == "m":
+        return lambda m: m
+    raise ValidationError(
+        "system/beta-expression",
+        f"{expr!r}: only numbers, 'm', '+', '*', '^' and unary '-' are allowed",
+    )
+
+
 def _compile_level_expression(expr: str) -> Callable[[int], float]:
     """Compile an expression in the level variable m; allows numbers, m,
     +, *, ^ (power) and unary minus.  Operands are evaluated left to right
@@ -219,25 +239,8 @@ def _compile_level_expression(expr: str) -> Callable[[int], float]:
     except RecursionError:
         raise too_deep() from None
 
-    def build(node) -> Callable[[int], object]:
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            op, left, right = _BINOPS[type(node.op)], build(node.left), build(node.right)
-            return lambda m: op(left(m), right(m))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            operand = build(node.operand)
-            return lambda m: -operand(m)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            value = node.value
-            return lambda m: value
-        if isinstance(node, ast.Name) and node.id == "m":
-            return lambda m: m
-        raise ValidationError(
-            "system/beta-expression",
-            f"{expr!r}: only numbers, 'm', '+', '*', '^' and unary '-' are allowed",
-        )
-
     try:
-        compiled = build(tree.body)
+        compiled = _level_function(tree.body, expr)
     except RecursionError:
         raise too_deep() from None
 

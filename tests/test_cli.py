@@ -401,11 +401,15 @@ def test_homogeneous_polya_commands_leave_sympy_unloaded(argv, tmp_path):
     assert "finite limit 0," in weak["argument"]
 
 
-def test_fallback_expression_loads_sympy_for_its_verdict(tmp_path):
-    loaded, weak = _run_loading(tmp_path, "(1+m^-1)^m", "check")
-    assert loaded
-    assert weak["status"] == "sufficient_condition_fails"
-    assert weak["argument"].startswith("the exponent m/(2 b_m + 1) diverges")
+@pytest.mark.parametrize("expr, status", [
+    ("1.000000001^m", "holds"),             # the binary float is above 1
+    ("(1+m^-1)^m", "undetermined"),         # a sum raised to a power in m
+    ("m^(0.3*m)", "holds"),
+])
+def test_weak_limits_are_decided_without_sympy(expr, status, tmp_path):
+    loaded, weak = _run_loading(tmp_path, expr, "check")
+    assert not loaded
+    assert weak["status"] == status
 
 
 @pytest.mark.parametrize("expr", [

@@ -31,6 +31,7 @@ from histolim.diagnostics import (
     domination_statistic,
     phase_report,
     reference_histogram,
+    tv_martingale_curve,
 )
 from histolim.errors import ValidationError
 from histolim.histograms import (
@@ -38,6 +39,7 @@ from histolim.histograms import (
     PROBABILITY,
     Histogram,
     HistogramStack,
+    PolynomialDensity,
     truncation_values,
 )
 from histolim.partitions import Domain, dyadic_chain
@@ -203,6 +205,40 @@ def test_non_finite_or_negative_L_and_delta_are_refused(L_grid, delta, code):
                  lambda: domination_statistic(dirichlet, UNIT, (2, 3), L_grid, 1000,
                                               delta=delta)):
         assert _error(call)[0] == code
+
+
+@pytest.mark.parametrize("depths", [(-1, 3), (3, 2), (2, 2), (2, 4)])
+def test_depths_that_are_not_increasing_chain_levels_are_refused(depths):
+    """A negative depth indexed the chain from its end (-1 was drawn on
+    level 3 and labelled -1), unsorted depths reached `classify_atomicity`,
+    which reads the first point as the shallowest, and a depth past the
+    chain was drawn on a level of its own; the total-variation curve read
+    the chain the same way."""
+    chain, leak = dyadic_chain(depth=3), LeakageSystem(0.3, 3)
+    dirichlet = DirichletSystem(LebesgueBase())
+    for call in (lambda: phase_report(dirichlet, chain, depths=depths, replicates=1000),
+                 lambda: atomicity_statistic(dirichlet, chain, depths, 1000),
+                 lambda: domination_statistic(dirichlet, chain, depths, (1.0,), 1000),
+                 lambda: phase_report(leak, leak.chain(), depths=depths),
+                 lambda: tv_martingale_curve(PolynomialDensity((0.0, 2.0)), chain, depths)):
+        code, msg = _error(call)
+        assert code == "diagnostics/depth"
+        assert msg.endswith(f"got {list(depths)}")
+
+
+@pytest.mark.parametrize("L_grid, delta, code", [
+    ((math.nan,), math.nan, "diagnostics/truncation-level"),
+    ((1.0,), math.nan, "diagnostics/delta"),
+    ((1.0,), -1.0, "diagnostics/delta"),
+])
+def test_report_without_curves_still_checks_L_and_delta(L_grid, delta, code):
+    """A leakage system has no domination verdict, so no curves are drawn;
+    its L grid and delta are refused all the same, as with replicates=1."""
+    for system, chain, replicates in ((LEAK, LEAK.chain(), 1000),
+                                      (DirichletSystem(LebesgueBase()), UNIT, 1)):
+        assert _error(lambda: phase_report(system, chain, depths=(2, 3),
+                                           replicates=replicates, L_grid=L_grid,
+                                           delta=delta))[0] == code
 
 
 def _fake_drawer(bad_depth, rows_of, setup_fails_at=None):

@@ -1,18 +1,19 @@
-"""The exact leading-term limit of m/(2 b_m + 1) for homogeneous Polya
-rules, checked class by class and against the sympy limit it replaces."""
+"""The exact limit of m/(2 b_m + 1) for homogeneous Polya rules, checked
+class by class and against sympy's limit as a test-only oracle."""
 
+import ast
 import math
 import time
-from unittest import mock
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from histolim import conditions
-from histolim.conditions import polya_weak_condition
+from histolim.conditions import HOLDS, SUFFICIENT_CONDITION_FAILS, polya_weak_condition
 from histolim.errors import ValidationError
-from histolim.systems import HomogeneousRule, PolyaTreeSystem
+from histolim.systems import _BINOPS, HomogeneousRule, PolyaTreeSystem
 
 
 @pytest.mark.parametrize("expr, limit", [
@@ -30,19 +31,47 @@ def test_leading_term_limit_by_class(expr, limit):
     assert math.copysign(1.0, got) == 1.0  # never -0.0
 
 
-@pytest.mark.parametrize("expr", [
-    "(-2)^m",       # negative base of b^m
-    "2^(0.5*m)",    # irrational b
-    "(1+m^-1)^m",   # a sum raised to a power in m
-    "m^m",
-    "-0.5 + m^-1",  # the dominant constant cancels in 2f + 1
-    "0.1*3*m + -0.3*m + 1",  # float cancellation: sympy keeps 5.55e-17*m
-    "1.0000001^m",  # seven digits: sympy may read the float as 1
-    "(1.1*1.1)^m",  # folds to 1.2100000000000002
-    "m^0.5*m^0.5",  # fractional powers that sympy adds as floats
-    "(m + 1)^64",   # binomial coefficients beyond 2^53
+@pytest.mark.parametrize("expr, limit", [
+    ("(m+1)^0.5", math.inf),                 # m^0.5 (1 + m^-1/2 + ...)
+    ("(m^2+1)^0.5", 0.5),                    # m + m^-1/2 + O(m^-3)
+    ("(m+m^2)^0.5 + -1*m", math.inf),        # the leads cancel: 1/2 + O(m^-1)
+    ("m^m", 0.0),                            # m log m beats m
+    ("2^(m^2)", 0.0),                        # m^2 beats m log m
+    ("m^(0.3*m)", 0.0),
+    ("(2^m)^m", 0.0),                        # 2^(m^2)
+    ("(m+1)^100", 0.0),                      # beyond 64: lead and first order
+    ("(m + 1)^64", 0.0),                     # 65 terms: the last becomes O(1)
+    ("(m + 1)^2 + -1*m^2 + -2*m", math.inf),  # exact expansion cancels to 1
+    ("0.1*m + 0.2*m", 1.6666666666666665),   # exact binary 0.1 + 0.2 > 0.3
+    ("0.1*3*m + -0.3*m + 1", 2.0 ** 53),     # 0.1*3 folds to 0.3 + 2^-54
+    ("m^0.5*m^0.5", 0.5),
+    ("-0.5 + m^-1", math.inf),               # 2 f + 1 = 2/m
+    ("1.000000001^m", 0.0),                  # the binary float is above 1
+    ("1.0000001^m", 0.0),
+    ("(1.1*1.1)^m", 0.0),                    # folds to 1.2100000000000002
+    ("2^(0.5*m)", 0.0),                      # b = 2^(1/2) > 1
+    ("2^m*3^m + -1*6^m", math.inf),          # one base, so the terms cancel
+    ("m^(-1*m)", math.inf),
+    ("(4*m^2 + 1)^0.5", 0.25),               # 2 m + m^-1/4 + O(m^-3)
+    ("2^(0.3*m + 1.75)", 0.0),               # the factor 2^1.75 is irrational
+    ("2^(0.5*m + 0.5)*0.5^(0.5*m)*m", 0.3535533905932738),  # 1/(2 sqrt 2)
+    ("-((m^0 + m^0)^-2)", math.inf),         # f = -1/4 stays exact
 ])
-def test_leading_term_limit_leaves_the_rest_to_sympy(expr):
+def test_exponent_limit_decided_exactly(expr, limit):
+    assert conditions._leading_term_limit(expr) == limit
+    assert _sympy_limit(expr) == limit
+
+
+@pytest.mark.parametrize("expr", [
+    "(-2)^m",           # negative base of b^m
+    "(1+m^-1)^m",       # a sum raised to a power in m
+    "m^(m^2)",          # m^2 log m is beyond the growth classes
+    "-0.5",             # 2 f + 1 vanishes
+    "(m^4+m^3)^0.5 + -1*m^2 + -0.5*m",  # cancels down to the error O(1)
+    "4^(0.5*m) + -1*2^m",  # one growth spelled two ways
+    "(m + -1*m)^0.5",   # a power of 0 that is not an integer power
+])
+def test_exponent_limit_undetermined(expr):
     assert conditions._leading_term_limit(expr) is None
 
 
@@ -53,42 +82,75 @@ def test_leading_term_limit_leaves_the_rest_to_sympy(expr):
 ])
 def test_constants_fold_in_floats_as_the_system_folds_them(expr, limit):
     assert conditions._leading_term_limit(expr) == limit
-    assert conditions._sympy_exponent_limit(expr) == limit
+    assert _sympy_limit(expr) == limit
 
 
 def test_huge_coefficients_fall_back_quickly():
     start = time.perf_counter()
-    assert conditions._leading_term_limit("(1.1^600*0.9^600*m + 1)^256") is None
+    assert conditions._leading_term_limit("(1.1^600*0.9^600*m + 1)^256") == 0.0
     assert conditions._leading_term_limit("(2^60000*m + 1)^64") is None
+    assert conditions._leading_term_limit("(m + m^0.5 + m^0.25 + m^0.125 + 1)^64") == 0.0
     assert time.perf_counter() - start < 1.0
 
 
 def test_exact_path_decides_where_sympy_gives_up():
-    # sympy.limit raises "Not sure of sign of -log(10)/(-2*log(10) +
-    # 2*log(11)) + 2", so the verdict was undetermined; b = 121/1000 < 1
+    # sympy.limit raises NotImplementedError here; b = 121/1000 < 1
     expr = "10^(2 + -1*m)*(1.1^(2*m + -1) + m)"
-    assert conditions._sympy_exponent_limit(expr) is None
+    assert _sympy_limit(expr) is None
     assert conditions._leading_term_limit(expr) == math.inf
-
-
-def test_fallback_expression_still_gets_the_sympy_limit():
-    assert conditions._homogeneous_exponent_limit("(1+m^-1)^m") == math.inf
-    assert conditions._homogeneous_exponent_limit("m^0.5*m^0.5") == 0.5
 
 
 # --- differential test against sympy ----------------------------------------
 
+def _fold(node):
+    """An m-free subexpression, evaluated with the system's operators."""
+    if isinstance(node, ast.BinOp):
+        return _BINOPS[type(node.op)](_fold(node.left), _fold(node.right))
+    if isinstance(node, ast.UnaryOp):
+        return -_fold(node.operand)
+    return node.value
+
+
+def _sympy_limit(expr):
+    """sympy.limit of m/(2 f + 1), with each m-free subexpression folded as
+    the system folds it and handed over as the exact binary Rational of the
+    result; None where sympy raises or finds no real limit."""
+    import sympy
+
+    m = sympy.Symbol("m", positive=True)
+
+    def build(node):
+        if not any(isinstance(n, ast.Name) for n in ast.walk(node)):
+            x = Fraction(_fold(node))
+            return sympy.Rational(x.numerator, x.denominator)
+        if isinstance(node, ast.Name):
+            return m
+        if isinstance(node, ast.UnaryOp):
+            return -build(node.operand)
+        op = {ast.Add: sympy.Add, ast.Mult: sympy.Mul, ast.Pow: sympy.Pow}[type(node.op)]
+        return op(build(node.left), build(node.right))
+
+    try:
+        f = build(ast.parse(expr.replace("^", "**"), mode="eval").body)
+        limit = sympy.limit(m / (2 * f + 1), m, sympy.oo)
+    except Exception:
+        return None
+    if limit.is_infinite:
+        return math.inf
+    return float(limit) if limit.is_real else None
+
+
 _FLOATS = st.sampled_from(["0.5", "0.25", "1.5", "2.5", "0.1", "0.3", "1.0",
                            "1.6", "-0.6", "0.7", "1.1", "0.9", "1.25", "0.8",
                            "1.0000001", "0.9999999", "1e-3"])
-# float arithmetic that the system and sympy fold before reading the result:
+# float arithmetic that the system folds before the result is read:
 # 1.6 + -0.6 is 1.0, 0.1 + 0.2 is 0.30000000000000004
 _FLOAT_FOLDS = st.tuples(_FLOATS, st.sampled_from([" + ", "*"]), _FLOATS).map(
     lambda t: f"({''.join(t)})")
 _NUMBERS = st.one_of(st.sampled_from(["0", "1", "2", "3"]), _FLOATS, _FLOAT_FOLDS)
 _EXPONENTS = st.one_of(
     st.sampled_from(["0", "1", "2", "3", "-1", "-2", "0.5", "1.5", "2.0", "m",
-                     "(m + 1)", "(2*m + -1)", "(0.5*m)"]),
+                     "(m + 1)", "(2*m + -1)", "(0.5*m)", "(m^2)"]),
     _FLOAT_FOLDS,
     st.tuples(_NUMBERS, _NUMBERS).map(lambda t: f"({t[0]}*m + {t[1]})"),
 )
@@ -117,20 +179,21 @@ def _text(limit):
           suppress_health_check=[HealthCheck.too_slow])
 @given(_EXPRESSIONS)
 def test_leading_term_limit_agrees_with_sympy(expr):
-    """Wherever the exact path decides, sympy prints the same limit, and
-    the verdict has the same status and argument."""
-    fast = conditions._leading_term_limit(expr)
-    if fast is None:
+    """Wherever the exact procedure decides, sympy prints the same limit of
+    the same function, and the verdict states it."""
+    exact = conditions._leading_term_limit(expr)
+    if exact is None:
         return
-    oracle = conditions._sympy_exponent_limit(expr)
+    oracle = _sympy_limit(expr)
     if oracle is None:
         return  # sympy raised: see test_exact_path_decides_where_sympy_gives_up
-    assert _text(fast) == _text(oracle), expr
+    assert _text(exact) == _text(oracle), expr
     try:
-        system = PolyaTreeSystem(HomogeneousRule(expr))
-        verdict = polya_weak_condition(system, depth=3)
+        verdict = polya_weak_condition(PolyaTreeSystem(HomogeneousRule(expr)), depth=3)
     except ValidationError:
         return  # b_m <= 0 at some m <= 3: no verdict to compare
-    with mock.patch.object(conditions, "_leading_term_limit", return_value=None):
-        oracle = polya_weak_condition(system, depth=3)
-    assert (verdict.status, verdict.argument) == (oracle.status, oracle.argument)
+    if math.isinf(oracle):
+        assert verdict.status == SUFFICIENT_CONDITION_FAILS
+    else:
+        assert verdict.status == HOLDS
+        assert f"finite limit {_text(oracle)}," in verdict.argument
