@@ -65,6 +65,12 @@ def test_exponent_limit_decided_exactly(expr, limit):
 @pytest.mark.parametrize("expr", [
     "(-2)^m",           # negative base of b^m
     "(1+m^-1)^m",       # a sum raised to a power in m
+])
+def test_leading_term_limit_leaves_the_rest_to_sympy(expr):
+    assert conditions._leading_term_limit(expr) is None
+
+
+@pytest.mark.parametrize("expr", [
     "m^(m^2)",          # m^2 log m is beyond the growth classes
     "-0.5",             # 2 f + 1 vanishes
     "(m^4+m^3)^0.5 + -1*m^2 + -0.5*m",  # cancels down to the error O(1)
@@ -98,6 +104,15 @@ def test_exact_path_decides_where_sympy_gives_up():
     expr = "10^(2 + -1*m)*(1.1^(2*m + -1) + m)"
     assert _sympy_limit(expr) is None
     assert conditions._leading_term_limit(expr) == math.inf
+
+
+def test_fallback_expression_still_gets_the_sympy_limit():
+    # sympy finds the limit of (1+m^-1)^m, which the exact procedure leaves
+    # undetermined; where the exact procedure decides, it agrees with sympy
+    assert _sympy_limit("(1+m^-1)^m") == math.inf
+    assert conditions._leading_term_limit("(1+m^-1)^m") is None
+    assert _sympy_limit("m^0.5*m^0.5") == 0.5
+    assert conditions._leading_term_limit("m^0.5*m^0.5") == 0.5
 
 
 # --- differential test against sympy ----------------------------------------
