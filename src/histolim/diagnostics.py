@@ -46,9 +46,11 @@ from .histograms import (
     POSITIVE,
     Density,
     Histogram,
-    HistogramStack,
     PiecewiseDensity,
     PolynomialDensity,
+    _adaptive_simpson,
+    _positions_in,
+    _step_on_cell,
     check_summary,
     histogram_density,
     lebesgue_reference,
@@ -209,13 +211,9 @@ def _mean_point(depth: int, L: Optional[float], values: np.ndarray) -> CurvePoin
     return CurvePoint(depth, L, float(values.mean()), stderr, n)
 
 
-def atomicity_values(stack: HistogramStack) -> np.ndarray:
-    """Per-sample largest cell share: max mass for probability stacks, and
-    max |value| / sum |value| for signed ones (zero rows give 0)."""
-    return _largest_shares(stack.values, stack.kind)
-
-
 def _largest_shares(values: np.ndarray, kind: str) -> np.ndarray:
+    """Per-row largest cell share: max mass for probability rows, and
+    max |value| / sum |value| for signed ones (zero rows give 0)."""
     if kind == PROBABILITY:
         return values.max(axis=1)
     absval = np.abs(values)
@@ -443,19 +441,24 @@ def _curves(system: HistogramSystem, chain: PartitionChain, depths: Sequence[int
 # deterministic curves
 
 def _cell_masses(density: Density, partition: Partition) -> np.ndarray:
-    from scipy.integrate import quad
-
+    """The density's mass on each bounded interval cell, read as
+    `tv_distance_density` reads it: a polynomial exactly, a piecewise
+    density by its value on the cell, any other callable by adaptive
+    Simpson."""
     masses = np.zeros(len(partition))
     edges = partition.edges().tolist()
-    for i, (a, b) in enumerate(zip(edges, edges[1:]), start=partition.has_atom):
+    steps = (_positions_in(density.partition, partition, partition.cut_points())
+             if isinstance(density, PiecewiseDensity) else None)
+    for k, (a, b) in enumerate(zip(edges, edges[1:])):
         if not (-math.inf < a and b < math.inf):
             continue
+        i = k + partition.has_atom
         if isinstance(density, PolynomialDensity):
             masses[i] = density.integral(a, b)
-        elif isinstance(density, PiecewiseDensity):
-            masses[i] = density((a + b) / 2.0) * (b - a)
+        elif steps is not None:
+            masses[i] = _step_on_cell(density, steps[k]).coefficients[0] * (b - a)
         else:
-            masses[i], _ = quad(density, a, b)
+            masses[i] = _adaptive_simpson(density, a, b)
     return masses
 
 

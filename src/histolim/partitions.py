@@ -464,10 +464,6 @@ def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = No
                                 for n, row in enumerate([[]] + parsed)))
 
 
-def chain_to_json_text(chain: PartitionChain) -> str:
-    return json.dumps(chain.to_json(), indent=2, sort_keys=True)
-
-
 def chain_from_json_text(text: str) -> PartitionChain:
     try:
         obj = json.loads(text)

@@ -210,7 +210,7 @@ def _level_function(node, expr: str) -> Callable[[int], object]:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         operand = _level_function(node.operand, expr)
         return lambda m: -operand(m)
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):  # not bool
         value = node.value
         return lambda m: value
     if isinstance(node, ast.Name) and node.id == "m":

@@ -38,6 +38,19 @@ SYSTEMS = {
                                          "sigma2": {"type": "lebesgue"}}},
     "leakage": {"family": "leakage", "delta": 0.2, "depth": 6},
     "leakage_interior": {"family": "leakage", "delta": 0.2, "depth": 6, "interior": True},
+    "gaussian_constant": {"family": "gaussian", "covariance": {"variant": "constant", "c": 2.0}},
+    "gaussian_point_mass": {"family": "gaussian",
+                            "covariance": {"variant": "point_mass", "sites": [0.3, 0.7],
+                                           "matrix": [[1.0, 0.5], [0.5, 1.0]]}},
+    "gaussian_kernel": {"family": "gaussian",
+                        "covariance": {"variant": "kernel", "name": "gaussian",
+                                       "params": {"length": 0.2}}},
+    "exponential_kernel": {"family": "gaussian",
+                           "covariance": {"variant": "kernel", "name": "exponential",
+                                          "params": {"length": 0.2}}},
+    "greens_d1": {"family": "gaussian", "covariance": {"variant": "greens", "dimension": 1}},
+    "greens_d2": {"family": "gaussian", "covariance": {"variant": "greens", "dimension": 2}},
+    "greens_d3": {"family": "gaussian", "covariance": {"variant": "greens", "dimension": 3}},
     "dirichlet_atoms": {"family": "dirichlet",
                         "base": {"type": "atoms", "points": [0.25, -1.5, 3.0],
                                  "weights": [1.0, 2.0, 0.5]}},
@@ -53,6 +66,12 @@ SYSTEMS = {
 #: the systems every subcommand runs on
 CORE = ("polya_m2", "polya_cantor_trig", "polya_dirichlet_match", "polya_table_inf",
         "dirichlet_lebesgue", "gaussian_diagonal", "leakage")
+
+#: the Gaussian variants outside CORE, with the depth of their commands:
+#: integral covariances assemble a quadrature matrix per level, so they
+#: stay shallow
+GAUSSIANS = {"gaussian_constant": "6", "gaussian_point_mass": "6", "gaussian_kernel": "4",
+             "exponential_kernel": "4", "greens_d1": "4", "greens_d2": "4", "greens_d3": "4"}
 
 DEPTH, N = "6", "50"
 
@@ -92,6 +111,17 @@ def commands() -> list[list[str]]:
         ]
     counter = ["counterexample", "--delta", "0.2", "--depth", DEPTH]
     out += [counter, [*counter, "--format", "json"]]
+    small_diagnose = ["--N", "1000", "--depths", "2,3", "--seed", "0", "--jobs", "1"]
+    for name, depth in GAUSSIANS.items():
+        system = ["--system", "{%s}" % name]
+        out += [
+            ["check", *system, "--depth", depth],
+            ["sample", *system, "--depth", depth, *draws],
+            ["path", *system, "--depth", depth, *draws],
+            ["diagnose", *system, *small_diagnose],
+        ]
+    for name in ("dirichlet_lebesgue", "gaussian_diagonal"):
+        out.append(["diagnose", "--system", "{%s}" % name, *small_diagnose])
     return out
 
 

@@ -19,7 +19,7 @@ except ModuleNotFoundError:  # Python 3.10: tomllib arrived in 3.11
 
 from histolim.cli import main
 from histolim.conditions import EVALUATOR_TAGS
-from histolim.partitions import Domain, chain_to_json_text, dyadic_chain
+from histolim.partitions import Domain, dyadic_chain
 
 
 @pytest.fixture
@@ -80,10 +80,11 @@ def test_numeric_failure_exits_two(systems, capsys):
 
 
 @pytest.mark.parametrize("expr", ["1j", "(-m)**0.5", "0**(-1)", "10.0**400",
-                                  "(3 + -1*m)^-1"])
+                                  "(3 + -1*m)^-1", "True*m", "m+False", "m**True", True])
 def test_beta_expression_failures_exit_one(expr, tmp_path, capsys):
     """Complex, undefined and overflowing values, at construction or at a
-    later level, end in one error line."""
+    later level, end in one error line; so do truth values, in the text or
+    as a JSON `true`, which are no numbers of the grammar."""
     path = tmp_path / "polya.json"
     path.write_text(json.dumps(
         {"family": "polya", "beta": {"rule": "homogeneous", "expr": expr}}))
@@ -180,7 +181,7 @@ def test_dirichlet_weak_reads_atoms_on_the_chain_domain(tmp_path, capsys):
     system, chain = tmp_path / "system.json", tmp_path / "chain.json"
     system.write_text(json.dumps({"family": "dirichlet", "base": {
         "type": "atoms", "points": [1.5, 3.5], "weights": [1, 1]}}))
-    chain.write_text(chain_to_json_text(dyadic_chain(Domain(Fraction(0), Fraction(4)), 3)))
+    chain.write_text(json.dumps(dyadic_chain(Domain(Fraction(0), Fraction(4)), 3).to_json()))
     code, out, err = run(capsys, "check", "--system", str(system), "--chain", str(chain),
                          "--depth", "3")
     assert (code, err) == (0, "")

@@ -25,9 +25,9 @@ from histolim.diagnostics import (
     CurvePoint,
     DiagnosticCurve,
     DominationResult,
+    _largest_shares,
     _mean_point,
     atomicity_statistic,
-    atomicity_values,
     domination_statistic,
     phase_report,
     reference_histogram,
@@ -66,7 +66,7 @@ def oracle_atomicity(system, chain, depths, replicates, *, seed=0, jobs=1):
     for i, depth in enumerate(depths):
         stack = sample_stack(system, chain, depth, root.child(i),
                              replicates, jobs=jobs)
-        points.append(_mean_point(depth, None, atomicity_values(stack)))
+        points.append(_mean_point(depth, None, _largest_shares(stack.values, stack.kind)))
     return DiagnosticCurve("atomicity", tuple(points))
 
 

@@ -12,8 +12,8 @@ import pytest
 
 from histolim.diagnostics import (
     MIN_STATISTICAL_SAMPLES,
+    _largest_shares,
     atomicity_statistic,
-    atomicity_values,
     classify_atomicity,
     coherence_test,
     domination_statistic,
@@ -109,18 +109,19 @@ def test_coherence_gaussian_families():
 def test_atomicity_values_probability_and_signed():
     stack = HistogramStack(CHAIN[2],
                            np.array([[0.5, 0.25, 0.25, 0.0]]), "probability")
-    assert atomicity_values(stack).tolist() == [0.5]
+    assert _largest_shares(stack.values, stack.kind).tolist() == [0.5]
     signed = HistogramStack(CHAIN[2], np.array([[0.5, -1.5, 0.0, 0.0],
                                                 [0.0, 0.0, 0.0, 0.0]]))
-    out = atomicity_values(signed)
+    out = _largest_shares(signed.values, signed.kind)
     assert out.tolist() == [0.75, 0.0]  # max|v| / sum|v|; zero rows give 0
 
 
 def test_atomicity_never_decreases_under_coarsening():
     # for nonnegative rows the coarse max cell mass dominates the fine one
     stack = sample_stack(DIR_LEB, CHAIN, 6, RandomStream(3), 500)
-    fine = atomicity_values(stack)
-    coarse = atomicity_values(project(stack, CHAIN.refinement(3, 6)))
+    fine = _largest_shares(stack.values, stack.kind)
+    projected = project(stack, CHAIN.refinement(3, 6))
+    coarse = _largest_shares(projected.values, projected.kind)
     assert np.all(coarse >= fine - 1e-12)
 
 

@@ -147,6 +147,10 @@ def test_homogeneous_rule_expressions():
         HomogeneousRule("__import__('os')")
     with pytest.raises(ValidationError):
         HomogeneousRule("m + -m")  # zero at every level
+    for expr in ("True*m", "m+False", "m**True", "True"):  # a bool is an int, not a number
+        with pytest.raises(ValidationError) as e:
+            HomogeneousRule(expr)
+        assert e.value.code == "system/beta-expression"
 
 
 def test_table_rule_lookup_and_default():
