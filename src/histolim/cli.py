@@ -47,7 +47,7 @@ from .partitions import (
 )
 from .sampling import path_from_histogram, sample_stack
 from .streams import RandomStream
-from .systems import LeakageSystem, system_from_json
+from .systems import system_from_json
 
 # `conditions` and `diagnostics` load only in the subcommands that run them.
 # These names still resolve here, on first access: perfbench/spans.py wraps
@@ -119,10 +119,8 @@ def _resolve_chain(system, chain_path: Optional[str], depth: int) -> PartitionCh
         except OSError as e:
             raise ValidationError("cli/chain-file", f"cannot read {chain_path}: {e}")
         chain = chain_from_json_text(text)
-    elif isinstance(system, LeakageSystem):
-        chain = system.chain()
-    else:
-        chain = dyadic_chain(depth=depth)
+    else:  # a chain is never empty, so None means the family has no chain of its own
+        chain = system.chain() or dyadic_chain(depth=depth)
     if depth > chain.depth:
         raise ValidationError("cli/depth",
                               f"depth {depth} exceeds the chain depth {chain.depth}")

@@ -254,18 +254,6 @@ def classify_atomicity(curve: DiagnosticCurve) -> str:
     return "ambiguous"
 
 
-def reference_histogram(system: HistogramSystem, partition: Partition) -> Histogram:
-    """Reference measure for domination tests: the mean measure for
-    probability families, the per-cell spread envelope for Gaussian ones
-    (plus |centre| when not centred)."""
-    if isinstance(system, GaussianSystem):
-        if system.centred:
-            return system.q_alpha(partition)
-        centre = np.abs(system.centre_histogram(partition).values)
-        return Histogram(partition, centre + system.spread(partition), POSITIVE)
-    return system.mean(partition)
-
-
 @dataclass(frozen=True)
 class DominationResult:
     """Mean truncation-excess curve and tail-probability curve over a
@@ -394,9 +382,7 @@ def _curves(system: HistogramSystem, chain: PartitionChain, depths: Sequence[int
             for i, depth in enumerate(depths):
                 q = None
                 if curve == 1:
-                    part = chain[depth]
-                    q = (reference(part) if reference is not None
-                         else reference_histogram(system, part)).values
+                    q = (reference or system.reference)(chain[depth]).values
                 if depth not in levels:
                     levels[depth] = level_drawer(system, chain, depth)
                 partition, kind, draw = levels[depth]

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .histograms import PROBABILITY, SIGNED, Histogram, HistogramStack
+from .histograms import Histogram, HistogramStack
 from .partitions import Partition, PartitionChain
 from .streams import RandomStream, chunk_ranges, run_chunked
 from .systems import (
@@ -25,11 +25,6 @@ from .systems import (
     PolyaTreeSystem,
     sigma_factor,
 )
-
-
-def _check_replicates(n: int) -> None:
-    if n < 1:
-        raise ValidationError("sampling/replicates", f"need at least 1 replicate, got {n}")
 
 
 #: a Polya level draws its Beta pair, and `diagnose` reduces a drawn chunk,
@@ -46,7 +41,7 @@ def _gamma_shape(f: np.ndarray):
 # ---------------------------------------------------------------------------
 # Dirichlet
 
-def _dirichlet_draw(system: DirichletSystem, partition: Partition):
+def _dirichlet_draw(system: DirichletSystem, chain: PartitionChain, depth: int):
     """Normalized Gamma vectors: Z_i ~ Gamma(nu_i, 1), rows Z / sum(Z).
 
     Cells with nu_i = 0 carry a point mass at zero, so they come out exactly
@@ -55,7 +50,7 @@ def _dirichlet_draw(system: DirichletSystem, partition: Partition):
     atom placed by a categorical draw with weights nu — the weak limit of the
     Dirichlet as the concentrations shrink.
     """
-    nu = system.concentrations(partition)
+    nu = system.concentrations(chain[depth])
     positive = nu > 0
     shape = _gamma_shape(nu)
     cum = np.cumsum(nu) / nu.sum()
@@ -188,12 +183,13 @@ def _polya_draw(system: PolyaTreeSystem, chain: PartitionChain, depth: int):
 # ---------------------------------------------------------------------------
 # Gaussian
 
-def _gaussian_draw(system: GaussianSystem, partition: Partition):
+def _gaussian_draw(system: GaussianSystem, chain: PartitionChain, depth: int):
     """Rows centre + z F^T with z standard normal and F a clipped symmetric
     factor of the assembled covariance.  The factor keeps the exact rank, so
     a rank-one covariance yields rows that are scalar multiples of a fixed
     vector, not merely approximately so.
     """
+    partition = chain[depth]
     centre = system.centre_histogram(partition).values
     if isinstance(system.covariance, DiagonalCovariance):
         # z @ diag(s).T elementwise: each entry is z_ik s_k plus exact zeros
@@ -214,44 +210,44 @@ def _gaussian_draw(system: GaussianSystem, partition: Partition):
     return draw
 
 
+def _leakage_draw(system: LeakageSystem, chain: PartitionChain, depth: int):
+    values = system.mean(chain[depth]).values  # deterministic: every row is the mean
+    return lambda sub, k, out=None: np.tile(values, (k, 1))
+
+
 # ---------------------------------------------------------------------------
 # family dispatch, chains, paths
+
+_DRAW_KERNELS = {DirichletSystem: _dirichlet_draw, PolyaTreeSystem: _polya_draw,
+                 GaussianSystem: _gaussian_draw, LeakageSystem: _leakage_draw}
+
 
 def level_drawer(system: HistogramSystem, chain: PartitionChain, depth: int,
                  ) -> tuple[Partition, str, Callable[[RandomStream, int], np.ndarray]]:
     """(partition, kind, draw) for one chain level of any family, where
     ``draw(substream, k, out=None)`` gives k replicate rows, drawn into
-    `out` where it can; a deterministic leakage system tiles its mean."""
-    if isinstance(system, PolyaTreeSystem):  # checks depth against the chain first
-        draw = _polya_draw(system, chain, depth)
-        return chain[depth], PROBABILITY, draw
-    partition = chain[depth]
-    if isinstance(system, DirichletSystem):
-        return partition, PROBABILITY, _dirichlet_draw(system, partition)
-    if isinstance(system, GaussianSystem):
-        return partition, SIGNED, _gaussian_draw(system, partition)
-    if isinstance(system, LeakageSystem):
-        values = system.mean(partition).values
-        return partition, PROBABILITY, lambda sub, k, out=None: np.tile(values, (k, 1))
-    raise ValidationError("sampling/family", f"no sampler for {type(system).__name__}")
-
-
-def _sweep(partition: Partition, kind: str, draw, stream: RandomStream,
-           replicates: int, jobs: int) -> HistogramStack:
-    # each chunk is drawn into its rows of the one array the stack holds
-    values = np.empty((replicates, len(partition)))
-    rows = {stream.child(j): values[a:b] for j, a, b in chunk_ranges(replicates)}
-    run_chunked(stream, replicates, lambda sub, k: draw(sub, k, rows[sub]),
-                jobs=jobs, out=values)
-    return HistogramStack(partition, values, kind, owned=True)
+    `out` where it can."""
+    kernel = _DRAW_KERNELS.get(type(system))
+    if kernel is None:
+        raise ValidationError("sampling/family", f"no sampler for {type(system).__name__}")
+    draw = kernel(system, chain, depth)  # a Polya kernel checks depth against the chain first
+    return chain[depth], system.kind, draw
 
 
 def sample_stack(system: HistogramSystem, chain: PartitionChain, depth: int,
                  stream: RandomStream, replicates: int, *,
                  jobs: int = 1) -> HistogramStack:
-    """Replicate sweep for any family at one level of a chain."""
-    _check_replicates(replicates)
-    return _sweep(*level_drawer(system, chain, depth), stream, replicates, jobs)
+    """Replicate sweep for any family at one level of a chain: each chunk
+    is drawn into its rows of the one array the stack holds."""
+    if replicates < 1:
+        raise ValidationError("sampling/replicates",
+                              f"need at least 1 replicate, got {replicates}")
+    partition, kind, draw = level_drawer(system, chain, depth)
+    values = np.empty((replicates, len(partition)))
+    rows = {stream.child(j): values[a:b] for j, a, b in chunk_ranges(replicates)}
+    run_chunked(stream, replicates, lambda sub, k: draw(sub, k, rows[sub]),
+                jobs=jobs, out=values)
+    return HistogramStack(partition, values, kind, owned=True)
 
 
 def path_from_histogram(h: Histogram | HistogramStack):

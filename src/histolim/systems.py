@@ -27,10 +27,10 @@ moments; the actual draws live in `sampling`.
 from __future__ import annotations
 
 import ast
-import json
 import math
+import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -51,19 +51,73 @@ from .partitions import (
 PSD_RELATIVE_TOL = 1e-10
 
 
+def read_number(value, what: str, code: str, integer: bool = False):
+    """`value` as a float, or an int when `integer`, refusing all but finite
+    (and then whole) numbers: truth values are no numbers here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(code, f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(code, f"{what} must be finite, got {value!r}")
+    if integer and value != int(value):
+        raise ValidationError(code, f"{what} must be an integer, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def read_spec(obj, table: tuple):
+    """`obj` read by the `from_json` of the class that its tag names, where
+    `table` is (tag field, error code, {tag: class})."""
+    tag, code, classes = table
+    name = obj.get(tag) if isinstance(obj, dict) else None
+    if not isinstance(name, str) or name not in classes:
+        raise ValidationError(code, f"unknown {tag} {name!r} in {obj!r}; have {sorted(classes)}")
+    return classes[name].from_json(obj)
+
+
+class Spec:
+    """A class that a spec names by its tag.  Its JSON form is the tag, then
+    each dataclass field by name (a None field left out), a nested spec read
+    by the tag table in its field's metadata; classes whose form differs
+    override `from_json` and `to_json`."""
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        """The fields that `obj` names, the others at their defaults
+        (KeyError if there is none)."""
+        args = {}
+        for f in fields(cls):
+            if f.init and (f.name in obj or f.default is f.default_factory is MISSING):
+                table = f.metadata.get("table")
+                args[f.name] = obj[f.name] if table is None else read_spec(obj[f.name], table)
+        return cls(**args)
+
+    def to_json(self) -> dict:
+        tag, name = _TAGS[type(self)]
+        return {tag: name, **{f.name: _to_json(value) for f in fields(self)
+                              if f.init and (value := getattr(self, f.name)) is not None}}
+
+
+def _to_json(value):
+    """A field's JSON form: a nested spec's own, a list for a tuple or an
+    array, and a dict's values in their JSON forms."""
+    if isinstance(value, Spec):
+        return value.to_json()
+    if isinstance(value, (tuple, np.ndarray)):
+        return np.asarray(value).tolist()
+    return {k: _to_json(v) for k, v in value.items()} if isinstance(value, dict) else value
+
+
 # ---------------------------------------------------------------------------
 # base measures (used as Dirichlet concentrations, Gaussian centres and
 # diagonal variance measures)
 
 @dataclass(frozen=True)
-class LebesgueBase:
+class LebesgueBase(Spec):
     """scale * length, on bounded cells; atoms and unbounded cells get 0."""
 
     scale: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.scale):
-            raise ValidationError("base/scale", f"scale must be finite, got {self.scale}")
+        object.__setattr__(self, "scale", read_number(self.scale, "scale", "base/scale"))
 
     def cell_masses(self, partition: Partition) -> np.ndarray:
         widths = partition.widths()
@@ -85,24 +139,23 @@ class LebesgueBase:
             raise ValidationError("base/unbounded", "length measure needs a bounded domain")
         return self.scale * width
 
-    def to_json(self) -> dict:
-        return {"type": "lebesgue", "scale": self.scale}
-
 
 @dataclass(frozen=True)
-class AtomicBase:
+class AtomicBase(Spec):
     """Finitely many weighted point masses."""
 
     points: tuple[float, ...]
     weights: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "points", tuple(read_number(p, "atom points", "base/atoms")
+                                                 for p in self.points))
+        object.__setattr__(self, "weights", tuple(read_number(w, "atom weights", "base/atoms")
+                                                  for w in self.weights))
         if len(self.points) != len(self.weights) or not self.points:
             raise ValidationError("base/atoms", "need equally many points and weights, at least one")
-        if any(w < 0 or not math.isfinite(w) for w in self.weights):
+        if any(w < 0 for w in self.weights):
             raise ValidationError("base/atoms", "atom weights must be finite and >= 0")
-        object.__setattr__(self, "points", tuple(float(p) for p in self.points))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
     def cell_masses(self, partition: Partition) -> np.ndarray:
         out = np.zeros(len(partition))
@@ -130,30 +183,29 @@ class AtomicBase:
                 raise ValidationError("base/atoms", f"atom at {x} lies outside the domain")
         return float(sum(self.weights))
 
-    def to_json(self) -> dict:
-        return {"type": "atoms", "points": list(self.points), "weights": list(self.weights)}
-
 
 BaseMeasure = Union[LebesgueBase, AtomicBase]
+BASE_MEASURES = ("type", "base/json", {"lebesgue": LebesgueBase, "atoms": AtomicBase})
 
 
-def base_measure_from_json(obj) -> BaseMeasure:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValidationError("base/json", f"base measure needs a 'type' field: {obj!r}")
-    kind = obj["type"]
-    if kind == "lebesgue":
-        return LebesgueBase(float(obj.get("scale", 1.0)))
-    if kind == "atoms":
-        return AtomicBase(tuple(obj["points"]), tuple(obj["weights"]))
-    raise ValidationError("base/json", f"unknown base measure type {kind!r}")
+class Family(Spec):
+    """What a family may override; each defines `kind`, `completely_random` and `mean`."""
+
+    def chain(self) -> PartitionChain | None:
+        """The family's own chain; None lets a command build a dyadic one."""
+        return None
+
+    def reference(self, partition: Partition) -> Histogram:
+        """The reference measure of the domination curves."""
+        return self.mean(partition)
 
 
 # ---------------------------------------------------------------------------
 # Dirichlet systems
 
 @dataclass(frozen=True)
-class DirichletSystem:
-    base: BaseMeasure
+class DirichletSystem(Family):
+    base: BaseMeasure = field(metadata={"table": BASE_MEASURES})
 
     kind = PROBABILITY
     completely_random = True
@@ -170,20 +222,17 @@ class DirichletSystem:
         nu = self.concentrations(partition)
         return Histogram(partition, nu / nu.sum(), PROBABILITY)
 
-    def to_json(self) -> dict:
-        return {"family": "dirichlet", "base": self.base.to_json()}
-
 
 # ---------------------------------------------------------------------------
 # Polya tree systems
 
 def _check_beta_pair(pair, label: str) -> tuple[float, float]:
-    b0, b1 = float(pair[0]), float(pair[1])
-    for b in (b0, b1):
-        if math.isnan(b) or b <= 0:
-            raise ValidationError("system/beta",
-                                  f"splitting parameters at node '{label}' must be in (0, inf], got {pair}")
-    return b0, b1
+    what = f"splitting parameters at node '{label}'"
+    pair = tuple(math.inf if b in ("inf", math.inf) else read_number(b, what, "system/beta")
+                 for b in pair)
+    if len(pair) != 2 or min(pair) <= 0:
+        raise ValidationError("system/beta", f"{what} must be a pair in (0, inf], got {pair}")
+    return pair
 
 
 #: exact integer powers with more bits than this (far beyond the float
@@ -258,7 +307,7 @@ def _compile_level_expression(expr: str) -> Callable[[int], float]:
 
 
 @dataclass(frozen=True)
-class HomogeneousRule:
+class HomogeneousRule(Spec):
     """One parameter per level: both children of every level-(m-1) node
     split with the same Beta parameter, given by an expression in m."""
 
@@ -266,6 +315,7 @@ class HomogeneousRule:
     _evaluate: Callable[[int], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "expr", str(self.expr))
         object.__setattr__(self, "_evaluate", _compile_level_expression(self.expr))
         self.level_parameter(1)  # fail fast on a bad expression
 
@@ -287,22 +337,17 @@ class HomogeneousRule:
         b = np.full(1 << (level - 1), self.level_parameter(level))
         return b, b.copy()
 
-    def to_json(self) -> dict:
-        return {"rule": "homogeneous", "expr": self.expr}
-
 
 @dataclass(frozen=True)
-class TableRule:
+class TableRule(Spec):
     """Explicit per-node splitting parameters, keyed by node label."""
 
     pairs: dict
     default: tuple[float, float] | None = None
 
     def __post_init__(self):
-        clean = {}
-        for label, pair in self.pairs.items():
-            clean[str(label)] = _check_beta_pair(pair, str(label))
-        object.__setattr__(self, "pairs", clean)
+        object.__setattr__(self, "pairs", {str(label): _check_beta_pair(pair, str(label))
+                                           for label, pair in dict(self.pairs).items()})
         if self.default is not None:
             object.__setattr__(self, "default", _check_beta_pair(self.default, "<default>"))
 
@@ -325,15 +370,9 @@ class TableRule:
             a[i], b[i] = self.pair(width, i)
         return a, b
 
-    def to_json(self) -> dict:
-        out = {"rule": "table", "pairs": {k: list(v) for k, v in self.pairs.items()}}
-        if self.default is not None:
-            out["default"] = list(self.default)
-        return out
-
 
 @dataclass(frozen=True)
-class CantorTrigRule:
+class CantorTrigRule(Spec):
     """Splitting parameters (cos, sin) of half-pi times the Cantor
     midpoint of the node label; both lie in (0, 1) and their squares
     sum to one."""
@@ -362,12 +401,9 @@ class CantorTrigRule:
         return (np.array([math.cos(t) for t in angles]),
                 np.array([math.sin(t) for t in angles]))
 
-    def to_json(self) -> dict:
-        return {"rule": "cantor_trig"}
-
 
 @dataclass(frozen=True)
-class DirichletMatchRule:
+class DirichletMatchRule(Spec):
     """Each node's children split with parameters equal to their base-measure
     masses, so that parent parameters are the sums of child parameters and the
     tree reproduces a Dirichlet system on dyadic cells."""
@@ -402,6 +438,13 @@ class DirichletMatchRule:
             "the matching tree needs strictly positive cell masses",
         )
 
+    @classmethod
+    def from_json(cls, obj: dict) -> DirichletMatchRule:  # on the unit domain
+        return cls(read_spec(obj["base"], BASE_MEASURES))
+
+    def to_json(self) -> dict:
+        return {"rule": "dirichlet", "base": self.base.to_json()}
+
     def to_json(self) -> dict:
         return {"rule": "dirichlet", "base": self.base.to_json()}
 
@@ -412,26 +455,8 @@ class DirichletMatchRule:
 #: `pair(level - 1, pos)` node by node and raising the error of the first
 #: failing node in level order.
 BetaRule = Union[HomogeneousRule, TableRule, CantorTrigRule, DirichletMatchRule]
-
-
-def beta_rule_from_json(obj) -> BetaRule:
-    if not isinstance(obj, dict) or "rule" not in obj:
-        raise ValidationError("system/beta-json", f"beta rule needs a 'rule' field: {obj!r}")
-    name = obj["rule"]
-    if name == "homogeneous":
-        return HomogeneousRule(str(obj["expr"]))
-    if name == "table":
-        pairs = {k: tuple(math.inf if v == "inf" else float(v) for v in pair)
-                 for k, pair in obj["pairs"].items()}
-        default = obj.get("default")
-        if default is not None:
-            default = tuple(math.inf if v == "inf" else float(v) for v in default)
-        return TableRule(pairs, default)
-    if name == "cantor_trig":
-        return CantorTrigRule()
-    if name == "dirichlet":
-        return DirichletMatchRule(base_measure_from_json(obj["base"]))
-    raise ValidationError("system/beta-json", f"unknown beta rule {name!r}")
+BETA_RULES = ("rule", "system/beta-json", {"homogeneous": HomogeneousRule, "table": TableRule,
+                                           "cantor_trig": CantorTrigRule, "dirichlet": DirichletMatchRule})
 
 
 def pin_infinite_splits(a: np.ndarray, b: np.ndarray, left: np.ndarray,
@@ -454,13 +479,14 @@ def split_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PolyaTreeSystem:
+class PolyaTreeSystem(Family):
     rule: BetaRule
     p0: float = 0.0  # mass pinned on the zero singleton for [0,1] domains
 
     kind = PROBABILITY
 
     def __post_init__(self):
+        object.__setattr__(self, "p0", read_number(self.p0, "p0", "system/json"))
         if not (0.0 <= self.p0 < 1.0):
             raise ValidationError("system/p0", f"singleton mass must be in [0,1), got {self.p0}")
 
@@ -490,6 +516,10 @@ class PolyaTreeSystem:
             values = np.concatenate([[self.p0], values])
         return Histogram(partition, values, PROBABILITY)
 
+    @classmethod
+    def from_json(cls, obj: dict) -> PolyaTreeSystem:
+        return cls(read_spec(obj["beta"], BETA_RULES), obj.get("p0", 0.0))
+
     def to_json(self) -> dict:
         out = {"family": "polya", "beta": self.rule.to_json()}
         if self.p0:
@@ -501,8 +531,8 @@ class PolyaTreeSystem:
 # Gaussian systems
 
 @dataclass(frozen=True)
-class DiagonalCovariance:
-    sigma2: BaseMeasure
+class DiagonalCovariance(Spec):
+    sigma2: BaseMeasure = field(metadata={"table": BASE_MEASURES})
 
     is_diagonal = True
 
@@ -519,38 +549,36 @@ class DiagonalCovariance:
         masses = self.sigma2.cell_masses(partition)
         return 0.5 * (masses + masses)
 
-    def to_json(self) -> dict:
-        return {"variant": "diagonal", "sigma2": self.sigma2.to_json()}
-
 
 @dataclass(frozen=True)
-class ConstantCovariance:
+class ConstantCovariance(Spec):
     c: float
 
     is_diagonal = False
 
     def __post_init__(self):
-        if not (self.c > 0 and math.isfinite(self.c)):
+        object.__setattr__(self, "c", read_number(self.c, "c", "covariance/constant"))
+        if not self.c > 0:
             raise ValidationError("covariance/constant", f"need c > 0, got {self.c}")
-
-    def to_json(self) -> dict:
-        return {"variant": "constant", "c": self.c}
 
 
 @dataclass(frozen=True)
-class PointMassCovariance:
+class PointMassCovariance(Spec):
     sites: tuple[float, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
-        sites = tuple(float(s) for s in self.sites)
+        code = "covariance/point-mass"
+        sites = tuple(read_number(s, "sites", code) for s in self.sites)
         mat = np.array(self.matrix, dtype=float)
         if not np.isfinite(mat).all():
-            raise ValidationError("covariance/point-mass", "site matrix entries must be finite")
+            raise ValidationError(code, "site matrix entries must be finite")
         n = len(sites)
         if mat.shape != (n, n):
             raise ValidationError("covariance/point-mass",
                                   f"matrix shape {mat.shape} does not fit {n} sites")
+        for row in self.matrix:  # truth values and strings pass `np.array` as numbers
+            tuple(read_number(entry, "site matrix entries", code) for entry in row)
         if not np.allclose(mat, mat.T, atol=1e-12):
             raise ValidationError("covariance/point-mass", "site matrix must be symmetric")
         eigs = np.linalg.eigvalsh(mat)
@@ -567,10 +595,6 @@ class PointMassCovariance:
         off = self.matrix - np.diag(np.diag(self.matrix))
         return bool(np.all(off == 0.0))
 
-    def to_json(self) -> dict:
-        return {"variant": "point_mass", "sites": list(self.sites),
-                "matrix": self.matrix.tolist()}
-
 
 _NAMED_KERNELS = {
     "constant": lambda p: (lambda x, y: p.get("c", 1.0)),
@@ -582,7 +606,7 @@ _NAMED_KERNELS = {
 
 
 @dataclass(frozen=True)
-class KernelCovariance:
+class KernelCovariance(Spec):
     name: str
     params: dict = field(default_factory=dict)
     order: int = 8
@@ -590,18 +614,21 @@ class KernelCovariance:
     is_diagonal = False
 
     def __post_init__(self):
-        if self.name not in _NAMED_KERNELS:
+        object.__setattr__(self, "params", dict(self.params))
+        if not isinstance(self.name, str) or self.name not in _NAMED_KERNELS:
             raise ValidationError("covariance/kernel",
                                   f"unknown kernel {self.name!r}; have {sorted(_NAMED_KERNELS)}")
+        object.__setattr__(self, "order", read_number(self.order, "quadrature order",
+                                                      "covariance/kernel", integer=True))
         if self.order < 1:
             raise ValidationError("covariance/kernel", f"quadrature order must be >= 1, got {self.order}")
-        if self.name != "constant":  # non-numbers fail when the kernel is first called
-            length, scale = self.params.get("length", 1.0), self.params.get("scale", 1.0)
-            if isinstance(length, (int, float)) and not 0 < length < math.inf:
-                raise ValidationError("covariance/kernel",
-                                      f"kernel length must be finite and positive, got {length!r}")
-            if isinstance(scale, (int, float)) and not math.isfinite(scale):  # 0 is the zero covariance
-                raise ValidationError("covariance/kernel", f"kernel scale must be finite, got {scale!r}")
+        length = self.params.get("length", 1.0)
+        if self.name != "constant" and isinstance(length, (int, float)) and not 0 < length < math.inf:
+            raise ValidationError("covariance/kernel",
+                                  f"kernel length must be finite and positive, got {length!r}")
+        for key in ("c", "length", "scale"):  # kept as given, for `to_json`; a zero scale
+            if key in self.params:           # is the zero covariance
+                read_number(self.params[key], f"kernel {key}", "covariance/kernel")
         k = self.kernel()
         for x, y in ((0.1, 0.7), (0.25, 0.9), (0.4, 0.45)):
             if abs(k(x, y) - k(y, x)) > 1e-12:
@@ -610,13 +637,9 @@ class KernelCovariance:
     def kernel(self) -> Callable[[float, float], float]:
         return _NAMED_KERNELS[self.name](self.params)
 
-    def to_json(self) -> dict:
-        return {"variant": "kernel", "name": self.name,
-                "params": dict(self.params), "order": self.order}
-
 
 @dataclass(frozen=True)
-class GreensCovariance:
+class GreensCovariance(Spec):
     """Distance-based kernels per spatial dimension, regularized near the
     diagonal by a length cutoff; dimension one takes an affine-in-each-
     variable correction (c0 + c1*(x+y) + c2*x*y) added to -|x-y|."""
@@ -629,13 +652,18 @@ class GreensCovariance:
     is_diagonal = False
 
     def __post_init__(self):
+        code = "covariance/greens"
+        object.__setattr__(self, "dimension",
+                           read_number(self.dimension, "dimension", code, integer=True))
+        object.__setattr__(self, "uv_cutoff", read_number(self.uv_cutoff, "cutoff", code))
+        object.__setattr__(self, "affine",
+                           tuple(read_number(a, "affine correction", code) for a in self.affine))
+        object.__setattr__(self, "order", read_number(self.order, "quadrature order", code,
+                                                      integer=True))
         if self.dimension not in (1, 2, 3):
-            raise ValidationError("covariance/greens",
-                                  f"dimension must be 1, 2 or 3, got {self.dimension}")
+            raise ValidationError(code, f"dimension must be 1, 2 or 3, got {self.dimension}")
         if self.dimension >= 2 and not (self.uv_cutoff > 0):
-            raise ValidationError("covariance/greens",
-                                  f"cutoff must be > 0, got {self.uv_cutoff}")
-        object.__setattr__(self, "affine", tuple(float(a) for a in self.affine))
+            raise ValidationError(code, f"cutoff must be > 0, got {self.uv_cutoff}")
 
     def kernel(self) -> Callable[[float, float], float]:
         if self.dimension == 1:
@@ -647,35 +675,12 @@ class GreensCovariance:
         eps = self.uv_cutoff
         return lambda x, y: 1.0 / (abs(x - y) + eps)
 
-    def to_json(self) -> dict:
-        return {"variant": "greens", "dimension": self.dimension,
-                "uv_cutoff": self.uv_cutoff, "affine": list(self.affine),
-                "order": self.order}
-
 
 CovarianceSpec = Union[DiagonalCovariance, ConstantCovariance, PointMassCovariance,
                        KernelCovariance, GreensCovariance]
-
-
-def covariance_from_json(obj) -> CovarianceSpec:
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise ValidationError("covariance/json", f"covariance needs a 'variant' field: {obj!r}")
-    variant = obj["variant"]
-    if variant == "diagonal":
-        return DiagonalCovariance(base_measure_from_json(obj["sigma2"]))
-    if variant == "constant":
-        return ConstantCovariance(float(obj["c"]))
-    if variant == "point_mass":
-        return PointMassCovariance(tuple(obj["sites"]), np.array(obj["matrix"], dtype=float))
-    if variant == "kernel":
-        return KernelCovariance(str(obj["name"]), dict(obj.get("params", {})),
-                                int(obj.get("order", 8)))
-    if variant == "greens":
-        return GreensCovariance(int(obj["dimension"]),
-                                float(obj.get("uv_cutoff", 1e-2)),
-                                tuple(obj.get("affine", (0.0, 1.0, -2.0))),
-                                int(obj.get("order", 8)))
-    raise ValidationError("covariance/json", f"unknown covariance variant {variant!r}")
+COVARIANCES = ("variant", "covariance/json", {
+    "diagonal": DiagonalCovariance, "constant": ConstantCovariance,
+    "point_mass": PointMassCovariance, "kernel": KernelCovariance, "greens": GreensCovariance})
 
 
 def _quadrature_matrix(kernel: Callable[[float, float], float],
@@ -768,7 +773,7 @@ def sigma_factor(spec: CovarianceSpec, partition: Partition) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GaussianSystem:
+class GaussianSystem(Family):
     covariance: CovarianceSpec
     centre: BaseMeasure | None = None  # None = centred
 
@@ -806,12 +811,22 @@ class GaussianSystem:
                                   "the absolute-mean reference is defined for centred systems")
         return Histogram(partition, self.spread(partition), POSITIVE)
 
+    def reference(self, partition: Partition) -> Histogram:
+        """`q_alpha`, plus |centre| when not centred."""
+        if self.centred:
+            return self.q_alpha(partition)
+        centre = np.abs(self.centre_histogram(partition).values)
+        return Histogram(partition, centre + self.spread(partition), POSITIVE)
+
+    @classmethod
+    def from_json(cls, obj: dict) -> GaussianSystem:
+        centre = obj.get("centre", "zero")
+        centre = None if centre == "zero" else read_spec(centre, BASE_MEASURES)
+        return cls(read_spec(obj["covariance"], COVARIANCES), centre)
+
     def to_json(self) -> dict:
-        return {
-            "family": "gaussian",
-            "covariance": self.covariance.to_json(),
-            "centre": "zero" if self.centre is None else self.centre.to_json(),
-        }
+        centre = "zero" if self.centre is None else self.centre.to_json()
+        return {"family": "gaussian", "covariance": self.covariance.to_json(), "centre": centre}
 
 
 # ---------------------------------------------------------------------------
@@ -834,19 +849,22 @@ def leakage_rows(depth: int) -> list[list[float]]:
 
 
 @dataclass(frozen=True)
-class LeakageSystem:
+class LeakageSystem(Family):
     """Deterministic coherent system that pins mass delta/2 in each unbounded
     end cell of a triangular chain at every depth, and the rest in the
     interior cell with right endpoint 0."""
 
-    delta: float
-    depth: int
+    delta: float = 0.2
+    depth: int = 8
     interior: bool = False  # squash onto (0,1) through the arctan chart
 
     kind = PROBABILITY
     completely_random = False
 
     def __post_init__(self):
+        object.__setattr__(self, "delta", read_number(self.delta, "delta", "system/json"))
+        object.__setattr__(self, "depth", read_number(self.depth, "depth", "system/json", integer=True))
+        object.__setattr__(self, "interior", bool(self.interior))
         if not (0.0 <= self.delta < 1.0):
             raise ValidationError("system/delta", f"escaping mass must be in [0,1), got {self.delta}")
         if self.depth < 1:
@@ -892,41 +910,22 @@ class LeakageSystem:
             masses.append(total)
         return masses
 
-    def to_json(self) -> dict:
-        return {"family": "leakage", "delta": self.delta, "depth": self.depth,
-                "interior": self.interior}
-
 
 HistogramSystem = Union[DirichletSystem, PolyaTreeSystem, GaussianSystem, LeakageSystem]
+FAMILIES = ("family", "system/json", {"dirichlet": DirichletSystem, "polya": PolyaTreeSystem,
+                                      "gaussian": GaussianSystem, "leakage": LeakageSystem})
+_TAGS = {cls: (tag, name) for tag, _, classes in (BASE_MEASURES, BETA_RULES, COVARIANCES, FAMILIES)
+         for name, cls in classes.items()}
 
 
 def system_from_json(obj) -> HistogramSystem:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ValidationError("system/json", "system spec needs a 'family' field")
-    family = obj["family"]
     try:
-        return _family_from_json(family, obj)
+        return read_spec(obj, FAMILIES)
     except HistolimError:
         raise
     except KeyError as e:
-        raise ValidationError("system/json",
-                              f"{family} system spec is missing the {e.args[0]!r} field") from None
+        raise ValidationError("system/json", f"{obj['family']} system spec is missing "
+                                             f"the {e.args[0]!r} field") from None
     except (TypeError, ValueError, OverflowError) as e:
-        raise ValidationError("system/json", f"malformed {family} system spec: {e}") from None
-
-
-def _family_from_json(family, obj: dict) -> HistogramSystem:
-    if family == "dirichlet":
-        return DirichletSystem(base_measure_from_json(obj["base"]))
-    if family == "polya":
-        return PolyaTreeSystem(beta_rule_from_json(obj["beta"]), float(obj.get("p0", 0.0)))
-    if family == "gaussian":
-        centre = obj.get("centre", "zero")
-        centre_measure = None if centre == "zero" else base_measure_from_json(centre)
-        return GaussianSystem(covariance_from_json(obj["covariance"]), centre_measure)
-    if family == "leakage":
-        return LeakageSystem(float(obj.get("delta", 0.2)), int(obj.get("depth", 8)),
-                             bool(obj.get("interior", False)))
-    raise ValidationError("system/json", f"unknown family {family!r}")
+        raise ValidationError("system/json",
+                              f"malformed {obj['family']} system spec: {e}") from None

@@ -30,7 +30,6 @@ from histolim.diagnostics import (
     atomicity_statistic,
     domination_statistic,
     phase_report,
-    reference_histogram,
     tv_martingale_curve,
 )
 from histolim.errors import ValidationError
@@ -82,7 +81,7 @@ def oracle_domination(system, chain, depths, L_grid, replicates, *,
     mean_points, tail_points, notes = [], [], []
     for i, depth in enumerate(depths):
         part = chain[depth]
-        q = reference(part) if reference is not None else reference_histogram(system, part)
+        q = reference(part) if reference is not None else system.reference(part)
         stack = sample_stack(system, chain, depth, root.child(i),
                              replicates, jobs=jobs)
         dead = q.values == 0
@@ -391,7 +390,7 @@ def _drawn(case):
         system = DirichletSystem(AtomicBase((0.2, 0.7), (1.0, 2.0)))
     if case == "signed-zero-rows":
         rows[::3] = 0.0
-    return kind, rows, reference_histogram(system, partition).values
+    return kind, rows, system.reference(partition).values
 
 
 @pytest.mark.parametrize("k", [1, BLOCK - 1, BLOCK, BLOCK + 1, 1808, CHUNK_SIZE])

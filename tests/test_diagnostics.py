@@ -19,7 +19,6 @@ from histolim.diagnostics import (
     domination_statistic,
     phase_report,
     quadratic_variation,
-    reference_histogram,
     tv_martingale_curve,
 )
 from histolim.errors import ValidationError
@@ -177,17 +176,18 @@ def test_domination_means_monotone_in_L():
 
 
 def test_reference_histogram_per_family():
-    ref = reference_histogram(DIR_LEB, CHAIN[3])
+    """Each family's `reference`: the mean, or for a Gaussian the spread."""
+    ref = DIR_LEB.reference(CHAIN[3])
     assert ref.values.tolist() == pytest.approx([1 / 8] * 8)
-    ref = reference_histogram(GAUSS_DIAG, CHAIN[2])
+    ref = GAUSS_DIAG.reference(CHAIN[2])
     assert np.all(ref.values > 0)  # q_alpha reference for centred gaussians
     shifted = GaussianSystem(DiagonalCovariance(LebesgueBase()),
                              centre=AtomicBase((0.3,), (2.0,)))
-    ref = reference_histogram(shifted, CHAIN[2])
+    ref = shifted.reference(CHAIN[2])
     assert ref.values.tolist() == (
         np.array([0.0, 2.0, 0.0, 0.0]) + shifted.spread(CHAIN[2])).tolist()
     leak = LeakageSystem(0.2, 6)
-    ref = reference_histogram(leak, leak.chain()[3])
+    ref = leak.reference(leak.chain()[3])
     assert ref.total() == pytest.approx(1.0)
 
 
