@@ -605,6 +605,19 @@ _NAMED_KERNELS = {
 }
 
 
+#: the largest Gauss-Legendre order: numpy tests `leggauss` up to 100, and
+#: an order-n rule takes the eigenvalues of an n x n matrix
+MAX_QUADRATURE_ORDER = 100
+
+
+def _quadrature_order(order, code: str) -> int:
+    order = read_number(order, "quadrature order", code, integer=True)
+    if not 1 <= order <= MAX_QUADRATURE_ORDER:
+        raise ValidationError(code, f"quadrature order must be in 1..{MAX_QUADRATURE_ORDER}, "
+                                    f"got {order}")
+    return order
+
+
 @dataclass(frozen=True)
 class KernelCovariance(Spec):
     name: str
@@ -618,10 +631,7 @@ class KernelCovariance(Spec):
         if not isinstance(self.name, str) or self.name not in _NAMED_KERNELS:
             raise ValidationError("covariance/kernel",
                                   f"unknown kernel {self.name!r}; have {sorted(_NAMED_KERNELS)}")
-        object.__setattr__(self, "order", read_number(self.order, "quadrature order",
-                                                      "covariance/kernel", integer=True))
-        if self.order < 1:
-            raise ValidationError("covariance/kernel", f"quadrature order must be >= 1, got {self.order}")
+        object.__setattr__(self, "order", _quadrature_order(self.order, "covariance/kernel"))
         length = self.params.get("length", 1.0)
         if self.name != "constant" and isinstance(length, (int, float)) and not 0 < length < math.inf:
             raise ValidationError("covariance/kernel",
@@ -658,8 +668,7 @@ class GreensCovariance(Spec):
         object.__setattr__(self, "uv_cutoff", read_number(self.uv_cutoff, "cutoff", code))
         object.__setattr__(self, "affine",
                            tuple(read_number(a, "affine correction", code) for a in self.affine))
-        object.__setattr__(self, "order", read_number(self.order, "quadrature order", code,
-                                                      integer=True))
+        object.__setattr__(self, "order", _quadrature_order(self.order, code))
         if self.dimension not in (1, 2, 3):
             raise ValidationError(code, f"dimension must be 1, 2 or 3, got {self.dimension}")
         if self.dimension >= 2 and not (self.uv_cutoff > 0):
