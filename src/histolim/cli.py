@@ -102,7 +102,7 @@ def _load_system(path: str):
         raise ValidationError("cli/system-file", f"cannot read {path}: {e}")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValidationError("cli/system-json", f"{path}: {e}")
     return system_from_json(obj)
 

@@ -414,6 +414,10 @@ class DirichletMatchRule(Spec):
     kind = "dirichlet"
     completely_random = True
 
+    def __post_init__(self):
+        if not self.base.total(self.domain) > 0:
+            raise ValidationError("system/beta", "the matching tree needs a base of positive mass")
+
     def pair(self, level: int, pos: int) -> tuple[float, float]:
         cut = Partition(self.domain, "dyadic", level + 1).cut
         b0 = self.base.mass_of_interval(cut(2 * pos), cut(2 * pos + 1))
@@ -673,6 +677,8 @@ class GreensCovariance(Spec):
             raise ValidationError(code, f"dimension must be 1, 2 or 3, got {self.dimension}")
         if self.dimension >= 2 and not (self.uv_cutoff > 0):
             raise ValidationError(code, f"cutoff must be > 0, got {self.uv_cutoff}")
+        if len(self.affine) != 3:
+            raise ValidationError(code, f"affine correction needs 3 coefficients, got {self.affine}")
 
     def kernel(self) -> Callable[[float, float], float]:
         if self.dimension == 1:

@@ -270,3 +270,15 @@ def test_bad_specs_are_refused_when_read(spec, start, argv):
     assert code == 1
     assert_protocol(code, err)
     assert err.startswith(start), err
+
+
+def test_json_nested_past_the_recursion_limit_is_one_error_line(tmp_path, capsys):
+    """Python's JSON decoder raises RecursionError, not a decode error, on a
+    document nested deeper than the interpreter's recursion limit."""
+    system = tmp_path / "system.json"
+    system.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["check", "--depth", "3", "--system", str(system)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert_protocol(code, err)
+    assert err.startswith("error[cli/system-json]")
