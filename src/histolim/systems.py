@@ -715,9 +715,13 @@ def _quadrature_matrix(kernel: Callable[[float, float], float],
     k = len(centers)
     kmat = np.empty((k, k))
     for i in range(k):
+        # the kernel at every point pair of cell i and cells i..k-1, in one pass
+        xs = np.tile(np.repeat(pts[i], order), k - i)
+        ys = np.tile(pts[i:], (1, order)).reshape(-1)
+        vals = np.fromiter(map(kernel, xs.tolist(), ys.tolist()), float,
+                           len(xs)).reshape(k - i, order, order)
         for j in range(i, k):
-            vals = np.array([[kernel(x, y) for y in pts[j]] for x in pts[i]])
-            kmat[i, j] = kmat[j, i] = float(wts[i] @ vals @ wts[j])
+            kmat[i, j] = kmat[j, i] = float(wts[i] @ vals[j - i] @ wts[j])
     if not partition.has_atom:
         return kmat
     out = np.zeros((len(partition), len(partition)))
