@@ -51,7 +51,7 @@ from .partitions import (
 PSD_RELATIVE_TOL = 1e-10
 
 
-def read_number(value, what: str, code: str, integer: bool = False):
+def read_number(value, what: str, code: str, *, integer: bool = False):
     """`value` as a float, or an int when `integer`, refusing all but finite
     (and then whole) numbers: truth values are no numbers here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
