@@ -171,7 +171,7 @@ CHECK = ("check", "--depth", "3")
 MEAN = ("mean", "--depth", "2", "--format", "csv")
 
 
-@settings(derandomize=True, database=None, max_examples=150,
+@settings(derandomize=True, database=None, max_examples=1000,
           deadline=timedelta(seconds=10), suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
 # quadrature orders: a 74.5 GiB Gauss-Legendre table, and 0.5 cut to 0
