@@ -43,7 +43,6 @@ from .partitions import (
     PartitionChain,
     chain_from_json_text,
     dyadic_chain,
-    endpoint_to_float,
 )
 from .sampling import path_from_histogram, sample_stack
 from .streams import RandomStream
@@ -120,7 +119,7 @@ def _resolve_chain(system, chain_path: Optional[str], depth: int) -> PartitionCh
             raise ValidationError("cli/chain-file", f"cannot read {chain_path}: {e}")
         chain = chain_from_json_text(text)
     else:  # a chain is never empty, so None means the family has no chain of its own
-        chain = system.chain() or dyadic_chain(depth=depth)
+        chain = system.chain(depth) or dyadic_chain(depth=depth)
     if depth > chain.depth:
         raise ValidationError("cli/depth",
                               f"depth {depth} exceeds the chain depth {chain.depth}")
@@ -273,7 +272,7 @@ def path(system_path, chain_path, depth, replicates, seed, jobs, out, force):
     chain = _resolve_chain(system, chain_path, depth)
     stack = sample_stack(system, chain, depth, RandomStream(seed),
                          replicates, jobs=_jobs(jobs))
-    origin = endpoint_to_float(chain.domain.left)
+    origin = float(chain.domain.left)
     t, values = path_from_histogram(stack)
     # each row's points as "t," heads, the t column formatted once, paired
     # with the values of that row's `float_rows` text

@@ -31,9 +31,7 @@ from .systems import (
     DirichletMatchRule,
     DirichletSystem,
     GaussianSystem,
-    GreensCovariance,
     HomogeneousRule,
-    KernelCovariance,
     LeakageSystem,
     LebesgueBase,
     PointMassCovariance,
@@ -42,7 +40,7 @@ from .systems import (
     TableRule,
     _BINOPS,
     _level_function,
-    assemble_sigma,
+    assemble_sigma,  # noqa: F401 -- perfbench/spans.py wraps it by name here
     pin_infinite_splits,
 )
 
@@ -647,13 +645,6 @@ def dirichlet_weak_condition(system: DirichletSystem,
 # ---------------------------------------------------------------------------
 # Gaussian conditions
 
-def _matrix_levels(system: GaussianSystem, chain: PartitionChain,
-                   depth: int) -> range:
-    quadrature = isinstance(system.covariance, (KernelCovariance, GreensCovariance))
-    cap = QUADRATURE_LEVEL_CAP if quadrature else MATRIX_LEVEL_CAP
-    return range(0, min(depth, cap, chain.depth) + 1)
-
-
 #: statistic -> the argument of its undetermined verdict, when the
 #: covariance structure settles nothing (``trace`` is never settled)
 _UNSETTLED = {
@@ -678,24 +669,13 @@ def gaussian_conditions(system: GaussianSystem, chain: PartitionChain,
     """
     spec = system.covariance
     curves: dict[str, list[tuple[int, float]]] = {key: [] for key in _UNSETTLED}
-
-    for m in _matrix_levels(system, chain, depth):
+    cap = QUADRATURE_LEVEL_CAP if spec.quadrature else MATRIX_LEVEL_CAP
+    for m in range(min(depth, cap, chain.depth) + 1):
         part = chain[m]
-        if isinstance(spec, DiagonalCovariance):  # no matrix: tau is the largest variance
-            diag = spec.variances(part)
-        else:
-            sigma, eigs = assemble_sigma(spec, part, spectrum=True)
-            diag = np.diag(sigma)
+        diag, tau = spec.spectrum(part)
         curves["diagonal"].append((m, float(diag.max())))
         curves["weak"].append((m, float(np.sqrt(diag).sum())))
         curves["trace"].append((m, float(diag.sum())))
-        if isinstance(spec, ConstantCovariance):
-            w = LebesgueBase().cell_masses(part)
-            tau = spec.c * float(w @ w)  # rank one: the single eigenvalue
-        elif spec.is_diagonal:
-            tau = float(diag.max())
-        else:
-            tau = float(eigs[-1])
         curves["spectral"].append((m, len(part) * tau))
 
     settled = _settled_statistics(spec, curves["weak"])

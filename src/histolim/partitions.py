@@ -85,10 +85,6 @@ Endpoint = Union[Fraction, float, int]
 _INFINITIES = {"+inf": math.inf, "inf": math.inf, "-inf": -math.inf}
 
 
-def endpoint_to_float(e: Endpoint) -> float:
-    return float(e)
-
-
 def format_endpoint(e: Endpoint) -> str:
     """Lossless text form: Fractions as 'p/q' or 'n', infinities as
     '+inf'/'-inf', other floats via repr."""

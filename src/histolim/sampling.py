@@ -17,7 +17,6 @@ from .histograms import Histogram, HistogramStack
 from .partitions import Partition, PartitionChain
 from .streams import RandomStream, chunk_ranges, run_chunked
 from .systems import (
-    DiagonalCovariance,
     DirichletSystem,
     GaussianSystem,
     HistogramSystem,
@@ -191,10 +190,9 @@ def _gaussian_draw(system: GaussianSystem, chain: PartitionChain, depth: int):
     """
     partition = chain[depth]
     centre = system.centre_histogram(partition).values
-    if isinstance(system.covariance, DiagonalCovariance):
+    scale = system.covariance.scales(partition)
+    if scale is not None:
         # z @ diag(s).T elementwise: each entry is z_ik s_k plus exact zeros
-        scale = np.sqrt(system.covariance.sigma2.cell_masses(partition))
-
         def draw(sub: RandomStream, k: int, out=None) -> np.ndarray:
             z = sub.generator().standard_normal((k, len(scale)), out=out)
             z *= scale

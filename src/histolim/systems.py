@@ -43,7 +43,6 @@ from .partitions import (
     Partition,
     PartitionChain,
     check_depth_capacity,
-    endpoint_to_float,
     node_label,
     triangular_chain,
 )
@@ -134,7 +133,7 @@ class LebesgueBase(Spec):
         return self.scale * partition.widths()[partition.has_atom:]
 
     def total(self, domain: Domain) -> float:
-        width = endpoint_to_float(domain.right) - endpoint_to_float(domain.left)
+        width = float(domain.right) - float(domain.left)
         if not math.isfinite(width):
             raise ValidationError("base/unbounded", "length measure needs a bounded domain")
         return self.scale * width
@@ -191,8 +190,9 @@ BASE_MEASURES = ("type", "base/json", {"lebesgue": LebesgueBase, "atoms": Atomic
 class Family(Spec):
     """What a family may override; each defines `kind`, `completely_random` and `mean`."""
 
-    def chain(self) -> PartitionChain | None:
-        """The family's own chain; None lets a command build a dyadic one."""
+    def chain(self, depth: int | None = None) -> PartitionChain | None:
+        """The family's own chain, reaching at least level `depth` where it
+        can (None: all its levels); None lets a command build a dyadic one."""
         return None
 
     def reference(self, partition: Partition) -> Histogram:
@@ -449,9 +449,6 @@ class DirichletMatchRule(Spec):
     def to_json(self) -> dict:
         return {"rule": "dirichlet", "base": self.base.to_json()}
 
-    def to_json(self) -> dict:
-        return {"rule": "dirichlet", "base": self.base.to_json()}
-
 
 #: Each rule gives `pair(level, pos)` for the tree node addressed like cell
 #: (level, pos) of a dyadic level, and `level_pairs(level)`: the (a, b) arrays
@@ -534,8 +531,42 @@ class PolyaTreeSystem(Family):
 # ---------------------------------------------------------------------------
 # Gaussian systems
 
+class Covariance(Spec):
+    """A covariance variant: each defines `cell_matrix(partition)`, the cell-pair
+    matrix that `assemble_sigma` symmetrises and checks.  The other readings
+    come from that checked matrix, unless a variant has them in closed form."""
+
+    is_diagonal = False  # whether distinct cells never covary
+    quadrature = False  # whether `cell_matrix` integrates a kernel per cell pair
+
+    def variances(self, partition: Partition) -> np.ndarray:
+        return np.diag(assemble_sigma(self, partition))
+
+    def factor(self, partition: Partition) -> np.ndarray:
+        """F with F F^T = Sigma, columns ordered by decreasing variance: `eigh`
+        of the checked matrix, keeping its positive eigenvalues only."""
+        eigvals, eigvecs = np.linalg.eigh(assemble_sigma(self, partition))
+        order = np.argsort(eigvals)[::-1]
+        eigvals = np.clip(eigvals[order], 0.0, None)
+        keep = eigvals > 0
+        return eigvecs[:, order][:, keep] * np.sqrt(eigvals[keep])[None, :]
+
+    def scales(self, partition: Partition) -> np.ndarray | None:
+        """The diagonal of `factor` when that is a square diagonal matrix, else None."""
+        return None
+
+    def spectrum(self, partition: Partition) -> tuple[np.ndarray, float]:
+        """(cell variances, top eigenvalue), the latter from the checked matrix
+        unless the variant is diagonal: then it is the largest variance."""
+        if self.is_diagonal:
+            diag = self.variances(partition)
+            return diag, float(diag.max())
+        sigma, eigs = assemble_sigma(self, partition, spectrum=True)
+        return np.diag(sigma), float(eigs[-1])
+
+
 @dataclass(frozen=True)
-class DiagonalCovariance(Spec):
+class DiagonalCovariance(Covariance):
     sigma2: BaseMeasure = field(metadata={"table": BASE_MEASURES})
 
     is_diagonal = True
@@ -545,29 +576,45 @@ class DiagonalCovariance(Spec):
             raise ValidationError("covariance/diagonal",
                                   f"variance measure must be >= 0, got scale {self.sigma2.scale}")
 
+    def cell_matrix(self, partition: Partition) -> np.ndarray:
+        return np.diag(self.sigma2.cell_masses(partition))
+
     def variances(self, partition: Partition) -> np.ndarray:
-        """The cell variances, read off the variance measure without the
-        matrix: the diagonal of `assemble_sigma`, whose symmetrisation
-        doubles and halves each mass (so a mass of 2**1023 or more is inf
-        there, and here)."""
+        """The diagonal of `assemble_sigma` without the matrix: its symmetrisation
+        doubles and halves each mass, so a mass of 2**1023 or more is inf here too."""
         masses = self.sigma2.cell_masses(partition)
         return 0.5 * (masses + masses)
 
+    def scales(self, partition: Partition) -> np.ndarray:
+        return np.sqrt(self.sigma2.cell_masses(partition))
+
+    def factor(self, partition: Partition) -> np.ndarray:
+        return np.diag(self.scales(partition))  # one column per cell
+
 
 @dataclass(frozen=True)
-class ConstantCovariance(Spec):
+class ConstantCovariance(Covariance):
     c: float
-
-    is_diagonal = False
 
     def __post_init__(self):
         object.__setattr__(self, "c", read_number(self.c, "c", "covariance/constant"))
         if not self.c > 0:
             raise ValidationError("covariance/constant", f"need c > 0, got {self.c}")
 
+    def cell_matrix(self, partition: Partition) -> np.ndarray:
+        w = LebesgueBase().cell_masses(partition)
+        return self.c * np.outer(w, w)
+
+    def factor(self, partition: Partition) -> np.ndarray:
+        return math.sqrt(self.c) * LebesgueBase().cell_masses(partition)[:, None]  # one column
+
+    def spectrum(self, partition: Partition) -> tuple[np.ndarray, float]:
+        w = LebesgueBase().cell_masses(partition)  # rank one: the one eigenvalue is c |w|^2
+        return self.variances(partition), self.c * float(w @ w)
+
 
 @dataclass(frozen=True)
-class PointMassCovariance(Spec):
+class PointMassCovariance(Covariance):
     sites: tuple[float, ...]
     matrix: np.ndarray
 
@@ -579,25 +626,28 @@ class PointMassCovariance(Spec):
             raise ValidationError(code, "site matrix entries must be finite")
         n = len(sites)
         if mat.shape != (n, n):
-            raise ValidationError("covariance/point-mass",
-                                  f"matrix shape {mat.shape} does not fit {n} sites")
+            raise ValidationError(code, f"matrix shape {mat.shape} does not fit {n} sites")
         for row in self.matrix:  # truth values and strings pass `np.array` as numbers
             tuple(read_number(entry, "site matrix entries", code) for entry in row)
         if not np.allclose(mat, mat.T, atol=1e-12):
-            raise ValidationError("covariance/point-mass", "site matrix must be symmetric")
+            raise ValidationError(code, "site matrix must be symmetric")
         eigs = np.linalg.eigvalsh(mat)
         top = max(float(eigs.max()), 0.0)
         if eigs.min() < -PSD_RELATIVE_TOL * max(top, 1.0):
-            raise ValidationError("covariance/point-mass",
-                                  f"site matrix has negative eigenvalue {eigs.min():.3e}")
+            raise ValidationError(code, f"site matrix has negative eigenvalue {eigs.min():.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "matrix", mat)
 
     @property
     def is_diagonal(self) -> bool:
-        off = self.matrix - np.diag(np.diag(self.matrix))
-        return bool(np.all(off == 0.0))
+        return not np.any(self.matrix - np.diag(np.diag(self.matrix)))
+
+    def cell_matrix(self, partition: Partition) -> np.ndarray:
+        sigma = np.zeros((len(partition), len(partition)))
+        rows = [partition.position_of(s) for s in self.sites]
+        np.add.at(sigma, np.ix_(rows, rows), self.matrix)  # site pairs in row order
+        return sigma
 
 
 _NAMED_KERNELS = {
@@ -623,12 +673,12 @@ def _quadrature_order(order, code: str) -> int:
 
 
 @dataclass(frozen=True)
-class KernelCovariance(Spec):
+class KernelCovariance(Covariance):
     name: str
     params: dict = field(default_factory=dict)
     order: int = 8
 
-    is_diagonal = False
+    quadrature = True
 
     def __post_init__(self):
         object.__setattr__(self, "params", dict(self.params))
@@ -651,9 +701,12 @@ class KernelCovariance(Spec):
     def kernel(self) -> Callable[[float, float], float]:
         return _NAMED_KERNELS[self.name](self.params)
 
+    def cell_matrix(self, partition: Partition) -> np.ndarray:
+        return _quadrature_matrix(self.kernel(), partition, self.order)
+
 
 @dataclass(frozen=True)
-class GreensCovariance(Spec):
+class GreensCovariance(Covariance):
     """Distance-based kernels per spatial dimension, regularized near the
     diagonal by a length cutoff; dimension one takes an affine-in-each-
     variable correction (c0 + c1*(x+y) + c2*x*y) added to -|x-y|."""
@@ -663,7 +716,7 @@ class GreensCovariance(Spec):
     affine: tuple[float, float, float] = (0.0, 1.0, -2.0)
     order: int = 8
 
-    is_diagonal = False
+    quadrature = True
 
     def __post_init__(self):
         code = "covariance/greens"
@@ -684,15 +737,15 @@ class GreensCovariance(Spec):
         if self.dimension == 1:
             c0, c1, c2 = self.affine
             return lambda x, y: -abs(x - y) + c0 + c1 * (x + y) + c2 * x * y
-        if self.dimension == 2:
-            eps = self.uv_cutoff
-            return lambda x, y: -math.log(abs(x - y) + eps)
         eps = self.uv_cutoff
+        if self.dimension == 2:
+            return lambda x, y: -math.log(abs(x - y) + eps)
         return lambda x, y: 1.0 / (abs(x - y) + eps)
 
+    def cell_matrix(self, partition: Partition) -> np.ndarray:
+        return _quadrature_matrix(self.kernel(), partition, self.order)
 
-CovarianceSpec = Union[DiagonalCovariance, ConstantCovariance, PointMassCovariance,
-                       KernelCovariance, GreensCovariance]
+
 COVARIANCES = ("variant", "covariance/json", {
     "diagonal": DiagonalCovariance, "constant": ConstantCovariance,
     "point_mass": PointMassCovariance, "kernel": KernelCovariance, "greens": GreensCovariance})
@@ -729,32 +782,18 @@ def _quadrature_matrix(kernel: Callable[[float, float], float],
     return out
 
 
-def assemble_sigma(spec: CovarianceSpec, partition: Partition, *,
+def assemble_sigma(spec: Covariance, partition: Partition, *,
                    spectrum: bool = False):
-    """Cell-pair covariance matrix of the given spec on the partition.
+    """Cell-pair covariance matrix of the given spec on the partition: its
+    `cell_matrix`, symmetrised.
 
     The assembled matrix is validated: entries that are not finite, and
     eigenvalues below -1e-10 * (largest eigenvalue), raise a numeric error.
     With ``spectrum=True`` the result is ``(matrix, eigenvalues)``, the
     ascending spectrum that check computed.
     """
-    n = len(partition)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below as not finite
-        if isinstance(spec, DiagonalCovariance):
-            sigma = np.diag(spec.sigma2.cell_masses(partition))
-        elif isinstance(spec, ConstantCovariance):
-            w = LebesgueBase().cell_masses(partition)
-            sigma = spec.c * np.outer(w, w)
-        elif isinstance(spec, PointMassCovariance):
-            sigma = np.zeros((n, n))
-            rows = [partition.position_of(s) for s in spec.sites]
-            for a, ia in enumerate(rows):
-                for b, ib in enumerate(rows):
-                    sigma[ia, ib] += spec.matrix[a, b]
-        elif isinstance(spec, (KernelCovariance, GreensCovariance)):
-            sigma = _quadrature_matrix(spec.kernel(), partition, spec.order)
-        else:
-            raise ValidationError("covariance/json", f"unknown covariance spec {spec!r}")
+        sigma = spec.cell_matrix(partition)
         sigma = 0.5 * (sigma + sigma.T)
     if not np.isfinite(sigma).all():  # eigvalsh would not converge
         raise NumericError("covariance/not-finite",
@@ -770,33 +809,22 @@ def assemble_sigma(spec: CovarianceSpec, partition: Partition, *,
     return (sigma, eigs) if spectrum else sigma
 
 
-def sigma_factor(spec: CovarianceSpec, partition: Partition) -> np.ndarray:
-    """Matrix F with F F^T = Sigma, columns ordered by decreasing variance.
-
-    Rank-deficient variants get their exact closed-form factors (constant:
-    a single column; diagonal: one column per cell), so degenerate laws are
-    sampled without numerical fuzz.
-    """
-    if isinstance(spec, ConstantCovariance):
-        w = LebesgueBase().cell_masses(partition)
-        return math.sqrt(spec.c) * w[:, None]
-    if isinstance(spec, DiagonalCovariance):
-        return np.diag(np.sqrt(spec.sigma2.cell_masses(partition)))
-    sigma = assemble_sigma(spec, partition)
-    eigvals, eigvecs = np.linalg.eigh(sigma)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.clip(eigvals[order], 0.0, None)
-    eigvecs = eigvecs[:, order]
-    keep = eigvals > 0
-    return eigvecs[:, keep] * np.sqrt(eigvals[keep])[None, :]
+def sigma_factor(spec: Covariance, partition: Partition) -> np.ndarray:
+    """The spec's `factor`: rank-deficient variants have theirs in closed form
+    (constant: one column; diagonal: one per cell), without numerical fuzz."""
+    return spec.factor(partition)
 
 
 @dataclass(frozen=True)
 class GaussianSystem(Family):
-    covariance: CovarianceSpec
+    covariance: Covariance
     centre: BaseMeasure | None = None  # None = centred
 
     kind = SIGNED
+
+    def __post_init__(self):
+        if not isinstance(self.covariance, Covariance):
+            raise ValidationError("covariance/json", f"unknown covariance spec {self.covariance!r}")
 
     @property
     def completely_random(self) -> bool:
@@ -817,10 +845,7 @@ class GaussianSystem(Family):
     def spread(self, partition: Partition) -> np.ndarray:
         """Per-cell sqrt(2 Sigma_ii / pi), the expected absolute cell mass of
         the centred field."""
-        spec = self.covariance
-        diag = (spec.variances(partition) if isinstance(spec, DiagonalCovariance)
-                else np.diag(assemble_sigma(spec, partition)))
-        return np.sqrt(2.0 * diag / math.pi)
+        return np.sqrt(2.0 * self.covariance.variances(partition) / math.pi)
 
     def q_alpha(self, partition: Partition) -> Histogram:
         """Expected absolute cell mass, the `spread`; centred only — with a
@@ -889,9 +914,9 @@ class LeakageSystem(Family):
         if self.depth < 1:
             raise ValidationError("system/depth", f"need depth >= 1, got {self.depth}")
 
-    def chain(self) -> PartitionChain:
+    def chain(self, depth: int | None = None) -> PartitionChain:
         check_depth_capacity(self.depth)  # before a row of 2^depth - 1 cuts is built
-        rows = leakage_rows(self.depth)
+        rows = leakage_rows(self.depth if depth is None else min(depth, self.depth))
         if self.interior:
             rows = [[0.5 + math.atan(q) / math.pi for q in row] for row in rows]
             return triangular_chain(rows, Domain.unit())

@@ -297,6 +297,33 @@ def test_counterexample_checks_the_depth_cap_before_building_rows(monkeypatch, c
     assert (code, built) == (0, [3])
 
 
+def test_a_leakage_chain_is_built_only_to_the_level_read(tmp_path, monkeypatch, capsys):
+    from histolim import systems as system_module
+
+    built = []
+    rows = system_module.leakage_rows
+    monkeypatch.setattr(system_module, "leakage_rows",
+                        lambda depth: built.append(depth) or rows(depth))
+    path = tmp_path / "leak.json"
+    path.write_text(json.dumps({"family": "leakage", "delta": 0.2, "depth": 18}))
+    full = system_module.LeakageSystem(0.2, 18).chain()
+    built.clear()
+    for depth in (0, 1, 5):
+        code, out, err = run(capsys, "mean", "--system", str(path), "--depth", str(depth),
+                             "--format", "json")
+        expected = system_module.LeakageSystem(0.2, 18).mean(full[depth])
+        assert (code, err, json.loads(out)["values"]) == (0, "", expected.values.tolist())
+    assert built == [0, 1, 5]
+    code, out, err = run(capsys, "mean", "--system", str(path), "--depth", "19")
+    assert (code, out, built) == (1, "", [0, 1, 5, 18])
+    assert err == "error[cli/depth] depth 19 exceeds the chain depth 18\n"
+    monkeypatch.setenv("HISTOLIM_MAX_DEPTH", "12")  # the spec's own depth is refused
+    code, out, err = run(capsys, "mean", "--system", str(path), "--depth", "1")
+    assert (code, out, built) == (1, "", [0, 1, 5, 18])
+    assert err == ("error[partition/depth-capacity] depth 18 exceeds the configured "
+                   "maximum 12 (set HISTOLIM_MAX_DEPTH to raise it)\n")
+
+
 def test_depth_capacity_env(systems):
     env = dict(os.environ, HISTOLIM_MAX_DEPTH="6")
     proc = subprocess.run(

@@ -28,7 +28,7 @@ from histolim.histograms import (
     histogram_to_csv,
     stack_to_csv,
 )
-from histolim.partitions import Domain, dyadic_chain, endpoint_to_float, format_endpoint
+from histolim.partitions import Domain, dyadic_chain, format_endpoint
 from histolim.sampling import path_from_histogram, sample_stack
 from histolim.streams import RandomStream
 from histolim.systems import LeakageSystem, system_from_json
@@ -75,7 +75,7 @@ def oracle_path(h):
         running += float(value)
         if cell.is_atom:
             continue
-        t = endpoint_to_float(cell.right)
+        t = float(cell.right)
         if math.isfinite(t):
             points.append((t, running))
     return points
@@ -304,7 +304,7 @@ SYSTEMS = {
 
 
 def _origin(chain):
-    left = endpoint_to_float(chain.domain.left)
+    left = float(chain.domain.left)
     return left if math.isfinite(left) else None
 
 

@@ -24,7 +24,6 @@ from histolim.conditions import (
     SUFFICIENT_CONDITION_FAILS,
     UNDETERMINED,
     Verdict,
-    _matrix_levels,
     dirichlet_condition,
     dirichlet_weak_condition,
     leakage_counterexample,
@@ -49,6 +48,8 @@ from histolim.systems import (
     assemble_sigma,
 )
 
+from covariance_dispatch import oracle_matrix_levels
+
 
 def text_of(export, *args) -> str:
     """The text an exporter passes to its `write` callable, joined."""
@@ -67,7 +68,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def oracle_gaussian_conditions(system, chain, depth=MATRIX_DEPTH):
     spec = system.covariance
     diag_curve, spectral_curve, weak_curve, trace_curve = [], [], [], []
-    for m in _matrix_levels(system, chain, depth):
+    for m in oracle_matrix_levels(system, chain, depth):
         part = chain[m]
         sigma = assemble_sigma(spec, part)
         diag = np.diag(sigma)

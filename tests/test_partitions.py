@@ -17,7 +17,6 @@ from histolim.partitions import (
     PartitionChain,
     chain_from_json_text,
     dyadic_chain,
-    endpoint_to_float,
     format_endpoint,
     max_depth,
     node_label,
@@ -239,10 +238,10 @@ def test_cantor_children_stay_inside_parent_third(bits, b):
     assert x - half < child < x + half
 
 
-def test_endpoint_to_float_infinite():
+def test_unbounded_domain_ends_read_as_infinite_floats():
     chain = triangular_chain(nested_rows(1))
-    assert endpoint_to_float(chain.domain.left) == float("-inf")
-    assert endpoint_to_float(chain.domain.right) == float("inf")
+    assert float(chain.domain.left) == float("-inf")
+    assert float(chain.domain.right) == float("inf")
 
 
 def eager_dyadic_levels(domain, depth):
