@@ -37,6 +37,7 @@ from .systems import (
     PointMassCovariance,
     POWER_BIT_LIMIT,
     PolyaTreeSystem,
+    Record,
     TableRule,
     _BINOPS,
     _level_function,
@@ -74,7 +75,7 @@ EVALUATOR_TAGS = {
 
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of one condition evaluation.
 
     ``evidence`` is the per-depth statistic trace; ``argument`` states the
@@ -93,11 +94,10 @@ class Verdict:
             raise ValidationError("verdict/status", f"unknown status {self.status!r}")
 
     def to_json(self) -> dict:
-        out = {"condition": self.condition, "status": self.status,
-               "evidence": [[int(d), float(v)] for d, v in self.evidence],
-               "anchor": self.anchor, "argument": self.argument}
-        if self.extrapolation is not None:
-            out["extrapolation"] = self.extrapolation
+        """The record form, evidence read as (int, float) pairs, without a None extrapolation."""
+        out = {**super().to_json(), "evidence": [[int(d), float(v)] for d, v in self.evidence]}
+        if self.extrapolation is None:
+            del out["extrapolation"]
         return out
 
 
@@ -764,7 +764,7 @@ def _settled_statistics(spec, weak_curve) -> dict[str, tuple[str, str]]:
 # the deterministic leakage table
 
 @dataclass(frozen=True)
-class LeakageReport:
+class LeakageReport(Record):
     """Outside-mass table of the escaping-mass construction, with its
     tightness verdict."""
 
@@ -776,15 +776,9 @@ class LeakageReport:
     verdict: Verdict = field(repr=False)
 
     def to_json(self) -> dict:
-        return {
-            "delta": self.delta,
-            "depth": self.depth,
-            "interior": self.interior,
-            "windows": list(self.windows),
-            "rows": [{"depth": d, "window": k, "outside_mass": v}
-                     for d, k, v in self.rows],
-            "verdict": self.verdict.to_json(),
-        }
+        """The record form, each row a depth/window/outside_mass object."""
+        return {**super().to_json(), "rows": [{"depth": d, "window": k, "outside_mass": v}
+                                              for d, k, v in self.rows]}
 
 
 def leakage_counterexample(delta: float, depth: int,

@@ -67,6 +67,7 @@ from .systems import (
     HistogramSystem,
     LeakageSystem,
     PolyaTreeSystem,
+    Record,
 )
 
 Z_THRESHOLD = 4.0
@@ -82,7 +83,7 @@ PHASES = ("absolutely-continuous", "fixed-atomic", "continuous-singular",
 # coherence
 
 @dataclass(frozen=True)
-class CoherenceRun:
+class CoherenceRun(Record):
     """One seeded comparison of projected fine samples vs direct coarse
     samples; z-scores are per coarse cell."""
 
@@ -92,25 +93,14 @@ class CoherenceRun:
     first_moment_z: tuple[float, ...]
     second_moment_z: tuple[float, ...]
 
-    def to_json(self) -> dict:
-        return {"seed": self.seed, "passed": self.passed,
-                "max_abs_z": self.max_abs_z,
-                "first_moment_z": list(self.first_moment_z),
-                "second_moment_z": list(self.second_moment_z)}
-
 
 @dataclass(frozen=True)
-class CoherenceResult:
+class CoherenceResult(Record):
     levels: tuple[int, int]
     replicates: int
     threshold: float
     runs: tuple[CoherenceRun, ...]
     passed: bool  # majority over the logged runs
-
-    def to_json(self) -> dict:
-        return {"levels": list(self.levels), "replicates": self.replicates,
-                "threshold": self.threshold, "passed": self.passed,
-                "runs": [r.to_json() for r in self.runs]}
 
 
 def _two_sample_z(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -173,27 +163,19 @@ def coherence_test(system: HistogramSystem, chain: PartitionChain,
 # Monte-Carlo curves
 
 @dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(Record):
     depth: int
     L: Optional[float]
     mean: float
     stderr: float
     n: int
 
-    def to_json(self) -> dict:
-        return {"depth": self.depth, "L": self.L, "mean": self.mean,
-                "stderr": self.stderr, "n": self.n}
-
 
 @dataclass(frozen=True)
-class DiagnosticCurve:
+class DiagnosticCurve(Record):
     name: str
     points: tuple[CurvePoint, ...]
     notes: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "points": [p.to_json() for p in self.points],
-                "notes": list(self.notes)}
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -255,17 +237,13 @@ def classify_atomicity(curve: DiagnosticCurve) -> str:
 
 
 @dataclass(frozen=True)
-class DominationResult:
+class DominationResult(Record):
     """Mean truncation-excess curve and tail-probability curve over a
     (depth, L) grid, plus any zero-reference-cell reports."""
 
     delta: float
     means: DiagnosticCurve
     tails: DiagnosticCurve
-
-    def to_json(self) -> dict:
-        return {"delta": self.delta, "means": self.means.to_json(),
-                "tails": self.tails.to_json()}
 
 
 def domination_statistic(system: HistogramSystem, chain: PartitionChain,
@@ -493,7 +471,7 @@ def quadratic_variation(points: Sequence) -> float:
 # the aggregated report
 
 @dataclass(frozen=True)
-class PhaseReport:
+class PhaseReport(Record):
     family: dict
     condition_verdicts: dict
     atomicity_curve: Optional[DiagnosticCurve]
@@ -507,22 +485,6 @@ class PhaseReport:
         if self.declared_phase not in PHASES:
             raise ValidationError("phase/label",
                                   f"unknown phase {self.declared_phase!r}")
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "condition_verdicts": {k: v.to_json()
-                                   for k, v in self.condition_verdicts.items()},
-            "atomicity_curve": None if self.atomicity_curve is None
-            else self.atomicity_curve.to_json(),
-            "domination_curve": None if self.domination_curve is None
-            else self.domination_curve.to_json(),
-            "domination_tail_curve": None if self.domination_tail_curve is None
-            else self.domination_tail_curve.to_json(),
-            "declared_phase": self.declared_phase,
-            "rationale": self.rationale,
-            "flags": dict(self.flags),
-        }
 
 
 def family_verdicts(system: HistogramSystem,

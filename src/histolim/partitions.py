@@ -96,10 +96,10 @@ def format_endpoint(e: Endpoint) -> str:
 
 
 def parse_endpoint(text) -> Endpoint:
-    """Inverse of `format_endpoint`, also taking JSON numbers (as floats).
-    Only '+inf', 'inf' and '-inf' are infinite; every other endpoint must be
-    a finite number in float range."""
-    s = text if isinstance(text, (int, float)) else str(text).strip()
+    """Inverse of `format_endpoint`, also taking JSON numbers (as floats), but
+    no truth values.  Only '+inf', 'inf' and '-inf' are infinite; every other
+    endpoint must be a finite number in float range."""
+    s = text if type(text) in (int, float) else str(text).strip()  # str(True) is no number
     if s in _INFINITIES:
         return _INFINITIES[s]
     try:
@@ -157,8 +157,10 @@ class Domain:
 
     @staticmethod
     def from_json(obj: dict) -> "Domain":
-        return Domain(parse_endpoint(obj["left"]), parse_endpoint(obj["right"]),
-                      bool(obj.get("closed_left", False)))
+        closed_left = obj.get("closed_left", False)
+        if not isinstance(closed_left, bool):
+            raise ValidationError("chain/json", f"closed_left must be true or false, got {closed_left!r}")
+        return Domain(parse_endpoint(obj["left"]), parse_endpoint(obj["right"]), closed_left)
 
 
 @dataclass(frozen=True)
@@ -361,6 +363,8 @@ class PartitionChain:
             raise ValidationError("chain/json", f"unknown chain kind {kind!r}; "
                                   "expected 'dyadic' or 'triangular'")
         levels = [[parse_endpoint(e) for e in row] for row in obj["levels"]]
+        if not levels:
+            raise ValidationError("chain/empty", "a chain needs at least level 0")
         if kind == "dyadic":
             depth = len(levels) - 1
             chain = dyadic_chain(domain, depth)
@@ -372,6 +376,11 @@ class PartitionChain:
                         f"level {lvl} endpoints do not match an equal dyadic refinement",
                     )
             return chain
+        ends = [domain.left, domain.right]
+        for lvl, row in enumerate(levels):  # level 0 is the ends alone
+            if (row if lvl == 0 else row[:1] + row[-1:]) != ends:
+                raise ValidationError("chain/reload", f"level {lvl} must {'start and end at' if lvl else 'be'}"
+                                      f" the domain's ends {', '.join(map(format_endpoint, ends))}")
         rows = [[float(e) for e in row[1:-1]] for row in levels[1:]]
         return triangular_chain(rows, domain=domain)
 
@@ -463,7 +472,7 @@ def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = No
 def chain_from_json_text(text: str) -> PartitionChain:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValidationError("chain/json", f"invalid chain JSON: {e}") from None
     if not isinstance(obj, dict):
         raise ValidationError("chain/json",

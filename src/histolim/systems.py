@@ -72,11 +72,19 @@ def read_spec(obj, table: tuple):
     return classes[name].from_json(obj)
 
 
-class Spec:
-    """A class that a spec names by its tag.  Its JSON form is the tag, then
-    each dataclass field by name (a None field left out), a nested spec read
-    by the tag table in its field's metadata; classes whose form differs
-    override `from_json` and `to_json`."""
+class Record:
+    """A dataclass whose JSON form is each init field by name, in its
+    `_to_json` form; a record whose form differs overrides `to_json`."""
+
+    def to_json(self) -> dict:
+        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self) if f.init}
+
+
+class Spec(Record):
+    """A record that a spec names by its tag.  Its JSON form is the tag, then
+    its record form with the None fields left out, a nested spec read by the
+    tag table in its field's metadata; classes whose form differs override
+    `from_json` and `to_json`."""
 
     @classmethod
     def from_json(cls, obj: dict):
@@ -91,17 +99,18 @@ class Spec:
 
     def to_json(self) -> dict:
         tag, name = _TAGS[type(self)]
-        return {tag: name, **{f.name: _to_json(value) for f in fields(self)
-                              if f.init and (value := getattr(self, f.name)) is not None}}
+        return {tag: name, **{k: v for k, v in super().to_json().items() if v is not None}}
 
 
 def _to_json(value):
-    """A field's JSON form: a nested spec's own, a list for a tuple or an
-    array, and a dict's values in their JSON forms."""
-    if isinstance(value, Spec):
+    """A field's JSON form: a record's own, an array's `tolist()`, tuples and
+    lists item by item, and a dict's values in their JSON forms."""
+    if isinstance(value, Record):
         return value.to_json()
-    if isinstance(value, (tuple, np.ndarray)):
-        return np.asarray(value).tolist()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
     return {k: _to_json(v) for k, v in value.items()} if isinstance(value, dict) else value
 
 
@@ -319,7 +328,6 @@ class HomogeneousRule(Spec):
         object.__setattr__(self, "_evaluate", _compile_level_expression(self.expr))
         self.level_parameter(1)  # fail fast on a bad expression
 
-    kind = "homogeneous"
     completely_random = False
 
     def level_parameter(self, m: int) -> float:
@@ -351,7 +359,6 @@ class TableRule(Spec):
         if self.default is not None:
             object.__setattr__(self, "default", _check_beta_pair(self.default, "<default>"))
 
-    kind = "table"
     completely_random = False
 
     def pair(self, level: int, pos: int) -> tuple[float, float]:
@@ -377,7 +384,6 @@ class CantorTrigRule(Spec):
     midpoint of the node label; both lie in (0, 1) and their squares
     sum to one."""
 
-    kind = "cantor_trig"
     completely_random = False
 
     def pair(self, level: int, pos: int) -> tuple[float, float]:
@@ -411,7 +417,6 @@ class DirichletMatchRule(Spec):
     base: BaseMeasure
     domain: Domain = field(default_factory=Domain.unit)
 
-    kind = "dirichlet"
     completely_random = True
 
     def __post_init__(self):
@@ -581,9 +586,10 @@ class DiagonalCovariance(Covariance):
 
     def variances(self, partition: Partition) -> np.ndarray:
         """The diagonal of `assemble_sigma` without the matrix: its symmetrisation
-        doubles and halves each mass, so a mass of 2**1023 or more is inf here too."""
+        doubles and halves each mass, so a mass of 2**1023 or more is refused here too."""
         masses = self.sigma2.cell_masses(partition)
-        return 0.5 * (masses + masses)
+        with np.errstate(over="ignore"):
+            return _finite(0.5 * (masses + masses))
 
     def scales(self, partition: Partition) -> np.ndarray:
         return np.sqrt(self.sigma2.cell_masses(partition))
@@ -782,6 +788,14 @@ def _quadrature_matrix(kernel: Callable[[float, float], float],
     return out
 
 
+def _finite(sigma: np.ndarray) -> np.ndarray:
+    """`sigma`, refused unless every entry is finite."""
+    if not np.isfinite(sigma).all():
+        raise NumericError("covariance/not-finite",
+                           "assembled covariance has entries that are inf or nan")
+    return sigma
+
+
 def assemble_sigma(spec: Covariance, partition: Partition, *,
                    spectrum: bool = False):
     """Cell-pair covariance matrix of the given spec on the partition: its
@@ -792,12 +806,9 @@ def assemble_sigma(spec: Covariance, partition: Partition, *,
     With ``spectrum=True`` the result is ``(matrix, eigenvalues)``, the
     ascending spectrum that check computed.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below as not finite
+    with np.errstate(over="ignore", invalid="ignore"):  # refused as not finite
         sigma = spec.cell_matrix(partition)
-        sigma = 0.5 * (sigma + sigma.T)
-    if not np.isfinite(sigma).all():  # eigvalsh would not converge
-        raise NumericError("covariance/not-finite",
-                           "assembled covariance has entries that are inf or nan")
+        sigma = _finite(0.5 * (sigma + sigma.T))  # else eigvalsh would not converge
     eigs = np.linalg.eigvalsh(sigma)
     top = max(float(eigs.max()), 0.0)
     if float(eigs.min()) < -PSD_RELATIVE_TOL * max(top, 1.0):

@@ -223,7 +223,7 @@ def test_polya_singleton_mass():
     CantorTrigRule(),
     DirichletMatchRule(LebesgueBase(2.0)),
     TableRule({"()": (2.0, 1.0), "1": (0.5, 3.0)}, default=(math.inf, 2.0)),
-], ids=lambda rule: rule.kind)
+], ids=lambda rule: rule.to_json()["rule"])
 @pytest.mark.parametrize("p0, domain", [(0.0, Domain.unit()),
                                         (0.3, Domain.unit(closed_left=True))])
 def test_polya_mean_equals_per_cell_products(rule, p0, domain):
@@ -269,7 +269,7 @@ RULES = [
 ]
 
 
-@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.kind)
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.to_json()["rule"])
 def test_level_pairs_equal_per_node_pairs(rule):
     for level in range(1, 13):
         try:
@@ -283,7 +283,7 @@ def test_level_pairs_equal_per_node_pairs(rule):
         assert np.array_equal(a, expect[0]) and np.array_equal(b, expect[1])
 
 
-@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.kind)
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.to_json()["rule"])
 def test_pair_equals_the_bit_address_oracle(rule):
     """`pair(level, pos)` gives what the rule gave the node's bit address:
     the same floats, or the same error code and text.  Levels reach past
