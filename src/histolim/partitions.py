@@ -159,7 +159,8 @@ class Domain:
     def from_json(obj: dict) -> "Domain":
         closed_left = obj.get("closed_left", False)
         if not isinstance(closed_left, bool):
-            raise ValidationError("chain/json", f"closed_left must be true or false, got {closed_left!r}")
+            raise ValidationError("chain/json",
+                                  f"closed_left must be true or false, got {closed_left!r}")
         return Domain(parse_endpoint(obj["left"]), parse_endpoint(obj["right"]), closed_left)
 
 
@@ -379,8 +380,9 @@ class PartitionChain:
         ends = [domain.left, domain.right]
         for lvl, row in enumerate(levels):  # level 0 is the ends alone
             if (row if lvl == 0 else row[:1] + row[-1:]) != ends:
-                raise ValidationError("chain/reload", f"level {lvl} must {'start and end at' if lvl else 'be'}"
-                                      f" the domain's ends {', '.join(map(format_endpoint, ends))}")
+                what = "start and end at" if lvl else "be"
+                raise ValidationError("chain/reload", f"level {lvl} must {what} the domain's "
+                                      f"ends {', '.join(map(format_endpoint, ends))}")
         rows = [[float(e) for e in row[1:-1]] for row in levels[1:]]
         return triangular_chain(rows, domain=domain)
 

@@ -587,8 +587,8 @@ class DiagonalCovariance(Covariance):
     def variances(self, partition: Partition) -> np.ndarray:
         """The diagonal of `assemble_sigma` without the matrix: its symmetrisation
         doubles and halves each mass, so a mass of 2**1023 or more is refused here too."""
-        masses = self.sigma2.cell_masses(partition)
         with np.errstate(over="ignore"):
+            masses = self.sigma2.cell_masses(partition)
             return _finite(0.5 * (masses + masses))
 
     def scales(self, partition: Partition) -> np.ndarray:

@@ -9,6 +9,7 @@ closed form.
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -428,10 +429,10 @@ def _dense_variances(spec, partition):
 ], ids=["lebesgue", "closed-left", "zero", "huge-scale", "atoms", "huge-atom", "inf-cell"])
 def test_diagonal_variances_give_the_dense_diagonal(sigma2, closed, monkeypatch):
     """`DiagonalCovariance.variances` has the bits of the symmetrised
-    matrix's diagonal, where masses of 2**1023 or more double to inf, and
-    `spread` and the Gaussian verdicts that read it are those of the dense
-    path.  Where the dense path refuses an inf diagonal as not finite, the
-    variances are still that diagonal."""
+    matrix's diagonal, and `spread` and the Gaussian verdicts that read it
+    are those of the dense path.  Where masses of 2**1023 or more double to
+    inf, the variances, `spread` and the verdicts are refused as not
+    finite, as the dense path refuses the matrix."""
     spec = DiagonalCovariance(sigma2)
     system = GaussianSystem(spec)
     chain = dyadic_chain(Domain.unit(closed_left=closed), depth=6)
@@ -441,15 +442,22 @@ def test_diagonal_variances_give_the_dense_diagonal(sigma2, closed, monkeypatch)
             part = chain[level]
             masses = np.diag(sigma2.cell_masses(part))
             want = np.diag(0.5 * (masses + masses.T))
+            if not np.isfinite(want).all():
+                converged = False
+                for read in (spec.variances, system.spread, partial(_dense_variances, spec)):
+                    with pytest.raises(NumericError) as e:
+                        read(part)
+                    assert e.value.code == "covariance/not-finite"
+                continue
             got = spec.variances(part)
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
             assert np.array_equal(system.spread(part), np.sqrt(2.0 * want / math.pi))
-            try:
-                assert np.array_equal(_dense_variances(spec, part), want)
-            except NumericError as e:
-                assert e.code == "covariance/not-finite"
-                converged = False
-        verdicts = gaussian_conditions(system, chain, depth=6)
-        if converged:  # the verdicts of the dense path
-            monkeypatch.setattr(DiagonalCovariance, "variances", _dense_variances)
-            assert gaussian_conditions(system, chain, depth=6) == verdicts
+            assert np.array_equal(_dense_variances(spec, part), want)
+    if not converged:
+        with pytest.raises(NumericError) as e:
+            gaussian_conditions(system, chain, depth=6)
+        assert e.value.code == "covariance/not-finite"
+        return
+    verdicts = gaussian_conditions(system, chain, depth=6)
+    monkeypatch.setattr(DiagonalCovariance, "variances", _dense_variances)
+    assert gaussian_conditions(system, chain, depth=6) == verdicts

@@ -15,7 +15,7 @@ import pytest
 
 from histolim import conditions, systems
 from histolim.conditions import gaussian_conditions
-from histolim.errors import HistolimError, ValidationError
+from histolim.errors import HistolimError, NumericError, ValidationError
 from histolim.partitions import Domain, dyadic_chain
 from histolim.systems import (
     AtomicBase,
@@ -118,6 +118,16 @@ def test_conditions_read_the_old_level_range(name, chain_name):
             continue
         got = [m for m, _ in verdicts["trace"].evidence]
         assert got == list(oracle_matrix_levels(system, chain, depth))
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_diagonal_variance_is_refused_wherever_it_is_read():
+    spec, part = SPECS["diagonal-overflow"], CHAINS["dyadic-open"][0]
+    for read in (spec.variances, spec.spectrum, GaussianSystem(spec).reference):
+        with pytest.raises(NumericError) as info:
+            read(part)
+        assert info.value.code == "covariance/not-finite"
+    assert np.isfinite(sigma_factor(spec, part)).all()  # the draws read no variance
 
 
 def test_a_gaussian_system_refuses_what_is_no_covariance():

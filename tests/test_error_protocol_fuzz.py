@@ -8,6 +8,9 @@ exactly one ``error[code]`` line and exit 1 or 2: no traceback, no second
 line.  A change that makes a numeric field a non-number (a truth value, a
 string, null, a list or an object) or a non-finite number, or that adds an
 entry to a list of numbers, must be refused when the spec is read (exit 1).
+The golden chain file is changed the same way and passed by ``--chain`` to
+`mean`, `sample` and `check` on a fixed system; a change that breaks a
+chain-file rule must be refused (exit 1).
 
 Sizes stay at a few cells and at most 1000 replicates, so every example
 runs in milliseconds; examples are derandomized and their count is
@@ -32,11 +35,13 @@ from histolim.systems import system_from_json
 ROOT = Path(__file__).resolve().parent.parent
 
 
+GOLDEN = json.loads((ROOT / "tests" / "golden" / "digests.json").read_text())["systems"]
+
+
 def _skeletons() -> dict:
     found = {f"perfbench/{p.stem}": json.loads(p.read_text())
              for p in sorted((ROOT / "perfbench" / "systems").glob("*.json"))}
-    golden = json.loads((ROOT / "tests" / "golden" / "digests.json").read_text())["systems"]
-    found.update((f"golden/{name}", obj) for name, obj in golden.items()
+    found.update((f"golden/{name}", obj) for name, obj in GOLDEN.items()
                  if "family" in obj)  # one entry is a chain, not a system
     for name, obj in list(found.items()):
         spelled = json.loads(json.dumps(system_from_json(obj).to_json()))
@@ -122,10 +127,10 @@ def cases(draw) -> tuple:
             draw(commands()))
 
 
-def _mutated(name: str, path: tuple, action: str, value) -> tuple[object, bool]:
+def _mutated(skeleton, path: tuple, action: str, value) -> tuple[object, bool]:
     """(spec, must_refuse): the skeleton with one change, and whether that
     change breaks a numeric field, so that reading the spec must fail."""
-    spec = json.loads(json.dumps(SKELETONS[name]))
+    spec = json.loads(json.dumps(skeleton))
     parent = spec
     for key in path[:-1]:
         parent = parent[key]
@@ -147,10 +152,14 @@ def _mutated(name: str, path: tuple, action: str, value) -> tuple[object, bool]:
     return spec, False
 
 
-def run(spec, argv) -> tuple[int, str]:
+def run(spec, argv, chain_text: str | None = None) -> tuple[int, str]:
+    """Run `argv` on the system `spec`, and on the chain file `chain_text` if given."""
     with tempfile.TemporaryDirectory() as tmp:
-        system = Path(tmp) / "system.json"
+        system, chain = Path(tmp) / "system.json", Path(tmp) / "chain.json"
         system.write_text(json.dumps(spec))
+        if chain_text is not None:
+            chain.write_text(chain_text)
+            argv = (*argv, "--chain", str(chain))
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main([*argv, "--system", str(system), "--out", str(Path(tmp) / "out"),
@@ -196,7 +205,7 @@ MEAN = ("mean", "--depth", "2", "--format", "csv")
 @example(("golden/gaussian_point_mass", ("covariance", "matrix", 0, 0), "set", True, CHECK))
 def test_every_input_follows_the_error_protocol(case):
     name, path, action, value, argv = case
-    spec, must_refuse = _mutated(name, path, action, value)
+    spec, must_refuse = _mutated(SKELETONS[name], path, action, value)
     code, err = run(spec, argv)
     assert_protocol(code, err)
     if must_refuse:
@@ -272,6 +281,21 @@ def test_bad_specs_are_refused_when_read(spec, start, argv):
     assert err.startswith(start), err
 
 
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning was printed too
+@pytest.mark.parametrize("sigma2", [
+    {"type": "lebesgue", "scale": 1.7e308},
+    {"type": "atoms", "points": [0.25, 0.26], "weights": [1e308, 1e308]},  # one cell's sum
+], ids=["lebesgue", "atoms"])
+@pytest.mark.parametrize("argv", [("check", "--depth", "2"),
+                                  ("diagnose", "--depths", "2,3", "--N", "1000", "--seed", "0")],
+                         ids=["check", "diagnose"])
+def test_an_overflowing_diagonal_variance_is_refused(sigma2, argv):
+    """It was written into the evidence as the invalid JSON token Infinity."""
+    code, err = run(_gaussian(variant="diagonal", sigma2=sigma2), argv)
+    assert (code, err) == (2, "error[covariance/not-finite] assembled covariance has entries "
+                              "that are inf or nan\n")
+
+
 def test_json_nested_past_the_recursion_limit_is_one_error_line(tmp_path, capsys):
     """Python's JSON decoder raises RecursionError, not a decode error, on a
     document nested deeper than the interpreter's recursion limit."""
@@ -282,3 +306,74 @@ def test_json_nested_past_the_recursion_limit_is_one_error_line(tmp_path, capsys
     assert code == 1
     assert_protocol(code, err)
     assert err.startswith("error[cli/system-json]")
+
+
+# ---------------------------------------------------------------------------
+# chain files: the golden chain, changed as the systems are, passed by --chain
+
+CHAIN = GOLDEN["triangular_inf"]
+CHAIN_PATHS = _paths(CHAIN)
+#: a system that reads the chain in `check` as well as in `mean` and `sample`
+CHAIN_SYSTEM = GOLDEN["dirichlet_atoms"]
+SAMPLE = ("sample", "--depth", "3", "--replicates", "3", "--seed", "0", "--jobs", "1")
+
+
+def _breaks_a_chain_rule(path: tuple, action: str, value) -> bool:
+    """Whether one change to the golden chain breaks a rule of chain files: a
+    level added or lengthened, an end of the domain or of a level (level 0 is
+    the ends alone) made another endpoint, `closed_left` made anything but
+    false, or an endpoint made a truth value."""
+    if action == "append":
+        return path[0] == "levels" and len(path) <= 2
+    if action != "set":
+        return False
+    if path == ("domain", "closed_left"):
+        return value is not False
+    old = CHAIN
+    for key in path:
+        old = old[key]
+    endpoint = path[0] == "domain" or len(path) == 3
+    ends = endpoint and (path[0] == "domain" or path[2] in (0, len(CHAIN["levels"][path[1]]) - 1))
+    return (ends and not (old == "+inf" and value == "inf")
+            or endpoint and isinstance(value, bool))
+
+
+@settings(derandomize=True, database=None, max_examples=200,
+          deadline=timedelta(seconds=10), suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(CHAIN_PATHS), st.sampled_from(ACTIONS), st.sampled_from(VALUES),
+       st.sampled_from([CHECK, MEAN, SAMPLE]))
+# row ends and level 0 were never read, and truth values read as 0 and 1
+@example(("levels", 0, 0), "set", True, MEAN)
+@example(("levels", 0), "append", "inf", MEAN)
+@example(("levels", 2, 0), "set", 8, SAMPLE)
+@example(("levels", 1, 1), "set", False, CHECK)
+@example(("domain", "closed_left"), "set", 0, MEAN)
+def test_every_chain_file_follows_the_error_protocol(path, action, value, argv):
+    chain, _ = _mutated(CHAIN, path, action, value)
+    code, err = run(CHAIN_SYSTEM, argv, json.dumps(chain))
+    assert_protocol(code, err)
+    if _breaks_a_chain_rule(path, action, value):
+        assert code == 1, (chain, argv, err)
+
+
+@pytest.mark.parametrize("chain_text, start", [
+    ('{"domain": {"left": false, "right": true}, "levels": [["0", "1"]]}',
+     "error[partition/endpoint] cannot parse endpoint False"),
+    ('{"domain": {"left": "0", "right": "1", "closed_left": "no"}, "kind": "dyadic",'
+     ' "levels": [["0", "1"]]}',
+     "error[chain/json] closed_left must be true or false, got 'no'"),
+    ('{"domain": {"left": 0, "right": 1}, "levels": [[5, 7], [3, 0.5, 9]]}',
+     "error[chain/reload] level 0 must be the domain's ends 0.0, 1.0"),
+    ('{"domain": {"left": 0, "right": 1}, "levels": [[0, 1], [3, 0.5, 9]]}',
+     "error[chain/reload] level 1 must start and end at the domain's ends 0.0, 1.0"),
+    ('{"domain": {"left": 0, "right": 1}, "levels": []}',
+     "error[chain/empty] a chain needs at least level 0"),
+    ('{"domain": ' + "[" * 100_000 + "]" * 100_000 + "}",
+     "error[chain/json] invalid chain JSON: maximum recursion depth exceeded"),
+], ids=["truth-value-ends", "closed-left-text", "row-ends", "level-1-ends", "no-levels",
+        "nested-past-the-recursion-limit"])
+def test_bad_chain_files_are_refused(chain_text, start):
+    code, err = run(GOLDEN["dirichlet_lebesgue"], ("mean", "--depth", "0"), chain_text)
+    assert code == 1
+    assert_protocol(code, err)
+    assert err.startswith(start), err

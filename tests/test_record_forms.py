@@ -37,8 +37,6 @@ from histolim.systems import DirichletSystem, LeakageSystem, LebesgueBase, syste
 import record_forms
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "digests.json").read_text())["systems"]
 #: the golden chain over the real line, which the corpus passes with its atoms off (0, 1]
 ON_LINE = {"golden/dirichlet_atoms": chain_from_json_text(json.dumps(GOLDEN["triangular_inf"]))}
