@@ -141,15 +141,20 @@ def _pieces(put, export, args) -> None:
         put("\n")
 
 
-def _export(out: Optional[str], force: bool, export, *args) -> None:
+def _refuse_existing(force: bool, *outs: Optional[str]) -> None:
+    """Refuse an existing output file unless `force`: called once the options and
+    the system file are read, before any chain, draw or condition is evaluated."""
+    for out in outs:
+        if out is not None and not force and Path(out).exists():
+            raise ValidationError("cli/exists", f"{out} exists; pass --force to overwrite")
+
+
+def _export(out: Optional[str], export, *args) -> None:
     """`_pieces` to standard output, or to the file `out`."""
     if out is None:
         _pieces(partial(click.echo, nl=False), export, args)
         return
     target = Path(out)
-    if target.exists() and not force:
-        raise ValidationError("cli/exists",
-                              f"{out} exists; pass --force to overwrite")
     # write a temporary file next to the target and move it into place
     # only when complete, so an error never leaves a partial output
     try:
@@ -222,17 +227,18 @@ def sample(system_path, chain_path, depth, replicates, seed, jobs, out, fmt, for
     """Draw seeded histogram samples at one chain level."""
     _check_depth(depth)
     system = _load_system(system_path)
+    jobs = _jobs(jobs)
+    _refuse_existing(force, out)
     chain = _resolve_chain(system, chain_path, depth)
-    stack = sample_stack(system, chain, depth, RandomStream(seed),
-                         replicates, jobs=_jobs(jobs))
+    stack = sample_stack(system, chain, depth, RandomStream(seed), replicates, jobs=jobs)
     if fmt == "csv":
-        _export(out, force, stack_to_csv, stack)
+        _export(out, stack_to_csv, stack)
     else:
         payload = {"system": system.to_json(), "depth": depth, "seed": seed,
                    "kind": stack.kind,
                    "cells": stack.partition.labels(),
                    "values": stack.values}
-        _export(out, force, dump_json, payload)
+        _export(out, dump_json, payload)
 
 
 @cli.command()
@@ -247,12 +253,13 @@ def mean(system_path, chain_path, depth, out, fmt, force):
     """Closed-form mean histogram at one chain level (no sampling)."""
     _check_depth(depth)
     system = _load_system(system_path)
+    _refuse_existing(force, out)
     chain = _resolve_chain(system, chain_path, depth)
     h = system.mean(chain[depth])
     if fmt == "csv":
-        _export(out, force, histogram_to_csv, h)
+        _export(out, histogram_to_csv, h)
     else:
-        _export(out, force, dump_json, histogram_to_json(h))
+        _export(out, dump_json, histogram_to_json(h))
 
 
 @cli.command()
@@ -269,9 +276,10 @@ def path(system_path, chain_path, depth, replicates, seed, jobs, out, force):
     """Sampled cumulative-mass paths as CSV (replicate, t, value)."""
     _check_depth(depth)
     system = _load_system(system_path)
+    jobs = _jobs(jobs)
+    _refuse_existing(force, out)
     chain = _resolve_chain(system, chain_path, depth)
-    stack = sample_stack(system, chain, depth, RandomStream(seed),
-                         replicates, jobs=_jobs(jobs))
+    stack = sample_stack(system, chain, depth, RandomStream(seed), replicates, jobs=jobs)
     origin = float(chain.domain.left)
     t, values = path_from_histogram(stack)
     # each row's points as "t," heads, the t column formatted once, paired
@@ -287,7 +295,7 @@ def path(system_path, chain_path, depth, replicates, seed, jobs, out, force):
         for r, text in enumerate(float_rows(values) if heads else ()):
             tails = map(operator.add, heads, itertools.chain(first, text.split(",")))
             write(f"{r}," + f"\n{r},".join(tails) + "\n")
-    _export(out, force, rows)
+    _export(out, rows)
 
 
 @cli.command(cls=_Command)
@@ -304,9 +312,10 @@ def check(system_path, chain_path, depth, out, force):
 
     _check_depth(depth)
     system = _load_system(system_path)
+    _refuse_existing(force, out)
     verdicts = family_verdicts(system, partial(_resolve_chain, system, chain_path), depth)[0]
     payload = {"conditions": {v.condition: v.to_json() for v in verdicts.values()}}
-    _export(out, force, dump_json, payload)
+    _export(out, dump_json, payload)
 
 
 @cli.command()
@@ -349,21 +358,22 @@ def diagnose(system_path, chain_path, depths_raw, depth_max, n, seed,
         depths = None
     l_grid = _parse_number_list(l_grid_raw, "--L-grid")
     check_domination_args(l_grid, delta)
+    if fmt == "csv" and out is None:
+        raise ValidationError("cli/out", "--format csv needs --out for the curve files")
     system = _load_system(system_path)
+    jobs = _jobs(jobs)
+    curves = ("atomicity", "domination-mean", "domination-tail") if fmt == "csv" else ()
+    _refuse_existing(force, out, *(f"{out}.{name}.csv" for name in curves))
     chain = _resolve_chain(system, chain_path, 8 if depths is None else max(0, *depths))
     check_depths(depths or (), chain, "cli/depth")
     report = _module.phase_report(system, chain, depths=depths, replicates=n,
-                                  seed=seed, L_grid=l_grid, delta=delta,
-                                  jobs=_jobs(jobs))
+                                  seed=seed, L_grid=l_grid, delta=delta, jobs=jobs)
     if fmt == "csv":
-        if out is None:
-            raise ValidationError("cli/out",
-                                  "--format csv needs --out for the curve files")
         for curve in (report.atomicity_curve, report.domination_curve,
                       report.domination_tail_curve):
             if curve is not None:
-                _export(f"{out}.{curve.name}.csv", force, lambda write: write(curve.to_csv()))
-    _export(out, force, dump_json, report.to_json())
+                _export(f"{out}.{curve.name}.csv", lambda write: write(curve.to_csv()))
+    _export(out, dump_json, report.to_json())
 
 
 @cli.command()
@@ -380,13 +390,14 @@ def counterexample(delta, depth, interior, out, fmt, force):
     """Outside-mass table of the escaping-mass construction."""
     from .conditions import leakage_counterexample
 
+    _refuse_existing(force, out)
     report = leakage_counterexample(delta, depth, interior=interior)
     if fmt == "json":
-        _export(out, force, dump_json, report.to_json())
+        _export(out, dump_json, report.to_json())
         return
     lines = ["depth,window,outside_mass"]
     lines.extend(f"{d},{k!r},{v!r}" for d, k, v in report.rows)
-    _export(out, force, lambda write: write("\n".join(lines) + "\n"))
+    _export(out, lambda write: write("\n".join(lines) + "\n"))
 
 
 def main(argv=None) -> int:

@@ -40,7 +40,7 @@ from .conditions import (
     polya_tight_condition,
     polya_weak_condition,
 )
-from .errors import HistolimError, ValidationError
+from .errors import HistolimError, NumericError, ValidationError
 from .histograms import (
     PROBABILITY,
     POSITIVE,
@@ -188,9 +188,14 @@ class DiagnosticCurve(Record):
 
 
 def _mean_point(depth: int, L: Optional[float], values: np.ndarray) -> CurvePoint:
+    """The mean of `values` and its standard error, refused if either overflows."""
     n = len(values)
-    stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return CurvePoint(depth, L, float(values.mean()), stderr, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, stderr = float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise NumericError("diagnostics/not-finite",
+                           f"depth {depth}: sample mean {mean}, standard error {stderr}")
+    return CurvePoint(depth, L, mean, stderr, n)
 
 
 def _largest_shares(values: np.ndarray, kind: str) -> np.ndarray:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import InitVar, dataclass
 from typing import Callable, Iterator, Union
 
@@ -407,39 +406,37 @@ def histogram_to_csv(h: Histogram, write: Callable[[str], object]) -> None:
 #: few MB however large the array
 FLOAT_BLOCK = 1 << 15
 
-# orjson's spellings that `repr` writes otherwise
-_PLUS_EXPONENT = re.compile(r"e(?=\d)")  # 1e16: 1e+16
-_ONE_DIGIT_EXPONENT = re.compile(r"e-(\d)(?=[,\]])")  # 1e-7: 1e-07
-_POSITIONAL = re.compile(r"0\.0000(\d)(\d*)")  # 0.0000123: 1.23e-05
+
+def _finite_repr(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValidationError("histogram/not-finite", "histogram values must be finite")
+    return float.__repr__(x)
 
 
-def _scientific(match: re.Match) -> str:
-    if match.string[match.start() - 1].isdigit():  # the tail of 160.00008
-        return match[0]
-    return f"{match[1]}.{match[2]}e-05" if match[2] else f"{match[1]}e-05"
-
-
-def float_rows(values: np.ndarray) -> Iterator[str]:
-    """Each row of a finite 2-D float array as the comma-joined
-    `float.__repr__` text of its values.
+def float_rows(values: np.ndarray,
+               spell: Callable[[float], str] = _finite_repr) -> Iterator[str]:
+    """Each row of a 2-D float array as the comma-joined `spell` text of its
+    values, by default `float.__repr__` of finite values.
 
     The digits come from orjson, about `FLOAT_BLOCK` floats at a time: like
     `repr`, it writes the shortest digits that read back to the same double,
-    and of those the closest (Ryu).  It lays them out otherwise, as ``1e16``,
-    ``1e-7`` and ``0.0000123`` where `repr` writes ``1e+16``, ``1e-07`` and
-    ``1.23e-05``; three rewrites of each block's text give the `repr`
-    spelling."""
+    and of those the closest (Ryu).  It lays out 0 and the magnitudes in
+    [1e-4, 1e16) or below 1e-9 as `repr` does, but writes ``1e16``, ``1e-7``
+    and ``0.0000123`` where `repr` writes ``1e+16``, ``1e-07`` and
+    ``1.23e-05``, and NaN and the infinities as null.  So every other value
+    is spelled by `spell`, set to NaN, and spliced into orjson's text in
+    place of its null."""
     import orjson
 
     rows = max(1, FLOAT_BLOCK // max(1, values.shape[1]))
     for lo in range(0, len(values), rows):
         block = np.ascontiguousarray(values[lo:lo + rows], dtype=np.float64)
-        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-        if "n" in text:  # orjson writes NaN and the infinities as null
-            raise ValidationError("histogram/not-finite", "histogram values must be finite")
-        text = _ONE_DIGIT_EXPONENT.sub(r"e-0\1", _PLUS_EXPONENT.sub("e+", text))
-        if "0.0000" in text:
-            text = _POSITIONAL.sub(_scientific, text)
+        size = np.abs(block)
+        other = ~(((1e-4 <= size) & (size < 1e16)) | (size < 1e-9))  # NaN too
+        spelled = map(spell, block[other].tolist())
+        pieces = orjson.dumps(np.where(other, np.nan, block),
+                              option=orjson.OPT_SERIALIZE_NUMPY).decode().split("null")
+        text = pieces[0] + "".join(map(str.__add__, spelled, pieces[1:]))
         yield from text[2:-2].split("],[")
 
 
@@ -455,31 +452,17 @@ def stack_to_csv(stack: HistogramStack, write: Callable[[str], object]) -> None:
 _ARRAY_TOKEN = "\x00ndarray {}"
 
 
-def _json_float(x: float) -> str:
-    """A float as `json` writes it: NaN and the infinities by name."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _array_block(values: np.ndarray, indent: str, write: Callable[[str], object]) -> None:
     """Write a 2-D float array a row at a time, as `json.dumps(values.tolist(),
-    indent=2)` lays it out when its opening bracket is indented by `indent`.
-    A finite array's rows come from `float_rows`; an array holding NaN or an
-    infinity is formatted a float at a time, those by name."""
+    indent=2)` lays it out when its opening bracket is indented by `indent`:
+    the rows of `float_rows`, each float spelled as `json` spells it (NaN and
+    the infinities by name)."""
     row_pad, item_pad = indent + "  ", indent + "    "
     sep = ",\n" + item_pad
-    if np.isfinite(values).all():
-        texts = (text.replace(",", sep) for text in float_rows(values))
-    else:
-        texts = (sep.join(map(_json_float, row.tolist())) for row in values)
     lead = f"[\n{row_pad}"
-    for text in texts:
-        write(lead + (f"[\n{item_pad}{text}\n{row_pad}]" if values.shape[1] else "[]"))
+    for text in float_rows(values, json.dumps):
+        write(lead + (f"[\n{item_pad}{text.replace(',', sep)}\n{row_pad}]"
+                      if values.shape[1] else "[]"))
         lead = f",\n{row_pad}"
     write(f"\n{indent}]" if len(values) else "[]")
 

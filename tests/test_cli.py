@@ -151,6 +151,41 @@ def test_refuse_overwrite_without_force(systems, capsys, tmp_path):
     assert run(capsys, *args, "--force")[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("sample", "--system", "dir_leb", "--depth", "3", "--seed", "7", "--replicates", "3"),
+    ("sample", "--system", "dir_leb", "--depth", "3", "--seed", "7", "--format", "json"),
+    ("path", "--system", "dir_leb", "--depth", "3", "--seed", "7", "--replicates", "3"),
+    ("mean", "--system", "polya_m", "--depth", "3"),
+    ("check", "--system", "polya_m", "--depth", "3"),
+    ("diagnose", "--system", "polya_m", "--depths", "2,3", "--N", "1000", "--seed", "0"),
+    ("diagnose", "--system", "polya_m", "--depths", "2,3", "--N", "1000", "--seed", "0",
+     "--format", "csv"),
+    ("counterexample", "--delta", "0.2", "--depth", "4"),
+], ids=["sample-csv", "sample-json", "path", "mean", "check", "diagnose", "diagnose-csv",
+        "counterexample"])
+def test_an_existing_output_is_refused_before_any_work(argv, systems, capsys, tmp_path,
+                                                       monkeypatch):
+    import histolim.cli as cli
+    import histolim.conditions as conditions
+
+    argv = [systems.get(a, a) for a in argv]
+    fresh, existing = tmp_path / "fresh.out", tmp_path / "existing.out"
+    assert run(capsys, *argv, "--out", str(fresh)) == (0, "", "")
+    existing.write_text("keep\n")
+    with monkeypatch.context() as patch:
+        def refuse(*args, **kwargs):
+            raise AssertionError("work done for an output that is refused")
+        for module, name in ((cli, "_resolve_chain"), (cli, "sample_stack"),
+                             (cli, "phase_report"), (conditions, "leakage_counterexample")):
+            patch.setattr(module, name, refuse)
+        code, out, err = run(capsys, *argv, "--out", str(existing))
+    assert (code, out) == (1, "")
+    assert err == f"error[cli/exists] {existing} exists; pass --force to overwrite\n"
+    assert existing.read_text() == "keep\n"
+    assert run(capsys, *argv, "--out", str(existing), "--force") == (0, "", "")
+    assert existing.read_bytes() == fresh.read_bytes()
+
+
 def test_sample_bytes_equal_across_jobs(systems, capsys, tmp_path):
     outs = []
     for jobs in ("1", "4"):

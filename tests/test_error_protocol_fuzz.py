@@ -5,9 +5,11 @@ and of the golden corpus, each also in the fully spelled form its
 `to_json` writes, changes one field, and runs one small command on it
 through `histolim.cli.main`.  Each run must end with exit 0, or with
 exactly one ``error[code]`` line and exit 1 or 2: no traceback, no second
-line.  A change that makes a numeric field a non-number (a truth value, a
-string, null, a list or an object) or a non-finite number, or that adds an
-entry to a list of numbers, must be refused when the spec is read (exit 1).
+line.  The JSON output of a run that exits 0 must be strict JSON, with no
+``NaN`` or ``Infinity`` token.  A change that makes a numeric field a
+non-number (a truth value, a string, null, a list or an object) or a
+non-finite number, or that adds an entry to a list of numbers, must be
+refused when the spec is read (exit 1).
 The golden chain file is changed the same way and passed by ``--chain`` to
 `mean`, `sample` and `check` on a fixed system; a change that breaks a
 chain-file rule must be refused (exit 1).
@@ -152,18 +154,24 @@ def _mutated(skeleton, path: tuple, action: str, value) -> tuple[object, bool]:
     return spec, False
 
 
+def _refuse_constant(token: str):
+    raise AssertionError(f"invalid JSON token {token} in the output")
+
+
 def run(spec, argv, chain_text: str | None = None) -> tuple[int, str]:
-    """Run `argv` on the system `spec`, and on the chain file `chain_text` if given."""
+    """Run `argv` on the system `spec`, and on the chain file `chain_text` if
+    given; a JSON output of a run that exits 0 must parse as strict JSON."""
     with tempfile.TemporaryDirectory() as tmp:
-        system, chain = Path(tmp) / "system.json", Path(tmp) / "chain.json"
+        system, chain, out = (Path(tmp) / name for name in ("system.json", "chain.json", "out"))
         system.write_text(json.dumps(spec))
         if chain_text is not None:
             chain.write_text(chain_text)
             argv = (*argv, "--chain", str(chain))
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            code = main([*argv, "--system", str(system), "--out", str(Path(tmp) / "out"),
-                         "--force"])
+            code = main([*argv, "--system", str(system), "--out", str(out), "--force"])
+        if code == 0 and (argv[0] in ("check", "diagnose") or "json" in argv):
+            json.loads(out.read_text(), parse_constant=_refuse_constant)
     return code, err.getvalue()
 
 
@@ -178,6 +186,8 @@ def assert_protocol(code: int, err: str) -> None:
 
 CHECK = ("check", "--depth", "3")
 MEAN = ("mean", "--depth", "2", "--format", "csv")
+DIAGNOSE = ("diagnose", "--depths", "2,3", "--N", "1000", "--seed", "0", "--L-grid", "1,2",
+            "--delta", "0.1", "--jobs", "1", "--format", "json")
 
 
 @settings(derandomize=True, database=None, max_examples=1000,
@@ -203,6 +213,9 @@ MEAN = ("mean", "--depth", "2", "--format", "csv")
 @example(("golden/dirichlet_atoms", ("base", "weights", 1), "set", True, CHECK))
 @example(("golden/gaussian_point_mass", ("covariance", "sites", 0), "set", False, CHECK))
 @example(("golden/gaussian_point_mass", ("covariance", "matrix", 0, 0), "set", True, CHECK))
+# finite variances whose draws square past the float range: stderr was Infinity
+@example(("golden/gaussian_diagonal/spelled", ("covariance", "sigma2", "scale"), "set", 8e307,
+          DIAGNOSE))
 def test_every_input_follows_the_error_protocol(case):
     name, path, action, value, argv = case
     spec, must_refuse = _mutated(SKELETONS[name], path, action, value)
@@ -294,6 +307,16 @@ def test_an_overflowing_diagonal_variance_is_refused(sigma2, argv):
     code, err = run(_gaussian(variant="diagonal", sigma2=sigma2), argv)
     assert (code, err) == (2, "error[covariance/not-finite] assembled covariance has entries "
                               "that are inf or nan\n")
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings were printed too
+def test_an_overflowing_curve_statistic_is_refused():
+    """Finite variances whose draws square past the float range: the
+    domination means' standard errors were written as the token Infinity."""
+    spec = _gaussian(variant="diagonal", sigma2={"type": "lebesgue", "scale": 8e307})
+    code, err = run(spec, ("diagnose", "--depths", "2,3", "--N", "1000", "--seed", "0"))
+    assert (code, err) == (2, "error[diagnostics/not-finite] depth 2: sample mean "
+                              "2.1388105130023972e+153, standard error inf\n")
 
 
 def test_json_nested_past_the_recursion_limit_is_one_error_line(tmp_path, capsys):

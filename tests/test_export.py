@@ -182,6 +182,7 @@ def test_leakage_path_skips_both_infinite_ends():
 
 @pytest.mark.parametrize("values", [
     np.array([[-0.0, 5e-324, 1e16], [math.nan, math.inf, -math.inf]]),
+    np.array([[2e16, math.nan, 1e-7, -math.inf], [5e-05, math.inf, 0.25, -2e16]]),
     np.array([[0.5]]),
     np.empty((0, 3)),
     np.empty((2, 0)),
@@ -221,6 +222,15 @@ def oracle_rows(values):
     return [",".join(map(repr, row.tolist())) for row in values]
 
 
+def _neighbours(points, count: int):
+    """`points` and their first `count` neighbours up and down (`nextafter`)."""
+    out, up, down = [points], points, points
+    for _ in range(count):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
 def _repr_corpus():
     """Doubles where orjson's layout and repr's differ, or could, with their
     negatives; then 2x10^5 random bit patterns over all exponents."""
@@ -237,7 +247,9 @@ def _repr_corpus():
         160.0 + positional, 10.0 + positional, [160.00008999742772, 10.00001],
         1e16 + 2.0 * np.arange(-500, 501), [9999999999999998.0, 1e15, 1e17],
         *(2.0**e + np.arange(-300, 301) * 2.0 ** (e - 52) for e in range(53, 65)),
-        rng.gamma(2.0**-10, size=10_000)]
+        rng.gamma(2.0**-10, size=10_000),
+        # the edges of the magnitudes orjson lays out as repr does
+        _neighbours(np.array([1e-10, 1e-9, 1e-5, 1e-4, 1e16]), 100)]
     special = np.concatenate([np.asarray(v, dtype=np.float64) for v in pieces])
     bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
     return np.concatenate([special, -special, bits[np.isfinite(bits)]])
@@ -259,6 +271,20 @@ def test_float_rows_split_rows_and_blocks(columns):
     """Rows of one float (three blocks), of a few, and longer than a block."""
     values = REPR_CORPUS[:(2 * FLOAT_BLOCK + 5) // columns * columns].reshape(-1, columns)
     assert list(float_rows(values)) == oracle_rows(values)
+
+
+@pytest.mark.parametrize("columns", [1, 3, FLOAT_BLOCK + 3])
+def test_spelled_values_straddle_a_block_boundary(columns):
+    """Values that orjson lays out otherwise, and NaN and the infinities for
+    JSON, at the end of one `FLOAT_BLOCK` block and the start of the next."""
+    rows = FLOAT_BLOCK // columns or 1  # per block
+    values = np.full((2 * rows + 1, columns), 0.5)
+    edge = rows * columns  # the first value of the second block
+    values.flat[edge - 4:edge + 4] = [1e-7, 2e16, -5e-05, 1e-9, -1e16,
+                                      9.999999999999999e-05, 3e-06, 1e300]
+    assert list(float_rows(values)) == oracle_rows(values)
+    values.flat[[edge - 5, edge - 1, edge, edge + 4]] = [math.inf, math.nan, -math.inf, math.nan]
+    assert text_of(dump_json, values) == json.dumps(values.tolist(), indent=2)
 
 
 def test_float_rows_of_dirichlet_cells():
