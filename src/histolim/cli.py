@@ -74,6 +74,7 @@ class _ConditionsHelp:
 
         fields = {"PRODUCT_DEPTH": conditions.PRODUCT_DEPTH,
                   "MATRIX_DEPTH": conditions.MATRIX_DEPTH,
+                  "CHECK_DEPTH_CAP": conditions.CHECK_DEPTH_CAP,
                   "evaluators": "\n".join(f"  {name}  [{tag}]" for name, tag
                                           in sorted(conditions.EVALUATOR_TAGS.items()))}
         self.epilog = self.epilog and self.epilog.format(**fields)
@@ -303,14 +304,18 @@ def path(system_path, chain_path, depth, replicates, seed, jobs, out, force):
 @chain_option
 @click.option("--depth", default=None, type=int,
               help="Evaluation depth (default {PRODUCT_DEPTH} for product "
-                   "conditions, {MATRIX_DEPTH} for covariance conditions).")
+                   "conditions, {MATRIX_DEPTH} for covariance conditions). "
+                   "At most {CHECK_DEPTH_CAP}.")
 @out_option
 @force_option
 def check(system_path, chain_path, depth, out, force):
     """Evaluate every condition for the family; JSON verdicts."""
+    from .conditions import CHECK_DEPTH_CAP
     from .diagnostics import family_verdicts
 
     _check_depth(depth)
+    if depth is not None and depth > CHECK_DEPTH_CAP:
+        raise ValidationError("cli/depth", f"--depth must be <= {CHECK_DEPTH_CAP}, got {depth}")
     system = _load_system(system_path)
     _refuse_existing(force, out)
     verdicts = family_verdicts(system, partial(_resolve_chain, system, chain_path), depth)[0]
@@ -413,9 +418,7 @@ def main(argv=None) -> int:
     except click.UsageError as e:
         click.echo(f"error[cli/usage] {e.format_message()}", err=True)
         return 1
-    except click.exceptions.Exit as e:
-        return e.exit_code
-    except click.exceptions.Abort:
+    except click.exceptions.Abort:  # an interrupt, or end of input, in a command
         return 1
     return 0
 

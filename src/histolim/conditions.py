@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .partitions import Domain, Partition, PartitionChain, dyadic_chain
+from .partitions import Domain, Partition, PartitionChain, check_depth_capacity, dyadic_chain
 from .systems import (
     AtomicBase,
     CantorTrigRule,
@@ -39,7 +39,6 @@ from .systems import (
     PolyaTreeSystem,
     Record,
     TableRule,
-    _BINOPS,
     _level_function,
     assemble_sigma,  # noqa: F401 -- perfbench/spans.py wraps it by name here
     pin_infinite_splits,
@@ -52,6 +51,10 @@ UNDETERMINED = "undetermined"
 
 #: default evaluation depth for scalar product conditions (cost O(depth))
 PRODUCT_DEPTH = 40
+#: the deepest `check`: to m = 969 the evidence (total + 2^m)/(total + 1)
+#: is finite for every finite total (2^970 is half the last place of the
+#: largest float), and `check` on each benchmark system takes under 1 s
+CHECK_DEPTH_CAP = 969
 #: default and hard caps for conditions that assemble covariance matrices
 MATRIX_DEPTH = 16
 MATRIX_LEVEL_CAP = 10
@@ -179,41 +182,36 @@ def _directional_product_verdict(system: PolyaTreeSystem, bit: int, depth: int,
         # from the root the midpoint coordinate tends to 0 (zeroward) or 1
         return _cantor_tail_verdict(terms, name, anchor, evidence)
 
-    if isinstance(rule, TableRule):
-        if rule.default is not None:
-            # the first depth beyond which the path only sees the default
-            horizon = max((1 if label == "()" else len(label) + 1 for label in rule.pairs
-                           if label == "()" or set(label) <= {str(bit)}), default=0)
-            d0, d1 = rule.default
-            path_d, other_d = (d0, d1) if bit == 0 else (d1, d0)
-            if math.isinf(other_d) and math.isfinite(path_d):
-                return Verdict(name, HOLDS, anchor,
-                               f"beyond table depth {horizon} the default pair "
-                               "pins a zero factor, so the product vanishes",
-                               evidence)
-            if math.isinf(path_d):
-                tail_sum = float(sum(terms[:horizon]))
-                return Verdict(name, FAILS, anchor,
-                               f"beyond table depth {horizon} the default "
-                               "path-side weight is infinite: factors are "
-                               "exactly 1 and the product freezes at the "
-                               f"positive value exp(-{tail_sum:.6g})",
-                               evidence)
-            step = math.log1p(other_d / path_d)
-            return Verdict(name, HOLDS, anchor,
-                           f"beyond table depth {horizon} every term equals "
-                           f"log(1+{other_d}/{path_d}) = {step:.6g} > 0, so "
-                           "the sum diverges",
-                           evidence)
+    # a table rule, the last of the closed `BETA_RULES`
+    if rule.default is None:
         return Verdict(name, UNDETERMINED, anchor,
                        f"table rule without default is undefined beyond depth "
                        f"{upto} on the {side} path; no exact tail argument",
                        evidence)
-
-    return Verdict(name, UNDETERMINED, anchor,
-                   "no exact tail argument is registered for this rule; "
-                   "statistic trace only",
-                   evidence, extrapolation=_observed_tail(terms))
+    # the first depth beyond which the path only sees the default
+    horizon = max((1 if label == "()" else len(label) + 1 for label in rule.pairs
+                   if label == "()" or set(label) <= {str(bit)}), default=0)
+    d0, d1 = rule.default
+    path_d, other_d = (d0, d1) if bit == 0 else (d1, d0)
+    if math.isinf(other_d) and math.isfinite(path_d):
+        return Verdict(name, HOLDS, anchor,
+                       f"beyond table depth {horizon} the default pair "
+                       "pins a zero factor, so the product vanishes",
+                       evidence)
+    if math.isinf(path_d):
+        tail_sum = float(sum(terms[:horizon]))
+        return Verdict(name, FAILS, anchor,
+                       f"beyond table depth {horizon} the default "
+                       "path-side weight is infinite: factors are "
+                       "exactly 1 and the product freezes at the "
+                       f"positive value exp(-{tail_sum:.6g})",
+                       evidence)
+    step = math.log1p(other_d / path_d)
+    return Verdict(name, HOLDS, anchor,
+                   f"beyond table depth {horizon} every term equals "
+                   f"log(1+{other_d}/{path_d}) = {step:.6g} > 0, so "
+                   "the sum diverges",
+                   evidence)
 
 
 def _cantor_tail_verdict(terms, name, anchor, evidence) -> Verdict:
@@ -230,13 +228,12 @@ def _cantor_tail_verdict(terms, name, anchor, evidence) -> Verdict:
     # cosine near pi/2 to carry relative precision
     k = next((i for i, t in enumerate(tans) if not t > 1e-9), len(tans))
     ratios = [tans[i + 1] / tans[i] for i in range(k - 1)]
-    worst = max(ratios) if ratios else 1.0
-    if worst > 1.0 / 3.0 + 1e-6:
-        # the convexity bound failed numerically -- do not certify
+    if not ratios or max(ratios) > 1.0 / 3.0 + 1e-6:
+        # no ratio (depth <= 1), or the convexity bound failed numerically
         return Verdict(name, UNDETERMINED, anchor,
                        "geometric domination of the tangent terms could not "
                        "be confirmed numerically",
-                       evidence, extrapolation=_observed_tail(terms))
+                       evidence)
     tail = tans[k - 1] / 2.0  # sum_{j>=1} t (1/3)^j = t / 2
     total = float(sum(terms[:k])) + tail
     return Verdict(name, FAILS, anchor,
@@ -248,18 +245,6 @@ def _cantor_tail_verdict(terms, name, anchor, evidence) -> Verdict:
                                   "ratio_bound": 1.0 / 3.0,
                                   "tail_bound": tail,
                                   "product_floor": math.exp(-total)})
-
-
-def _observed_tail(terms) -> Optional[dict]:
-    """Descriptive (never certifying) tail estimate from observed ratios."""
-    positive = [t for t in terms if t > 0]
-    if len(positive) < 11:
-        return None
-    r = max(b / a for a, b in zip(positive[-11:-1], positive[-10:]))
-    if r >= 0.9:
-        return None
-    return {"method": "observed-ratio", "ratio": r,
-            "tail_estimate": positive[-1] * r / (1.0 - r)}
 
 
 def _point_mass(base, x: float) -> float:
@@ -543,14 +528,14 @@ def _normal_form(node) -> tuple:
         return {_M: Fraction(1)}, None
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         return _mul(({_ONE: Fraction(-1)}, None), _normal_form(node.operand))
-    if not isinstance(node, ast.BinOp) or type(node.op) not in _BINOPS:
-        raise _Outside
+    # else a `_BINOPS` node: `_level_function` accepted the tree
     op = {ast.Add: _add, ast.Mult: _mul, ast.Pow: _power_form}[type(node.op)]
     return op(_normal_form(node.left), _normal_form(node.right))
 
 
 def _leading_term_limit(expr: str) -> Optional[float]:
-    """Exact limit of m/(2 f + 1), or None when the form cannot decide it.
+    """Exact limit of m/(2 f + 1), or None when the form cannot decide it;
+    `expr` is one that `HomogeneousRule` accepts.
     A finite limit 1/(q e^C) is the float nearest its exact value when C is
     empty, and is computed in floats otherwise."""
     try:
@@ -791,9 +776,9 @@ def leakage_counterexample(delta: float, depth: int,
     delta > 0, by construction rather than by numerics.
     """
     system = LeakageSystem(delta, depth, interior=interior)
+    check_depth_capacity(depth)  # refused beyond the maximum, as the system's chain is
     windows = (0.1, 0.2, 0.3, 0.45) if interior else (1.0, 2.0, 4.0, 8.0)
-    chain = system.chain()
-    masses = [system.outside_masses(chain[n], windows) for n in range(1, depth + 1)]
+    masses = [system.outside_masses(n, windows) for n in range(1, depth + 1)]
     rows = tuple((n, k, mass) for n, level in enumerate(masses, start=1)
                  for k, mass in zip(windows, level))
     widest = windows.index(max(windows))

@@ -65,7 +65,6 @@ from .systems import (
     DirichletSystem,
     GaussianSystem,
     HistogramSystem,
-    LeakageSystem,
     PolyaTreeSystem,
     Record,
 )
@@ -519,12 +518,10 @@ def family_verdicts(system: HistogramSystem,
         d = depth or MATRIX_DEPTH
         verdicts = gaussian_conditions(system, chain_at(min(d, max_depth())), depth=d)
         return verdicts, verdicts.get("diagonal"), verdicts["weak"]
-    if isinstance(system, LeakageSystem):
-        tight = leakage_counterexample(system.delta, system.depth,
-                                       interior=system.interior).verdict
-        return {"tight": tight}, tight, None
-    raise ValidationError("diagnostics/unsupported-family",
-                          f"no phase clauses for {type(system).__name__}")
+    # a leakage system, the last of the closed `FAMILIES`
+    tight = leakage_counterexample(system.delta, system.depth,
+                                   interior=system.interior).verdict
+    return {"tight": tight}, tight, None
 
 
 _DEMOTED = {"random-atomic": "continuous-singular",

@@ -225,10 +225,8 @@ def level_drawer(system: HistogramSystem, chain: PartitionChain, depth: int,
     """(partition, kind, draw) for one chain level of any family, where
     ``draw(substream, k, out=None)`` gives k replicate rows, drawn into
     `out` where it can."""
-    kernel = _DRAW_KERNELS.get(type(system))
-    if kernel is None:
-        raise ValidationError("sampling/family", f"no sampler for {type(system).__name__}")
-    draw = kernel(system, chain, depth)  # a Polya kernel checks depth against the chain first
+    # a kernel per class of the closed `FAMILIES`; Polya's checks the depth first
+    draw = _DRAW_KERNELS[type(system)](system, chain, depth)
     return chain[depth], system.kind, draw
 
 

@@ -699,10 +699,10 @@ class KernelCovariance(Covariance):
         for key in ("c", "length", "scale"):  # kept as given, for `to_json`; a zero scale
             if key in self.params:           # is the zero covariance
                 read_number(self.params[key], f"kernel {key}", "covariance/kernel")
-        k = self.kernel()
-        for x, y in ((0.1, 0.7), (0.25, 0.9), (0.4, 0.45)):
-            if abs(k(x, y) - k(y, x)) > 1e-12:
-                raise ValidationError("covariance/kernel", "kernel is not symmetric")
+        # every named kernel reads x - y (exactly -(y - x)) through a square or
+        # `abs`, so it is symmetric; this call refuses, on load, a length so
+        # short that the Gaussian kernel's square overflows at the gap 0.65
+        self.kernel()(0.25, 0.9)
 
     def kernel(self) -> Callable[[float, float], float]:
         return _NAMED_KERNELS[self.name](self.params)
@@ -946,20 +946,30 @@ class LeakageSystem(Family):
         values[partition.position_of(centre)] += 1.0 - self.delta
         return Histogram(partition, values, PROBABILITY)
 
-    def outside_masses(self, partition: Partition, windows) -> list[float]:
+    def outside_masses(self, level: int, windows) -> list[float]:
         """Deterministic mass outside each closed window [-K, K] (after the
-        chart, [1/2 - K', 1/2 + K']), with the level's mean and edges read
-        once for all the windows."""
+        chart, [1/2 - K', 1/2 + K']) at `level` >= 1 of the chain, from the
+        three cells that carry mass: (-inf, -(n-1)] and [n-1, inf) with
+        delta/2 each, and (-2^-(n-2), 0] with 1 - delta, the left end cell at
+        n = 1.  Added in cell order, they give the floats a scan of all cells does."""
         for window in windows:
             if window < 0:
                 raise ValidationError("system/window", f"window must be >= 0, got {window}")
-        values = self.mean(partition).values.tolist()
-        edges = partition.edges().tolist()
+        half = self.delta / 2.0
+        if level == 1:
+            cells = [(-math.inf, 0.0, half + (1.0 - self.delta)), (0.0, math.inf, half)]
+        else:
+            end = float(level - 1)
+            cells = [(-math.inf, -end, half), (-(2.0 ** (2 - level)), 0.0, 1.0 - self.delta),
+                     (end, math.inf, half)]
+        if self.interior:  # the chart sends -inf and inf to the domain's ends 0 and 1
+            cells = [(0.5 + math.atan(left) / math.pi, 0.5 + math.atan(right) / math.pi, value)
+                     for left, right, value in cells]
         masses = []
         for window in windows:
             lo, hi = (0.5 - window, 0.5 + window) if self.interior else (-window, window)
             total = 0.0
-            for left, right, value in zip(edges, edges[1:], values):
+            for left, right, value in cells:
                 if right <= lo or left >= hi:
                     total += value
             masses.append(total)

@@ -110,7 +110,7 @@ def commands() -> list[list[str]]:
             ["path", *on_line, *draws],
         ]
     counter = ["counterexample", "--delta", "0.2", "--depth", DEPTH]
-    out += [counter, [*counter, "--format", "json"]]
+    out += [counter, [*counter, "--format", "json"], [*counter, "--interior", "--format", "json"]]
     small_diagnose = ["--N", "1000", "--depths", "2,3", "--seed", "0", "--jobs", "1"]
     for name, depth in GAUSSIANS.items():
         system = ["--system", "{%s}" % name]

@@ -17,9 +17,16 @@ try:
 except ModuleNotFoundError:  # Python 3.10: tomllib arrived in 3.11
     tomllib = None
 
+try:
+    import resource
+except ModuleNotFoundError:  # not on Windows
+    resource = None
+
 from histolim.cli import main
-from histolim.conditions import EVALUATOR_TAGS
+from histolim.conditions import CHECK_DEPTH_CAP, EVALUATOR_TAGS
 from histolim.partitions import Domain, dyadic_chain
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -329,7 +336,46 @@ def test_counterexample_checks_the_depth_cap_before_building_rows(monkeypatch, c
     assert err == ("error[partition/depth-capacity] depth 12 exceeds the configured "
                    "maximum 3 (set HISTOLIM_MAX_DEPTH to raise it)\n")
     code, out, err = run(capsys, "counterexample", "--delta", "0.2", "--depth", "3")
-    assert (code, built) == (0, [3])
+    assert (code, built) == (0, [])  # the table reads three cells a level, never a row
+
+
+#: runs the command with its address space capped at 2 GiB, so that a
+#: regression fails with MemoryError instead of filling the machine, then
+#: prints the exit code and the peak RSS of this process image in kB
+PEAK_RSS = """
+import re, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+from histolim.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(code, re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(resource is None or not Path("/proc/self/status").exists(),
+                    reason="needs the resource module and /proc/self/status")
+@pytest.mark.parametrize("argv", [
+    ("counterexample", "--delta", "0.2", "--depth", "30"),
+    ("counterexample", "--delta", "0.2", "--depth", "30", "--interior"),
+    ("check", "--system", "{leakage}"),
+    ("check", "--system", "{interior}"),
+], ids=["counterexample", "counterexample-interior", "check", "check-interior"])
+def test_a_depth_30_leakage_table_runs_in_little_memory(argv, tmp_path):
+    """The table reads three cells a level; the chain's row at level 30
+    would hold 2^30 - 1 cut points (8 GiB).  Each command runs in a fresh
+    interpreter, which reports its own peak RSS: the high-water mark of its
+    own image, where `ru_maxrss` would also count the image it was forked
+    from."""
+    paths = {}
+    for name, interior in (("leakage", False), ("interior", True)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"family": "leakage", "delta": 0.2, "depth": 30,
+                                           "interior": interior}))
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *(a.format(**paths) for a in argv)],
+                          capture_output=True, text=True, timeout=60)
+    code, peak_kb = map(int, proc.stderr.split())
+    assert code == 0
+    assert peak_kb < 50 * 1024
 
 
 def test_a_leakage_chain_is_built_only_to_the_level_read(tmp_path, monkeypatch, capsys):
@@ -369,7 +415,7 @@ def test_depth_capacity_env(systems):
     assert proc.stderr.startswith("error[partition/depth-capacity]")
 
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_console_script_entry_point():
@@ -585,6 +631,145 @@ def test_check_refuses_negative_depth(systems, capsys):
                          "--depth", "-1")
     assert (code, out) == (1, "")
     assert err == "error[cli/depth] --depth must be >= 0, got -1\n"
+
+
+def test_check_refuses_a_depth_past_the_cap(systems, capsys):
+    """Past the cap the Dirichlet evidence overflowed at 1024, and a Cantor
+    rule took minutes; the refusal comes before the system is read."""
+    for depth in (CHECK_DEPTH_CAP + 1, 1024, 100000):
+        code, out, err = run(capsys, "check", "--system", systems["broken"],
+                             "--depth", str(depth))
+        assert (code, out) == (1, "")
+        assert err == f"error[cli/depth] --depth must be <= {CHECK_DEPTH_CAP}, got {depth}\n"
+
+
+LARGEST_LEBESGUE = {"type": "lebesgue", "scale": sys.float_info.max}
+
+
+@pytest.mark.parametrize("system", [
+    *((path.stem, json.loads(path.read_text()))
+      for path in sorted((ROOT / "perfbench" / "systems").glob("*.json"))),
+    ("dirichlet_largest_total", {"family": "dirichlet", "base": LARGEST_LEBESGUE}),
+    ("polya_matching_largest_total",
+     {"family": "polya", "beta": {"rule": "dirichlet", "base": LARGEST_LEBESGUE}}),
+], ids=lambda system: system[0])
+def test_check_runs_at_the_depth_cap(system, capsys, tmp_path):
+    """At the cap every statistic of the evidence is still a finite float,
+    (total + 2^m)/(total + 1) for the largest total too (one level deeper it
+    was written as the token Infinity)."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system[1]))
+    code, out, err = run(capsys, "check", "--system", str(path), "--depth", str(CHECK_DEPTH_CAP))
+    assert (code, err) == (0, "")
+    conditions = json.loads(out, parse_constant=lambda token: pytest.fail(token))["conditions"]
+    assert all(math.isfinite(v) for c in conditions.values() for _, v in c["evidence"])
+
+
+def test_an_unreadable_system_file_is_one_error_line(capsys, tmp_path):
+    code, out, err = run(capsys, "check", "--system", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == (f"error[cli/system-file] cannot read {tmp_path}: "
+                   f"[Errno 21] Is a directory: '{tmp_path}'\n")
+
+
+#: a chain over the whole real line, with unbounded end cells
+LINE_CHAIN = {"domain": {"left": "-inf", "right": "+inf", "closed_left": False},
+              "kind": "triangular",
+              "levels": [["-inf", "+inf"], ["-inf", "0.0", "+inf"],
+                         ["-inf", "-1.0", "0.0", "1.0", "+inf"]]}
+DIRICHLET_LEBESGUE = {"family": "dirichlet", "base": {"type": "lebesgue"}}
+DEEP_EXPRESSION = "-" * 1000 + "m"  # parsed, then too deep for the recursive reader
+
+
+def _polya(expr):
+    return {"family": "polya", "beta": {"rule": "homogeneous", "expr": expr}}
+
+
+def _gaussian(**covariance):
+    return {"family": "gaussian", "covariance": covariance}
+
+
+@pytest.mark.parametrize("system, argv, chain, line", [
+    (_gaussian(variant="constant", c=0), ("check",), None,
+     "error[covariance/constant] need c > 0, got 0.0"),
+    (_gaussian(variant="constant", c=-2.5), ("check",), None,
+     "error[covariance/constant] need c > 0, got -2.5"),
+    (_gaussian(variant="greens", dimension=2, uv_cutoff=0.0), ("check",), None,
+     "error[covariance/greens] cutoff must be > 0, got 0.0"),
+    (_gaussian(variant="greens", dimension=3, uv_cutoff=-0.001), ("check",), None,
+     "error[covariance/greens] cutoff must be > 0, got -0.001"),
+    (_gaussian(variant="greens", dimension=4), ("check",), None,
+     "error[covariance/greens] dimension must be 1, 2 or 3, got 4"),
+    (_gaussian(variant="point_mass", sites=[0.3, 0.7], matrix=[[1.0, 0.5], [0.4, 1.0]]),
+     ("check",), None, "error[covariance/point-mass] site matrix must be symmetric"),
+    ({"family": "leakage", "delta": 0.2, "depth": 0}, ("check",), None,
+     "error[system/depth] need depth >= 1, got 0"),
+    (DIRICHLET_LEBESGUE, ("mean", "--depth", "2"), LINE_CHAIN,
+     "error[base/unbounded] length measure needs bounded cells"),
+    (DIRICHLET_LEBESGUE, ("check",), LINE_CHAIN,
+     "error[base/unbounded] length measure needs a bounded domain"),
+    ({"family": "dirichlet", "base": {"type": "atoms", "points": [0.25, -1.5],
+                                      "weights": [1.0, 2.0]}},
+     ("check",), None, "error[base/atoms] atom at -1.5 lies outside the domain"),
+    ({"family": "dirichlet", "base": {"type": "lebesgue", "scale": -1}},
+     ("mean", "--depth", "2"), None,
+     "error[system/negative-base] base measure must be nonnegative"),
+    (_gaussian(variant="kernel", name="exponential"), ("sample", "--depth", "1", "--seed", "0"),
+     LINE_CHAIN, "error[covariance/unbounded] integral covariances need bounded cells"),
+    (_polya("2^70000"), ("check",), None,
+     "error[system/beta-expression] '2^70000' gives no real number at m=1: "
+     "exact integer power exceeds 65536 bits"),
+    (_polya("m +"), ("check",), None,
+     "error[system/beta-expression] cannot parse 'm +': invalid syntax (<unknown>, line 1)"),
+    (_polya(DEEP_EXPRESSION), ("check",), None,
+     f"error[system/beta-expression] {DEEP_EXPRESSION!r} is nested too deeply to evaluate"),
+    (_polya("m"), ("mean", "--depth", "1"),
+     {"domain": {"left": "0", "right": "1"}, "kind": "dyadic",
+      "levels": [["0", "1"], ["0", "1/3", "1"]]},
+     "error[chain/reload] level 1 endpoints do not match an equal dyadic refinement"),
+    (_polya("m"), ("mean", "--depth", "0"),
+     {"domain": {"left": "1", "right": "0"}, "kind": "dyadic", "levels": [["1", "0"]]},
+     "error[partition/domain] empty domain (1, 0]"),
+    (_polya("m"), ("diagnose", "--N", "1000", "--seed", "0", "--format", "csv"), None,
+     "error[cli/out] --format csv needs --out for the curve files"),
+    (_gaussian(variant="kernel", name="gaussian", params={"length": 1e-300}), ("check",), None,
+     "error[system/json] malformed gaussian system spec: (34, 'Numerical result out of range')"),
+], ids=["constant-zero", "constant-negative", "greens-d2-zero-cutoff",
+        "greens-d3-negative-cutoff", "greens-dimension-4", "point-mass-asymmetric",
+        "leakage-depth-0", "lebesgue-unbounded-cells", "lebesgue-unbounded-domain",
+        "atom-outside-domain", "negative-base",
+        "kernel-unbounded-cells", "integer-power-too-large", "expression-syntax",
+        "expression-too-deep", "dyadic-chain-file-off-grid", "dyadic-chain-file-empty-domain",
+        "curve-files-without-out", "kernel-length-overflows"])
+def test_a_refused_input_is_one_exact_error_line(system, argv, chain, line, capsys, tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    extra = ()
+    if chain is not None:
+        (tmp_path / "chain.json").write_text(json.dumps(chain))
+        extra = ("--chain", str(tmp_path / "chain.json"))
+    code, out, err = run(capsys, *argv, "--system", str(path), *extra)
+    assert (code, out, err) == (1, "", line + "\n")
+
+
+def test_a_negative_depth_maximum_is_refused(systems, capsys, monkeypatch):
+    monkeypatch.setenv("HISTOLIM_MAX_DEPTH", "-1")
+    code, out, err = run(capsys, "mean", "--system", systems["polya_m"], "--depth", "1")
+    assert (code, out, err) == (1, "", "error[config/max-depth] HISTOLIM_MAX_DEPTH must be "
+                                       ">= 0, got -1\n")
+
+
+def test_an_interrupted_command_exits_one(systems, capsys, monkeypatch):
+    """click turns an interrupt inside a command into Abort, after one
+    empty line on standard error."""
+    import histolim.cli as cli
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "sample_stack", interrupt)
+    code, out, err = run(capsys, "sample", "--system", systems["polya_m"], "--depth", "2",
+                         "--seed", "0")
+    assert (code, out, err) == (1, "", "\n")
 
 
 @pytest.mark.parametrize("depth", ["1", "0", "-1"])

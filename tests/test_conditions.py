@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from histolim.conditions import (
+    CHECK_DEPTH_CAP,
     FAILS,
     HOLDS,
     SUFFICIENT_CONDITION_FAILS,
@@ -43,6 +44,7 @@ from histolim.systems import (
     GreensCovariance,
     HomogeneousRule,
     KernelCovariance,
+    LeakageSystem,
     LebesgueBase,
     PointMassCovariance,
     PolyaTreeSystem,
@@ -114,6 +116,40 @@ def test_cantor_directional_mirror_symmetry():
     assert up.status == down.status == FAILS
     gap = abs(down.evidence[-1][1] - up.evidence[-1][1])
     assert gap < 1e-12
+
+
+@pytest.mark.parametrize("condition", [polya_tight_condition, polya_leakage_condition],
+                         ids=["zeroward", "oneward"])
+def test_cantor_guard_trips_only_where_there_is_no_ratio(condition):
+    """At depth 1 there is no ratio of tangent terms to bound, so nothing is
+    certified.  From depth 2 on the ratios tested are a prefix of one list
+    that does not depend on the depth (terms below 1e-9 end it, at 18
+    ratios), and it meets the 1/3 bound on both boundary paths."""
+    system = polya(CantorTrigRule())
+    v = condition(system, depth=1)
+    assert (v.status, v.argument, v.extrapolation) == (
+        UNDETERMINED, "geometric domination of the tangent terms could not be "
+                      "confirmed numerically", None)
+    assert v.evidence == ((1, pytest.approx(math.log(2.0), rel=1e-15)),)
+    for depth in (2, 3, 19, 20, CHECK_DEPTH_CAP):
+        assert condition(system, depth=depth).status == FAILS, depth
+
+
+def test_matching_rule_with_an_atom_at_the_right_end_leaks():
+    """The all-ones cells shrink to the point 1, so the oneward product
+    telescopes to the base mass of that point: an atom keeps it positive."""
+    system = polya(DirichletMatchRule(AtomicBase((0.3, 1.0), (1.0, 0.5))))
+    v = polya_leakage_condition(system)
+    assert (v.status, v.argument) == (
+        FAILS, "the telescoped product converges to the atom mass 0.5 at 1.0, a positive limit")
+
+
+def test_weak_condition_of_an_undecided_exponent_is_undetermined():
+    v = polya_weak_condition(polya(HomogeneousRule("(1+m^-1)^m")), depth=3)
+    assert (v.status, v.argument) == (
+        UNDETERMINED, "the limit of the exponent m/(2 b_m + 1) is not decided exactly "
+                      "for this expression; statistic trace only")
+    assert [m for m, _ in v.evidence] == [1, 2, 3]
 
 
 def test_tight_terms_are_nonincreasing_partial_sums():
@@ -399,6 +435,57 @@ def test_leakage_interior_variant():
     rep = leakage_counterexample(0.3, 9, interior=True)
     assert rep.verdict.status == FAILS
     assert all(m in (0.0, pytest.approx(0.3)) for _, _, m in rep.rows)
+
+
+def scanned_outside_masses(system, partition, windows):
+    """The outside masses as they were computed when the table scanned every
+    cell of every level of the system's chain: a test oracle."""
+    values = system.mean(partition).values.tolist()
+    edges = partition.edges().tolist()
+    masses = []
+    for window in windows:
+        lo, hi = (0.5 - window, 0.5 + window) if system.interior else (-window, window)
+        total = 0.0
+        for left, right, value in zip(edges, edges[1:], values):
+            if right <= lo or left >= hi:
+                total += value
+        masses.append(total)
+    return masses
+
+
+@pytest.mark.parametrize("interior", [False, True], ids=["exterior", "interior"])
+@pytest.mark.parametrize("delta", [0.0, 0.2, 0.5, 0.999])
+def test_leakage_table_equals_the_chain_scanning_table(delta, interior):
+    """The three massed cells read from their edges give the same floats as a
+    scan of every cell, for every depth 1..16 and for windows beyond the
+    table's own: 0, the cuts themselves, and past every cut."""
+    system = LeakageSystem(delta, 16, interior=interior)
+    chain = system.chain()
+    windows = (0.0, 0.5, 1.0, 3.0, 0.25, 0.5 - 2.0 ** -20, 1e300, math.inf)
+    for n in range(1, 17):
+        assert system.outside_masses(n, windows) == scanned_outside_masses(
+            system, chain[n], windows), n
+    table = [scanned_outside_masses(system, chain[n], leakage_counterexample(
+        delta, 1, interior=interior).windows) for n in range(1, 17)]
+    for depth in range(1, 17):
+        report = leakage_counterexample(delta, depth, interior=interior)
+        assert report.rows == tuple((n, k, mass) for n, row in enumerate(table[:depth], start=1)
+                                    for k, mass in zip(report.windows, row))
+        widest = report.windows.index(max(report.windows))
+        assert report.verdict.evidence == tuple(
+            (n, row[widest]) for n, row in enumerate(table[:depth], start=1))
+
+
+def test_leakage_table_at_depth_30_needs_no_chain():
+    """The table reads three cells a level: at depth 30 a chain would hold
+    2^30 - 1 cut points in its last row."""
+    report = leakage_counterexample(0.2, 30)
+    assert report.rows[-4:] == ((30, 1.0, 0.2), (30, 2.0, 0.2), (30, 4.0, 0.2), (30, 8.0, 0.2))
+    interior = leakage_counterexample(0.2, 30, interior=True)
+    assert interior.verdict.status == FAILS
+    with pytest.raises(ValidationError) as e:
+        leakage_counterexample(0.2, 31)
+    assert e.value.code == "partition/depth-capacity"
 
 
 # --- depth handling ---------------------------------------------------------

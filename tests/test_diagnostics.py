@@ -12,6 +12,9 @@ import pytest
 
 from histolim.diagnostics import (
     MIN_STATISTICAL_SAMPLES,
+    CurvePoint,
+    DiagnosticCurve,
+    PhaseReport,
     _largest_shares,
     atomicity_statistic,
     classify_atomicity,
@@ -145,6 +148,20 @@ def test_classify_needs_three_points():
     assert classify_atomicity(curve) == "ambiguous"
 
 
+def test_classify_between_plateau_and_decrease_is_ambiguous():
+    """A final mean below 1/4 that has not halved from the first is neither."""
+    curve = DiagnosticCurve("atomicity", tuple(CurvePoint(depth, None, mean, 0.0, 1)
+                                               for depth, mean in ((2, 0.3), (3, 0.25), (4, 0.2))))
+    assert classify_atomicity(curve) == "ambiguous"
+
+
+def test_curves_need_two_replicates_for_a_standard_error():
+    with pytest.raises(ValidationError) as e:
+        atomicity_statistic(DIR_LEB, CHAIN, (2, 3), 1)
+    assert (e.value.code, str(e.value)) == ("diagnostics/insufficient-samples",
+                                            "need at least 2 replicates for a standard error")
+
+
 # --- domination -------------------------------------------------------------
 
 def test_domination_zero_for_self_dominated_system():
@@ -257,6 +274,21 @@ def test_phase_leakage_inconclusive_with_anchor():
     assert rep.declared_phase == "inconclusive"
     assert "no tight limit" in rep.rationale
     assert "(P-tight)" in rep.rationale
+
+
+def test_phase_of_a_leakage_system_without_escaping_mass_is_inconclusive():
+    """Tightness holds, and the family has no domination clause."""
+    leak = LeakageSystem(0.0, 6)
+    rep = phase_report(leak, leak.chain(), replicates=0)
+    assert (rep.declared_phase, rep.rationale) == (
+        "inconclusive", "degenerate deterministic family: tightness holds but no "
+                        "domination clause is evaluated")
+
+
+def test_phase_report_refuses_an_unknown_phase():
+    with pytest.raises(ValidationError) as e:
+        PhaseReport({}, {}, None, None, None, "gaseous", "")
+    assert (e.value.code, str(e.value)) == ("phase/label", "unknown phase 'gaseous'")
 
 
 def test_phase_report_json_serializes():

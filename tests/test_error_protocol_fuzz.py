@@ -32,6 +32,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from histolim.cli import main
+from histolim.conditions import CHECK_DEPTH_CAP
 from histolim.systems import system_from_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,6 +89,9 @@ VALUES = (True, False, None, "x", "inf", "", "m", "zero", 0, 1, -1, 0.5, 2, 8, 1
 ACTIONS = ("set", "delete", "append")
 
 DEPTH = st.sampled_from(["1", "2", "3", "-1", "x", "2.5"])
+#: `check` also gets depths past its cap, which it refuses before any work
+CHECK_DEPTH = st.sampled_from(["1", "2", "3", "-1", "x", "2.5", str(CHECK_DEPTH_CAP + 1),
+                               "1024", "100000"])
 JOBS = st.sampled_from(["1", "2", "4", "0", "-1", "x"])
 FORMAT = st.sampled_from(["csv", "json", "xml"])
 
@@ -95,10 +99,11 @@ FORMAT = st.sampled_from(["csv", "json", "xml"])
 @st.composite
 def commands(draw) -> tuple:
     """One subcommand with mutated flags, at sizes that run in milliseconds
-    (`check` always gets a small --depth: its defaults reach depth 40)."""
+    (`check` always gets a small --depth, or one past its cap: its defaults
+    reach depth 40)."""
     sub = draw(st.sampled_from(["check", "mean", "sample", "path", "diagnose"]))
     if sub == "check":
-        return ("check", "--depth", draw(DEPTH))
+        return ("check", "--depth", draw(CHECK_DEPTH))
     level = ("--depth", draw(st.one_of(DEPTH, st.just("0"))))
     if sub == "mean":
         return ("mean", *level, "--format", draw(FORMAT))
@@ -184,6 +189,13 @@ def assert_protocol(code: int, err: str) -> None:
     assert len(lines) == 1 and lines[0].startswith("error["), err
 
 
+def assert_check_depth_refused(argv, code: int, err: str) -> None:
+    """A `check --depth` past the cap is refused, whatever the system."""
+    if argv[0] == "check" and argv[2].isdigit() and int(argv[2]) > CHECK_DEPTH_CAP:
+        assert (code, err) == (1, f"error[cli/depth] --depth must be <= {CHECK_DEPTH_CAP}, "
+                                  f"got {argv[2]}\n")
+
+
 CHECK = ("check", "--depth", "3")
 MEAN = ("mean", "--depth", "2", "--format", "csv")
 DIAGNOSE = ("diagnose", "--depths", "2,3", "--N", "1000", "--seed", "0", "--L-grid", "1,2",
@@ -216,11 +228,22 @@ DIAGNOSE = ("diagnose", "--depths", "2,3", "--N", "1000", "--seed", "0", "--L-gr
 # finite variances whose draws square past the float range: stderr was Infinity
 @example(("golden/gaussian_diagonal/spelled", ("covariance", "sigma2", "scale"), "set", 8e307,
           DIAGNOSE))
+# check depths past the cap: 2.0 ** 1024 in the Dirichlet and mass-matching
+# evidence raised OverflowError, and the Cantor rule ran for minutes
+@example(("perfbench/dirichlet_lebesgue", ("base", "type"), "set", "lebesgue",
+          ("check", "--depth", str(CHECK_DEPTH_CAP + 1))))
+@example(("perfbench/dirichlet_lebesgue", ("base", "type"), "set", "lebesgue",
+          ("check", "--depth", "1024")))
+@example(("perfbench/polya_dirichlet_match", ("beta", "rule"), "set", "dirichlet",
+          ("check", "--depth", "1024")))
+@example(("perfbench/polya_cantor_trig", ("beta", "rule"), "set", "cantor_trig",
+          ("check", "--depth", "100000")))
 def test_every_input_follows_the_error_protocol(case):
     name, path, action, value, argv = case
     spec, must_refuse = _mutated(SKELETONS[name], path, action, value)
     code, err = run(spec, argv)
     assert_protocol(code, err)
+    assert_check_depth_refused(argv, code, err)
     if must_refuse:
         assert code == 1, (spec, argv, err)
 

@@ -91,6 +91,17 @@ def test_constants_fold_in_floats_as_the_system_folds_them(expr, limit):
     assert _sympy_limit(expr) == limit
 
 
+def test_bases_of_two_powers_compare_at_a_common_power():
+    """2^m against 3^(m/2): at the common power 2 the ratio is 2^2/3 > 1."""
+    assert conditions._leading_term_limit("2^m + 3^(0.5*m)") == 0.0
+    assert conditions._leading_term_limit("3^(0.5*m) + 2^m") == 0.0
+
+
+def test_a_base_past_the_bit_limit_is_left_undecided():
+    """Each power alone is within `POWER_BIT_LIMIT` bits, their product is not."""
+    assert conditions._leading_term_limit("(2^40000)^m*(3^30000)^m") is None
+
+
 def test_huge_coefficients_fall_back_quickly():
     start = time.perf_counter()
     assert conditions._leading_term_limit("(1.1^600*0.9^600*m + 1)^256") == 0.0

@@ -21,12 +21,12 @@ CORPUS = json.loads(DIGESTS.read_text())
 
 
 def _entry_id(entry) -> str:
-    """The first three words, plus the --chain and --format options that
-    tell apart commands on one system."""
+    """The first three words, plus the --chain and --format options and the
+    --interior flag that tell apart commands on one system."""
     argv = entry["argv"]
     options = [f"{flag} {value}" for flag, value in zip(argv[3:], argv[4:])
                if flag in ("--chain", "--format")]
-    return " ".join(argv[:3] + options)
+    return " ".join(argv[:3] + ["--interior"] * ("--interior" in argv) + options)
 
 
 @pytest.mark.parametrize("entry", CORPUS["commands"], ids=_entry_id)

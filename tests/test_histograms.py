@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from histolim import diagnostics, histograms
 from histolim.diagnostics import tv_martingale_curve
-from histolim.errors import ValidationError
+from histolim.errors import NumericError, ValidationError
 from histolim.histograms import (
     POSITIVE,
     PROBABILITY,
@@ -186,6 +186,53 @@ def test_tv_distance_weighted_reference():
     # (1/2) * (1 * 0.25 + 1 * 0.75)
     assert tv_distance_density(f, g, partition=CHAIN[1], reference=ref) == \
         pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("make, code, message", [
+    (lambda: Histogram(CHAIN[1], np.ones((1, 2))), "histogram/shape",
+     "expected 1-d values, got shape (1, 2)"),
+    (lambda: Histogram(CHAIN[1], [0.5, 0.5], "mass"), "histogram/kind", "unknown kind 'mass'"),
+    (lambda: Histogram(CHAIN[2], [0.5, 0.5]), "histogram/shape", "2 values for 4 cells"),
+    (lambda: PiecewiseDensity(CHAIN[2], [1.0]), "density/shape", "1 values for 4 cells"),
+    (lambda: project(prob(2, [0.25] * 4), CHAIN.refinement(1, 3)), "histogram/partition-mismatch",
+     "refinement map does not match the histogram's partition"),
+    (lambda: histogram_density(prob(1, [0.5, 0.5]), prob(2, [0.25] * 4)),
+     "histogram/partition-mismatch", "p and q must live on the same partition"),
+    (lambda: histogram_density(prob(1, [0.5, 0.5]), Histogram(CHAIN[1], [1.0, -1.0])),
+     "histogram/negative-reference", "reference histogram must be nonnegative"),
+], ids=["two-dimensional", "unknown-kind", "length", "density-length", "foreign-map",
+        "density-partitions", "density-negative-reference"])
+def test_malformed_histograms_are_refused(make, code, message):
+    with pytest.raises(ValidationError) as e:
+        make()
+    assert (e.value.code, str(e.value)) == (code, message)
+
+
+def test_histogram_length_is_its_cell_count():
+    assert len(prob(3, [0.125] * 8)) == 8
+
+
+def test_tv_distance_skips_an_empty_cell():
+    """A last cut at the domain's right end leaves the empty cell (1, 1]."""
+    empty_last = triangular_chain([[1.0]], Domain.unit())[1]
+    assert empty_last.edges().tolist() == [0.0, 1.0, 1.0]
+    slope, flat = PolynomialDensity((0.0, 2.0)), PolynomialDensity((1.0,))
+    assert tv_distance_density(slope, flat, partition=empty_last) == \
+        tv_distance_density(slope, flat, partition=CHAIN[0])
+
+
+def test_tv_distance_refuses_a_density_simpson_cannot_resolve():
+    """A jump of 1e12 at 0.3, which no bisection point hits: the cells that
+    hold it keep a Simpson error far above the tolerance down to the
+    bisection budget."""
+    def jump(x):
+        return 1e12 if x > 0.3 else 0.0
+
+    with pytest.raises(NumericError) as e:
+        tv_distance_density(jump, PolynomialDensity((0.0,)), partition=CHAIN[0])
+    assert e.value.code == "quadrature/no-convergence"
+    assert str(e.value) == ("adaptive Simpson failed to converge on "
+                            "[0.29999999999999716, 0.3000000000000007]")
 
 
 # --- serialization ----------------------------------------------------------

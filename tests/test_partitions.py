@@ -558,3 +558,18 @@ def test_whole_row_checks_report_what_the_per_value_loop_reports(name):
             assert got == want, changes
         else:
             assert [p.cut_points()[1:-1] for p in got.partitions[1:]] == want, changes
+
+
+@pytest.mark.parametrize("make, code, message", [
+    (lambda: refine_map(Partition(Domain.unit(), "dyadic", 1),
+                        Partition(Domain(Fraction(0), Fraction(2)), "dyadic", 2)),
+     "refinement/domain", "partitions live on different domains"),
+    (lambda: PartitionChain(()), "chain/empty", "a chain needs at least level 0"),
+    (lambda: dyadic_chain(depth=-1), "partition/depth", "depth must be >= 0, got -1"),
+    (lambda: triangular_chain([[0.0], [-1.0, 1.0]]), "partition/row-length",
+     "row 2 has 2 points, expected 3"),
+], ids=["refinement-across-domains", "empty-chain", "negative-dyadic-depth", "row-length"])
+def test_malformed_partitions_are_refused(make, code, message):
+    with pytest.raises(ValidationError) as e:
+        make()
+    assert (e.value.code, str(e.value)) == (code, message)

@@ -8,7 +8,7 @@ import pytest
 
 from histolim.errors import ValidationError
 from histolim.histograms import PROBABILITY, project
-from histolim.partitions import Domain, dyadic_chain
+from histolim.partitions import Domain, PartitionChain, dyadic_chain
 from histolim.sampling import (
     path_from_histogram,
     sample_stack,
@@ -423,3 +423,13 @@ def test_path_adds_one_array_of_running_sums(system):
         tracemalloc.stop()
     assert b.shape == (len(stack), len(t))
     assert peak < 2.5 * stack.values.nbytes
+
+
+def test_a_splitting_tree_refuses_a_chain_that_is_not_binary():
+    """A chain may skip a level; a splitting tree halves every cell per level."""
+    skipping = PartitionChain((CHAIN[0], CHAIN[2]))
+    with pytest.raises(ValidationError) as e:
+        sample_stack(PolyaTreeSystem(HomogeneousRule("m")), skipping, 1, RandomStream(0), 3)
+    assert (e.value.code, str(e.value)) == (
+        "sampling/non-binary",
+        "level 1 has 4 interval cells, expected 2; splitting trees need a binary chain")

@@ -124,3 +124,9 @@ def test_run_grids_starts_full_chunks_first():
     run_grids([(RandomStream(1, (g,)), CHUNK_SIZE + 2, record) for g in range(3)])
     assert started == [(0, CHUNK_SIZE), (1, CHUNK_SIZE), (2, CHUNK_SIZE),
                        (0, 2), (1, 2), (2, 2)]
+
+
+def test_a_negative_sample_count_is_refused():
+    with pytest.raises(ValidationError) as e:
+        run_chunked(RandomStream(0), -1, lambda sub, k: np.zeros((k, 1)))
+    assert (e.value.code, str(e.value)) == ("stream/count", "sample count must be >= 0, got -1")

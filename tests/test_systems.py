@@ -389,12 +389,56 @@ def test_gaussian_system_properties():
 
 def test_leakage_outside_mass_schedule():
     system = LeakageSystem(0.2, depth=8)
-    chain = system.chain()
     # outer cuts sit at +-(n-1); the closed window [-4, 4] is escaped as
     # soon as the cut reaches it, i.e. from depth 5 on
     for n, expect in [(2, 0.0), (4, 0.0), (5, 0.2), (8, 0.2)]:
-        assert system.outside_masses(chain[n], (4.0,)) == [pytest.approx(expect)]
-    assert system.outside_masses(chain[8], (0.5, 4.0, 8.0)) == pytest.approx([0.2, 0.2, 0.0])
+        assert system.outside_masses(n, (4.0,)) == [pytest.approx(expect)]
+    assert system.outside_masses(8, (0.5, 4.0, 8.0)) == pytest.approx([0.2, 0.2, 0.0])
+
+
+def _deepest_rule():
+    """The HomogeneousRule of the longest even run of unary minus before m
+    that can be built (and evaluated at m = 1) from this stack."""
+    lo, hi = 0, 4000  # built at 2 lo levels, not at 2 hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            HomogeneousRule("-" * (2 * mid) + "m")
+            lo = mid
+        except ValidationError:
+            hi = mid
+    return HomogeneousRule("-" * (2 * lo) + "m")
+
+
+def _below(frames: int, call):
+    return call() if frames == 0 else _below(frames - 1, call)
+
+
+def test_an_expression_built_near_the_recursion_limit_fails_deeper_down():
+    """Reading and evaluating each recurse once per level of the expression,
+    so a rule built near the recursion limit fails, as too deep, where it is
+    evaluated from a deeper stack."""
+    rule = _deepest_rule()
+    assert rule.level_parameter(2) == 2.0
+    with pytest.raises(ValidationError) as e:
+        _below(50, lambda: rule.level_parameter(2))
+    assert (e.value.code, str(e.value)) == ("system/beta-expression",
+                                            f"{rule.expr!r} is nested too deeply to evaluate")
+
+
+def test_a_kernel_length_whose_square_overflows_is_refused_on_load():
+    """((x - y) / length)^2 overflows at the gap 0.65 for lengths below about
+    4.85e-155; at the gap 0.6 only below about 4.47e-155."""
+    KernelCovariance("gaussian", {"length": 4.9e-155})
+    with pytest.raises(OverflowError):
+        KernelCovariance("gaussian", {"length": 4.8e-155})
+    KernelCovariance("exponential", {"length": 1e-300})  # exp(-inf) is 0.0
+
+
+def test_leakage_outside_mass_refuses_a_negative_window():
+    with pytest.raises(ValidationError) as e:
+        LeakageSystem(0.2, depth=4).outside_masses(2, (1.0, -0.5))
+    assert (e.value.code, str(e.value)) == ("system/window", "window must be >= 0, got -0.5")
 
 
 def _fraction_leakage_rows(depth):
