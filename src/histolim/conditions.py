@@ -126,8 +126,15 @@ def _directional_terms(system: PolyaTreeSystem, bit: int,
         path, other = (b0, b1) if bit == 0 else (b1, b0)
         if math.isinf(other) and math.isfinite(path):
             return terms, True, m + 1
-        terms.append(0.0 if math.isinf(path) else math.log1p(other / path))
+        terms.append(0.0 if math.isinf(path) else _log1p_ratio(other, path))
     return terms, False, depth
+
+
+def _log1p_ratio(other: float, path: float) -> float:
+    """log(1 + other/path) for finite positive weights, also past an overflowing ratio."""
+    if math.isinf(other / path):
+        return math.log(other) - math.log(path) + math.log1p(path / other)
+    return math.log1p(other / path)
 
 
 def _directional_product_verdict(system: PolyaTreeSystem, bit: int, depth: int,
@@ -206,7 +213,7 @@ def _directional_product_verdict(system: PolyaTreeSystem, bit: int, depth: int,
                        "exactly 1 and the product freezes at the "
                        f"positive value exp(-{tail_sum:.6g})",
                        evidence)
-    step = math.log1p(other_d / path_d)
+    step = _log1p_ratio(other_d, path_d)
     return Verdict(name, HOLDS, anchor,
                    f"beyond table depth {horizon} every term equals "
                    f"log(1+{other_d}/{path_d}) = {step:.6g} > 0, so "

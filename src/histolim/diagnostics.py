@@ -272,14 +272,14 @@ def domination_statistic(system: HistogramSystem, chain: PartitionChain,
 def _chunk_reducer(draw, kind: str, q: Optional[np.ndarray], L_grid: Sequence[float],
                    rows_for: Callable[[int], np.ndarray]):
     """Wrap a level's draw so that a chunk is drawn into ``rows_for(k)``
-    and returns only what its curve needs: ``(finite, low, off)``, the
-    validation summary (see `check_summary`) of each block of rows, then
-    per-row largest shares when `q` is None, or else the zero-reference
-    cells that got mass and the per-row excess over L * q for every L.
-    Each row's results depend on that row alone, so reducing the chunk in
-    blocks of rows gives the bits of reducing it whole, without its
-    full-size temporaries; every result is a new array, never a view of
-    the rows, which the next chunk overwrites."""
+    and returns only what its curve needs, as a list with one tuple per
+    block of rows: ``(finite, low, off)``, the block's validation summary
+    (see `check_summary`), then per-row largest shares when `q` is None,
+    or else the zero-reference cells that got mass and the per-row excess
+    over L * q for every L.  Each row's results depend on that row alone,
+    so reducing the chunk in blocks of rows gives the bits of reducing it
+    whole, without its full-size temporaries; every result is a new array,
+    never a view of the rows, which the next chunk overwrites."""
 
     def reduce_block(rows: np.ndarray) -> tuple:
         off = np.abs(rows.sum(axis=1) - 1.0).max() if kind == PROBABILITY else 0.0
@@ -291,13 +291,12 @@ def _chunk_reducer(draw, kind: str, q: Optional[np.ndarray], L_grid: Sequence[fl
         return summary + (hit,) + tuple(truncation_values(rows, q, float(L))
                                         for L in L_grid)
 
-    def reduce(sub: RandomStream, k: int) -> tuple:
+    def reduce(sub: RandomStream, k: int) -> list[tuple]:
         rows = draw(sub, k, rows_for(k))
         step = max(1, _BLOCK_CELLS // rows.shape[1])
         # a chunk that fails validation is never read, so its warnings are noise
         with np.errstate(all="ignore"):
-            blocks = [reduce_block(rows[i:i + step]) for i in range(0, k, step)]
-        return tuple(np.concatenate(field) for field in zip(*blocks))
+            return [reduce_block(rows[i:i + step]) for i in range(0, k, step)]
 
     return reduce
 
@@ -377,8 +376,9 @@ def _curves(system: HistogramSystem, chain: PartitionChain, depths: Sequence[int
     # pool thread exits, or with `local` when this call returns
     size = min(replicates, CHUNK_SIZE) * max((len(p) for p, _, _ in levels.values()), default=0)
     atom_points, mean_points, tail_points, notes = [], [], [], []
-    for (depth, kind, q), (finite, low, off, *values) in zip(
-            steps, run_grids(grids, jobs=jobs)):
+    for (depth, kind, q), chunks in zip(steps, run_grids(grids, jobs=jobs)):
+        blocks = (block for chunk in chunks for block in chunk)
+        finite, low, off, *values = map(np.concatenate, zip(*blocks))
         check_summary(kind, bool(finite.all()), float(low.min()), float(off.max()))
         if q is None:
             atom_points.append(_mean_point(depth, None, values[0]))

@@ -343,11 +343,7 @@ class PartitionChain:
                 "chain/levels",
                 f"need 0 <= coarse {coarse_level} <= fine {fine_level} <= depth {self.depth}",
             )
-        coarse = self.partitions[coarse_level]
-        starts = np.arange(len(coarse), dtype=np.intp)
-        for lvl in range(coarse_level, fine_level):
-            starts = refine_map(self.partitions[lvl], self.partitions[lvl + 1]).boundaries[starts]
-        return RefinementMap(coarse, self.partitions[fine_level], starts)
+        return refine_map(self.partitions[coarse_level], self.partitions[fine_level])
 
     def to_json(self) -> dict:
         return {

@@ -50,19 +50,15 @@ def _dirichlet_draw(system: DirichletSystem, chain: PartitionChain, depth: int):
     Dirichlet as the concentrations shrink.
     """
     nu = system.concentrations(chain[depth])
-    positive = nu > 0
     shape = _gamma_shape(nu)
     cum = np.cumsum(nu) / nu.sum()
     cum[-1] = 1.0
 
-    def draw(sub: RandomStream, k: int, out=None) -> np.ndarray:
+    def draw(sub: RandomStream, k: int, out: np.ndarray) -> np.ndarray:
         rng = sub.generator()
-        if positive.all():  # Gamma(nu, 1) is the standard Gamma, drawn in place
-            g = rng.standard_gamma(shape, size=(k, len(nu)), out=out)
-        else:
-            g = np.empty((k, len(nu))) if out is None else out
-            g[:, ~positive] = 0.0
-            g[:, positive] = rng.gamma(nu[positive], 1.0, size=(k, int(positive.sum())))
+        # Gamma(nu, 1) is the standard Gamma; a zero shape gives 0.0 and
+        # consumes no randomness, as if that cell were skipped
+        g = rng.standard_gamma(shape, size=(k, len(nu)), out=out)
         total = g.sum(axis=1)
         dead = np.flatnonzero(total == 0.0)
         if len(dead):
@@ -164,8 +160,7 @@ def _polya_draw(system: PolyaTreeSystem, chain: PartitionChain, depth: int):
     pairs = [system.rule.level_pairs(level) for level in range(1, depth + 1)]
     tree_mass = 1.0 if not partition.has_atom else 1.0 - system.p0
 
-    def draw(sub: RandomStream, k: int, out=None) -> np.ndarray:
-        out = np.empty((k, len(partition))) if out is None else out
+    def draw(sub: RandomStream, k: int, out: np.ndarray) -> np.ndarray:
         tree = out[:, partition.has_atom:]
         tree[:, 0] = tree_mass
         for level, (a, b) in enumerate(pairs, start=1):
@@ -193,7 +188,7 @@ def _gaussian_draw(system: GaussianSystem, chain: PartitionChain, depth: int):
     scale = system.covariance.scales(partition)
     if scale is not None:
         # z @ diag(s).T elementwise: each entry is z_ik s_k plus exact zeros
-        def draw(sub: RandomStream, k: int, out=None) -> np.ndarray:
+        def draw(sub: RandomStream, k: int, out: np.ndarray) -> np.ndarray:
             z = sub.generator().standard_normal((k, len(scale)), out=out)
             z *= scale
             z += centre  # the same sum as centre + z * scale, in place
@@ -202,7 +197,7 @@ def _gaussian_draw(system: GaussianSystem, chain: PartitionChain, depth: int):
         factor = sigma_factor(system.covariance, partition)
         rank = factor.shape[1]
 
-        def draw(sub: RandomStream, k: int, out=None) -> np.ndarray:
+        def draw(sub: RandomStream, k: int, out: np.ndarray) -> np.ndarray:
             z = sub.generator().standard_normal((k, rank))
             return np.add(np.matmul(z, factor.T, out=out), centre, out=out)  # centre + z F^T
     return draw
@@ -210,7 +205,12 @@ def _gaussian_draw(system: GaussianSystem, chain: PartitionChain, depth: int):
 
 def _leakage_draw(system: LeakageSystem, chain: PartitionChain, depth: int):
     values = system.mean(chain[depth]).values  # deterministic: every row is the mean
-    return lambda sub, k, out=None: np.tile(values, (k, 1))
+
+    def draw(sub: RandomStream, k: int, out: np.ndarray) -> np.ndarray:
+        out[:] = values
+        return out
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +221,11 @@ _DRAW_KERNELS = {DirichletSystem: _dirichlet_draw, PolyaTreeSystem: _polya_draw,
 
 
 def level_drawer(system: HistogramSystem, chain: PartitionChain, depth: int,
-                 ) -> tuple[Partition, str, Callable[[RandomStream, int], np.ndarray]]:
+                 ) -> tuple[Partition, str, Callable[[RandomStream, int, np.ndarray], np.ndarray]]:
     """(partition, kind, draw) for one chain level of any family, where
-    ``draw(substream, k, out=None)`` gives k replicate rows, drawn into
-    `out` where it can."""
+    ``draw(substream, k, out)`` fills the caller's (k, len(partition))
+    array `out` with k replicate rows and returns it; no kernel allocates
+    rows of its own."""
     # a kernel per class of the closed `FAMILIES`; Polya's checks the depth first
     draw = _DRAW_KERNELS[type(system)](system, chain, depth)
     return chain[depth], system.kind, draw
@@ -241,8 +242,7 @@ def sample_stack(system: HistogramSystem, chain: PartitionChain, depth: int,
     partition, kind, draw = level_drawer(system, chain, depth)
     values = np.empty((replicates, len(partition)))
     rows = {stream.child(j): values[a:b] for j, a, b in chunk_ranges(replicates)}
-    run_chunked(stream, replicates, lambda sub, k: draw(sub, k, rows[sub]),
-                jobs=jobs, out=values)
+    run_chunked(stream, replicates, lambda sub, k: draw(sub, k, rows[sub]), jobs=jobs)
     return HistogramStack(partition, values, kind, owned=True)
 
 

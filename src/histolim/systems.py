@@ -137,10 +137,6 @@ class LebesgueBase(Spec):
     def mass_of_interval(self, left: Fraction, right: Fraction) -> float:
         return self.scale * float(right - left)
 
-    def interval_masses(self, partition: Partition) -> np.ndarray:
-        """`mass_of_interval` of every interval cell, left to right."""
-        return self.scale * partition.widths()[partition.has_atom:]
-
     def total(self, domain: Domain) -> float:
         width = float(domain.right) - float(domain.left)
         if not math.isfinite(width):
@@ -172,18 +168,8 @@ class AtomicBase(Spec):
         return out
 
     def mass_of_interval(self, left: Fraction, right: Fraction) -> float:
-        lo, hi = float(left), float(right)
-        return sum(w for x, w in zip(self.points, self.weights) if lo < x <= hi)
-
-    def interval_masses(self, partition: Partition) -> np.ndarray:
-        """`mass_of_interval` of every interval cell, left to right (the
-        same float comparisons, summed in the same order)."""
-        edges = partition.edges()
-        lo, hi = edges[:-1], edges[1:]
-        out = np.zeros(len(lo))
-        for x, w in zip(self.points, self.weights):
-            out[(lo < x) & (x <= hi)] += w
-        return out
+        # compared exactly, and summed in order, as `cell_masses` places them
+        return sum(w for x, w in zip(self.points, self.weights) if left < x <= right)
 
     def total(self, domain: Domain) -> float:
         for x in self.points:
@@ -294,7 +280,7 @@ def _compile_level_expression(expr: str) -> Callable[[int], float]:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ValidationError("system/beta-expression", f"cannot parse {expr!r}: {exc}") from None
-    except RecursionError:
+    except (RecursionError, MemoryError):  # the parser's stack overflows
         raise too_deep() from None
 
     try:
@@ -432,7 +418,8 @@ class DirichletMatchRule(Spec):
         return (b0, b1)
 
     def level_pairs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        masses = self.base.interval_masses(Partition(self.domain, "dyadic", level))
+        partition = Partition(self.domain, "dyadic", level)
+        masses = self.base.cell_masses(partition)[partition.has_atom:]
         a, b = masses[0::2], masses[1::2]
         bad = np.flatnonzero((a <= 0) | (b <= 0))
         if len(bad):

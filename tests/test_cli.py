@@ -86,12 +86,19 @@ def test_numeric_failure_exits_two(systems, capsys):
     assert err.startswith("error[covariance/not-psd]")
 
 
+#: expressions whose parse overflows the parser's own stack (a MemoryError)
+TOO_DEEP = ["m" + "^m" * 3000, "-" * 100000 + "m"]
+
+
 @pytest.mark.parametrize("expr", ["1j", "(-m)**0.5", "0**(-1)", "10.0**400",
-                                  "(3 + -1*m)^-1", "True*m", "m+False", "m**True", True])
+                                  "(3 + -1*m)^-1", "True*m", "m+False", "m**True", True,
+                                  *(pytest.param(expr, id=f"too-deep-{i}")
+                                    for i, expr in enumerate(TOO_DEEP))])
 def test_beta_expression_failures_exit_one(expr, tmp_path, capsys):
     """Complex, undefined and overflowing values, at construction or at a
     later level, end in one error line; so do truth values, in the text or
-    as a JSON `true`, which are no numbers of the grammar."""
+    as a JSON `true`, which are no numbers of the grammar, and expressions
+    too deep for the parser."""
     path = tmp_path / "polya.json"
     path.write_text(json.dumps(
         {"family": "polya", "beta": {"rule": "homogeneous", "expr": expr}}))
@@ -100,6 +107,8 @@ def test_beta_expression_failures_exit_one(expr, tmp_path, capsys):
     assert err.startswith("error[system/beta-expression]")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    if expr in TOO_DEEP:
+        assert err == f"error[system/beta-expression] {expr!r} is nested too deeply to evaluate\n"
 
 
 def _one_error_line(capsys, spec, tmp_path, *argv):

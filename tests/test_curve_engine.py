@@ -250,10 +250,9 @@ def _fake_drawer(bad_depth, rows_of, setup_fails_at=None):
         partition = chain[depth]
         cells = len(partition)
 
-        def draw(sub, k, out=None):
-            if depth == bad_depth:
-                return rows_of(sub.path[-1], k, cells)
-            return np.full((k, cells), 1.0 / cells)
+        def draw(sub, k, out):
+            out[:] = rows_of(sub.path[-1], k, cells) if depth == bad_depth else 1.0 / cells
+            return out
 
         return partition, PROBABILITY, draw
 
@@ -320,10 +319,10 @@ def test_zero_reference_hits_merge_over_chunks(monkeypatch):
         partition = chain[depth]
         cells = len(partition)
 
-        def draw(sub, k, out=None):  # rows not written into `out` are copied there
-            rows = np.full((k, cells), 1.0 / (cells - 1))
-            rows[:, sub.path[-1]] = 0.0  # chunk j leaves cell j empty
-            return rows
+        def draw(sub, k, out):
+            out[:] = 1.0 / (cells - 1)
+            out[:, sub.path[-1]] = 0.0  # chunk j leaves cell j empty
+            return out
 
         return partition, PROBABILITY, draw
 
@@ -385,7 +384,7 @@ def _drawn(case):
     }
     system = systems[case]
     partition, kind, draw = level_drawer(system, BLOCK_CHAIN, 6)
-    rows = draw(RandomStream(3), CHUNK_SIZE)
+    rows = draw(RandomStream(3), CHUNK_SIZE, np.empty((CHUNK_SIZE, len(partition))))
     if case == "atoms-reference":  # q is zero in 62 of the 64 cells
         system = DirichletSystem(AtomicBase((0.2, 0.7), (1.0, 2.0)))
     if case == "signed-zero-rows":
@@ -402,7 +401,7 @@ def test_block_reducer_gives_the_whole_chunk_bits(case, k):
     for ref in (None, q):
         reduce = diagnostics._chunk_reducer(lambda sub, n, out: rows.copy(), kind, ref, L_grid,
                                             lambda n: None)
-        finite, low, off, *values = reduce(RandomStream(0), k)
+        finite, low, off, *values = map(np.concatenate, zip(*reduce(RandomStream(0), k)))
         got = [finite.all(), low.min(), off.max(), *values]
         if ref is not None:
             got[3] = values[0].any(axis=0)

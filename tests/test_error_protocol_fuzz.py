@@ -228,6 +228,9 @@ DIAGNOSE = ("diagnose", "--depths", "2,3", "--N", "1000", "--seed", "0", "--L-gr
 # finite variances whose draws square past the float range: stderr was Infinity
 @example(("golden/gaussian_diagonal/spelled", ("covariance", "sigma2", "scale"), "set", 8e307,
           DIAGNOSE))
+# an off-path over path-side weight past the float range: the log-sum was Infinity
+@example(("golden/polya_table_inf", ("beta",), "set",
+          {"rule": "table", "pairs": {"()": [1e-300, 1e300]}, "default": [1.0, 1.0]}, CHECK))
 # check depths past the cap: 2.0 ** 1024 in the Dirichlet and mass-matching
 # evidence raised OverflowError, and the Cantor rule ran for minutes
 @example(("perfbench/dirichlet_lebesgue", ("base", "type"), "set", "lebesgue",

@@ -157,7 +157,7 @@ def test_gaussian_diagonal_equals_dense_factor(depth, replicates, sigma2, centre
         z = sub.generator().standard_normal((k, factor.shape[1]))
         return mean[None, :] + z @ factor.T
 
-    want = run_chunked(stream, replicates, dense)
+    want = np.concatenate(run_chunked(stream, replicates, dense))
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -249,7 +249,7 @@ def _old_polya_rows(system, chain, depth, stream, replicates):
             mass = np.concatenate([np.full((k, 1), system.p0), mass], axis=1)
         return mass
 
-    return run_chunked(stream, replicates, draw, jobs=2)
+    return np.concatenate(run_chunked(stream, replicates, draw, jobs=2))
 
 
 def _old_dirichlet_rows(system, partition, stream, replicates):
@@ -270,7 +270,7 @@ def _old_dirichlet_rows(system, partition, stream, replicates):
             total[dead] = 1.0
         return g / total[:, None]
 
-    return run_chunked(stream, replicates, draw, jobs=2)
+    return np.concatenate(run_chunked(stream, replicates, draw, jobs=2))
 
 
 def test_beta_matrix_draws_uniforms_only_for_underflows(monkeypatch):
@@ -352,7 +352,7 @@ def _level_loop_polya_rows(system, chain, depth, stream, replicates):
             out[:, 0] = system.p0
         return out
 
-    return run_chunked(stream, replicates, draw)
+    return np.concatenate(run_chunked(stream, replicates, draw))
 
 
 @pytest.mark.parametrize("rule", [
@@ -374,22 +374,30 @@ def test_polya_draws_in_place_equal_the_level_loop(rule, closed):
         assert np.array_equal(np.signbit(got), np.signbit(want)), depth
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-5])  # 1e-5: most rows underflow
-def test_dirichlet_draws_equal_the_always_uniform_draw(scale):
-    system = DirichletSystem(LebesgueBase(scale))
+@pytest.mark.parametrize("base, underflows", [
+    (LebesgueBase(1.0), False),
+    (LebesgueBase(1e-5), True),  # most rows underflow
+    (AtomicBase((0.3, 0.7), (1.0, 2.0)), False),  # 14 of 16 cells have nu = 0
+    (AtomicBase((0.2, 0.9), (1e-3, 1e-3)), True),  # zero cells and dead rows
+], ids=["lebesgue", "lebesgue-tiny", "atoms", "atoms-tiny"])
+def test_dirichlet_draws_equal_the_always_uniform_draw(base, underflows):
+    """One standard Gamma call over every cell, zero shapes included, gives
+    the bits of drawing the positive cells alone, and leaves the stream
+    where that draw left it."""
+    system = DirichletSystem(base)
     new = sample_stack(system, CHAIN, 4, RandomStream(6), 8200, jobs=2)
     old = _old_dirichlet_rows(system, CHAIN[4], RandomStream(6), 8200)
     assert np.array_equal(new.values, old)
-    # the first chunk's Gammas: at scale 1e-5 some rows underflow entirely
+    # the first chunk's Gammas: with tiny weights some rows underflow entirely
     nu = system.concentrations(CHAIN[4])
     g = RandomStream(6).child(0).generator().gamma(nu, 1.0, size=(8192, len(nu)))
-    assert (g.sum(axis=1) == 0.0).any() == (scale < 1)
+    assert (g.sum(axis=1) == 0.0).any() == underflows
 
 
 @pytest.mark.parametrize("jobs, system", [
     (jobs, system) for jobs in (1, 2) for system in (
         DirichletSystem(LebesgueBase()), GaussianSystem(DiagonalCovariance(LebesgueBase())),
-        PolyaTreeSystem(HomogeneousRule("m**2")))
+        PolyaTreeSystem(HomogeneousRule("m**2")), LeakageSystem(0.2, depth=6))
 ], ids=lambda v: None if isinstance(v, int) else type(v).__name__)
 def test_sample_stack_is_built_once(system, jobs):
     """Every chunk is drawn into its rows of the one array the stack holds,
@@ -397,10 +405,13 @@ def test_sample_stack_is_built_once(system, jobs):
     the chunks were concatenated and the result copied again).  A Polya
     tree grows in its rows too and draws each level's Beta pair in blocks
     of rows: 1.13x at one job and 1.20x at two (1.38x and 1.55x when it held
-    a chunk's last Beta pair, 1.69x with per-level mass arrays too)."""
+    a chunk's last Beta pair, 1.69x with per-level mass arrays too).  A
+    leakage system writes its mean into the rows (1.67x and 2.05x when each
+    chunk was a tiled copy)."""
+    chain = system.chain() if isinstance(system, LeakageSystem) else CHAIN
     tracemalloc.start()
     try:
-        stack = sample_stack(system, CHAIN, 6, RandomStream(2), 3 * CHUNK_SIZE, jobs=jobs)
+        stack = sample_stack(system, chain, 6, RandomStream(2), 3 * CHUNK_SIZE, jobs=jobs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

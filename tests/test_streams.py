@@ -55,11 +55,15 @@ def draw_uniform(sub, k):
     return sub.generator().random((k, 3))
 
 
+def drawn_rows(stream, n, jobs=1):
+    return np.concatenate(run_chunked(stream, n, draw_uniform, jobs=jobs))
+
+
 def test_run_chunked_job_count_invariance():
     stream = RandomStream(11)
     n = 2 * CHUNK_SIZE + 137
-    serial = run_chunked(stream, n, draw_uniform, jobs=1)
-    threaded = run_chunked(stream, n, draw_uniform, jobs=4)
+    serial = drawn_rows(stream, n, jobs=1)
+    threaded = drawn_rows(stream, n, jobs=4)
     assert serial.shape == (n, 3)
     assert np.array_equal(serial, threaded)
 
@@ -67,25 +71,20 @@ def test_run_chunked_job_count_invariance():
 def test_run_chunked_prefix_property():
     # a smaller run is a prefix of a larger one on the same stream
     stream = RandomStream(23)
-    small = run_chunked(stream, CHUNK_SIZE + 10, draw_uniform)
-    large = run_chunked(stream, 2 * CHUNK_SIZE, draw_uniform)
+    small = drawn_rows(stream, CHUNK_SIZE + 10)
+    large = drawn_rows(stream, 2 * CHUNK_SIZE)
     assert np.array_equal(large[: CHUNK_SIZE + 10], small)
 
 
-def test_run_chunked_zero_rows():
-    out = run_chunked(RandomStream(1), 0, draw_uniform)
-    assert out.shape == (0, 3)
-
-
-def test_run_chunked_fills_the_given_array():
-    """Rows land in `out`; a one-chunk grid is the drawn chunk itself."""
-    n = 2 * CHUNK_SIZE + 5
-    out = np.empty((n, 3))
+def test_run_chunked_returns_each_chunk_result_in_order():
+    """The runner keeps what each chunk returns, the very object, in chunk
+    order, and draws nothing for an empty grid."""
+    results = [object() for _ in range(3)]
     for jobs in (1, 2):
-        assert run_chunked(RandomStream(6), n, draw_uniform, jobs=jobs, out=out) is out
-        assert np.array_equal(out, run_chunked(RandomStream(6), n, draw_uniform))
-    chunk = np.zeros((4, 2))
-    assert run_chunked(RandomStream(6), 4, lambda sub, k: chunk) is chunk
+        got = run_chunked(RandomStream(6), 2 * CHUNK_SIZE + 5,
+                          lambda sub, k: results[sub.path[-1]], jobs=jobs)
+        assert len(got) == 3 and all(a is b for a, b in zip(got, results))
+    assert run_chunked(RandomStream(1), 0, draw_uniform) == []
 
 
 def test_run_chunked_rejects_bad_jobs():
@@ -95,23 +94,24 @@ def test_run_chunked_rejects_bad_jobs():
 
 def test_run_grids_equals_one_run_per_grid():
     """One pool over several grids gives each grid what `run_chunked`
-    alone gives it, for any job count; tuple results concatenate field by
-    field."""
+    alone gives it, for any job count, whatever a chunk returns."""
     sizes = (2 * CHUNK_SIZE + 3, 5, 0, CHUNK_SIZE)
     grids = [(RandomStream(3, (g,)), n, draw_uniform) for g, n in enumerate(sizes)]
     alone = [run_chunked(stream, n, draw) for stream, n, draw in grids]
     for jobs in (1, 2, 3, 8):
         pooled = run_grids(grids, jobs=jobs)
-        assert all(np.array_equal(a, b) for a, b in zip(alone, pooled))
+        assert [len(chunks) for chunks in pooled] == [3, 1, 0, 1]
+        assert all(np.array_equal(a, b) for chunks, same in zip(alone, pooled)
+                   for a, b in zip(chunks, same, strict=True))
 
     def pair(sub, k):
         rows = draw_uniform(sub, k)
         return rows.max(axis=1), np.array([rows.shape[0]])
 
-    (shares, counts), = run_grids([(RandomStream(4), CHUNK_SIZE + 9, pair)], jobs=2)
-    assert np.array_equal(shares, run_chunked(RandomStream(4), CHUNK_SIZE + 9,
-                                              draw_uniform).max(axis=1))
-    assert counts.tolist() == [CHUNK_SIZE, 9]
+    (chunks,) = run_grids([(RandomStream(4), CHUNK_SIZE + 9, pair)], jobs=2)
+    assert np.array_equal(np.concatenate([shares for shares, _ in chunks]),
+                          drawn_rows(RandomStream(4), CHUNK_SIZE + 9).max(axis=1))
+    assert [int(count[0]) for _, count in chunks] == [CHUNK_SIZE, 9]
 
 
 def test_run_grids_starts_full_chunks_first():
