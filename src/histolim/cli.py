@@ -418,6 +418,9 @@ def main(argv=None) -> int:
     except click.UsageError as e:
         click.echo(f"error[cli/usage] {e.format_message()}", err=True)
         return 1
+    except MemoryError as e:  # numpy's _ArrayMemoryError is one
+        click.echo(f"error[capacity/memory] {str(e) or 'out of memory'}", err=True)
+        return 2
     except click.exceptions.Abort:  # an interrupt, or end of input, in a command
         return 1
     return 0

@@ -60,7 +60,7 @@ from .histograms import (
 )
 from .partitions import Partition, PartitionChain, max_depth
 from .sampling import _BLOCK_CELLS, level_drawer, sample_stack
-from .streams import CHUNK_SIZE, RandomStream, run_grids
+from .streams import CHUNK_SIZE, RandomStream, chunk_ranges, run_grids
 from .systems import (
     DirichletSystem,
     GaussianSystem,
@@ -270,33 +270,32 @@ def domination_statistic(system: HistogramSystem, chain: PartitionChain,
 
 
 def _chunk_reducer(draw, kind: str, q: Optional[np.ndarray], L_grid: Sequence[float],
-                   rows_for: Callable[[int], np.ndarray]):
-    """Wrap a level's draw so that a chunk is drawn into ``rows_for(k)``
-    and returns only what its curve needs, as a list with one tuple per
-    block of rows: ``(finite, low, off)``, the block's validation summary
-    (see `check_summary`), then per-row largest shares when `q` is None,
-    or else the zero-reference cells that got mass and the per-row excess
-    over L * q for every L.  Each row's results depend on that row alone,
-    so reducing the chunk in blocks of rows gives the bits of reducing it
-    whole, without its full-size temporaries; every result is a new array,
-    never a view of the rows, which the next chunk overwrites."""
+                   rows_for: Callable[[int], np.ndarray], out_for: Callable):
+    """Wrap a level's draw so that a chunk is drawn into ``rows_for(k)`` and
+    writes its per-row largest shares when `q` is None, or else its per-row
+    excess over L * q for every L, into ``out_for(sub)``: its columns of an
+    array the caller owns.  It returns one ``(finite, low, off, hit)`` per
+    block of rows: the block's validation summary (see `check_summary`) and,
+    given `q`, which zero-reference cells got mass.  Each row's results
+    depend on that row alone, so reducing the chunk in blocks of rows gives
+    the bits of reducing it whole, without its full-size temporaries; the
+    worker keeps no result, and nothing refers to the rows it overwrites next."""
 
-    def reduce_block(rows: np.ndarray) -> tuple:
+    def reduce_block(rows: np.ndarray, out: np.ndarray) -> tuple:
         off = np.abs(rows.sum(axis=1) - 1.0).max() if kind == PROBABILITY else 0.0
-        summary = (np.array([np.isfinite(rows).all()]),
-                   np.array([rows.min()]), np.array([off]))
         if q is None:
-            return summary + (_largest_shares(rows, kind),)
-        hit = np.any(rows[:, q == 0] != 0, axis=0)[None, :]
-        return summary + (hit,) + tuple(truncation_values(rows, q, float(L))
-                                        for L in L_grid)
+            out[:] = _largest_shares(rows, kind)
+            return np.isfinite(rows).all(), rows.min(), off, None
+        for L, excess in zip(L_grid, out):
+            excess[:] = truncation_values(rows, q, float(L))
+        return np.isfinite(rows).all(), rows.min(), off, np.any(rows[:, q == 0] != 0, axis=0)
 
     def reduce(sub: RandomStream, k: int) -> list[tuple]:
-        rows = draw(sub, k, rows_for(k))
+        rows, out = draw(sub, k, rows_for(k)), out_for(sub)
         step = max(1, _BLOCK_CELLS // rows.shape[1])
         # a chunk that fails validation is never read, so its warnings are noise
         with np.errstate(all="ignore"):
-            return [reduce_block(rows[i:i + step]) for i in range(0, k, step)]
+            return [reduce_block(rows[i:i + step], out[..., i:i + step]) for i in range(0, k, step)]
 
     return reduce
 
@@ -332,7 +331,8 @@ def _curves(system: HistogramSystem, chain: PartitionChain, depths: Sequence[int
     of every depth drawn on one pool of `jobs` threads and reduced where it
     is drawn, so no whole stack is ever held.  Each thread draws all its
     chunks into one buffer, allocated once and freed by the time this call
-    returns, so the threads' allocators keep no freed chunk arrays.
+    returns, and writes its rows' results into arrays allocated here, so
+    the threads' allocators keep no freed arrays.
 
     The steps fail in the order of drawing the curves one after the other:
     every atomicity depth (set-up, then its stack's validation), then the L
@@ -367,27 +367,28 @@ def _curves(system: HistogramSystem, chain: PartitionChain, depths: Sequence[int
                 if depth not in levels:
                     levels[depth] = level_drawer(system, chain, depth)
                 partition, kind, draw = levels[depth]
-                steps.append((depth, kind, q))
+                values = np.empty((replicates,) if q is None else (len(L_grid), replicates))
+                outs = {root.child(i, j): values[..., a:b] for j, a, b in chunk_ranges(replicates)}
+                steps.append((depth, kind, q, values))
                 grids.append((root.child(i), replicates, _chunk_reducer(
-                    draw, kind, q, L_grid, functools.partial(rows_for, len(partition)))))
+                    draw, kind, q, L_grid, functools.partial(rows_for, len(partition)), outs.__getitem__)))
     except HistolimError as e:
         failure = e
     # the largest chunk of the largest level; each buffer is freed when its
     # pool thread exits, or with `local` when this call returns
     size = min(replicates, CHUNK_SIZE) * max((len(p) for p, _, _ in levels.values()), default=0)
     atom_points, mean_points, tail_points, notes = [], [], [], []
-    for (depth, kind, q), chunks in zip(steps, run_grids(grids, jobs=jobs)):
-        blocks = (block for chunk in chunks for block in chunk)
-        finite, low, off, *values = map(np.concatenate, zip(*blocks))
-        check_summary(kind, bool(finite.all()), float(low.min()), float(off.max()))
+    for (depth, kind, q, values), chunks in zip(steps, run_grids(grids, jobs=jobs)):
+        finite, low, off, hits = zip(*(block for chunk in chunks for block in chunk))
+        check_summary(kind, all(finite), float(np.min(low)), float(np.max(off)))
         if q is None:
-            atom_points.append(_mean_point(depth, None, values[0]))
+            atom_points.append(_mean_point(depth, None, values))
             continue
-        hit = int(np.count_nonzero(values[0].any(axis=0)))
+        hit = int(np.count_nonzero(np.any(hits, axis=0)))
         if hit:
             notes.append(f"depth {depth}: {hit} zero-reference cells "
                          "receive sample mass")
-        for L, excess in zip(L_grid, values[1:]):
+        for L, excess in zip(L_grid, values):
             mean_points.append(_mean_point(depth, float(L), excess))
             over = (excess > delta).astype(float)
             phat = float(over.mean())

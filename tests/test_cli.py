@@ -387,6 +387,37 @@ def test_a_depth_30_leakage_table_runs_in_little_memory(argv, tmp_path):
     assert peak_kb < 50 * 1024
 
 
+@pytest.mark.skipif(resource is None or not Path("/proc/self/status").exists(),
+                    reason="needs the resource module and /proc/self/status")
+def test_a_stack_past_the_address_space_is_one_capacity_error(systems, tmp_path):
+    """A depth-22 stack of 1000 rows is 31.2 GiB: under the 2 GiB limit
+    numpy cannot allocate it, and the MemoryError becomes one
+    `error[capacity/memory]` line with exit 2, not a traceback.  The
+    process never holds more than the depth-22 chain."""
+    out = tmp_path / "X"
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, "sample", "--system",
+                           systems["dir_leb"], "--depth", "22", "--replicates", "1000",
+                           "--seed", "1", "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    line, status = proc.stderr.splitlines()
+    code, peak_kb = map(int, status.split())
+    assert (code, proc.stdout, line) == (
+        2, "", "error[capacity/memory] Unable to allocate 31.2 GiB for an array "
+               "with shape (1000, 4194304) and data type float64")
+    assert peak_kb < 512 * 1024
+    assert not out.exists()
+
+
+def test_a_memory_error_without_a_message_gets_a_fixed_text(monkeypatch, capsys):
+    import histolim.cli as cli_module
+
+    def fail(**kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli_module.cli, "main", fail)
+    assert run(capsys, "check") == (2, "", "error[capacity/memory] out of memory\n")
+
+
 def test_a_leakage_chain_is_built_only_to_the_level_read(tmp_path, monkeypatch, capsys):
     from histolim import systems as system_module
 
