@@ -15,8 +15,6 @@ in standard-error units rather than raw tolerances.
 
 from __future__ import annotations
 
-import io
-import csv
 import functools
 import math
 import threading
@@ -177,13 +175,9 @@ class DiagnosticCurve(Record):
     notes: tuple[str, ...] = ()
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["depth", "L", "mean", "stderr", "n"])
-        for p in self.points:
-            writer.writerow([p.depth, "" if p.L is None else repr(p.L),
-                             repr(p.mean), repr(p.stderr), p.n])
-        return out.getvalue()
+        rows = (f"{p.depth},{'' if p.L is None else repr(p.L)},{p.mean!r},{p.stderr!r},{p.n}"
+                for p in self.points)
+        return "\n".join(["depth,L,mean,stderr,n", *rows, ""])
 
 
 def _mean_point(depth: int, L: Optional[float], values: np.ndarray) -> CurvePoint:

@@ -449,9 +449,6 @@ def stack_to_csv(stack: HistogramStack, write: Callable[[str], object]) -> None:
         write(f"{i},{text}\n")
 
 
-_ARRAY_TOKEN = "\x00ndarray {}"
-
-
 def _array_block(values: np.ndarray, indent: str, write: Callable[[str], object]) -> None:
     """Write a 2-D float array a row at a time, as `json.dumps(values.tolist(),
     indent=2)` lays it out when its opening bracket is indented by `indent`:
@@ -467,34 +464,34 @@ def _array_block(values: np.ndarray, indent: str, write: Callable[[str], object]
     write(f"\n{indent}]" if len(values) else "[]")
 
 
+def _holds_array(o) -> bool:
+    if isinstance(o, (dict, list, tuple)):
+        return any(map(_holds_array, o.values() if isinstance(o, dict) else o))
+    return isinstance(o, np.ndarray) and o.ndim == 2 and o.dtype.kind == "f"
+
+
 def dump_json(obj, write: Callable[[str], object]) -> None:
     """Write `json.dumps(obj, indent=2, sort_keys=True)`, where obj may also
     hold 2-D float numpy arrays (inside dicts and lists), as nested lists of
-    floats.  Such arrays are written a row at a time by `_array_block`, not
-    through json's pure-Python indenting encoder, their floats spelled by
-    `float_rows`; the bytes are the same."""
-    arrays: list[np.ndarray] = []
+    floats, written a row at a time by `_array_block` rather than by json's
+    pure-Python indenting encoder; the bytes are the same."""
+    _dump_at(obj, "", write)
 
-    def swap(o):
-        if isinstance(o, np.ndarray) and o.ndim == 2 and o.dtype.kind == "f":
-            arrays.append(o)
-            return _ARRAY_TOKEN.format(len(arrays) - 1)
-        if isinstance(o, dict):
-            return {k: swap(v) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
-            return [swap(v) for v in o]
-        return o
 
-    swapped = swap(obj)
-    text = json.dumps(swapped, indent=2, sort_keys=True)
-    tokens = [json.dumps(_ARRAY_TOKEN.format(i)) for i in range(len(arrays))]
-    if any(text.count(token) != 1 for token in tokens):  # a string of obj spells one
-        write(json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist))
-        return
-    done = 0
-    for at, i in sorted((text.index(token), i) for i, token in enumerate(tokens)):
-        line = text[text.rfind("\n", 0, at) + 1:at]
-        write(text[done:at])
-        _array_block(arrays[i], line[:len(line) - len(line.lstrip(" "))], write)
-        done = at + len(tokens[i])
-    write(text[done:])
+def _dump_at(o, indent: str, write: Callable[[str], object]) -> None:
+    """`dump_json` of `o` at `indent`: a part that holds no array is one
+    `json.dumps`, re-indented (json escapes the newlines inside strings),
+    and a dict that holds one has string keys, as `sample`'s has."""
+    if not _holds_array(o):
+        write(json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + indent))
+    elif isinstance(o, np.ndarray):
+        _array_block(o, indent, write)
+    else:
+        is_dict, inner = isinstance(o, dict), indent + "  "
+        items = [(json.dumps(k) + ": ", v) for k, v in sorted(o.items())] if is_dict \
+            else [("", v) for v in o]
+        write("{" if is_dict else "[")
+        for i, (key, value) in enumerate(items):
+            write(("," if i else "") + "\n" + inner + key)
+            _dump_at(value, inner, write)
+        write("\n" + indent + ("}" if is_dict else "]"))

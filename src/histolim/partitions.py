@@ -36,6 +36,7 @@ environment variable) because cell counts grow as 2^m.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -247,8 +248,8 @@ class Partition:
         return atom + [node_label(self.level, pos) for pos in range(self._intervals)]
 
     def position_of(self, x) -> int:
-        """Position of the cell containing x under the right-endpoint-included
-        convention."""
+        """Position of the cell containing x, right endpoints included; exact,
+        as Python compares Fraction, int, float and ±inf exactly."""
         if not self.domain.contains(x):
             raise ValidationError(
                 "partition/domain",
@@ -259,12 +260,7 @@ class Partition:
         if self.cuts is None:
             left, step = self._grid
             return self.has_atom + math.ceil((Fraction(x) - left) / step) - 1
-        pos = int(np.searchsorted(self.right_edges, float(x)))
-        # float bisect is a hint; settle exact membership locally
-        for j in range(max(pos - 1, 0), min(pos + 2, self._intervals)):
-            if self.cuts[j] < x <= self.cuts[j + 1]:
-                return j + self.has_atom
-        raise ValidationError("partition/domain", f"no cell contains x={x!r}")  # pragma: no cover
+        return self.has_atom + bisect.bisect_left(self.cuts, x, 1) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,6 +412,8 @@ def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = No
     if domain.closed_left:
         raise ValidationError("partition/unsupported-domain",
                               "nested-row chains support open-left domains only")
+    if not domain.left < domain.right:
+        raise ValidationError("partition/domain", f"empty domain {domain.describe()}")
     check_depth_capacity(len(rows))
     # a float is beyond an exact end exactly when it is beyond that end's
     # float, except when it equals it; that one value is compared exactly

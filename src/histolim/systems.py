@@ -277,15 +277,10 @@ def _compile_level_expression(expr: str) -> Callable[[int], float]:
                                f"{expr!r} is nested too deeply to evaluate")
 
     try:
-        tree = ast.parse(source, mode="eval")
+        compiled = _level_function(ast.parse(source, mode="eval").body, expr)
     except SyntaxError as exc:
         raise ValidationError("system/beta-expression", f"cannot parse {expr!r}: {exc}") from None
-    except (RecursionError, MemoryError):  # the parser's stack overflows
-        raise too_deep() from None
-
-    try:
-        compiled = _level_function(tree.body, expr)
-    except RecursionError:
+    except (RecursionError, MemoryError):  # the parser's or the compiler's stack overflows
         raise too_deep() from None
 
     def evaluate(m: int) -> float:

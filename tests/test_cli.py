@@ -862,6 +862,21 @@ def test_negative_depth_with_chain_is_refused(command, systems, tmp_path, capsys
         assert err == "error[cli/depth] --depth must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("left, right", [("5", "1"), ("1", "1")], ids=["inverted", "empty"])
+@pytest.mark.parametrize("command", [
+    ("mean",), ("sample", "--seed", "1"), ("path", "--seed", "1"),
+], ids=lambda command: command[0])
+def test_an_empty_triangular_chain_domain_is_refused(command, left, right, systems,
+                                                      tmp_path, capsys):
+    """As `dyadic_chain` refuses it, rather than one cell (5, 1] of mass 1."""
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"domain": {"left": left, "right": right},
+                                 "kind": "triangular", "levels": [[left, right]]}))
+    code, out, err = run(capsys, *command, "--system", systems["polya_m"],
+                         "--chain", str(chain), "--depth", "0")
+    assert (code, out, err) == (1, "", f"error[partition/domain] empty domain ({left}, {right}]\n")
+
+
 def _chain_error(capsys, tmp_path, chain_text):
     """Run `sample` on a chain file; returns (exit code, stderr)."""
     system = tmp_path / "system.json"

@@ -5,7 +5,10 @@ the full-size versions); what is tested is wiring, invariants, and verdict
 logic, not statistical power.
 """
 
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -299,3 +302,24 @@ def test_phase_report_json_serializes():
     text = json.dumps(obj)
     assert "condition_verdicts" in obj and text
     assert rep.atomicity_curve.to_csv().splitlines()[0] == "depth,L,mean,stderr,n"
+
+
+def oracle_curve_csv(curve):
+    """The curve CSV as `csv.writer` writes it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["depth", "L", "mean", "stderr", "n"])
+    for p in curve.points:
+        writer.writerow([p.depth, "" if p.L is None else repr(p.L),
+                         repr(p.mean), repr(p.stderr), p.n])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("L", [None, 0.5, -0.0, 1e16])
+def test_curve_csv_bytes_match_csv_writer(L):
+    values = [-0.0, 5e-324, 1e-05, 1e16, math.nan, math.inf, -math.inf]
+    points = tuple(CurvePoint(depth, L if depth % 2 else None, mean, stderr, 10 ** depth)
+                   for depth, (mean, stderr) in enumerate(zip(values, values[::-1])))
+    for curve in (DiagnosticCurve("atomicity", points), DiagnosticCurve("tv", points[:1]),
+                  DiagnosticCurve("empty", ())):
+        assert curve.to_csv() == oracle_curve_csv(curve)

@@ -203,6 +203,8 @@ def test_dump_json_arrays_match_json_dumps(values):
 
 
 def test_dump_json_with_a_string_spelling_the_placeholder():
+    """A string that spells the old token of the array placeholder is
+    written as any other string."""
     values = np.array([[0.25, 0.75]])
     for text in ("\x00ndarray 0", "\x00ndarray 1"):
         payload = {"a": text, "values": values}
@@ -321,8 +323,8 @@ SYSTEMS = {
                      ODD),
     "dirichlet": ({"family": "dirichlet", "base": {"type": "lebesgue", "scale": 0.01}}, None),
     "leakage": ({"family": "leakage", "delta": 0.2, "depth": 5}, None),
-    # a table key that spells dump_json's array placeholder, so the sample
-    # JSON takes the plain json.dumps fallback
+    # a table key: a string that spells the old token of dump_json's array
+    # placeholder
     "polya_placeholder_key": ({"family": "polya",
                                "beta": {"rule": "table", "pairs": {"\x00ndarray 0": [1.0, 1.0]},
                                         "default": [2.0, 3.0]}}, None),

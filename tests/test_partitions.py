@@ -426,6 +426,23 @@ def test_triangular_levels_read_cut_points_without_cells(name):
             assert chain.refinement(n - 1, n).boundaries.tolist() == walk
 
 
+@pytest.mark.parametrize("name", TRIANGULAR)
+def test_position_of_is_exact_where_floats_collide(name):
+    """Fractions just below and just above each cut, whose float is that cut,
+    every cut itself and a finite right end as a Fraction, located as the
+    linear exact scan locates them."""
+    domain, warp = TRIANGULAR[name]
+    tiny = Fraction(1, 1 << 1100)  # far below half the spacing of any float cut
+    for part in triangular_chain(warped_rows(6, warp), domain=domain).partitions:
+        cuts = part.cut_points()
+        finite = [Fraction(c) for c in cuts if math.isfinite(c)]
+        near = [c + d for c in finite for d in (-tiny, tiny)]
+        assert all(float(x) in cuts for x in near)
+        for x in filter(domain.contains, near + cuts + finite):
+            (expect,) = [j for j in range(len(cuts) - 1) if cuts[j] < x <= cuts[j + 1]]
+            assert part.position_of(x) == expect
+
+
 def _refinement_outcome(refine, coarse, fine):
     try:
         return refine(coarse, fine)
