@@ -55,6 +55,7 @@ from .histograms import (
     project_values,
     truncation_values,
     tv_distance_density,
+    value_summary,
 )
 from .partitions import Partition, PartitionChain, max_depth
 from .sampling import _BLOCK_CELLS, level_drawer, sample_stack
@@ -269,20 +270,19 @@ def _chunk_reducer(draw, kind: str, q: Optional[np.ndarray], L_grid: Sequence[fl
     writes its per-row largest shares when `q` is None, or else its per-row
     excess over L * q for every L, into ``out_for(sub)``: its columns of an
     array the caller owns.  It returns one ``(finite, low, off, hit)`` per
-    block of rows: the block's validation summary (see `check_summary`) and,
+    block of rows: the block's `value_summary` (judged by `check_summary`) and,
     given `q`, which zero-reference cells got mass.  Each row's results
     depend on that row alone, so reducing the chunk in blocks of rows gives
     the bits of reducing it whole, without its full-size temporaries; the
     worker keeps no result, and nothing refers to the rows it overwrites next."""
 
     def reduce_block(rows: np.ndarray, out: np.ndarray) -> tuple:
-        off = np.abs(rows.sum(axis=1) - 1.0).max() if kind == PROBABILITY else 0.0
         if q is None:
             out[:] = _largest_shares(rows, kind)
-            return np.isfinite(rows).all(), rows.min(), off, None
+            return (*value_summary(rows, kind), None)
         for L, excess in zip(L_grid, out):
             excess[:] = truncation_values(rows, q, float(L))
-        return np.isfinite(rows).all(), rows.min(), off, np.any(rows[:, q == 0] != 0, axis=0)
+        return (*value_summary(rows, kind), np.any(rows[:, q == 0] != 0, axis=0))
 
     def reduce(sub: RandomStream, k: int) -> list[tuple]:
         rows, out = draw(sub, k, rows_for(k)), out_for(sub)

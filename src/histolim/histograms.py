@@ -53,21 +53,24 @@ def _frozen_array(values, shape_len: int, copy: bool = True) -> np.ndarray:
 def _check_kind(values: np.ndarray, kind: str) -> None:
     if kind not in _KINDS:
         raise ValidationError("histogram/kind", f"unknown kind {kind!r}")
-    finite = bool(np.all(np.isfinite(values)))
-    negative = finite and kind != SIGNED and bool(np.any(values < 0))
-    low = float(values.min()) if negative else 0.0
-    off = 0.0
-    if kind == PROBABILITY and finite and not negative:
-        totals = values.sum(axis=-1)
-        off = float(np.abs(totals - 1.0).max()) if totals.size else 0.0
-    check_summary(kind, finite, low, off)
+    check_summary(kind, *value_summary(values, kind))
+
+
+def value_summary(values: np.ndarray, kind: str) -> tuple[bool, float, float]:
+    """(finite, low, off) of `values` from reductions alone: whether all
+    are finite (a NaN or ±inf shows in the min or the max), the least
+    entry (0.0 if none), and for `kind` probability the rows' worst
+    |total - 1|, else 0.0.  `check_summary` judges them."""
+    with np.errstate(all="ignore"):  # values that fail are judged, not warned about
+        low, high = (values.min(), values.max()) if values.size else (0.0, 0.0)
+        off = np.abs(values.sum(axis=-1) - 1.0).max(initial=0.0) if kind == PROBABILITY else 0.0
+    return bool(np.isfinite(low) and np.isfinite(high)), float(low), float(off)
 
 
 def check_summary(kind: str, finite: bool, low: float, off: float) -> None:
-    """Raise what `_check_kind` raises for values of `kind` that are all
-    finite or not, whose least entry is `low` (where negative) and whose
-    rows' worst |total - 1| is `off`: values checked a piece at a time are
-    judged as a whole."""
+    """Raise what `_check_kind` raises for values of `kind` with the
+    `value_summary` (finite, low, off): values summarised a piece at a
+    time are judged as a whole."""
     if not finite:
         raise ValidationError("histogram/not-finite", "histogram values must be finite")
     if kind in (PROBABILITY, POSITIVE) and low < 0:

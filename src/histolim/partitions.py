@@ -233,14 +233,6 @@ class Partition:
         """`cut_points` as floats, each the correctly rounded exact value."""
         return np.array([float(e) for e in self.cut_points()])
 
-    @cached_property
-    def right_edges(self) -> np.ndarray:
-        """Float right endpoints of the interval cells, left to right
-        (read-only, computed once)."""
-        rights = self.edges()[1:]
-        rights.setflags(write=False)
-        return rights
-
     def labels(self) -> list[str]:
         """Cell labels in cell order, read off the positions without
         building the cells."""
@@ -402,10 +394,10 @@ def dyadic_chain(domain: Domain | None = None, depth: int = 0) -> PartitionChain
 def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = None) -> PartitionChain:
     """Chain over the real line from nested rows of cut points.
 
-    Row n (1-based) must hold 2^n - 1 strictly increasing finite floats whose
-    even positions repeat row n-1; the first violation is reported by its
-    (row, position) pair, 1-based.  Strictness is exact — no tolerance — so
-    accidentally duplicated cut points fail instead of creating empty cells.
+    Row n (1-based) must hold 2^n - 1 strictly increasing floats strictly
+    inside the domain, whose even positions repeat row n-1; the first
+    violation is reported by its (row, position) pair, 1-based.  Strictness
+    is exact, so duplicated cut points fail instead of creating empty cells.
     """
     if domain is None:
         domain = Domain.real_line()
@@ -415,8 +407,9 @@ def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = No
     if not domain.left < domain.right:
         raise ValidationError("partition/domain", f"empty domain {domain.describe()}")
     check_depth_capacity(len(rows))
-    # a float is beyond an exact end exactly when it is beyond that end's
-    # float, except when it equals it; that one value is compared exactly
+    # a cut lies strictly inside the domain; a float is inside an exact end
+    # exactly when it is inside that end's float, except when it equals it,
+    # and that one value is compared exactly
     left, right = float(domain.left), float(domain.right)
     parsed: list[list[float]] = []
     prev = None
@@ -429,9 +422,9 @@ def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = No
             )
         q = np.array(row)
         finite = np.isfinite(q)
-        inside = (left < q) & (q <= right)
+        inside = (left < q) & (q < right)
         for end in {left, right}:
-            inside[q == end] = domain.contains(end)
+            inside[q == end] = domain.left < end < domain.right
         bad = np.flatnonzero(~(finite & inside))
         if len(bad):
             m = int(bad[0]) + 1

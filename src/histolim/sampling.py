@@ -23,6 +23,7 @@ from .systems import (
     LeakageSystem,
     PolyaTreeSystem,
     sigma_factor,
+    split_means,
 )
 
 
@@ -80,23 +81,21 @@ def _split_level(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
                  mass: np.ndarray, right: np.ndarray) -> None:
     """Split column j of `mass` (k, n) into ``mass * v``, in place, and
     ``mass * (1 - v)``, into `right`, with v ~ Beta(a_j, b_j) from a Gamma
-    pair; (inf, b) pins v to 1, (a, inf) to 0 and (inf, inf) to 1/2.
+    pair; an infinite parameter pins v to its `split_means` value.
 
     The Gammas are drawn in row blocks of about `_BLOCK_CELLS`, all of
     Gamma(a) (parked in `right`, free until this level writes it) before
     all of Gamma(b), as when drawn whole.  Where both underflow, Beta(a, b)
-    is within O(a + b) of a Bernoulli with odds a : b: the entry is split
-    with v = 0, and a uniform below the odds, drawn last from this level's
+    is within O(a + b) of a Bernoulli(a / (a + b)): the entry is split with
+    v = 0, and a uniform below that mean, drawn last from this level's
     generator and only if some entry needs one, swaps its two children,
     which is exactly v = 1 (``mass * 0.0`` is 0.0, ``mass * 1.0`` is mass).
     """
     fa = np.where(np.isfinite(a), a, 1.0)
     fb = np.where(np.isfinite(b), b, 1.0)
-    pins = [(cols, value) for cols, value in (
-        (np.isinf(a) & np.isfinite(b), 1.0),
-        (np.isfinite(a) & np.isinf(b), 0.0),
-        (np.isinf(a) & np.isinf(b), 0.5)) if cols.any()]
     free = np.isfinite(a) & np.isfinite(b)
+    mean = split_means(a, b)[:, 0]
+    pinned = np.flatnonzero(~free)
     shape_a, shape_b = _gamma_shape(fa), _gamma_shape(fb)
     k, n = mass.shape
     step = max(1, _BLOCK_CELLS // n)
@@ -112,19 +111,17 @@ def _split_level(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
         zero = total == 0.0
         # where the total is 0 both Gammas are, and v keeps that 0
         v = np.divide(ga, total, out=total, where=~zero)
-        for cols, value in pins:
-            v[:, cols] = value
+        v[:, pinned] = mean[pinned]
         np.multiply(np.subtract(1.0, v, out=ga), left, out=ga)
         np.multiply(left, v, out=left)
         zero &= free
         if zero.any():
             dead[i] = zero
     if dead:
-        odds = fa / (fa + fb)
         for i, rows in enumerate(blocks[:max(dead) + 1]):
             u = rng.uniform(size=mass[rows].shape)
             if i in dead:
-                swap = dead[i] & (u < odds)
+                swap = dead[i] & (u < mean)
                 left, child = mass[rows], right[rows]
                 left[swap], child[swap] = child[swap], left[swap]
 
@@ -158,7 +155,7 @@ def _polya_draw(system: PolyaTreeSystem, chain: PartitionChain, depth: int):
     partition = chain[depth]
     system.check_atom_cell(partition, depth)
     pairs = [system.rule.level_pairs(level) for level in range(1, depth + 1)]
-    tree_mass = 1.0 if not partition.has_atom else 1.0 - system.p0
+    tree_mass = 1.0 - system.p0
 
     def draw(sub: RandomStream, k: int, out: np.ndarray) -> np.ndarray:
         tree = out[:, partition.has_atom:]
@@ -258,7 +255,7 @@ def path_from_histogram(h: Histogram | HistogramStack):
     `np.cumsum` adds left to right like a running float sum started at
     0.0; adding 0.0 turns a leading -0.0 into the 0.0 that sum gives.
     """
-    rights = h.partition.right_edges
+    rights = h.partition.edges()[1:]
     k = len(rights) - bool(np.isinf(rights[-1]))
     atom = h.partition.has_atom
     t, b = rights[:k], np.cumsum(h.values, axis=-1)[..., atom:atom + k]

@@ -877,6 +877,21 @@ def test_an_empty_triangular_chain_domain_is_refused(command, left, right, syste
     assert (code, out, err) == (1, "", f"error[partition/domain] empty domain ({left}, {right}]\n")
 
 
+@pytest.mark.parametrize("command", [
+    ("mean",), ("sample", "--seed", "1"), ("path", "--seed", "1"),
+], ids=lambda command: command[0])
+def test_an_interior_cut_on_the_domain_end_is_refused(command, systems, tmp_path, capsys):
+    """An interior cut lies strictly inside the domain: a cut on the right
+    end would leave the empty cell (1, 1] holding mass."""
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"domain": {"left": "0", "right": "1"}, "kind": "triangular",
+                                 "levels": [["0", "1"], ["0", "1", "1"]]}))
+    code, out, err = run(capsys, *command, "--system", systems["polya_m"],
+                         "--chain", str(chain), "--depth", "1")
+    assert (code, out, err) == (
+        1, "", "error[partition/domain] q[1][1]=1.0 lies outside the domain (0, 1]\n")
+
+
 def _chain_error(capsys, tmp_path, chain_text):
     """Run `sample` on a chain file; returns (exit code, stderr)."""
     system = tmp_path / "system.json"

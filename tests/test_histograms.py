@@ -5,6 +5,8 @@ import functools
 import io
 import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from histolim.histograms import (
     tv_distance_density,
     tv_norm,
 )
-from histolim.partitions import Domain, dyadic_chain, triangular_chain
+from histolim.partitions import Domain, Partition, dyadic_chain, triangular_chain
 
 from cell_walk import cells_of
 
@@ -62,6 +64,56 @@ def test_probability_kind_enforces_simplex():
         prob(1, [1.1, -0.1])
     h = prob(1, [0.35, 0.65])
     assert h.total() == pytest.approx(1.0)
+
+
+def _old_check_kind(values, kind):
+    """`histograms._check_kind` as it was written with value-sized masks."""
+    finite = bool(np.all(np.isfinite(values)))
+    negative = finite and kind != SIGNED and bool(np.any(values < 0))
+    low = float(values.min()) if negative else 0.0
+    off = 0.0
+    if kind == PROBABILITY and finite and not negative:
+        totals = values.sum(axis=-1)
+        off = float(np.abs(totals - 1.0).max()) if totals.size else 0.0
+    histograms.check_summary(kind, finite, low, off)
+
+
+def _kind_outcome(check):
+    try:
+        check()
+    except ValidationError as e:
+        return e.code, str(e)
+    return None
+
+
+def test_value_summary_judges_as_the_value_masks_did():
+    """Reductions alone give the old checks' outcome, with no warning; so do
+    rows summarised one at a time and judged as a whole, as `diagnose` does."""
+    tol = histograms.PROBABILITY_SUM_TOL
+    near = [t for d in (tol, 0.5 * tol, 2 * tol) for t in (math.nextafter(d, 0), d, math.nextafter(d, 1))]
+    rows = [[0.5, 0.5], [1.0, 0.0], [-0.0, 1.0], [-0.0, -0.0], [0.25, -0.25], [1.5, -0.5],
+            [np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], [np.inf, -np.inf], [1e308, 1e308]]
+    rows += [[1.0 + s * t, 0.0] for t in near for s in (1, -1)]
+    rows += [[0.25, 0.75 + s * t] for t in near for s in (1, -1)]
+    cases = [np.array(row) for row in rows]
+    cases += [np.array([row, [0.5, 0.5]]) for row in rows] + [np.array([[0.5, 0.5], row]) for row in rows]
+    cases += [np.empty((0, 2)), np.array(rows[:4])]
+    outcomes = set()
+    for values in cases:
+        for kind in (PROBABILITY, POSITIVE, SIGNED):
+            with np.errstate(all="ignore"):
+                want = _kind_outcome(lambda: _old_check_kind(values, kind))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _kind_outcome(lambda: histograms._check_kind(values, kind)) == want, (values, kind)
+                make = Histogram if values.ndim == 1 else HistogramStack
+                assert _kind_outcome(lambda: make(CHAIN[1], values, kind)) == want
+                if values.ndim == 2 and len(values):
+                    finite, low, off = zip(*(histograms.value_summary(row[None], kind) for row in values))
+                    assert _kind_outcome(lambda: histograms.check_summary(
+                        kind, all(finite), min(low), max(off))) == want
+            outcomes.add(want and want[0])
+    assert outcomes == {None, "histogram/not-finite", "histogram/negative", "histogram/total-mass"}
 
 
 def test_values_are_frozen():
@@ -213,8 +265,9 @@ def test_histogram_length_is_its_cell_count():
 
 
 def test_tv_distance_skips_an_empty_cell():
-    """A last cut at the domain's right end leaves the empty cell (1, 1]."""
-    empty_last = triangular_chain([[1.0]], Domain.unit())[1]
+    """A last cut at the domain's right end leaves the empty cell (1, 1];
+    chains refuse that cut, so the partition is built directly."""
+    empty_last = Partition(Domain.unit(), "triangular", 1, (Fraction(0), 1.0, Fraction(1)))
     assert empty_last.edges().tolist() == [0.0, 1.0, 1.0]
     slope, flat = PolynomialDensity((0.0, 2.0)), PolynomialDensity((1.0,))
     assert tv_distance_density(slope, flat, partition=empty_last) == \

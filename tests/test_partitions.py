@@ -487,7 +487,8 @@ def test_refine_map_matches_cell_walk(first, second, nested):
 
 def _old_triangular_checks(rows, domain):
     """The validation loop of `triangular_chain` as it was written before it
-    checked whole rows, one value at a time: raises the first violation."""
+    checked whole rows, one value at a time: raises the first violation.
+    An interior cut lies strictly inside the domain, not on its right end."""
     parsed = []
     for n, row in enumerate(rows, start=1):
         row = [float(v) for v in row]
@@ -499,7 +500,7 @@ def _old_triangular_checks(rows, domain):
         for m, v in enumerate(row, start=1):
             if not np.isfinite(v):
                 raise ValidationError("partition/ordering", f"q[{n}][{m}]={v!r} is not finite")
-            if not domain.contains(v):
+            if not domain.left < v < domain.right:
                 raise ValidationError(
                     "partition/domain",
                     f"q[{n}][{m}]={v!r} lies outside the domain {domain.describe()}",
