@@ -416,10 +416,9 @@ def _finite_repr(x: float) -> str:
     return float.__repr__(x)
 
 
-def float_rows(values: np.ndarray,
-               spell: Callable[[float], str] = _finite_repr) -> Iterator[str]:
-    """Each row of a 2-D float array as the comma-joined `spell` text of its
-    values, by default `float.__repr__` of finite values.
+def float_rows(values: np.ndarray) -> Iterator[str]:
+    """Each row of a 2-D float array as the comma-joined `float.__repr__`
+    text of its values, which must be finite (`histogram/not-finite`).
 
     The digits come from orjson, about `FLOAT_BLOCK` floats at a time: like
     `repr`, it writes the shortest digits that read back to the same double,
@@ -427,7 +426,7 @@ def float_rows(values: np.ndarray,
     [1e-4, 1e16) or below 1e-9 as `repr` does, but writes ``1e16``, ``1e-7``
     and ``0.0000123`` where `repr` writes ``1e+16``, ``1e-07`` and
     ``1.23e-05``, and NaN and the infinities as null.  So every other value
-    is spelled by `spell`, set to NaN, and spliced into orjson's text in
+    is spelled by `repr`, set to NaN, and spliced into orjson's text in
     place of its null."""
     import orjson
 
@@ -436,7 +435,7 @@ def float_rows(values: np.ndarray,
         block = np.ascontiguousarray(values[lo:lo + rows], dtype=np.float64)
         size = np.abs(block)
         other = ~(((1e-4 <= size) & (size < 1e16)) | (size < 1e-9))  # NaN too
-        spelled = map(spell, block[other].tolist())
+        spelled = map(_finite_repr, block[other].tolist())
         pieces = orjson.dumps(np.where(other, np.nan, block),
                               option=orjson.OPT_SERIALIZE_NUMPY).decode().split("null")
         text = pieces[0] + "".join(map(str.__add__, spelled, pieces[1:]))
@@ -452,49 +451,35 @@ def stack_to_csv(stack: HistogramStack, write: Callable[[str], object]) -> None:
         write(f"{i},{text}\n")
 
 
-def _array_block(values: np.ndarray, indent: str, write: Callable[[str], object]) -> None:
-    """Write a 2-D float array a row at a time, as `json.dumps(values.tolist(),
-    indent=2)` lays it out when its opening bracket is indented by `indent`:
-    the rows of `float_rows`, each float spelled as `json` spells it (NaN and
-    the infinities by name)."""
-    row_pad, item_pad = indent + "  ", indent + "    "
-    sep = ",\n" + item_pad
-    lead = f"[\n{row_pad}"
-    for text in float_rows(values, json.dumps):
-        write(lead + (f"[\n{item_pad}{text.replace(',', sep)}\n{row_pad}]"
-                      if values.shape[1] else "[]"))
-        lead = f",\n{row_pad}"
-    write(f"\n{indent}]" if len(values) else "[]")
-
-
-def _holds_array(o) -> bool:
-    if isinstance(o, (dict, list, tuple)):
-        return any(map(_holds_array, o.values() if isinstance(o, dict) else o))
-    return isinstance(o, np.ndarray) and o.ndim == 2 and o.dtype.kind == "f"
+def _array_block(values: np.ndarray, write: Callable[[str], object]) -> None:
+    """Write a 2-D float array of at least one row and one column a row at a
+    time, as `json.dumps(values.tolist(), indent=2)` lays it out as a value
+    of a top-level dict: the rows of `float_rows`, whose `repr` spelling is
+    json's for a finite float."""
+    lead = "[\n    ["
+    for text in float_rows(values):
+        write(lead + "\n      " + text.replace(",", ",\n      ") + "\n    ]")
+        lead = ",\n    ["
+    write("\n  ]")
 
 
 def dump_json(obj, write: Callable[[str], object]) -> None:
-    """Write `json.dumps(obj, indent=2, sort_keys=True)`, where obj may also
-    hold 2-D float numpy arrays (inside dicts and lists), as nested lists of
-    floats, written a row at a time by `_array_block` rather than by json's
-    pure-Python indenting encoder; the bytes are the same."""
-    _dump_at(obj, "", write)
-
-
-def _dump_at(o, indent: str, write: Callable[[str], object]) -> None:
-    """`dump_json` of `o` at `indent`: a part that holds no array is one
-    `json.dumps`, re-indented (json escapes the newlines inside strings),
-    and a dict that holds one has string keys, as `sample`'s has."""
-    if not _holds_array(o):
-        write(json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + indent))
-    elif isinstance(o, np.ndarray):
-        _array_block(o, indent, write)
-    else:
-        is_dict, inner = isinstance(o, dict), indent + "  "
-        items = [(json.dumps(k) + ": ", v) for k, v in sorted(o.items())] if is_dict \
-            else [("", v) for v in o]
-        write("{" if is_dict else "[")
-        for i, (key, value) in enumerate(items):
-            write(("," if i else "") + "\n" + inner + key)
-            _dump_at(value, inner, write)
-        write("\n" + indent + ("}" if is_dict else "]"))
+    """Write `json.dumps(obj, indent=2, sort_keys=True)`, where obj may be a
+    dict with 2-D float numpy arrays among its values, as `sample`'s is.
+    That dict is written item by item in sorted key order: an array a row at
+    a time by `_array_block`, its values finite so that the text is strict
+    JSON, and any other value as one `json.dumps`, re-indented (json escapes
+    the newlines inside strings); the bytes are the same.  Any other payload
+    is one `json.dumps`, which refuses an array below the top level."""
+    if not (isinstance(obj, dict) and any(isinstance(v, np.ndarray) for v in obj.values())):
+        write(json.dumps(obj, indent=2, sort_keys=True))
+        return
+    lead = "{"
+    for key, value in sorted(obj.items()):
+        write(f"{lead}\n  {json.dumps(key)}: ")
+        if isinstance(value, np.ndarray):
+            _array_block(value, write)
+        else:
+            write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+        lead = ","
+    write("\n}")

@@ -340,6 +340,14 @@ class TableRule(Spec):
         if self.default is not None:
             object.__setattr__(self, "default", _check_beta_pair(self.default, "<default>"))
 
+    def to_json(self) -> dict:
+        """The spec form, an infinite parameter spelled "inf" as
+        `_check_beta_pair` reads it: strict JSON has no infinity."""
+        out = super().to_json()
+        for pair in [*out["pairs"].values(), out.get("default", [])]:
+            pair[:] = ["inf" if b == math.inf else b for b in pair]
+        return out
+
     completely_random = False
 
     def pair(self, level: int, pos: int) -> tuple[float, float]:

@@ -13,9 +13,9 @@ of the module, nested ones included.
 No package is needed beyond pytest.  The file is not a test module, so the
 test suite does not collect it, and it is no gate: it is a tool for finding
 code that no test reaches.  Three limits:
-- The tracer slows every traced line, and the suite 2-3x in all.  Under
-  it `tests/test_exponent_limit.py::test_huge_coefficients_fall_back_quickly`
-  exceeds its 1 s wall-clock bound and fails; the plain run passes.
+- The tracer slows every traced line, and the suite 2-3x in all.  So the
+  tests marked `wallclock`, which assert a wall-clock bound, run untraced,
+  and the lines only they run count as never run.
 - Code run only in a subprocess (the tests that start a fresh interpreter)
   is not traced, so it counts as never run unless an in-process test runs
   it too.
@@ -66,11 +66,14 @@ def main(args: list[str]) -> int:
     class Retrace:
         """Puts the tracer back before each test: Python drops a trace
         function that raises, as it does when a test reaches the recursion
-        limit."""
+        limit.  A test marked `wallclock` asserts a wall-clock bound, which
+        the tracer's cost would break, so it runs untraced."""
 
         @staticmethod
         def pytest_runtest_setup(item):
-            sys.settrace(call)
+            tracer = None if item.get_closest_marker("wallclock") else call
+            sys.settrace(tracer)
+            threading.settrace(tracer)
 
     threading.settrace(call)
     sys.settrace(call)

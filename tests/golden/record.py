@@ -75,6 +75,9 @@ GAUSSIANS = {"gaussian_constant": "6", "gaussian_point_mass": "6", "gaussian_ker
 
 DEPTH, N = "6", "50"
 
+#: the depth of the entries whose rows are longer than a `FLOAT_BLOCK`
+DEEP = "16"
+
 
 def commands() -> list[list[str]]:
     """argv lists; `{name}` stands for the file of system `name`."""
@@ -122,6 +125,9 @@ def commands() -> list[list[str]]:
         ]
     for name in ("dirichlet_lebesgue", "gaussian_diagonal"):
         out.append(["diagnose", "--system", "{%s}" % name, *small_diagnose])
+    deep = ["--system", "{dirichlet_lebesgue}", "--depth", DEEP]
+    deep_draws = [*deep, "--replicates", "2", "--seed", "0", "--jobs", "1"]
+    out += [["mean", *deep], ["path", *deep_draws], ["sample", *deep_draws, "--format", "json"]]
     return out
 
 

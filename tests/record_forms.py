@@ -9,6 +9,7 @@ fields.  The differential tests hold the classes' own `to_json` to the same
 bytes.
 """
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -108,5 +109,6 @@ def _field_form(value):
     if isinstance(value, Spec):
         return spec_form(value)
     if isinstance(value, (tuple, np.ndarray)):
-        return np.asarray(value).tolist()
+        # a table rule's infinite splitting parameter, as the rule reads it
+        return ["inf" if v == math.inf else v for v in np.asarray(value).tolist()]
     return {k: _field_form(v) for k, v in value.items()} if isinstance(value, dict) else value

@@ -62,6 +62,7 @@ def _z(values: np.ndarray, target: float) -> float:
     return (values.mean() - target) / se
 
 
+@pytest.mark.wallclock
 def test_criterion_01_coherence_suite():
     chain = dyadic_chain(depth=6)
     started = time.perf_counter()
@@ -119,6 +120,7 @@ def test_criterion_04_polya_moment_closed_forms():
           f"second moment 1/9 z = {z_homog:+.2f}")
 
 
+@pytest.mark.wallclock
 def test_criterion_05_condition_evaluators():
     started = time.perf_counter()
 
@@ -165,6 +167,7 @@ def test_criterion_06_constant_kernel_statistics():
           f"0..8; row spread {worst:.1e}")
 
 
+@pytest.mark.wallclock
 def test_criterion_07_brownian_increments():
     started = time.perf_counter()
     chain = dyadic_chain(depth=12)

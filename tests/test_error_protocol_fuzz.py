@@ -200,6 +200,8 @@ CHECK = ("check", "--depth", "3")
 MEAN = ("mean", "--depth", "2", "--format", "csv")
 DIAGNOSE = ("diagnose", "--depths", "2,3", "--N", "1000", "--seed", "0", "--L-grid", "1,2",
             "--delta", "0.1", "--jobs", "1", "--format", "json")
+SAMPLE_JSON = ("sample", "--depth", "2", "--replicates", "3", "--seed", "0", "--jobs", "1",
+               "--format", "json")
 
 
 @settings(derandomize=True, database=None, max_examples=1000,
@@ -231,6 +233,9 @@ DIAGNOSE = ("diagnose", "--depths", "2,3", "--N", "1000", "--seed", "0", "--L-gr
 # an off-path over path-side weight past the float range: the log-sum was Infinity
 @example(("golden/polya_table_inf", ("beta",), "set",
           {"rule": "table", "pairs": {"()": [1e-300, 1e300]}, "default": [1.0, 1.0]}, CHECK))
+# an infinite splitting parameter, echoed with the system: it was the token Infinity
+@example(("golden/polya_table_inf", ("beta", "default", 0), "set", "inf", SAMPLE_JSON))
+@example(("golden/polya_table_inf", ("beta", "pairs", "()", 1), "set", math.inf, DIAGNOSE))
 # check depths past the cap: 2.0 ** 1024 in the Dirichlet and mass-matching
 # evidence raised OverflowError, and the Cantor rule ran for minutes
 @example(("perfbench/dirichlet_lebesgue", ("base", "type"), "set", "lebesgue",
@@ -249,6 +254,16 @@ def test_every_input_follows_the_error_protocol(case):
     assert_check_depth_refused(argv, code, err)
     if must_refuse:
         assert code == 1, (spec, argv, err)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, obj in GOLDEN.items() if "family" in obj))
+@pytest.mark.parametrize("argv", [SAMPLE_JSON, DIAGNOSE], ids=["sample-json", "diagnose"])
+def test_json_outputs_of_the_golden_systems_are_strict(name, argv):
+    """`sample` and `diagnose` echo the system; a table rule's infinite
+    splitting parameter is the string "inf" there, as the rule reads it.
+    The atoms off (0, 1] take the golden chain over the real line."""
+    chain = json.dumps(GOLDEN["triangular_inf"]) if name == "dirichlet_atoms" else None
+    assert run(GOLDEN[name], argv, chain) == (0, "")
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,13 @@ def test_a_base_past_the_bit_limit_is_left_undecided():
     assert conditions._leading_term_limit("(2^40000)^m*(3^30000)^m") is None
 
 
+def test_a_coefficient_past_the_bit_limit_is_left_undecided():
+    """The expanded power's coefficients pass `POWER_BIT_LIMIT` bits (also
+    run, timed, below)."""
+    assert conditions._leading_term_limit("(2^60000*m + 1)^64") is None
+
+
+@pytest.mark.wallclock
 def test_huge_coefficients_fall_back_quickly():
     start = time.perf_counter()
     assert conditions._leading_term_limit("(1.1^600*0.9^600*m + 1)^256") == 0.0

@@ -180,26 +180,51 @@ def test_leakage_path_skips_both_infinite_ends():
     assert path_from_histogram(Histogram(LEAKAGE[0], np.ones(1), PROBABILITY)) == []
 
 
+def sample_payload(values) -> dict:
+    """A payload shaped as `sample --format json` writes it."""
+    return {"system": {"family": "dirichlet", "base": {"type": "lebesgue"}}, "depth": 1,
+            "seed": 3, "kind": "signed", "cells": ["0", "1"], "values": values}
+
+
+def oracle_payload_json(payload: dict) -> str:
+    return json.dumps({**payload, "values": payload["values"].tolist()}, indent=2, sort_keys=True)
+
+
+def assert_not_finite(payload) -> None:
+    with pytest.raises(ValidationError, match="must be finite") as refused:
+        text_of(dump_json, payload)
+    assert refused.value.code == "histogram/not-finite"
+
+
 @pytest.mark.parametrize("values", [
-    np.array([[-0.0, 5e-324, 1e16], [math.nan, math.inf, -math.inf]]),
-    np.array([[2e16, math.nan, 1e-7, -math.inf], [5e-05, math.inf, 0.25, -2e16]]),
+    np.array([[-0.0, 5e-324, 1e16], [2e16, 1e-7, -2e16]]),
     np.array([[0.5]]),
-    np.empty((0, 3)),
-    np.empty((2, 0)),
     np.array([[1.0, -2.5e-310, 1 / 3]] * 3),
     np.arange(6.0).reshape(2, 3).T / 7,
     (np.arange(6.0).reshape(2, 3) / 7).astype(np.float32),
-])
+], ids=["spelled", "one-cell", "rows", "transposed", "float32"])
 def test_dump_json_arrays_match_json_dumps(values):
-    payloads = [
-        values,
-        {"values": values, "kind": "signed", "cells": ["0", "1"], "seed": 3},
-        {"outer": [1, {"deep": values, "a": [values, "x"]}], "z": None},
-    ]
-    for payload in payloads:
-        expect = json.dumps(payload, indent=2, sort_keys=True,
-                            default=lambda a: a.tolist())
-        assert text_of(dump_json, payload) == expect
+    payload = sample_payload(values)
+    assert text_of(dump_json, payload) == oracle_payload_json(payload)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([[-0.0, 5e-324, 1e16], [math.nan, math.inf, -math.inf]]),
+    np.array([[2e16, math.nan, 1e-7, -math.inf], [5e-05, math.inf, 0.25, -2e16]]),
+])
+def test_dump_json_refuses_non_finite_arrays(values):
+    """JSON has no NaN or infinity; CSV refuses them too."""
+    assert_not_finite(sample_payload(values))
+
+
+@pytest.mark.parametrize("payload", [
+    np.array([[0.5]]), {"outer": [1, {"deep": np.array([[0.5]])}]},
+], ids=["bare", "nested"])
+def test_dump_json_refuses_an_array_below_the_top_level(payload):
+    """Only a top-level dict's values are written as arrays; elsewhere
+    `json.dumps` meets the array."""
+    with pytest.raises(TypeError, match="ndarray is not JSON serializable"):
+        text_of(dump_json, payload)
 
 
 def test_dump_json_with_a_string_spelling_the_placeholder():
@@ -277,16 +302,18 @@ def test_float_rows_split_rows_and_blocks(columns):
 
 @pytest.mark.parametrize("columns", [1, 3, FLOAT_BLOCK + 3])
 def test_spelled_values_straddle_a_block_boundary(columns):
-    """Values that orjson lays out otherwise, and NaN and the infinities for
-    JSON, at the end of one `FLOAT_BLOCK` block and the start of the next."""
+    """Values that orjson lays out otherwise, and NaN and the infinities, at
+    the end of one `FLOAT_BLOCK` block and the start of the next."""
     rows = FLOAT_BLOCK // columns or 1  # per block
     values = np.full((2 * rows + 1, columns), 0.5)
     edge = rows * columns  # the first value of the second block
     values.flat[edge - 4:edge + 4] = [1e-7, 2e16, -5e-05, 1e-9, -1e16,
                                       9.999999999999999e-05, 3e-06, 1e300]
     assert list(float_rows(values)) == oracle_rows(values)
+    payload = sample_payload(values)
+    assert text_of(dump_json, payload) == oracle_payload_json(payload)
     values.flat[[edge - 5, edge - 1, edge, edge + 4]] = [math.inf, math.nan, -math.inf, math.nan]
-    assert text_of(dump_json, values) == json.dumps(values.tolist(), indent=2)
+    assert_not_finite(sample_payload(values))
 
 
 def test_float_rows_of_dirichlet_cells():

@@ -15,17 +15,18 @@ import pytest
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 
-from record import DIGESTS, run  # noqa: E402
+from record import DEEP, DIGESTS, run  # noqa: E402
 
 CORPUS = json.loads(DIGESTS.read_text())
 
 
 def _entry_id(entry) -> str:
-    """The first three words, plus the --chain and --format options and the
-    --interior flag that tell apart commands on one system."""
+    """The first three words, plus the --chain and --format options, the
+    --interior flag and a --depth of `DEEP` that tell apart commands on one
+    system."""
     argv = entry["argv"]
     options = [f"{flag} {value}" for flag, value in zip(argv[3:], argv[4:])
-               if flag in ("--chain", "--format")]
+               if flag in ("--chain", "--format") or (flag, value) == ("--depth", DEEP)]
     return " ".join(argv[:3] + ["--interior"] * ("--interior" in argv) + options)
 
 
