@@ -127,21 +127,6 @@ def _resolve_chain(system, chain_path: Optional[str], depth: int) -> PartitionCh
     return chain
 
 
-def _pieces(put, export, args) -> None:
-    """Pass each piece ``export(*args, write)`` writes to `put` as it comes,
-    then a newline unless the last piece ends in one."""
-    last = ""
-
-    def write(piece: str) -> None:
-        nonlocal last
-        if piece:
-            put(piece)
-            last = piece
-    export(*args, write)
-    if not last.endswith("\n"):
-        put("\n")
-
-
 def _refuse_existing(force: bool, *outs: Optional[str]) -> None:
     """Refuse an existing output file unless `force`: called once the options and
     the system file are read, before any chain, draw or condition is evaluated."""
@@ -151,9 +136,10 @@ def _refuse_existing(force: bool, *outs: Optional[str]) -> None:
 
 
 def _export(out: Optional[str], export, *args) -> None:
-    """`_pieces` to standard output, or to the file `out`."""
+    """Pass `write` to ``export(*args, write)``, writing its text, which ends
+    in a newline, to standard output or to the file `out`."""
     if out is None:
-        _pieces(partial(click.echo, nl=False), export, args)
+        export(*args, partial(click.echo, nl=False))
         return
     target = Path(out)
     # write a temporary file next to the target and move it into place
@@ -163,7 +149,7 @@ def _export(out: Optional[str], export, *args) -> None:
                                    suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
-                _pieces(f.write, export, args)
+                export(*args, f.write)
             umask = os.umask(0)
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)  # the mode a plain open would give

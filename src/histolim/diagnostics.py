@@ -16,6 +16,7 @@ in standard-error units rather than raw tolerances.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -46,15 +47,13 @@ from .histograms import (
     Histogram,
     PiecewiseDensity,
     PolynomialDensity,
+    _abs_polynomial_integral,
     _adaptive_simpson,
     _positions_in,
     _step_on_cell,
     check_summary,
-    histogram_density,
-    lebesgue_reference,
     project_values,
     truncation_values,
-    tv_distance_density,
     value_summary,
 )
 from .partitions import Partition, PartitionChain, max_depth
@@ -403,37 +402,19 @@ def _curves(system: HistogramSystem, chain: PartitionChain, depths: Sequence[int
 # ---------------------------------------------------------------------------
 # deterministic curves
 
-def _cell_masses(density: Density, partition: Partition) -> np.ndarray:
-    """The density's mass on each bounded interval cell, read as
-    `tv_distance_density` reads it: a polynomial exactly, a piecewise
-    density by its value on the cell, any other callable by adaptive
-    Simpson."""
-    masses = np.zeros(len(partition))
-    edges = partition.edges().tolist()
-    steps = (_positions_in(density.partition, partition, partition.cut_points())
-             if isinstance(density, PiecewiseDensity) else None)
-    for k, (a, b) in enumerate(zip(edges, edges[1:])):
-        if not (-math.inf < a and b < math.inf):
-            continue
-        i = k + partition.has_atom
-        if isinstance(density, PolynomialDensity):
-            masses[i] = density.integral(a, b)
-        elif steps is not None:
-            masses[i] = _step_on_cell(density, steps[k]).coefficients[0] * (b - a)
-        else:
-            masses[i] = _adaptive_simpson(density, a, b)
-    return masses
-
-
 def tv_martingale_curve(density: Density, chain: PartitionChain,
                         depths: Optional[Sequence[int]] = None,
                         ) -> tuple[tuple[int, float], ...]:
-    """Total-variation distance between a fixed density and its per-level
-    histogram approximations (cell averages against the flat reference).
+    """Total-variation distance (1/2) * integral |f - f_m| between a fixed
+    density f and its level-m histogram average f_m (each cell's mass over
+    its width), at each depth m; the distances decrease along refinements.
 
-    The distances decrease along refinements; a density putting mass on a
-    zero-width or zero-reference cell raises the domination error from the
-    underlying density helpers.
+    Each level reads f once on each interval cell: a polynomial exactly, a
+    `PiecewiseDensity` as its constant on that cell, any other callable by
+    adaptive Simpson.  The masses must be a positive histogram, the cells
+    bounded, and a cell of zero width massless.  The distance is then exact
+    on a polynomial cell (the absolute value split at its real roots) and
+    adaptive Simpson on any other.
     """
     if depths is None:
         depths = range(1, chain.depth + 1)
@@ -441,11 +422,44 @@ def tv_martingale_curve(density: Density, chain: PartitionChain,
     out = []
     for m in depths:
         part = chain[m]
-        masses = _cell_masses(density, part)
-        h = Histogram(part, masses, POSITIVE)
-        flat = lebesgue_reference(part)
-        step = histogram_density(h, flat)
-        out.append((int(m), tv_distance_density(density, step, partition=part)))
+        edges = part.edges().tolist()
+        steps = (_positions_in(density.partition, part, part.cut_points())
+                 if isinstance(density, PiecewiseDensity) else None)
+        masses, cells = np.zeros(len(part)), []
+        for k, (a, b) in enumerate(zip(edges, edges[1:])):
+            if not (-math.inf < a and b < math.inf):
+                continue  # refused below, once every mass is read
+            i, f = k + part.has_atom, density
+            if steps is not None:
+                f = _step_on_cell(density, steps[k])
+                masses[i] = f.coefficients[0] * (b - a)
+            elif isinstance(density, PolynomialDensity):
+                masses[i] = density.integral(a, b)
+            else:
+                masses[i] = _adaptive_simpson(density, a, b)
+            if a < b:
+                cells.append((i, a, b, f))
+        check_summary(POSITIVE, *value_summary(masses, POSITIVE))
+        widths = part.widths()
+        if not np.all(np.isfinite(widths)):
+            raise ValidationError("histogram/unbounded", "flat reference needs bounded cells")
+        check_summary(POSITIVE, *value_summary(widths, POSITIVE))  # cut points out of order
+        heavy = np.flatnonzero((widths == 0) & (masses != 0))
+        if len(heavy):
+            i = int(heavy[0])
+            raise ValidationError("density/zero-reference-cell", f"cell {part.describe_cell(i)} "
+                                  f"has zero reference mass but p={masses[i]}")
+        means = np.divide(masses, widths, out=np.zeros_like(masses), where=widths != 0)
+        total = 0.0
+        for i, a, b, f in cells:
+            mean = PolynomialDensity((float(means[i]),))
+            if isinstance(f, PolynomialDensity):
+                diff = itertools.zip_longest(f.coefficients, mean.coefficients, fillvalue=0.0)
+                gap = PolynomialDensity(tuple(c - g for c, g in diff))
+                total += _abs_polynomial_integral(gap, a, b)
+            else:
+                total += _adaptive_simpson(lambda x: abs(f(x) - mean(x)), a, b)
+        out.append((int(m), 0.5 * total))
     return tuple(out)
 
 

@@ -12,13 +12,12 @@ truncated-excess statistic sum_A max(p(A) - L q(A), 0) measures the mass of
 p that no multiple L of the reference q can cover — the finite-depth probe
 behind the dominated-mass condition.
 
-Densities come in two flavours: `PiecewiseDensity` (a step function of the
-cell averages, i.e. the density of a histogram with respect to a reference
-histogram) and `PolynomialDensity` (an exact polynomial in x).  The
-total-variation distance (1/2) * integral |f - g| d(ref) is evaluated in
-closed form whenever the integrand is piecewise polynomial — the absolute
-value is split at real roots — and by adaptive Simpson quadrature (interval
-halving until successive estimates agree within 1e-9) otherwise.
+Densities come in two flavours: `PiecewiseDensity` (a step function on the
+cells of a partition) and `PolynomialDensity` (an exact polynomial in x).
+The integrals `diagnostics.tv_martingale_curve` takes of them are exact for
+a polynomial on a cell (its absolute value split at real roots) and by
+adaptive Simpson quadrature (interval halving until successive estimates
+agree within 1e-9) otherwise.
 """
 
 from __future__ import annotations
@@ -227,39 +226,6 @@ class PolynomialDensity:
 Density = Union[PiecewiseDensity, PolynomialDensity, Callable[[float], float]]
 
 
-def histogram_density(p: Histogram, q: Histogram) -> PiecewiseDensity:
-    """Cellwise density of p with respect to q (the step function p(A)/q(A)).
-
-    Cells with q(A) = 0 must carry p(A) = 0 and get density 0; anything else
-    would put mass where the reference has none.
-    """
-    if p.partition != q.partition:
-        raise ValidationError("histogram/partition-mismatch",
-                              "p and q must live on the same partition")
-    if np.any(q.values < 0):
-        raise ValidationError("histogram/negative-reference",
-                              "reference histogram must be nonnegative")
-    zero = q.values == 0
-    if np.any(zero & (p.values != 0)):
-        i = int(np.argmax(zero & (p.values != 0)))
-        raise ValidationError(
-            "density/zero-reference-cell",
-            f"cell {p.partition.describe_cell(i)} has zero reference mass but p={p.values[i]}",
-        )
-    out = np.zeros_like(p.values)
-    np.divide(p.values, q.values, out=out, where=~zero)
-    return PiecewiseDensity(p.partition, out)
-
-
-def lebesgue_reference(partition: Partition) -> Histogram:
-    """Cell widths as a positive histogram (the flat reference)."""
-    widths = partition.widths()
-    if not np.all(np.isfinite(widths)):
-        raise ValidationError("histogram/unbounded",
-                              "flat reference needs bounded cells")
-    return Histogram(partition, widths, POSITIVE)
-
-
 def _abs_polynomial_integral(poly: PolynomialDensity, a: float, b: float) -> float:
     """Exact integral of |poly| over [a, b]: split at real roots, then sign
     the piecewise antiderivative by a midpoint sample."""
@@ -321,63 +287,6 @@ def _step_on_cell(f: PiecewiseDensity, pos: int | None) -> PolynomialDensity:
         raise ValidationError("density/partition-mismatch",
                               "piecewise density does not align with the integration cells")
     return PolynomialDensity((float(f.values[pos]),))
-
-
-def tv_distance_density(f: Density, g: Density, *,
-                        partition: Partition | None = None,
-                        reference: Histogram | None = None) -> float:
-    """Total-variation distance (1/2) * integral |f - g| d(ref).
-
-    The integral runs over the interval cells of the partition with the
-    most cells among `partition` and the piecewise densities' own (the last
-    of them on a tie).  The reference defaults to the flat measure on the
-    cells (Lebesgue); a positive reference histogram reweights each cell
-    uniformly.  When both densities are piecewise constant / polynomial on
-    the cells the integral is exact; otherwise each cell falls back to
-    adaptive Simpson.
-    """
-    for d in (f, g):
-        if isinstance(d, PiecewiseDensity):
-            if partition is None or len(d.partition) >= len(partition):
-                partition = d.partition
-    if partition is None:
-        raise ValidationError("density/no-cells",
-                              "need a partition when neither density is piecewise")
-    if reference is not None and np.any(reference.values < 0):
-        raise ValidationError("histogram/negative-reference",
-                              "reference histogram must be nonnegative")
-    pts = partition.cut_points()
-    edges = partition.edges().tolist()
-    steps = [_positions_in(d.partition, partition, pts) if isinstance(d, PiecewiseDensity)
-             else None for d in (f, g)]
-    ref_at = None if reference is None else _positions_in(reference.partition, partition, pts)
-    total = 0.0
-    for i, (a, b) in enumerate(zip(edges, edges[1:])):
-        if not (-math.inf < a and b < math.inf):
-            raise ValidationError("density/unbounded",
-                                  "density distances need bounded cells")
-        if b <= a:
-            continue
-        weight = 1.0
-        if ref_at is not None:
-            if ref_at[i] is None:
-                raise ValidationError("density/partition-mismatch",
-                                      "reference histogram does not cover the integration cells")
-            weight = float(reference.values[ref_at[i]]) / (b - a)
-            if weight == 0.0:
-                continue
-        fc, gc = (d if at is None else _step_on_cell(d, at[i]) for d, at in zip((f, g), steps))
-        if isinstance(fc, PolynomialDensity) and isinstance(gc, PolynomialDensity):
-            n = max(len(fc.coefficients), len(gc.coefficients))
-            diff = tuple(
-                (fc.coefficients[k] if k < len(fc.coefficients) else 0.0)
-                - (gc.coefficients[k] if k < len(gc.coefficients) else 0.0)
-                for k in range(n)
-            )
-            total += weight * _abs_polynomial_integral(PolynomialDensity(diff), a, b)
-        else:
-            total += weight * _adaptive_simpson(lambda x: abs(fc(x) - gc(x)), a, b)
-    return 0.5 * total
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +373,16 @@ def _array_block(values: np.ndarray, write: Callable[[str], object]) -> None:
 
 
 def dump_json(obj, write: Callable[[str], object]) -> None:
-    """Write `json.dumps(obj, indent=2, sort_keys=True)`, where obj may be a
-    dict with 2-D float numpy arrays among its values, as `sample`'s is.
-    That dict is written item by item in sorted key order: an array a row at
-    a time by `_array_block`, its values finite so that the text is strict
-    JSON, and any other value as one `json.dumps`, re-indented (json escapes
-    the newlines inside strings); the bytes are the same.  Any other payload
-    is one `json.dumps`, which refuses an array below the top level."""
+    """Write `json.dumps(obj, indent=2, sort_keys=True)` and a newline, where
+    obj may be a dict with 2-D float numpy arrays among its values, as
+    `sample`'s is.  That dict is written item by item in sorted key order:
+    an array a row at a time by `_array_block`, its values finite so that
+    the text is strict JSON, and any other value as one `json.dumps`,
+    re-indented (json escapes the newlines inside strings); the bytes are
+    the same.  Any other payload is one `json.dumps`, which refuses an array
+    below the top level."""
     if not (isinstance(obj, dict) and any(isinstance(v, np.ndarray) for v in obj.values())):
-        write(json.dumps(obj, indent=2, sort_keys=True))
+        write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
         return
     lead = "{"
     for key, value in sorted(obj.items()):
@@ -482,4 +392,4 @@ def dump_json(obj, write: Callable[[str], object]) -> None:
         else:
             write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
         lead = ","
-    write("\n}")
+    write("\n}\n")

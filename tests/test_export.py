@@ -187,7 +187,8 @@ def sample_payload(values) -> dict:
 
 
 def oracle_payload_json(payload: dict) -> str:
-    return json.dumps({**payload, "values": payload["values"].tolist()}, indent=2, sort_keys=True)
+    return json.dumps({**payload, "values": payload["values"].tolist()},
+                      indent=2, sort_keys=True) + "\n"
 
 
 def assert_not_finite(payload) -> None:
@@ -234,12 +235,12 @@ def test_dump_json_with_a_string_spelling_the_placeholder():
     for text in ("\x00ndarray 0", "\x00ndarray 1"):
         payload = {"a": text, "values": values}
         assert text_of(dump_json, payload) == json.dumps(
-            {"a": text, "values": values.tolist()}, indent=2, sort_keys=True)
+            {"a": text, "values": values.tolist()}, indent=2, sort_keys=True) + "\n"
 
 
 def test_dump_json_small_payloads_unchanged():
     payload = {"conditions": {"x": {"status": "holds", "value": 0.1}}, "n": [1, 2.5]}
-    assert text_of(dump_json, payload) == json.dumps(payload, indent=2, sort_keys=True)
+    assert text_of(dump_json, payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

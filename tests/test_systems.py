@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from histolim.systems import (
     PointMassCovariance,
     PolyaTreeSystem,
     TableRule,
+    _compile_level_expression,
     assemble_sigma,
     leakage_rows,
     sigma_factor,
@@ -424,6 +426,24 @@ def test_an_expression_built_near_the_recursion_limit_fails_deeper_down():
         _below(50, lambda: rule.level_parameter(2))
     assert (e.value.code, str(e.value)) == ("system/beta-expression",
                                             f"{rule.expr!r} is nested too deeply to evaluate")
+
+
+def test_an_expression_run_past_the_recursion_limit_is_too_deep():
+    """Evaluating recurses once per level of the expression: 'm+m+...+m'
+    nests 400 additions, so under a recursion limit of 200 the compiled
+    function fails, as too deep, when it is called."""
+    expr = "m" + "+m" * 400
+    evaluate = _compile_level_expression(expr)
+    assert evaluate(1) == 401.0
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        with pytest.raises(ValidationError) as e:
+            evaluate(1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (e.value.code, str(e.value)) == ("system/beta-expression",
+                                            f"{expr!r} is nested too deeply to evaluate")
 
 
 def test_a_kernel_length_whose_square_overflows_is_refused_on_load():
