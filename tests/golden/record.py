@@ -61,6 +61,11 @@ SYSTEMS = {
                                   ["-inf", "-1.0", "0.0", "1.0", "+inf"],
                                   ["-inf", "-2.0", "-1.0", "-0.5", "0.0", "0.5", "1.0",
                                    "2.0", "+inf"]]},
+    # not a system: a dyadic chain over (0, 2], passed as --chain
+    "dyadic_0_2": {"domain": {"left": "0", "right": "2", "closed_left": False},
+                   "kind": "dyadic",
+                   "levels": [["0", "2"], ["0", "1", "2"], ["0", "1/2", "1", "3/2", "2"],
+                              ["0", "1/4", "1/2", "3/4", "1", "5/4", "3/2", "7/4", "2"]]},
 }
 
 #: the systems every subcommand runs on
@@ -103,8 +108,13 @@ def commands() -> list[list[str]]:
         ["path", *interior, *draws],
         ["mean", "--system", "{leakage}", "--depth", DEPTH, "--format", "json"],
     ]
-    for name in ("polya_cantor_trig", "dirichlet_atoms"):
-        on_line = ["--system", "{%s}" % name, "--chain", "{triangular_inf}", "--depth", "3"]
+    # the mass-matching rule splits with the masses of the dyadic cells of
+    # (0, 1] on whatever chain it is drawn
+    for name, chain in (("polya_cantor_trig", "triangular_inf"),
+                        ("dirichlet_atoms", "triangular_inf"),
+                        ("polya_dirichlet_match", "triangular_inf"),
+                        ("polya_dirichlet_match", "dyadic_0_2")):
+        on_line = ["--system", "{%s}" % name, "--chain", "{%s}" % chain, "--depth", "3"]
         out += [
             ["check", *on_line],
             ["mean", *on_line],

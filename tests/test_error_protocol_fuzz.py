@@ -45,7 +45,7 @@ def _skeletons() -> dict:
     found = {f"perfbench/{p.stem}": json.loads(p.read_text())
              for p in sorted((ROOT / "perfbench" / "systems").glob("*.json"))}
     found.update((f"golden/{name}", obj) for name, obj in GOLDEN.items()
-                 if "family" in obj)  # one entry is a chain, not a system
+                 if "family" in obj)  # two entries are chains, not systems
     for name, obj in list(found.items()):
         spelled = json.loads(json.dumps(system_from_json(obj).to_json()))
         if spelled != obj:
