@@ -175,7 +175,7 @@ def _directional_product_verdict(system: PolyaTreeSystem, bit: int, depth: int,
                            "to the mass of a shrinking half-open cell with "
                            "empty intersection; any finite base sends it to 0",
                            evidence)
-        point = float(rule.domain.right)  # approached by the all-ones cells
+        point = 1.0  # approached by the all-ones cells of (0, 1]
         atom = _point_mass(rule.base, point)
         if atom == 0.0:
             return Verdict(name, HOLDS, anchor,
@@ -345,7 +345,7 @@ def polya_weak_condition(system: PolyaTreeSystem,
                        evidence)
 
     if isinstance(rule, DirichletMatchRule):
-        total = rule.base.total(rule.domain)
+        total = rule.base.total(Domain.unit())
         evidence = tuple((m, (total + 2.0 ** m) / (total + 1.0))
                          for m in range(1, depth + 1))
         return Verdict(name, SUFFICIENT_CONDITION_FAILS, anchor,
@@ -590,7 +590,7 @@ def _chain_levels(chain: PartitionChain, depth: int):
         if m <= chain.depth:
             yield m, chain[m]
         elif chain.kind == "dyadic":
-            yield m, Partition(chain.domain, "dyadic", m)
+            yield m, Partition(chain.domain, m)
         else:
             return
 

@@ -5,8 +5,10 @@ distinguished: `probability` (nonnegative, sums to one within 1e-12),
 `positive` (nonnegative), and `signed` (anything finite).  Values are stored
 in a read-only numpy array in the partition's cell order.
 
-Projection onto a coarser partition sums each group of child cells; because
-it is a row-stochastic-transpose operation it preserves kind.  Total
+Projection onto a coarser partition (`project_values`) sums each run of
+fine cells that starts at a coarse cell's start position
+(`partitions.refine_map`);
+because it is a row-stochastic-transpose operation it preserves kind.  Total
 variation of a signed histogram is the absolute-value sum, and the
 truncated-excess statistic sum_A max(p(A) - L q(A), 0) measures the mass of
 p that no multiple L of the reference q can cover — the finite-depth probe
@@ -30,7 +32,7 @@ from typing import Callable, Iterator, Union
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .partitions import Partition, RefinementMap, format_endpoint, refine_map
+from .partitions import Partition, format_endpoint
 
 PROBABILITY = "probability"
 POSITIVE = "positive"
@@ -132,28 +134,10 @@ class HistogramStack:
         return Histogram(self.partition, self.values[i], self.kind)
 
 
-def _resolve_map(source: Partition, target: Union[Partition, RefinementMap]) -> RefinementMap:
-    if isinstance(target, RefinementMap):
-        if target.fine != source:
-            raise ValidationError("histogram/partition-mismatch",
-                                  "refinement map does not match the histogram's partition")
-        return target
-    return refine_map(target, source)
-
-
-def project(h: Union[Histogram, HistogramStack],
-            target: Union[Partition, RefinementMap]) -> Union[Histogram, HistogramStack]:
-    """Sum cell values into the containing cells of a coarser partition."""
-    rmap = _resolve_map(h.partition, target)
-    vals = project_values(h.values, rmap)
-    if isinstance(h, HistogramStack):
-        return HistogramStack(rmap.coarse, vals, h.kind)
-    return Histogram(rmap.coarse, vals, h.kind)
-
-
-def project_values(values: np.ndarray, rmap: RefinementMap) -> np.ndarray:
-    """Array form of `project` along the last axis."""
-    return np.add.reduceat(values, rmap.boundaries, axis=-1)
+def project_values(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Cell values summed, along the last axis, into the coarse cells whose
+    start positions among the fine cells are `starts` (a `refine_map`)."""
+    return np.add.reduceat(values, starts, axis=-1)
 
 
 def tv_norm(h: Union[Histogram, HistogramStack]) -> Union[float, np.ndarray]:

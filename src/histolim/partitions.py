@@ -28,7 +28,8 @@ Two chain builders are provided:
 
 Either way a level is its domain, level and cut points, and there are no
 cell objects: sizes, widths, edges, labels and lookups read positions off
-the cut points.
+the cut points.  A refinement of one level by a finer one is the start
+position, among the fine cells, of each coarse cell (`refine_map`).
 
 Depth is capped (default 30 levels, overridable via the HISTOLIM_MAX_DEPTH
 environment variable) because cell counts grow as 2^m.
@@ -171,7 +172,8 @@ class Partition:
 
     A partition is its domain, its level and its cut points (domain ends
     included).  A dyadic level keeps its cut points as arithmetic on an
-    exact `Fraction` grid; any other kind stores them in `cuts`.  Cell
+    exact `Fraction` grid (`cuts` is None); a triangular one stores them in
+    `cuts`.  Cell
     `pos` (0-based, left to right) is the singleton {left} when `pos` is 0
     on a left-closed domain, and otherwise the interval between the two
     cut points at `pos - has_atom`; sizes, widths, labels and lookups read
@@ -179,9 +181,12 @@ class Partition:
     """
 
     domain: Domain
-    kind: str  # "dyadic" | "triangular"
     level: int
     cuts: tuple[Endpoint, ...] | None = field(default=None, repr=False)
+
+    @property
+    def kind(self) -> str:
+        return "dyadic" if self.cuts is None else "triangular"
 
     @cached_property
     def _grid(self) -> tuple[Fraction, Fraction]:
@@ -255,22 +260,10 @@ class Partition:
         return self.has_atom + bisect.bisect_left(self.cuts, x, 1) - 1
 
 
-@dataclass(frozen=True, eq=False)
-class RefinementMap:
-    """Start position in `fine` of each coarse cell.
-
-    Every coarse cell covers a contiguous run of fine cells (a consequence
-    of nested interval refinement), so `boundaries` supports
-    np.add.reduceat-style projection of value arrays.
-    """
-
-    coarse: Partition
-    fine: Partition
-    boundaries: np.ndarray
-
-
-def refine_map(coarse: Partition, fine: Partition) -> RefinementMap:
-    """Match each coarse cell to the run of fine cells it covers.
+def refine_map(coarse: Partition, fine: Partition) -> np.ndarray:
+    """Start position in `fine` of each coarse cell, as an `np.intp` array:
+    every coarse cell covers a run of fine cells, so the starts serve
+    np.add.reduceat-style projection (`histograms.project_values`).
 
     Both partitions tile the same domain, so every interior coarse cut point
     must be a fine one, and the next coarse cell starts right after the fine
@@ -284,7 +277,7 @@ def refine_map(coarse: Partition, fine: Partition) -> RefinementMap:
         starts = np.arange(1 << coarse.level, dtype=np.intp) << (fine.level - coarse.level)
         if coarse.has_atom:
             starts = np.concatenate([np.zeros(1, dtype=np.intp), starts + 1])
-        return RefinementMap(coarse, fine, starts)
+        return starts
     starts = [0] * coarse.has_atom + [fine.has_atom]
     for cut in coarse.cut_points()[1:-1]:
         pos = fine.position_of(cut)
@@ -294,7 +287,7 @@ def refine_map(coarse: Partition, fine: Partition) -> RefinementMap:
                 f"fine cell {fine.describe_cell(pos)} straddles the coarse boundary at {format_endpoint(cut)}",
             )
         starts.append(pos + 1)
-    return RefinementMap(coarse, fine, np.array(starts, dtype=np.intp))
+    return np.array(starts, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -325,7 +318,7 @@ class PartitionChain:
     def kind(self) -> str:
         return self.partitions[0].kind
 
-    def refinement(self, coarse_level: int, fine_level: int) -> RefinementMap:
+    def refinement(self, coarse_level: int, fine_level: int) -> np.ndarray:
         if not 0 <= coarse_level <= fine_level <= self.depth:
             raise ValidationError(
                 "chain/levels",
@@ -388,7 +381,7 @@ def dyadic_chain(domain: Domain | None = None, depth: int = 0) -> PartitionChain
         raise ValidationError("partition/depth", f"depth must be >= 0, got {depth}")
     if Fraction(domain.right) <= Fraction(domain.left):
         raise ValidationError("partition/domain", f"empty domain {domain.describe()}")
-    return PartitionChain(tuple(Partition(domain, "dyadic", m) for m in range(depth + 1)))
+    return PartitionChain(tuple(Partition(domain, m) for m in range(depth + 1)))
 
 
 def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = None) -> PartitionChain:
@@ -454,7 +447,7 @@ def triangular_chain(rows: Sequence[Sequence[float]], domain: Domain | None = No
         parsed.append(row)
         prev = q
     lo, hi = domain.left, domain.right
-    return PartitionChain(tuple(Partition(domain, "triangular", n, (lo, *row, hi))
+    return PartitionChain(tuple(Partition(domain, n, (lo, *row, hi))
                                 for n, row in enumerate([[]] + parsed)))
 
 

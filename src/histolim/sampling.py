@@ -153,7 +153,7 @@ def _polya_draw(system: PolyaTreeSystem, chain: PartitionChain, depth: int):
     """
     _check_binary_chain(chain, depth)
     partition = chain[depth]
-    system.check_atom_cell(partition, depth)
+    system.check_atom_cell(partition)
     pairs = [system.rule.level_pairs(level) for level in range(1, depth + 1)]
     tree_mass = 1.0 - system.p0
 

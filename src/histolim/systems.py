@@ -399,21 +399,21 @@ class CantorTrigRule(Spec):
 
 @dataclass(frozen=True)
 class DirichletMatchRule(Spec):
-    """Each node's children split with parameters equal to their base-measure
-    masses, so that parent parameters are the sums of child parameters and the
-    tree reproduces a Dirichlet system on dyadic cells."""
+    """Each node's children split with parameters equal to the base-measure
+    masses of the dyadic cells of (0, 1] that share their address, so that
+    parent parameters are the sums of child parameters and the tree
+    reproduces a Dirichlet system on those cells."""
 
-    base: BaseMeasure
-    domain: Domain = field(default_factory=Domain.unit)
+    base: BaseMeasure = field(metadata={"table": BASE_MEASURES})
 
     completely_random = True
 
     def __post_init__(self):
-        if not self.base.total(self.domain) > 0:
+        if not self.base.total(Domain.unit()) > 0:
             raise ValidationError("system/beta", "the matching tree needs a base of positive mass")
 
     def pair(self, level: int, pos: int) -> tuple[float, float]:
-        cut = Partition(self.domain, "dyadic", level + 1).cut
+        cut = Partition(Domain.unit(), level + 1).cut
         b0 = self.base.mass_of_interval(cut(2 * pos), cut(2 * pos + 1))
         b1 = self.base.mass_of_interval(cut(2 * pos + 1), cut(2 * pos + 2))
         if b0 <= 0 or b1 <= 0:
@@ -421,8 +421,7 @@ class DirichletMatchRule(Spec):
         return (b0, b1)
 
     def level_pairs(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        partition = Partition(self.domain, "dyadic", level)
-        masses = self.base.cell_masses(partition)[partition.has_atom:]
+        masses = self.base.cell_masses(Partition(Domain.unit(), level))
         a, b = masses[0::2], masses[1::2]
         bad = np.flatnonzero((a <= 0) | (b <= 0))
         if len(bad):
@@ -436,13 +435,6 @@ class DirichletMatchRule(Spec):
             f"base measure gives a zero-mass child at node '{node_label(level, pos)}'; "
             "the matching tree needs strictly positive cell masses",
         )
-
-    @classmethod
-    def from_json(cls, obj: dict) -> DirichletMatchRule:  # on the unit domain
-        return cls(read_spec(obj["base"], BASE_MEASURES))
-
-    def to_json(self) -> dict:
-        return {"rule": "dirichlet", "base": self.base.to_json()}
 
 
 #: Each rule gives `pair(level, pos)` for the tree node addressed like cell
@@ -490,19 +482,19 @@ class PolyaTreeSystem(Family):
     def completely_random(self) -> bool:
         return self.rule.completely_random
 
-    def check_atom_cell(self, partition: Partition, level: int) -> None:
+    def check_atom_cell(self, partition: Partition) -> None:
         """A singleton mass p0 > 0 needs the zero atom cell in `partition`."""
         if self.p0 > 0.0 and not partition.has_atom:
             raise ValidationError(
                 "sampling/atom-mass",
-                f"p0={self.p0} needs a zero atom cell, absent at level {level}",
+                f"p0={self.p0} needs a zero atom cell, absent at level {partition.level}",
             )
 
     def mean(self, partition: Partition) -> Histogram:
         """Cell means level by level: each parent's mass times its expected
         split fractions, so a cell's mean is the product of the expected
         fractions along its address."""
-        self.check_atom_cell(partition, partition.level)
+        self.check_atom_cell(partition)
         mass = np.ones(1)
         for level in range(1, partition.level + 1):
             splits = split_means(*self.rule.level_pairs(level))

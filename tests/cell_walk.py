@@ -105,8 +105,7 @@ def oracle_pair(rule, node: CellIndex) -> tuple[float, float]:
         angle = 0.5 * math.pi * float(cantor_midpoint(node.bits))
         return (math.cos(angle), math.sin(angle))
     assert isinstance(rule, DirichletMatchRule)
-    b0, b1 = (rule.base.mass_of_interval(*dyadic_cell_bounds(node.bits + (b,), rule.domain))
-              for b in (0, 1))
+    b0, b1 = (rule.base.mass_of_interval(*dyadic_cell_bounds(node.bits + (b,))) for b in (0, 1))
     if b0 <= 0 or b1 <= 0:
         raise ValidationError(
             "system/beta",

@@ -26,7 +26,6 @@ from histolim.histograms import (
     PolynomialDensity,
     histogram_to_csv,
     histogram_to_json,
-    project,
     project_values,
     stack_to_csv,
     truncation_statistic,
@@ -126,11 +125,9 @@ def test_stack_shape_validation():
     assert e.value.code == "histogram/shape"
 
 
-def test_project_sums_children():
+def test_project_values_sums_children():
     h = prob(2, [0.1, 0.2, 0.3, 0.4])
-    coarse = project(h, CHAIN[1])
-    assert coarse.values.tolist() == pytest.approx([0.3, 0.7])
-    assert coarse.kind == h.kind
+    assert project_values(h.values, CHAIN.refinement(1, 2)).tolist() == pytest.approx([0.3, 0.7])
 
 
 @given(st.integers(0, 3))
@@ -138,12 +135,12 @@ def test_project_stack_matches_rowwise(level):
     rng = np.random.default_rng(99)
     vals = rng.dirichlet(np.ones(16), size=5)
     stack = HistogramStack(CHAIN[4], vals, PROBABILITY)
-    rmap = CHAIN.refinement(level, 4)
-    out = project_values(stack.values, rmap)
+    starts = CHAIN.refinement(level, 4)
+    out = project_values(stack.values, starts)
     assert out.shape == (5, 2**level)
-    ends = np.append(rmap.boundaries[1:], 16)
+    ends = np.append(starts[1:], 16)
     for i in range(5):
-        expect = [vals[i, s:e].sum() for s, e in zip(rmap.boundaries, ends)]
+        expect = [vals[i, s:e].sum() for s, e in zip(starts, ends)]
         assert out[i].tolist() == pytest.approx(expect)
 
 
@@ -190,9 +187,11 @@ def test_truncation_grows_under_refinement():
     rng = np.random.default_rng(5)
     p = prob(4, rng.dirichlet(np.ones(16)))
     q = prob(4, rng.dirichlet(np.ones(16)))
+    starts = CHAIN.refinement(2, 4)
+    p2, q2 = (prob(2, project_values(h.values, starts)) for h in (p, q))
     for L in (0.5, 1.0, 2.0):
         fine = truncation_statistic(p, q, L)
-        coarse = truncation_statistic(project(p, CHAIN[2]), project(q, CHAIN[2]), L)
+        coarse = truncation_statistic(p2, q2, L)
         assert coarse <= fine + 1e-12
 
 
@@ -223,9 +222,7 @@ def test_tv_curve_is_exact_for_polynomials():
     (lambda: Histogram(CHAIN[1], [0.5, 0.5], "mass"), "histogram/kind", "unknown kind 'mass'"),
     (lambda: Histogram(CHAIN[2], [0.5, 0.5]), "histogram/shape", "2 values for 4 cells"),
     (lambda: PiecewiseDensity(CHAIN[2], [1.0]), "density/shape", "1 values for 4 cells"),
-    (lambda: project(prob(2, [0.25] * 4), CHAIN.refinement(1, 3)), "histogram/partition-mismatch",
-     "refinement map does not match the histogram's partition"),
-], ids=["two-dimensional", "unknown-kind", "length", "density-length", "foreign-map"])
+], ids=["two-dimensional", "unknown-kind", "length", "density-length"])
 def test_malformed_histograms_are_refused(make, code, message):
     with pytest.raises(ValidationError) as e:
         make()
@@ -239,7 +236,7 @@ def test_histogram_length_is_its_cell_count():
 def test_tv_curve_skips_an_empty_cell():
     """A last cut at the domain's right end leaves the empty cell (1, 1];
     chains refuse that cut, so the chain is built directly."""
-    empty_last = Partition(Domain.unit(), "triangular", 1, (Fraction(0), 1.0, Fraction(1)))
+    empty_last = Partition(Domain.unit(), 1, (Fraction(0), 1.0, Fraction(1)))
     assert empty_last.edges().tolist() == [0.0, 1.0, 1.0]
     chain = PartitionChain((CHAIN[0], empty_last))
     slope = PolynomialDensity((0.0, 2.0))
@@ -293,7 +290,7 @@ def test_tv_curve_refuses_mass_on_a_cell_of_zero_width():
 def test_tv_curve_reads_a_step_density_on_the_levels_cells():
     """A step density on a partition that has the level's cells and more
     is read on the level's cells, and its mass beyond them is never read."""
-    wider = Partition(Domain(Fraction(0), Fraction(2)), "triangular", 1,
+    wider = Partition(Domain(Fraction(0), Fraction(2)), 1,
                       (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)))
     step = PiecewiseDensity(wider, np.array([0.5, 1.5, 7.0]))
     assert tv_martingale_curve(step, CHAIN, (1,)) == ((1, 0.0),)
@@ -493,9 +490,9 @@ def test_tv_martingale_curve_matches_the_cell_walk(name, density):
 #: hand-built chains that no chain builder makes: an empty last cell, cut
 #: points out of order, and the zero-width cells of STRADDLE
 ODD_CHAINS = {
-    "empty-last": PartitionChain((CHAIN[0], Partition(Domain.unit(), "triangular", 1,
+    "empty-last": PartitionChain((CHAIN[0], Partition(Domain.unit(), 1,
                                                       (Fraction(0), 1.0, Fraction(1))))),
-    "unordered": PartitionChain((CHAIN[0], Partition(Domain.unit(), "triangular", 1,
+    "unordered": PartitionChain((CHAIN[0], Partition(Domain.unit(), 1,
                                                      (Fraction(0), 0.75, 0.5, Fraction(1))))),
     "straddle": STRADDLE,
 }

@@ -126,12 +126,12 @@ def _gap(coarse, summed):
 def test_moments_are_coherent_along_refinements(system, moments, chain):
     fine_mean, fine_cov = moments(system, chain[chain.depth])
     for m in reversed(range(chain.depth)):
-        rmap = refine_map(chain[m], chain[m + 1])
+        starts = refine_map(chain[m], chain[m + 1])
         mean, cov = moments(system, chain[m])
         assert cov.shape == (len(chain[m]),) * 2
         assert _gap(system.mean(chain[m]).values, mean) <= REL_TOL, m
-        assert _gap(mean, project_values(fine_mean, rmap)) <= REL_TOL, m
-        assert _gap(cov, project_values(project_values(fine_cov, rmap).T, rmap)) <= REL_TOL, m
+        assert _gap(mean, project_values(fine_mean, starts)) <= REL_TOL, m
+        assert _gap(cov, project_values(project_values(fine_cov, starts).T, starts)) <= REL_TOL, m
         fine_mean, fine_cov = mean, cov
 
 

@@ -1,4 +1,4 @@
-"""Partition chains: dyadic construction, refinement maps, serialization."""
+"""Partition chains: dyadic construction, refinement starts, serialization."""
 
 import json
 import math
@@ -86,7 +86,7 @@ def test_labels_match_the_bit_addresses(domain):
 @given(bits_st)
 def test_dyadic_cut_points_are_the_bit_address_bounds(bits):
     domain = Domain(Fraction(-3, 2), Fraction(5, 4))
-    part = Partition(domain, "dyadic", len(bits))
+    part = Partition(domain, len(bits))
     label = "".join(map(str, bits))
     pos = int(label or "0", 2)
     assert (part.cut(pos), part.cut(pos + 1)) == dyadic_cell_bounds(bits, domain)
@@ -106,21 +106,32 @@ def test_position_of_locates_points(depth, x):
 def test_refinement_composition(a, b):
     coarse, fine = sorted((a, b))
     chain = dyadic_chain(depth=6)
-    starts = chain.refinement(coarse, fine).boundaries
+    starts = chain.refinement(coarse, fine)
     assert len(starts) == len(chain[coarse])
     # the runs between starts cover every fine cell once, none empty
     assert starts[0] == 0 and (np.diff(starts) > 0).all()
     assert starts[-1] < len(chain[fine])
     # composing through an intermediate level gives the same map
     mid = (coarse + fine) // 2
-    via = chain.refinement(mid, fine).boundaries[chain.refinement(coarse, mid).boundaries]
+    via = chain.refinement(mid, fine)[chain.refinement(coarse, mid)]
     assert np.array_equal(via, starts)
 
 
-def test_refinement_boundaries_are_group_starts():
+def test_refinement_is_the_group_starts():
     chain = dyadic_chain(depth=3)
-    rmap = chain.refinement(1, 3)
-    assert rmap.boundaries.tolist() == [0, 4]
+    starts = chain.refinement(1, 3)
+    assert starts.dtype == np.intp and starts.tolist() == [0, 4]
+
+
+def test_a_level_given_cut_points_is_refined_by_them():
+    """The kind is read off the cuts, so a level stored with cut points is
+    matched by them: its cut 0.1 straddles the dyadic cell (0, 1/4]."""
+    part = Partition(Domain.unit(), 1, (Fraction(0), 0.1, Fraction(1)))
+    assert (part.kind, Partition(Domain.unit(), 1).kind) == ("triangular", "dyadic")
+    with pytest.raises(ValidationError) as e:
+        refine_map(part, dyadic_chain(depth=2)[2])
+    assert (e.value.code, str(e.value)) == (
+        "refinement/straddle", "fine cell (0, 1/4] straddles the coarse boundary at 0.1")
 
 
 def test_refinement_rejects_inverted_levels():
@@ -145,8 +156,7 @@ def test_triangular_chain_on_real_line():
     assert (edges[0], edges[-1]) == (-math.inf, math.inf)
     assert np.isfinite(edges[1:-1]).all()
     # binary refinement structure: every coarse cell covers two fine cells
-    rmap = chain.refinement(2, 3)
-    assert np.diff(rmap.boundaries, append=len(part)).tolist() == [2] * 4
+    assert np.diff(chain.refinement(2, 3), append=len(part)).tolist() == [2] * 4
 
 
 def test_triangular_chain_reports_first_violation():
@@ -175,8 +185,7 @@ def test_closed_left_domain_gets_atom_cell():
     assert part.describe_cell(0) == "{0}"
     assert len(part) == 4 + 1
     # the atom refines onto itself
-    rmap = chain.refinement(1, 2)
-    assert rmap.boundaries[:2].tolist() == [0, 1]
+    assert chain.refinement(1, 2)[:2].tolist() == [0, 1]
 
 
 def test_depth_capacity_env(monkeypatch):
@@ -249,8 +258,7 @@ def eager_dyadic_levels(domain, depth):
     is kept, against which the implicit dyadic arithmetic is checked."""
     left = Fraction(domain.left)
     span = Fraction(domain.right) - left
-    return [Partition(domain, "eager", m,
-                      tuple(left + i * (span / (1 << m)) for i in range((1 << m) + 1)))
+    return [Partition(domain, m, tuple(left + i * (span / (1 << m)) for i in range((1 << m) + 1)))
             for m in range(depth + 1)]
 
 
@@ -291,8 +299,8 @@ def test_dyadic_refinement_matches_cell_walk(domain):
     for coarse in range(7):
         for fine in range(coarse, 7):
             walk = cell_walk_boundaries(cells_of(eager[coarse]), cells_of(eager[fine]))
-            assert refine_map(chain[coarse], chain[fine]).boundaries.tolist() == walk
-            assert refine_map(eager[coarse], eager[fine]).boundaries.tolist() == walk
+            assert refine_map(chain[coarse], chain[fine]).tolist() == walk
+            assert refine_map(eager[coarse], eager[fine]).tolist() == walk
 
 
 @pytest.mark.parametrize("closed_left", [False, True])
@@ -423,7 +431,7 @@ def test_triangular_levels_read_cut_points_without_cells(name):
         if n:
             walk = cell_walk_boundaries(oracle_cells(domain, n - 1, chain[n - 1].cut_points()),
                                         cells)
-            assert chain.refinement(n - 1, n).boundaries.tolist() == walk
+            assert chain.refinement(n - 1, n).tolist() == walk
 
 
 @pytest.mark.parametrize("name", TRIANGULAR)
@@ -475,7 +483,7 @@ def test_refine_map_matches_cell_walk(first, second, nested):
     a, b = CHAINS[first](), CHAINS[second]()
     for ca in a.partitions:
         for fb in b.partitions:
-            got = _refinement_outcome(lambda c, f: refine_map(c, f).boundaries.tolist(), ca, fb)
+            got = _refinement_outcome(lambda c, f: refine_map(c, f).tolist(), ca, fb)
             want = _refinement_outcome(
                 lambda c, f: cell_walk_boundaries(cells_of(c), cells_of(f)), ca, fb)
             assert got == want, (ca.level, fb.level)
@@ -579,8 +587,7 @@ def test_whole_row_checks_report_what_the_per_value_loop_reports(name):
 
 
 @pytest.mark.parametrize("make, code, message", [
-    (lambda: refine_map(Partition(Domain.unit(), "dyadic", 1),
-                        Partition(Domain(Fraction(0), Fraction(2)), "dyadic", 2)),
+    (lambda: refine_map(Partition(Domain.unit(), 1), Partition(Domain(Fraction(0), Fraction(2)), 2)),
      "refinement/domain", "partitions live on different domains"),
     (lambda: PartitionChain(()), "chain/empty", "a chain needs at least level 0"),
     (lambda: dyadic_chain(depth=-1), "partition/depth", "depth must be >= 0, got -1"),

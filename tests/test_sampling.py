@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from histolim.errors import ValidationError
-from histolim.histograms import PROBABILITY, project
+from histolim.histograms import PROBABILITY, project_values
 from histolim.partitions import Domain, PartitionChain, dyadic_chain
 from histolim.sampling import (
     path_from_histogram,
@@ -72,8 +72,8 @@ def test_polya_level_replay_identity():
     system = PolyaTreeSystem(HomogeneousRule("m"))
     fine = sample_stack(system, CHAIN, 5, RandomStream(9), 64)
     coarse = sample_stack(system, CHAIN, 4, RandomStream(9), 64)
-    projected = project(fine, CHAIN.refinement(4, 5))
-    assert np.allclose(projected.values, coarse.values, atol=1e-12)
+    projected = project_values(fine.values, CHAIN.refinement(4, 5))
+    assert np.allclose(projected, coarse.values, atol=1e-12)
 
 
 def test_polya_infinite_parameters_pin_splits():

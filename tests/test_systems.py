@@ -263,7 +263,8 @@ RULES = [
     HomogeneousRule("m*m + -6*m + 9"),  # zero at m = 3 only
     CantorTrigRule(),
     DirichletMatchRule(LebesgueBase(2.5)),
-    DirichletMatchRule(LebesgueBase(0.75), Domain(Fraction(-3, 2), Fraction(5, 4))),
+    DirichletMatchRule(AtomicBase((0.25, 0.5, 0.75, 1.0),
+                                  (1.0, 2.0, 0.5, 0.25))),  # atoms on cuts; fails at node 00
     DirichletMatchRule(AtomicBase((0.1, 0.2, 0.3, 0.5, 0.7, 0.9),
                                   (1.0, 2.0, 0.5, 0.25, 1.0, 3.0))),  # fails at node 10
     TableRule({"()": (2.0, 1.0), "01": (0.5, math.inf)}, default=(1.5, 2.5)),
