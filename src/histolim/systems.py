@@ -64,20 +64,31 @@ def read_number(value, what: str, code: str, *, integer: bool = False):
 
 def read_spec(obj, table: tuple):
     """`obj` read by the `from_json` of the class that its tag names, where
-    `table` is (tag field, error code, {tag: class})."""
+    `table` is (tag field, error code, {tag: class}); a key that is neither
+    the tag nor a field's key is refused with that code."""
     tag, code, classes = table
     name = obj.get(tag) if isinstance(obj, dict) else None
     if not isinstance(name, str) or name not in classes:
         raise ValidationError(code, f"unknown {tag} {name!r} in {obj!r}; have {sorted(classes)}")
+    keys = [tag] + [_json_key(f) for f in fields(classes[name]) if f.init]
+    unread = [key for key in obj if key not in keys]
+    if unread:
+        raise ValidationError(code, f"unknown key {unread[0]!r} in a {name} spec; "
+                                    f"it reads {', '.join(keys)}")
     return classes[name].from_json(obj)
 
 
+def _json_key(f) -> str:
+    """The JSON key of field `f`: the "key" in its metadata, else its name."""
+    return f.metadata.get("key", f.name)
+
+
 class Record:
-    """A dataclass whose JSON form is each init field by name, in its
+    """A dataclass whose JSON form is each init field by its key, in its
     `_to_json` form; a record whose form differs overrides `to_json`."""
 
     def to_json(self) -> dict:
-        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self) if f.init}
+        return {_json_key(f): _to_json(getattr(self, f.name)) for f in fields(self) if f.init}
 
 
 class Spec(Record):
@@ -92,9 +103,10 @@ class Spec(Record):
         (KeyError if there is none)."""
         args = {}
         for f in fields(cls):
-            if f.init and (f.name in obj or f.default is f.default_factory is MISSING):
+            key = _json_key(f)
+            if f.init and (key in obj or f.default is f.default_factory is MISSING):
                 table = f.metadata.get("table")
-                args[f.name] = obj[f.name] if table is None else read_spec(obj[f.name], table)
+                args[f.name] = obj[key] if table is None else read_spec(obj[key], table)
         return cls(**args)
 
     def to_json(self) -> dict:
@@ -335,8 +347,15 @@ class TableRule(Spec):
     default: tuple[float, float] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.pairs, dict):
+            raise ValidationError("system/beta", "table pairs must be an object keyed by "
+                                                 f"node label, got {self.pairs!r}")
+        for label in map(str, self.pairs):
+            if label != "()" and not (label and set(label) <= set("01")):
+                raise ValidationError("system/beta", f"table label {label!r} names no node: "
+                                                     "a label is '()' or a string of 0s and 1s")
         object.__setattr__(self, "pairs", {str(label): _check_beta_pair(pair, str(label))
-                                           for label, pair in dict(self.pairs).items()})
+                                           for label, pair in self.pairs.items()})
         if self.default is not None:
             object.__setattr__(self, "default", _check_beta_pair(self.default, "<default>"))
 
@@ -468,7 +487,7 @@ def split_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolyaTreeSystem(Family):
-    rule: BetaRule
+    rule: BetaRule = field(metadata={"table": BETA_RULES, "key": "beta"})
     p0: float = 0.0  # mass pinned on the zero singleton for [0,1] domains
 
     kind = PROBABILITY
@@ -503,10 +522,6 @@ class PolyaTreeSystem(Family):
         if partition.has_atom:
             values = np.concatenate([[self.p0], values])
         return Histogram(partition, values, PROBABILITY)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> PolyaTreeSystem:
-        return cls(read_spec(obj["beta"], BETA_RULES), obj.get("p0", 0.0))
 
     def to_json(self) -> dict:
         out = {"family": "polya", "beta": self.rule.to_json()}
@@ -645,6 +660,9 @@ _NAMED_KERNELS = {
     "exponential": lambda p: (lambda x, y: p.get("scale", 1.0)
                               * math.exp(-abs(x - y) / p.get("length", 1.0))),
 }
+#: the parameters that each named kernel reads
+_KERNEL_PARAMS = {"constant": ("c",), "gaussian": ("length", "scale"),
+                  "exponential": ("length", "scale")}
 
 
 #: the largest Gauss-Legendre order: numpy tests `leggauss` up to 100, and
@@ -674,13 +692,18 @@ class KernelCovariance(Covariance):
             raise ValidationError("covariance/kernel",
                                   f"unknown kernel {self.name!r}; have {sorted(_NAMED_KERNELS)}")
         object.__setattr__(self, "order", _quadrature_order(self.order, "covariance/kernel"))
+        reads = _KERNEL_PARAMS[self.name]
+        unread = [key for key in self.params if key not in reads]
+        if unread:
+            raise ValidationError("covariance/kernel", f"the {self.name} kernel reads no "
+                                  f"parameter {unread[0]!r}; it reads {', '.join(reads)}")
         length = self.params.get("length", 1.0)
-        if self.name != "constant" and isinstance(length, (int, float)) and not 0 < length < math.inf:
+        if isinstance(length, (int, float)) and not 0 < length < math.inf:
             raise ValidationError("covariance/kernel",
                                   f"kernel length must be finite and positive, got {length!r}")
-        for key in ("c", "length", "scale"):  # kept as given, for `to_json`; a zero scale
-            if key in self.params:           # is the zero covariance
-                read_number(self.params[key], f"kernel {key}", "covariance/kernel")
+        # kept as given, for `to_json`; a zero scale is the zero covariance
+        for key, value in self.params.items():
+            read_number(value, f"kernel {key}", "covariance/kernel")
         # every named kernel reads x - y (exactly -(y - x)) through a square or
         # `abs`, so it is symmetric; this call refuses, on load, a length so
         # short that the Gaussian kernel's square overflows at the gap 0.65

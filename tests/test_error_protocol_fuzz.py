@@ -8,8 +8,10 @@ exactly one ``error[code]`` line and exit 1 or 2: no traceback, no second
 line.  The JSON output of a run that exits 0 must be strict JSON, with no
 ``NaN`` or ``Infinity`` token.  A change that makes a numeric field a
 non-number (a truth value, a string, null, a list or an object) or a
-non-finite number, or that adds an entry to a list of numbers, must be
-refused when the spec is read (exit 1).
+non-finite number, that adds an entry to a list of numbers, or that adds
+a key that nothing reads to an object (a spec at any level, a kernel's
+parameters, a table's pairs), must be refused when the spec is read
+(exit 1).
 The golden chain file is changed the same way and passed by ``--chain`` to
 `mean`, `sample` and `check` on a fixed system; a change that breaks a
 chain-file rule must be refused (exit 1).
@@ -86,7 +88,11 @@ VALUES = (True, False, None, "x", "inf", "", "m", "zero", 0, 1, -1, 0.5, 2, 8, 1
           {"variant": "constant", "c": 1.0}, {"variant": "unknown"}, _nested(40, 1.0),
           _nested(41, "x"))
 
-ACTIONS = ("set", "delete", "append")
+ACTIONS = ("set", "delete", "append", "add")
+
+#: the key that "add" puts in an object: no spec field, kernel parameter or
+#: node label has this name
+UNREAD = "unread"
 
 DEPTH = st.sampled_from(["1", "2", "3", "-1", "x", "2.5"])
 #: `check` also gets depths past its cap, which it refuses before any work
@@ -151,6 +157,9 @@ def _mutated(skeleton, path: tuple, action: str, value) -> tuple[object, bool]:
     if action == "delete" and isinstance(parent, dict):
         del parent[key]
         return spec, False
+    if action == "add" and isinstance(parent, dict):
+        parent[UNREAD] = value
+        return spec, True
     if action == "append" and isinstance(old, list):
         old.append(value)
         numbers = bool(old[:-1]) and all(type(v) in (int, float) or v == "inf"
@@ -214,6 +223,14 @@ SAMPLE_JSON = ("sample", "--depth", "2", "--replicates", "3", "--seed", "0", "--
 @example(("golden/greens_d1/spelled", ("covariance", "affine"), "set", [1, 2], CHECK))
 @example(("golden/polya_dirichlet_match/spelled", ("beta", "base", "scale"), "set", -1, CHECK))
 @example(("golden/polya_table_inf", ("beta", "pairs", "()"), "append", 3, MEAN))
+# a key that nothing reads, at every level: it was left unread
+@example(("golden/polya_m2", ("beta",), "add", 0.3, MEAN))
+@example(("golden/gaussian_kernel", ("covariance",), "add", "zero", CHECK))
+@example(("golden/dirichlet_lebesgue", ("base", "type"), "add", 2.0, CHECK))
+@example(("golden/polya_dirichlet_match", ("beta", "rule"), "add", {}, CHECK))
+@example(("golden/gaussian_constant", ("covariance", "c"), "add", 1.0, CHECK))
+@example(("golden/gaussian_kernel", ("covariance", "params", "length"), "add", 0.2, CHECK))
+@example(("golden/polya_table_inf", ("beta", "pairs", "()"), "add", [1.0, 1.0], MEAN))
 # truth values in numeric fields
 @example(("golden/greens_d1", ("covariance", "dimension"), "set", True, CHECK))
 @example(("golden/gaussian_constant", ("covariance", "c"), "set", True, CHECK))

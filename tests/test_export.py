@@ -351,11 +351,10 @@ SYSTEMS = {
                      ODD),
     "dirichlet": ({"family": "dirichlet", "base": {"type": "lebesgue", "scale": 0.01}}, None),
     "leakage": ({"family": "leakage", "delta": 0.2, "depth": 5}, None),
-    # a table key: a string that spells the old token of dump_json's array
-    # placeholder
-    "polya_placeholder_key": ({"family": "polya",
-                               "beta": {"rule": "table", "pairs": {"\x00ndarray 0": [1.0, 1.0]},
-                                        "default": [2.0, 3.0]}}, None),
+    # a table rule: node labels and pairs echoed with the system
+    "polya_table": ({"family": "polya",
+                     "beta": {"rule": "table", "pairs": {"1": [1.0, 1.0]},
+                              "default": [2.0, 3.0]}}, None),
 }
 
 

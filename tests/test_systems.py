@@ -535,6 +535,58 @@ def test_table_rule_json_accepts_inf_strings():
     assert system.rule.default == (math.inf, 1.0)
 
 
+MATCH = {"rule": "dirichlet", "base": {"type": "lebesgue"}}
+KERNEL = {"variant": "kernel", "name": "gaussian", "params": {"length": 0.2}}
+CONSTANT = {"variant": "constant", "c": 1.0}
+
+
+def kernel(name, **params):
+    return {"family": "gaussian", "covariance": {**KERNEL, "name": name, "params": params}}
+
+
+def table(pairs):
+    return {"family": "polya", "beta": {"rule": "table", "pairs": pairs, "default": [1, 1]}}
+
+
+@pytest.mark.parametrize("obj, code, message", [
+    ({"family": "polya", "beta": MATCH, "po": 0.3}, "system/json",
+     "unknown key 'po' in a polya spec; it reads family, beta, p0"),
+    ({"family": "gaussian", "covariance": CONSTANT, "center": "zero"}, "system/json",
+     "unknown key 'center' in a gaussian spec; it reads family, covariance, centre"),
+    ({"family": "leakage", "delta": 0.2, "deep": 3}, "system/json",
+     "unknown key 'deep' in a leakage spec; it reads family, delta, depth, interior"),
+    ({"family": "dirichlet", "base": {"type": "lebesgue", "scle": 2.0}}, "base/json",
+     "unknown key 'scle' in a lebesgue spec; it reads type, scale"),
+    ({"family": "polya", "beta": {**MATCH, "domain": {"left": "0", "right": "2"}}},
+     "system/beta-json", "unknown key 'domain' in a dirichlet spec; it reads rule, base"),
+    ({"family": "polya", "beta": {"rule": "cantor_trig", "expr": "m"}}, "system/beta-json",
+     "unknown key 'expr' in a cantor_trig spec; it reads rule"),
+    ({"family": "gaussian", "covariance": {**CONSTANT, "scale": 2.0}}, "covariance/json",
+     "unknown key 'scale' in a constant spec; it reads variant, c"),
+    (kernel("gaussian", lenght=0.2), "covariance/kernel",
+     "the gaussian kernel reads no parameter 'lenght'; it reads length, scale"),
+    (kernel("exponential", length=0.2, c=2.0), "covariance/kernel",
+     "the exponential kernel reads no parameter 'c'; it reads length, scale"),
+    (kernel("constant", c=2.0, scale=2.0), "covariance/kernel",
+     "the constant kernel reads no parameter 'scale'; it reads c"),
+    (table({"x": [1, 2]}), "system/beta",
+     "table label 'x' names no node: a label is '()' or a string of 0s and 1s"),
+    (table({"0": [1, 2], "012": [1, 2]}), "system/beta",
+     "table label '012' names no node: a label is '()' or a string of 0s and 1s"),
+    (table({"": [1, 2]}), "system/beta",
+     "table label '' names no node: a label is '()' or a string of 0s and 1s"),
+    (table([]), "system/beta", "table pairs must be an object keyed by node label, got []"),
+], ids=["polya", "gaussian", "leakage", "base", "beta-rule", "empty-rule", "covariance",
+        "kernel-misspelt", "kernel-c", "kernel-scale", "label-x", "label-digit-2",
+        "label-empty", "pairs-list"])
+def test_spec_input_that_no_field_reads_is_refused(obj, code, message):
+    """A key, kernel parameter or table label that nothing reads is refused
+    when the spec is read, instead of leaving its field at the default."""
+    with pytest.raises(ValidationError) as e:
+        system_from_json(obj)
+    assert (e.value.code, str(e.value)) == (code, message)
+
+
 def test_system_json_rejects_unknown_family():
     with pytest.raises(ValidationError):
         system_from_json({"family": "teleport"})
