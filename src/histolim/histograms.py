@@ -5,14 +5,14 @@ distinguished: `probability` (nonnegative, sums to one within 1e-12),
 `positive` (nonnegative), and `signed` (anything finite).  Values are stored
 in a read-only numpy array in the partition's cell order.
 
-Projection onto a coarser partition (`project_values`) sums each run of
-fine cells that starts at a coarse cell's start position
-(`partitions.refine_map`);
-because it is a row-stochastic-transpose operation it preserves kind.  Total
-variation of a signed histogram is the absolute-value sum, and the
-truncated-excess statistic sum_A max(p(A) - L q(A), 0) measures the mass of
-p that no multiple L of the reference q can cover — the finite-depth probe
-behind the dominated-mass condition.
+Projection onto a coarser partition (`project_values`) sums the run of
+fine cells that each coarse cell covers, from the start positions that
+`partitions.refine_map` gives; because it is a row-stochastic-transpose
+operation it preserves kind.  Total variation of a signed histogram is the
+absolute-value sum, and the truncated-excess statistic
+sum_A max(p(A) - L q(A), 0) measures the mass of p that no multiple L of
+the reference q can cover — the finite-depth probe behind the
+dominated-mass condition.
 
 Densities come in two flavours: `PiecewiseDensity` (a step function on the
 cells of a partition) and `PolynomialDensity` (an exact polynomial in x).

@@ -172,12 +172,11 @@ class Partition:
 
     A partition is its domain, its level and its cut points (domain ends
     included).  A dyadic level keeps its cut points as arithmetic on an
-    exact `Fraction` grid (`cuts` is None); a triangular one stores them in
-    `cuts`.  Cell
-    `pos` (0-based, left to right) is the singleton {left} when `pos` is 0
-    on a left-closed domain, and otherwise the interval between the two
-    cut points at `pos - has_atom`; sizes, widths, labels and lookups read
-    the cut points.
+    exact `Fraction` grid (`cuts` is None); a triangular one stores them
+    in `cuts`, and `kind` says which.  Cell `pos` (0-based, left to right)
+    is the singleton {left} when `pos` is 0 on a left-closed domain, and
+    otherwise the interval between the two cut points at `pos - has_atom`;
+    sizes, widths, labels and lookups read the cut points.
     """
 
     domain: Domain
