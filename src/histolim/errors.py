@@ -27,3 +27,12 @@ class ValidationError(HistolimError, ValueError):
 
 class NumericError(HistolimError, ArithmeticError):
     """Numerical failure on valid input (CLI exit code 2)."""
+
+
+def refuse_unread(obj: dict, reads, code: str, what: str) -> None:
+    """Refuse, with `code`, the first key of `obj` that is not among the keys
+    `reads` that its reader reads; `what` names the object in the message."""
+    for key in obj:
+        if key not in reads:
+            raise ValidationError(code, f"unknown key {key!r} in a {what}; "
+                                        f"it reads {', '.join(reads)}")

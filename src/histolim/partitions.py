@@ -49,7 +49,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, refuse_unread
 
 DEFAULT_MAX_DEPTH = 30
 MAX_DEPTH_ENV = "HISTOLIM_MAX_DEPTH"
@@ -163,6 +163,7 @@ class Domain:
         if not isinstance(closed_left, bool):
             raise ValidationError("chain/json",
                                   f"closed_left must be true or false, got {closed_left!r}")
+        refuse_unread(obj, ("left", "right", "closed_left"), "chain/json", "domain")
         return Domain(parse_endpoint(obj["left"]), parse_endpoint(obj["right"]), closed_left)
 
 
@@ -228,10 +229,7 @@ class Partition:
 
     def cut_points(self) -> list[Endpoint]:
         """All endpoints left to right (domain ends included)."""
-        if self.cuts is not None:
-            return list(self.cuts)
-        left, step = self._grid
-        return [left + i * step for i in range((1 << self.level) + 1)]
+        return [self.cut(i) for i in range(self._intervals + 1)]
 
     def edges(self) -> np.ndarray:
         """`cut_points` as floats, each the correctly rounded exact value."""
@@ -272,11 +270,6 @@ def refine_map(coarse: Partition, fine: Partition) -> np.ndarray:
     """
     if coarse.domain != fine.domain:
         raise ValidationError("refinement/domain", "partitions live on different domains")
-    if coarse.kind == fine.kind == "dyadic" and coarse.level <= fine.level:
-        starts = np.arange(1 << coarse.level, dtype=np.intp) << (fine.level - coarse.level)
-        if coarse.has_atom:
-            starts = np.concatenate([np.zeros(1, dtype=np.intp), starts + 1])
-        return starts
     starts = [0] * coarse.has_atom + [fine.has_atom]
     for cut in coarse.cut_points()[1:-1]:
         pos = fine.position_of(cut)
@@ -334,6 +327,7 @@ class PartitionChain:
 
     @staticmethod
     def from_json(obj: dict) -> "PartitionChain":
+        refuse_unread(obj, ("domain", "kind", "levels"), "chain/json", "chain")
         domain = Domain.from_json(obj["domain"])
         kind = obj.get("kind", "triangular")
         if kind not in ("dyadic", "triangular"):
@@ -346,8 +340,7 @@ class PartitionChain:
             depth = len(levels) - 1
             chain = dyadic_chain(domain, depth)
             for lvl, row in enumerate(levels):
-                expect = chain[lvl].cut_points()
-                if len(row) != len(expect) or any(a != b for a, b in zip(row, expect)):
+                if row != chain[lvl].cut_points():
                     raise ValidationError(
                         "chain/reload",
                         f"level {lvl} endpoints do not match an equal dyadic refinement",

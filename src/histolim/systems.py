@@ -36,7 +36,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import HistolimError, NumericError, ValidationError
+from .errors import HistolimError, NumericError, ValidationError, refuse_unread
 from .histograms import Histogram, POSITIVE, PROBABILITY, SIGNED
 from .partitions import (
     Domain,
@@ -70,11 +70,8 @@ def read_spec(obj, table: tuple):
     name = obj.get(tag) if isinstance(obj, dict) else None
     if not isinstance(name, str) or name not in classes:
         raise ValidationError(code, f"unknown {tag} {name!r} in {obj!r}; have {sorted(classes)}")
-    keys = [tag] + [_json_key(f) for f in fields(classes[name]) if f.init]
-    unread = [key for key in obj if key not in keys]
-    if unread:
-        raise ValidationError(code, f"unknown key {unread[0]!r} in a {name} spec; "
-                                    f"it reads {', '.join(keys)}")
+    refuse_unread(obj, [tag] + [_json_key(f) for f in fields(classes[name]) if f.init], code,
+                  f"{name} spec")
     return classes[name].from_json(obj)
 
 
@@ -84,29 +81,33 @@ def _json_key(f) -> str:
 
 
 class Record:
-    """A dataclass whose JSON form is each init field by its key, in its
-    `_to_json` form; a record whose form differs overrides `to_json`."""
+    """A dataclass whose JSON form is each init field by its key, in its `_to_json`
+    form (None as its metadata's "none"); a record whose form differs overrides `to_json`."""
 
     def to_json(self) -> dict:
-        return {_json_key(f): _to_json(getattr(self, f.name)) for f in fields(self) if f.init}
+        return {_json_key(f): _to_json(getattr(self, f.name), f.metadata.get("none"))
+                for f in fields(self) if f.init}
 
 
 class Spec(Record):
-    """A record that a spec names by its tag.  Its JSON form is the tag, then
-    its record form with the None fields left out, a nested spec read by the
-    tag table in its field's metadata; classes whose form differs override
-    `from_json` and `to_json`."""
+    """A record that a spec names by its tag.  Its JSON form is the tag, then its
+    record form less the None fields with no "none" spelling, a nested spec read by
+    the tag table in its field's metadata; classes whose form differs override `to_json`."""
 
     @classmethod
     def from_json(cls, obj: dict):
         """The fields that `obj` names, the others at their defaults
-        (KeyError if there is none)."""
+        (KeyError if there is none); a field's "none" spelling reads as None."""
         args = {}
         for f in fields(cls):
             key = _json_key(f)
             if f.init and (key in obj or f.default is f.default_factory is MISSING):
-                table = f.metadata.get("table")
-                args[f.name] = obj[key] if table is None else read_spec(obj[key], table)
+                value, table = obj[key], f.metadata.get("table")
+                if "none" in f.metadata and value == f.metadata["none"]:
+                    value = None
+                elif table is not None:
+                    value = read_spec(value, table)
+                args[f.name] = value
         return cls(**args)
 
     def to_json(self) -> dict:
@@ -114,9 +115,12 @@ class Spec(Record):
         return {tag: name, **{k: v for k, v in super().to_json().items() if v is not None}}
 
 
-def _to_json(value):
-    """A field's JSON form: a record's own, an array's `tolist()`, tuples and
-    lists item by item, and a dict's values in their JSON forms."""
+def _to_json(value, none=None):
+    """A field's JSON form: `none` for None, a record's own, an array's
+    `tolist()`, tuples and lists item by item, and a dict's values in their
+    JSON forms."""
+    if value is None:
+        return none
     if isinstance(value, Record):
         return value.to_json()
     if isinstance(value, np.ndarray):
@@ -833,8 +837,8 @@ def sigma_factor(spec: Covariance, partition: Partition) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianSystem(Family):
-    covariance: Covariance
-    centre: BaseMeasure | None = None  # None = centred
+    covariance: Covariance = field(metadata={"table": COVARIANCES})
+    centre: BaseMeasure | None = field(default=None, metadata={"table": BASE_MEASURES, "none": "zero"})
 
     kind = SIGNED
 
@@ -877,16 +881,6 @@ class GaussianSystem(Family):
             return self.q_alpha(partition)
         centre = np.abs(self.centre_histogram(partition).values)
         return Histogram(partition, centre + self.spread(partition), POSITIVE)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> GaussianSystem:
-        centre = obj.get("centre", "zero")
-        centre = None if centre == "zero" else read_spec(centre, BASE_MEASURES)
-        return cls(read_spec(obj["covariance"], COVARIANCES), centre)
-
-    def to_json(self) -> dict:
-        centre = "zero" if self.centre is None else self.centre.to_json()
-        return {"family": "gaussian", "covariance": self.covariance.to_json(), "centre": centre}
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,19 @@ that, it was addressed by a bit string: `CellIndex`, `dyadic_cell_bounds`
 and `cantor_midpoint` below are the package's bit-address forms, copied
 unchanged, and `oracle_pair` is every splitting rule's `pair` as it was
 computed from a `CellIndex`.
+
+A refinement is the start position, among the fine cells, of each coarse
+cell.  `refine_map` once gave two levels of a dyadic chain, coarse at or
+above fine, their starts by shifting positions instead of matching cut
+points: `dyadic_refinement_starts` below is that branch, copied unchanged.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from histolim.errors import ValidationError
 from histolim.partitions import Domain, Endpoint, format_endpoint
@@ -198,4 +205,14 @@ def cell_walk_boundaries(coarse_cells, fine_cells):
                 )
     if j != len(fine_cells):
         raise ValidationError("refinement/gap", "fine partition has cells beyond the coarse cover")
+    return starts
+
+
+def dyadic_refinement_starts(coarse, fine):
+    """Refinement starts of dyadic level `coarse` among the cells of dyadic
+    level `fine` >= `coarse.level`: every coarse cell spans 2^(fine - coarse)
+    fine cells, after the singleton of a left-closed domain."""
+    starts = np.arange(1 << coarse.level, dtype=np.intp) << (fine.level - coarse.level)
+    if coarse.has_atom:
+        starts = np.concatenate([np.zeros(1, dtype=np.intp), starts + 1])
     return starts

@@ -30,6 +30,7 @@ from cell_walk import (
     cell_walk_boundaries,
     cells_of,
     dyadic_cell_bounds,
+    dyadic_refinement_starts,
     oracle_cells,
 )
 
@@ -292,15 +293,23 @@ def test_implicit_dyadic_levels_match_eager_construction(domain):
         indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("domain", DOMAINS[:2], ids=Domain.describe)
+@pytest.mark.parametrize("domain", DOMAINS[:3], ids=Domain.describe)
 def test_dyadic_refinement_matches_cell_walk(domain):
-    chain = dyadic_chain(domain, depth=6)
-    eager = eager_dyadic_levels(domain, 6)
-    for coarse in range(7):
-        for fine in range(coarse, 7):
-            walk = cell_walk_boundaries(cells_of(eager[coarse]), cells_of(eager[fine]))
+    """Every pair of levels to depth 10, coarse to fine, of implicit and of
+    stored dyadic levels gives the cell walk's starts and the shift-array
+    starts that dyadic levels once took.  Onto level 0, as the benchmark's
+    refinement probes project, the starts are [0], or [0, 1] after the
+    singleton of a left-closed domain."""
+    chain = dyadic_chain(domain, depth=10)
+    eager = eager_dyadic_levels(domain, 10)
+    cells = [cells_of(level) for level in eager]
+    for coarse in range(11):
+        for fine in range(coarse, 11):
+            walk = cell_walk_boundaries(cells[coarse], cells[fine])
             assert refine_map(chain[coarse], chain[fine]).tolist() == walk
             assert refine_map(eager[coarse], eager[fine]).tolist() == walk
+            assert dyadic_refinement_starts(chain[coarse], chain[fine]).tolist() == walk
+        assert chain.refinement(0, coarse).tolist() == [0, 1][:len(chain[0])]
 
 
 @pytest.mark.parametrize("closed_left", [False, True])
