@@ -333,7 +333,10 @@ class PartitionChain:
         if kind not in ("dyadic", "triangular"):
             raise ValidationError("chain/json", f"unknown chain kind {kind!r}; "
                                   "expected 'dyadic' or 'triangular'")
-        levels = [[parse_endpoint(e) for e in row] for row in obj["levels"]]
+        levels = obj["levels"]
+        if not (isinstance(levels, list) and all(isinstance(row, list) for row in levels)):
+            raise ValidationError("chain/json", "levels must be an array of arrays of endpoints")
+        levels = [[parse_endpoint(e) for e in row] for row in levels]
         if not levels:
             raise ValidationError("chain/empty", "a chain needs at least level 0")
         if kind == "dyadic":

@@ -918,7 +918,8 @@ class LeakageSystem(Family):
     def __post_init__(self):
         object.__setattr__(self, "delta", read_number(self.delta, "delta", "system/json"))
         object.__setattr__(self, "depth", read_number(self.depth, "depth", "system/json", integer=True))
-        object.__setattr__(self, "interior", bool(self.interior))
+        if not isinstance(self.interior, bool):
+            raise ValidationError("system/json", f"interior must be true or false, got {self.interior!r}")
         if not (0.0 <= self.delta < 1.0):
             raise ValidationError("system/delta", f"escaping mass must be in [0,1), got {self.delta}")
         if self.depth < 1:

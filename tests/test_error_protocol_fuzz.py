@@ -8,10 +8,10 @@ exactly one ``error[code]`` line and exit 1 or 2: no traceback, no second
 line.  The JSON output of a run that exits 0 must be strict JSON, with no
 ``NaN`` or ``Infinity`` token.  A change that makes a numeric field a
 non-number (a truth value, a string, null, a list or an object) or a
-non-finite number, that adds an entry to a list of numbers, or that adds
-a key that nothing reads to an object (a spec at any level, a kernel's
-parameters, a table's pairs), must be refused when the spec is read
-(exit 1).
+non-finite number, that makes a truth-value field anything but true or
+false, that adds an entry to a list of numbers, or that adds a key that
+nothing reads to an object (a spec at any level, a kernel's parameters, a
+table's pairs), must be refused when the spec is read (exit 1).
 The golden chain file is changed the same way and passed by ``--chain`` to
 `mean`, `sample` and `check` on a fixed system; a change that breaks a
 chain-file rule must be refused (exit 1).
@@ -142,7 +142,8 @@ def cases(draw) -> tuple:
 
 def _mutated(skeleton, path: tuple, action: str, value) -> tuple[object, bool]:
     """(spec, must_refuse): the skeleton with one change, and whether that
-    change breaks a numeric field, so that reading the spec must fail."""
+    change breaks a numeric or a truth-value field, or adds a key that
+    nothing reads, so that reading the spec must fail."""
     spec = json.loads(json.dumps(skeleton))
     parent = spec
     for key in path[:-1]:
@@ -153,7 +154,8 @@ def _mutated(skeleton, path: tuple, action: str, value) -> tuple[object, bool]:
         parent[key] = value
         finite = type(value) in (int, float) and (type(value) is int or math.isfinite(value))
         # "inf" and inf are the infinite splitting parameter of a table rule
-        return spec, number and not finite and value not in ("inf", math.inf)
+        return spec, (number and not finite and value not in ("inf", math.inf)
+                      or type(old) is bool and type(value) is not bool)
     if action == "delete" and isinstance(parent, dict):
         del parent[key]
         return spec, False
@@ -231,6 +233,8 @@ SAMPLE_JSON = ("sample", "--depth", "2", "--replicates", "3", "--seed", "0", "--
 @example(("golden/gaussian_constant", ("covariance", "c"), "add", 1.0, CHECK))
 @example(("golden/gaussian_kernel", ("covariance", "params", "length"), "add", 0.2, CHECK))
 @example(("golden/polya_table_inf", ("beta", "pairs", "()"), "add", [1.0, 1.0], MEAN))
+# a truth value given as text: "false" read as true
+@example(("golden/leakage_interior", ("interior",), "set", "false", MEAN))
 # truth values in numeric fields
 @example(("golden/greens_d1", ("covariance", "dimension"), "set", True, CHECK))
 @example(("golden/gaussian_constant", ("covariance", "c"), "set", True, CHECK))
@@ -342,8 +346,10 @@ def test_truth_values_are_not_numbers(field, value):
      "error[system/beta] "),
     ({"family": "polya", "beta": {"rule": "table", "pairs": {"()": [1, 2, 3]}}},
      "error[system/beta] "),
+    ({"family": "leakage", "delta": 0.2, "depth": 2, "interior": "false"},
+     "error[system/json] interior must be true or false, got 'false'\n"),
 ], ids=["kernel-order-fraction", "kernel-order-huge", "greens-order-101", "greens-order-fraction",
-        "greens-short-affine", "matching-negative-base", "table-long-pair"])
+        "greens-short-affine", "matching-negative-base", "table-long-pair", "leakage-interior-text"])
 @pytest.mark.parametrize("argv", [MEAN[:3], CHECK], ids=["mean", "check"])
 def test_bad_specs_are_refused_when_read(spec, start, argv):
     code, err = run(spec, argv)
@@ -401,15 +407,21 @@ SAMPLE = ("sample", "--depth", "3", "--replicates", "3", "--seed", "0", "--jobs"
 
 def _breaks_a_chain_rule(path: tuple, action: str, value) -> bool:
     """Whether one change to the golden chain breaks a rule of chain files: a
-    level added or lengthened, an end of the domain or of a level (level 0 is
-    the ends alone) made another endpoint, `closed_left` made anything but
-    false, or an endpoint made a truth value."""
+    key added to an object (the chain or its domain), a level added or
+    lengthened, the levels or a level made anything but an array, an end of
+    the domain or of a level (level 0 is the ends alone) made another
+    endpoint, `closed_left` made anything but false, or an endpoint made a
+    truth value."""
+    if action == "add":
+        return len(path) == 1 or path[0] == "domain"
     if action == "append":
         return path[0] == "levels" and len(path) <= 2
     if action != "set":
         return False
     if path == ("domain", "closed_left"):
         return value is not False
+    if path[0] == "levels" and len(path) <= 2 and not isinstance(value, list):
+        return True
     old = CHAIN
     for key in path:
         old = old[key]
@@ -429,6 +441,10 @@ def _breaks_a_chain_rule(path: tuple, action: str, value) -> bool:
 @example(("levels", 2, 0), "set", 8, SAMPLE)
 @example(("levels", 1, 1), "set", False, CHECK)
 @example(("domain", "closed_left"), "set", 0, MEAN)
+# a key that nothing reads (a misspelt "kind" read as triangular), and a
+# level given as a string, read one character at a time
+@example(("kind",), "add", "dyadic", MEAN)
+@example(("levels", 1), "set", "x", MEAN)
 def test_every_chain_file_follows_the_error_protocol(path, action, value, argv):
     chain, _ = _mutated(CHAIN, path, action, value)
     code, err = run(CHAIN_SYSTEM, argv, json.dumps(chain))
@@ -449,9 +465,22 @@ def test_every_chain_file_follows_the_error_protocol(path, action, value, argv):
      "error[chain/reload] level 1 must start and end at the domain's ends 0.0, 1.0"),
     ('{"domain": {"left": 0, "right": 1}, "levels": []}',
      "error[chain/empty] a chain needs at least level 0"),
+    ('{"domain": {"left": "0", "right": "1"}, "knd": "dyadic", "levels": [["0", "1"]]}',
+     "error[chain/json] unknown key 'knd' in a chain; it reads domain, kind, levels\n"),
+    ('{"domain": {"left": "0", "right": "1", "closed": true}, "kind": "dyadic",'
+     ' "levels": [["0", "1"]]}',
+     "error[chain/json] unknown key 'closed' in a domain; it reads left, right, closed_left\n"),
+    ('{"domain": {"left": "0", "right": "9"}, "kind": "triangular", "levels": ["09", "049"]}',
+     "error[chain/json] levels must be an array of arrays of endpoints\n"),
+    ('{"domain": {"left": "0", "right": "9"}, "kind": "triangular",'
+     ' "levels": [{"0": 1, "9": 2}, {"0": 1, "4": 2, "9": 3}]}',
+     "error[chain/json] levels must be an array of arrays of endpoints\n"),
+    ('{"domain": {"left": "0", "right": "1"}, "kind": "dyadic", "levels": {"0": 1, "1": 2}}',
+     "error[chain/json] levels must be an array of arrays of endpoints\n"),
     ('{"domain": ' + "[" * 100_000 + "]" * 100_000 + "}",
      "error[chain/json] invalid chain JSON: maximum recursion depth exceeded"),
 ], ids=["truth-value-ends", "closed-left-text", "row-ends", "level-1-ends", "no-levels",
+        "misspelt-kind", "misspelt-closed-left", "string-rows", "object-rows", "object-levels",
         "nested-past-the-recursion-limit"])
 def test_bad_chain_files_are_refused(chain_text, start):
     code, err = run(GOLDEN["dirichlet_lebesgue"], ("mean", "--depth", "0"), chain_text)
