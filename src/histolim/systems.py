@@ -82,7 +82,7 @@ def _json_key(f) -> str:
 
 class Record:
     """A dataclass whose JSON form is each init field by its key, in its `_to_json`
-    form (None as its metadata's "none"); a record whose form differs overrides `to_json`."""
+    form (a None as the field's "none" spelling); a record whose form differs overrides `to_json`."""
 
     def to_json(self) -> dict:
         return {_json_key(f): _to_json(getattr(self, f.name), f.metadata.get("none"))

@@ -348,8 +348,11 @@ def test_truth_values_are_not_numbers(field, value):
      "error[system/beta] "),
     ({"family": "leakage", "delta": 0.2, "depth": 2, "interior": "false"},
      "error[system/json] interior must be true or false, got 'false'\n"),
+    (_gaussian(**KERNEL) | {"centre": None},
+     "error[base/json] unknown type None in None; have ['atoms', 'lebesgue']\n"),
 ], ids=["kernel-order-fraction", "kernel-order-huge", "greens-order-101", "greens-order-fraction",
-        "greens-short-affine", "matching-negative-base", "table-long-pair", "leakage-interior-text"])
+        "greens-short-affine", "matching-negative-base", "table-long-pair", "leakage-interior-text",
+        "null-centre"])
 @pytest.mark.parametrize("argv", [MEAN[:3], CHECK], ids=["mean", "check"])
 def test_bad_specs_are_refused_when_read(spec, start, argv):
     code, err = run(spec, argv)

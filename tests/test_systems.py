@@ -587,23 +587,6 @@ def test_spec_input_that_no_field_reads_is_refused(obj, code, message):
     assert (e.value.code, str(e.value)) == (code, message)
 
 
-@pytest.mark.parametrize("centre", [{}, {"centre": "zero"}], ids=["absent", "zero"])
-def test_a_centred_gaussian_spec_reads_and_writes_the_centre_zero(centre):
-    """The centre field's "none" spelling: absent or "zero" reads as no
-    centre, and no centre is written as "zero", after the covariance."""
-    system = system_from_json({"family": "gaussian", "covariance": CONSTANT, **centre})
-    assert system.centred
-    assert list(system.to_json().items()) == [("family", "gaussian"), ("covariance", CONSTANT),
-                                              ("centre", "zero")]
-
-
-def test_a_null_centre_is_refused():
-    with pytest.raises(ValidationError) as e:
-        system_from_json({"family": "gaussian", "covariance": CONSTANT, "centre": None})
-    assert (e.value.code, str(e.value)) == (
-        "base/json", "unknown type None in None; have ['atoms', 'lebesgue']")
-
-
 def test_system_json_rejects_unknown_family():
     with pytest.raises(ValidationError):
         system_from_json({"family": "teleport"})
