@@ -182,6 +182,10 @@ force_option = click.option("--force", is_flag=True,
 jobs_option = click.option("--jobs", default=None, type=int,
                            help="Worker threads (default: available "
                                 "parallelism); results do not depend on it.")
+seed_option = click.option("--seed", required=True, type=int,
+                           help="Stream seed (required; no wall-clock default).")
+format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                             default="csv", show_default=True)
 
 
 def _jobs(jobs: Optional[int]) -> int:
@@ -190,6 +194,15 @@ def _jobs(jobs: Optional[int]) -> int:
     if jobs < 1:
         raise ValidationError("cli/jobs", f"--jobs must be >= 1, got {jobs}")
     return jobs
+
+
+def _level(system_path, chain_path, depth, force, out, jobs=1):
+    """(system, chain, jobs) for chain level `depth`; checks depth, system, jobs, out, chain."""
+    _check_depth(depth)
+    system = _load_system(system_path)
+    jobs = _jobs(jobs)
+    _refuse_existing(force, out)
+    return system, _resolve_chain(system, chain_path, depth), jobs
 
 
 @click.group(cls=_Group, epilog=EPILOG, no_args_is_help=False)
@@ -203,20 +216,14 @@ def cli():
 @chain_option
 @click.option("--depth", required=True, type=int, help="Chain level to sample.")
 @click.option("--replicates", default=1, type=int, show_default=True)
-@click.option("--seed", required=True, type=int,
-              help="Stream seed (required; no wall-clock default).")
+@seed_option
 @jobs_option
 @out_option
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
+@format_option
 @force_option
 def sample(system_path, chain_path, depth, replicates, seed, jobs, out, fmt, force):
     """Draw seeded histogram samples at one chain level."""
-    _check_depth(depth)
-    system = _load_system(system_path)
-    jobs = _jobs(jobs)
-    _refuse_existing(force, out)
-    chain = _resolve_chain(system, chain_path, depth)
+    system, chain, jobs = _level(system_path, chain_path, depth, force, out, jobs)
     stack = sample_stack(system, chain, depth, RandomStream(seed), replicates, jobs=jobs)
     if fmt == "csv":
         _export(out, stack_to_csv, stack)
@@ -233,15 +240,11 @@ def sample(system_path, chain_path, depth, replicates, seed, jobs, out, fmt, for
 @chain_option
 @click.option("--depth", required=True, type=int, help="Chain level.")
 @out_option
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
+@format_option
 @force_option
 def mean(system_path, chain_path, depth, out, fmt, force):
     """Closed-form mean histogram at one chain level (no sampling)."""
-    _check_depth(depth)
-    system = _load_system(system_path)
-    _refuse_existing(force, out)
-    chain = _resolve_chain(system, chain_path, depth)
+    system, chain, _ = _level(system_path, chain_path, depth, force, out)
     h = system.mean(chain[depth])
     if fmt == "csv":
         _export(out, histogram_to_csv, h)
@@ -254,18 +257,13 @@ def mean(system_path, chain_path, depth, out, fmt, force):
 @chain_option
 @click.option("--depth", required=True, type=int, help="Chain level to sample.")
 @click.option("--replicates", default=1, type=int, show_default=True)
-@click.option("--seed", required=True, type=int,
-              help="Stream seed (required; no wall-clock default).")
+@seed_option
 @jobs_option
 @out_option
 @force_option
 def path(system_path, chain_path, depth, replicates, seed, jobs, out, force):
     """Sampled cumulative-mass paths as CSV (replicate, t, value)."""
-    _check_depth(depth)
-    system = _load_system(system_path)
-    jobs = _jobs(jobs)
-    _refuse_existing(force, out)
-    chain = _resolve_chain(system, chain_path, depth)
+    system, chain, jobs = _level(system_path, chain_path, depth, force, out, jobs)
     stack = sample_stack(system, chain, depth, RandomStream(seed), replicates, jobs=jobs)
     origin = float(chain.domain.left)
     t, values = path_from_histogram(stack)
@@ -319,8 +317,7 @@ def check(system_path, chain_path, depth, out, force):
               help="Shorthand for --depths 2..DEPTH.")
 @click.option("--N", "n", default=10_000, type=int, show_default=True,
               help="Replicates per depth (>= 1000).")
-@click.option("--seed", required=True, type=int,
-              help="Stream seed (required; no wall-clock default).")
+@seed_option
 @click.option("--L-grid", "l_grid_raw", default="1,2,5,20", show_default=True)
 @click.option("--delta", default=0.1, type=float, show_default=True)
 @jobs_option
@@ -374,8 +371,7 @@ def diagnose(system_path, chain_path, depths_raw, depth_max, n, seed,
 @click.option("--interior", is_flag=True,
               help="Leak toward the endpoints of (0, 1) instead of infinity.")
 @out_option
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
+@format_option
 @force_option
 def counterexample(delta, depth, interior, out, fmt, force):
     """Outside-mass table of the escaping-mass construction."""

@@ -43,12 +43,19 @@ PROBABILITY_SUM_TOL = 1e-12
 SIMPSON_TOL = 1e-9
 
 
-def _frozen_array(values, shape_len: int, copy: bool = True) -> np.ndarray:
-    arr = np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
-    if arr.ndim != shape_len:
-        raise ValidationError("histogram/shape", f"expected {shape_len}-d values, got shape {arr.shape}")
+def _hold(obj, ndim: int, code: str = "histogram/shape", copy: bool = True) -> None:
+    """Hold ``obj.values`` as read-only floats (copied if `copy`) of `ndim` axes, one value
+    per cell of ``obj.partition`` on the last (else `code`), of ``obj.kind`` if it has one."""
+    arr = np.array(obj.values, dtype=float) if copy else np.asarray(obj.values, dtype=float)
     arr.setflags(write=False)
-    return arr
+    if arr.ndim != ndim:
+        raise ValidationError("histogram/shape", f"expected {ndim}-d values, got shape {arr.shape}")
+    if arr.shape[-1] != len(obj.partition):
+        unit = "columns" if ndim == 2 else "values"
+        raise ValidationError(code, f"{arr.shape[-1]} {unit} for {len(obj.partition)} cells")
+    if hasattr(obj, "kind"):
+        _check_kind(arr, obj.kind)
+    object.__setattr__(obj, "values", arr)
 
 
 def _check_kind(values: np.ndarray, kind: str) -> None:
@@ -91,14 +98,7 @@ class Histogram:
     kind: str = SIGNED
 
     def __post_init__(self):
-        arr = _frozen_array(self.values, 1)
-        if len(arr) != len(self.partition):
-            raise ValidationError(
-                "histogram/shape",
-                f"{len(arr)} values for {len(self.partition)} cells",
-            )
-        _check_kind(arr, self.kind)
-        object.__setattr__(self, "values", arr)
+        _hold(self, 1)
 
     def total(self) -> float:
         return float(self.values.sum())
@@ -118,14 +118,7 @@ class HistogramStack:
     owned: InitVar[bool] = False
 
     def __post_init__(self, owned: bool):
-        arr = _frozen_array(self.values, 2, copy=not owned)
-        if arr.shape[1] != len(self.partition):
-            raise ValidationError(
-                "histogram/shape",
-                f"{arr.shape[1]} columns for {len(self.partition)} cells",
-            )
-        _check_kind(arr, self.kind)
-        object.__setattr__(self, "values", arr)
+        _hold(self, 2, copy=not owned)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -176,11 +169,7 @@ class PiecewiseDensity:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.values, 1)
-        if len(arr) != len(self.partition):
-            raise ValidationError("density/shape",
-                                  f"{len(arr)} values for {len(self.partition)} cells")
-        object.__setattr__(self, "values", arr)
+        _hold(self, 1, "density/shape")
 
     def __call__(self, x) -> float:
         return float(self.values[self.partition.position_of(x)])

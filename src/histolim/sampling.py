@@ -127,9 +127,6 @@ def _split_level(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
 
 
 def _check_binary_chain(chain: PartitionChain, depth: int) -> None:
-    if not 0 <= depth <= chain.depth:
-        raise ValidationError("sampling/depth",
-                              f"depth {depth} outside chain levels 0..{chain.depth}")
     for level in range(depth + 1):
         cells = len(chain[level]) - chain[level].has_atom
         if cells != 1 << level:
@@ -223,8 +220,10 @@ def level_drawer(system: HistogramSystem, chain: PartitionChain, depth: int,
     ``draw(substream, k, out)`` fills the caller's (k, len(partition))
     array `out` with k replicate rows and returns it; no kernel allocates
     rows of its own."""
-    # a kernel per class of the closed `FAMILIES`; Polya's checks the depth first
-    draw = _DRAW_KERNELS[type(system)](system, chain, depth)
+    if not 0 <= depth <= chain.depth:
+        raise ValidationError("sampling/depth",
+                              f"depth {depth} outside chain levels 0..{chain.depth}")
+    draw = _DRAW_KERNELS[type(system)](system, chain, depth)  # one per class of `FAMILIES`
     return chain[depth], system.kind, draw
 
 

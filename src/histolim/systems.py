@@ -657,16 +657,14 @@ class PointMassCovariance(Covariance):
         return sigma
 
 
+#: each named kernel: its parameters with their defaults, and the kernel as a function of them
 _NAMED_KERNELS = {
-    "constant": lambda p: (lambda x, y: p.get("c", 1.0)),
-    "gaussian": lambda p: (lambda x, y: p.get("scale", 1.0)
-                           * math.exp(-0.5 * ((x - y) / p.get("length", 1.0)) ** 2)),
-    "exponential": lambda p: (lambda x, y: p.get("scale", 1.0)
-                              * math.exp(-abs(x - y) / p.get("length", 1.0))),
+    "constant": ({"c": 1.0}, lambda c: lambda x, y: c),
+    "gaussian": ({"length": 1.0, "scale": 1.0},
+                 lambda length, scale: lambda x, y: scale * math.exp(-0.5 * ((x - y) / length) ** 2)),
+    "exponential": ({"length": 1.0, "scale": 1.0},
+                    lambda length, scale: lambda x, y: scale * math.exp(-abs(x - y) / length)),
 }
-#: the parameters that each named kernel reads
-_KERNEL_PARAMS = {"constant": ("c",), "gaussian": ("length", "scale"),
-                  "exponential": ("length", "scale")}
 
 
 #: the largest Gauss-Legendre order: numpy tests `leggauss` up to 100, and
@@ -674,29 +672,35 @@ _KERNEL_PARAMS = {"constant": ("c",), "gaussian": ("length", "scale"),
 MAX_QUADRATURE_ORDER = 100
 
 
-def _quadrature_order(order, code: str) -> int:
-    order = read_number(order, "quadrature order", code, integer=True)
-    if not 1 <= order <= MAX_QUADRATURE_ORDER:
-        raise ValidationError(code, f"quadrature order must be in 1..{MAX_QUADRATURE_ORDER}, "
-                                    f"got {order}")
-    return order
+class IntegralCovariance(Covariance):
+    """A variant whose `kernel()` is integrated over each cell pair by Gauss-Legendre quadrature."""
+
+    quadrature = True
+
+    def _read_order(self, code: str) -> None:
+        order = read_number(self.order, "quadrature order", code, integer=True)
+        if not 1 <= order <= MAX_QUADRATURE_ORDER:
+            raise ValidationError(code, f"quadrature order must be in 1..{MAX_QUADRATURE_ORDER}, "
+                                        f"got {order}")
+        object.__setattr__(self, "order", order)
+
+    def cell_matrix(self, partition: Partition) -> np.ndarray:
+        return _quadrature_matrix(self.kernel(), partition, self.order)
 
 
 @dataclass(frozen=True)
-class KernelCovariance(Covariance):
+class KernelCovariance(IntegralCovariance):
     name: str
     params: dict = field(default_factory=dict)
     order: int = 8
-
-    quadrature = True
 
     def __post_init__(self):
         object.__setattr__(self, "params", dict(self.params))
         if not isinstance(self.name, str) or self.name not in _NAMED_KERNELS:
             raise ValidationError("covariance/kernel",
                                   f"unknown kernel {self.name!r}; have {sorted(_NAMED_KERNELS)}")
-        object.__setattr__(self, "order", _quadrature_order(self.order, "covariance/kernel"))
-        reads = _KERNEL_PARAMS[self.name]
+        self._read_order("covariance/kernel")
+        reads = _NAMED_KERNELS[self.name][0]
         unread = [key for key in self.params if key not in reads]
         if unread:
             raise ValidationError("covariance/kernel", f"the {self.name} kernel reads no "
@@ -714,14 +718,12 @@ class KernelCovariance(Covariance):
         self.kernel()(0.25, 0.9)
 
     def kernel(self) -> Callable[[float, float], float]:
-        return _NAMED_KERNELS[self.name](self.params)
-
-    def cell_matrix(self, partition: Partition) -> np.ndarray:
-        return _quadrature_matrix(self.kernel(), partition, self.order)
+        defaults, kernel = _NAMED_KERNELS[self.name]
+        return kernel(**{**defaults, **self.params})
 
 
 @dataclass(frozen=True)
-class GreensCovariance(Covariance):
+class GreensCovariance(IntegralCovariance):
     """Distance-based kernels per spatial dimension, regularized near the
     diagonal by a length cutoff; dimension one takes an affine-in-each-
     variable correction (c0 + c1*(x+y) + c2*x*y) added to -|x-y|."""
@@ -731,8 +733,6 @@ class GreensCovariance(Covariance):
     affine: tuple[float, float, float] = (0.0, 1.0, -2.0)
     order: int = 8
 
-    quadrature = True
-
     def __post_init__(self):
         code = "covariance/greens"
         object.__setattr__(self, "dimension",
@@ -740,7 +740,7 @@ class GreensCovariance(Covariance):
         object.__setattr__(self, "uv_cutoff", read_number(self.uv_cutoff, "cutoff", code))
         object.__setattr__(self, "affine",
                            tuple(read_number(a, "affine correction", code) for a in self.affine))
-        object.__setattr__(self, "order", _quadrature_order(self.order, code))
+        self._read_order(code)
         if self.dimension not in (1, 2, 3):
             raise ValidationError(code, f"dimension must be 1, 2 or 3, got {self.dimension}")
         if self.dimension >= 2 and not (self.uv_cutoff > 0):
@@ -756,9 +756,6 @@ class GreensCovariance(Covariance):
         if self.dimension == 2:
             return lambda x, y: -math.log(abs(x - y) + eps)
         return lambda x, y: 1.0 / (abs(x - y) + eps)
-
-    def cell_matrix(self, partition: Partition) -> np.ndarray:
-        return _quadrature_matrix(self.kernel(), partition, self.order)
 
 
 COVARIANCES = ("variant", "covariance/json", {
