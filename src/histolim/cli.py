@@ -112,7 +112,10 @@ def _check_depth(depth: Optional[int]) -> None:
         raise ValidationError("cli/depth", f"--depth must be >= 0, got {depth}")
 
 
-def _resolve_chain(system, chain_path: Optional[str], depth: int) -> PartitionChain:
+def _resolve_chain(system, chain_path: Optional[str], depth: Optional[int]) -> PartitionChain:
+    """The --chain file, else the system's own chain or the dyadic unit chain
+    to `depth`, refused if shallower than `depth`; None builds to depth 8 and
+    refuses no depth (`diagnose`'s default depths stop at the chain's)."""
     if chain_path is not None:
         try:
             text = Path(chain_path).read_text()
@@ -120,8 +123,9 @@ def _resolve_chain(system, chain_path: Optional[str], depth: int) -> PartitionCh
             raise ValidationError("cli/chain-file", f"cannot read {chain_path}: {e}")
         chain = chain_from_json_text(text)
     else:  # a chain is never empty, so None means the family has no chain of its own
-        chain = system.chain(depth) or dyadic_chain(depth=depth)
-    if depth > chain.depth:
+        build = 8 if depth is None else depth
+        chain = system.chain(build) or dyadic_chain(depth=build)
+    if depth is not None and depth > chain.depth:
         raise ValidationError("cli/depth",
                               f"depth {depth} exceeds the chain depth {chain.depth}")
     return chain
@@ -312,7 +316,7 @@ def check(system_path, chain_path, depth, out, force):
 @chain_option
 @click.option("--depths", "depths_raw", default=None,
               help="Comma-separated, strictly increasing Monte-Carlo "
-                   "depths (default 2..8).")
+                   "depths (default 2..8, or to the chain's depth if less).")
 @click.option("--depth", "depth_max", default=None, type=int,
               help="Shorthand for --depths 2..DEPTH.")
 @click.option("--N", "n", default=10_000, type=int, show_default=True,
@@ -352,7 +356,7 @@ def diagnose(system_path, chain_path, depths_raw, depth_max, n, seed,
     jobs = _jobs(jobs)
     curves = ("atomicity", "domination-mean", "domination-tail") if fmt == "csv" else ()
     _refuse_existing(force, out, *(f"{out}.{name}.csv" for name in curves))
-    chain = _resolve_chain(system, chain_path, 8 if depths is None else max(0, *depths))
+    chain = _resolve_chain(system, chain_path, None if depths is None else max(0, *depths))
     check_depths(depths or (), chain, "cli/depth")
     report = _module.phase_report(system, chain, depths=depths, replicates=n,
                                   seed=seed, L_grid=l_grid, delta=delta, jobs=jobs)

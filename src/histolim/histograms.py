@@ -156,8 +156,9 @@ def truncation_statistic(p: Histogram, q: Histogram, level: float) -> float:
     if np.any(q.values < 0):
         raise ValidationError("histogram/negative-reference",
                               "reference histogram must be nonnegative")
-    if level < 0:
-        raise ValidationError("histogram/truncation-level", f"level must be >= 0, got {level}")
+    if not 0 <= level < math.inf:
+        raise ValidationError("histogram/truncation-level",
+                              f"level must be finite and >= 0, got {level}")
     return float(truncation_values(p.values, q.values, level))
 
 

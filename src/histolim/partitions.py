@@ -159,6 +159,9 @@ class Domain:
 
     @staticmethod
     def from_json(obj: dict) -> "Domain":
+        if not isinstance(obj, dict):
+            raise ValidationError("chain/json",
+                                  f"a domain is a JSON object, got {type(obj).__name__}")
         closed_left = obj.get("closed_left", False)
         if not isinstance(closed_left, bool):
             raise ValidationError("chain/json",
@@ -459,5 +462,3 @@ def chain_from_json_text(text: str) -> PartitionChain:
     except KeyError as e:
         raise ValidationError("chain/json",
                               f"chain JSON is missing the {e.args[0]!r} field") from None
-    except (TypeError, AttributeError) as e:
-        raise ValidationError("chain/json", f"malformed chain JSON: {e}") from None

@@ -709,9 +709,10 @@ class KernelCovariance(IntegralCovariance):
         if isinstance(length, (int, float)) and not 0 < length < math.inf:
             raise ValidationError("covariance/kernel",
                                   f"kernel length must be finite and positive, got {length!r}")
-        # kept as given, for `to_json`; a zero scale is the zero covariance
+        # kept as given, for `to_json`; a zero scale or c is the zero covariance
         for key, value in self.params.items():
-            read_number(value, f"kernel {key}", "covariance/kernel")
+            if read_number(value, f"kernel {key}", "covariance/kernel") < 0:  # a scale or c
+                raise ValidationError("covariance/kernel", f"kernel {key} must be >= 0, got {value!r}")
         # every named kernel reads x - y (exactly -(y - x)) through a square or
         # `abs`, so it is symmetric; this call refuses, on load, a length so
         # short that the Gaussian kernel's square overflows at the gap 0.65

@@ -820,6 +820,30 @@ def test_diagnose_refuses_depth_below_two(depth, systems, capsys):
     assert err == f"error[cli/depth] --depth must be >= 2, got {depth}\n"
 
 
+@pytest.mark.parametrize("system, chain, depths", [
+    ({"family": "leakage", "delta": 0.2, "depth": 6}, None, "2,3"),
+    ({"family": "dirichlet", "base": {"type": "lebesgue"}},
+     {"domain": {"left": "0", "right": "1"}, "kind": "dyadic",
+      "levels": [["0", "1"], ["0", "1/2", "1"], ["0", "1/4", "1/2", "3/4", "1"]]}, "2"),
+], ids=["leakage-depth-6", "chain-file-depth-2"])
+def test_diagnose_default_depths_stop_at_a_shallow_chain(system, chain, depths, tmp_path, capsys):
+    """With no --depths or --depth, a chain shallower than 8 was refused as
+    too shallow for depth 8; the report reads its levels from 2 on, the
+    bytes of the depths given.  A leakage report draws no curve, so its
+    bytes do not depend on the depths."""
+    (tmp_path / "system.json").write_text(json.dumps(system))
+    argv = ("diagnose", "--system", str(tmp_path / "system.json"), "--seed", "1", "--N", "1000")
+    if chain is not None:
+        (tmp_path / "chain.json").write_text(json.dumps(chain))
+        argv += ("--chain", str(tmp_path / "chain.json"))
+    default = run(capsys, *argv)
+    assert default[0] == 0, default[2]
+    assert default == run(capsys, *argv, "--depths", depths)
+    code, out, err = run(capsys, *argv, "--depths", f"{depths},9")
+    assert (code, out) == (1, "")
+    assert err.startswith("error[cli/depth] depth 9 exceeds the chain depth "), err
+
+
 @pytest.mark.parametrize("case", [
     ("--depths", "2.7,3", "cli/number-list"),
     ("--depths", "3,2", "cli/depth"),

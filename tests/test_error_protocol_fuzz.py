@@ -9,9 +9,10 @@ line.  The JSON output of a run that exits 0 must be strict JSON, with no
 ``NaN`` or ``Infinity`` token.  A change that makes a numeric field a
 non-number (a truth value, a string, null, a list or an object) or a
 non-finite number, that makes a truth-value field anything but true or
-false, that adds an entry to a list of numbers, or that adds a key that
-nothing reads to an object (a spec at any level, a kernel's parameters, a
-table's pairs), must be refused when the spec is read (exit 1).
+false, that adds an entry to a list of numbers, that adds a key that nothing
+reads to an object (a spec at any level, a kernel's parameters, a table's
+pairs), or that leaves a kernel with a negative `scale` or `c`, must be
+refused when the spec is read (exit 1).
 The golden chain file is changed the same way and passed by ``--chain`` to
 `mean`, `sample` and `check` on a fixed system; a change that breaks a
 chain-file rule must be refused (exit 1).
@@ -170,6 +171,14 @@ def _mutated(skeleton, path: tuple, action: str, value) -> tuple[object, bool]:
     return spec, False
 
 
+def _negative_kernel_weight(spec) -> bool:
+    """Whether `spec` is a Gaussian system whose kernel has a negative `scale` or `c`."""
+    covariance = spec.get("covariance") if isinstance(spec, dict) else None
+    params = covariance.get("params") if isinstance(covariance, dict) else None
+    return isinstance(params, dict) and any(
+        type(params.get(key)) in (int, float) and params[key] < 0 for key in ("scale", "c"))
+
+
 def _refuse_constant(token: str):
     raise AssertionError(f"invalid JSON token {token} in the output")
 
@@ -225,6 +234,9 @@ SAMPLE_JSON = ("sample", "--depth", "2", "--replicates", "3", "--seed", "0", "--
 @example(("golden/greens_d1/spelled", ("covariance", "affine"), "set", [1, 2], CHECK))
 @example(("golden/polya_dirichlet_match/spelled", ("beta", "base", "scale"), "set", -1, CHECK))
 @example(("golden/polya_table_inf", ("beta", "pairs", "()"), "append", 3, MEAN))
+# a negative kernel weight: refused only by the eigenvalue check (exit 2)
+@example(("golden/gaussian_kernel", ("covariance", "params"), "set", {"length": 0.2, "scale": -1},
+          CHECK))
 # a key that nothing reads, at every level: it was left unread
 @example(("golden/polya_m2", ("beta",), "add", 0.3, MEAN))
 @example(("golden/gaussian_kernel", ("covariance",), "add", "zero", CHECK))
@@ -273,7 +285,7 @@ def test_every_input_follows_the_error_protocol(case):
     code, err = run(spec, argv)
     assert_protocol(code, err)
     assert_check_depth_refused(argv, code, err)
-    if must_refuse:
+    if must_refuse or _negative_kernel_weight(spec):
         assert code == 1, (spec, argv, err)
 
 
@@ -350,9 +362,13 @@ def test_truth_values_are_not_numbers(field, value):
      "error[system/json] interior must be true or false, got 'false'\n"),
     (_gaussian(**KERNEL) | {"centre": None},
      "error[base/json] unknown type None in None; have ['atoms', 'lebesgue']\n"),
+    (_gaussian(**{**KERNEL, "params": {"length": 0.2, "scale": -1}}),
+     "error[covariance/kernel] kernel scale must be >= 0, got -1\n"),
+    (_gaussian(variant="kernel", name="constant", params={"c": -2}),
+     "error[covariance/kernel] kernel c must be >= 0, got -2\n"),
 ], ids=["kernel-order-fraction", "kernel-order-huge", "greens-order-101", "greens-order-fraction",
         "greens-short-affine", "matching-negative-base", "table-long-pair", "leakage-interior-text",
-        "null-centre"])
+        "null-centre", "kernel-negative-scale", "kernel-negative-c"])
 @pytest.mark.parametrize("argv", [MEAN[:3], CHECK], ids=["mean", "check"])
 def test_bad_specs_are_refused_when_read(spec, start, argv):
     code, err = run(spec, argv)
@@ -448,6 +464,8 @@ def _breaks_a_chain_rule(path: tuple, action: str, value) -> bool:
 # level given as a string, read one character at a time
 @example(("kind",), "add", "dyadic", MEAN)
 @example(("levels", 1), "set", "x", MEAN)
+# a domain that is not an object: the message was an attribute error
+@example(("domain",), "set", "abc", MEAN)
 def test_every_chain_file_follows_the_error_protocol(path, action, value, argv):
     chain, _ = _mutated(CHAIN, path, action, value)
     code, err = run(CHAIN_SYSTEM, argv, json.dumps(chain))
@@ -482,9 +500,11 @@ def test_every_chain_file_follows_the_error_protocol(path, action, value, argv):
      "error[chain/json] levels must be an array of arrays of endpoints\n"),
     ('{"domain": ' + "[" * 100_000 + "]" * 100_000 + "}",
      "error[chain/json] invalid chain JSON: maximum recursion depth exceeded"),
+    ('{"domain": "abc", "kind": "dyadic", "levels": [["0", "1"]]}',
+     "error[chain/json] a domain is a JSON object, got str\n"),
 ], ids=["truth-value-ends", "closed-left-text", "row-ends", "level-1-ends", "no-levels",
         "misspelt-kind", "misspelt-closed-left", "string-rows", "object-rows", "object-levels",
-        "nested-past-the-recursion-limit"])
+        "nested-past-the-recursion-limit", "string-domain"])
 def test_bad_chain_files_are_refused(chain_text, start):
     code, err = run(GOLDEN["dirichlet_lebesgue"], ("mean", "--depth", "0"), chain_text)
     assert code == 1

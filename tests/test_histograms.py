@@ -170,8 +170,15 @@ def test_truncation_validations():
     neg = Histogram(CHAIN[1], np.array([1.0, -1.0]), SIGNED)
     with pytest.raises(ValidationError):
         truncation_statistic(p, neg, 1.0)
-    with pytest.raises(ValidationError):
-        truncation_statistic(p, prob(1, [0.5, 0.5]), -0.5)
+
+
+@pytest.mark.filterwarnings("error")  # an infinite level warned of inf * 0 and gave nan
+@pytest.mark.parametrize("level", [-0.5, math.nan, math.inf])
+def test_truncation_refuses_a_negative_or_non_finite_level(level):
+    with pytest.raises(ValidationError) as e:
+        truncation_statistic(prob(1, [0.7, 0.3]), prob(1, [1.0, 0.0]), level)
+    assert (e.value.code, str(e.value)) == ("histogram/truncation-level",
+                                            f"level must be finite and >= 0, got {level}")
 
 
 @given(st.lists(st.floats(0.01, 10.0), min_size=2, max_size=5))
@@ -222,7 +229,13 @@ def test_tv_curve_is_exact_for_polynomials():
     (lambda: Histogram(CHAIN[1], [0.5, 0.5], "mass"), "histogram/kind", "unknown kind 'mass'"),
     (lambda: Histogram(CHAIN[2], [0.5, 0.5]), "histogram/shape", "2 values for 4 cells"),
     (lambda: PiecewiseDensity(CHAIN[2], [1.0]), "density/shape", "1 values for 4 cells"),
-], ids=["two-dimensional", "unknown-kind", "length", "density-length"])
+    (lambda: HistogramStack(CHAIN[1], [0.5, 0.5]), "histogram/shape",
+     "expected 2-d values, got shape (2,)"),
+    (lambda: HistogramStack(CHAIN[2], np.ones((3, 2))), "histogram/shape", "2 columns for 4 cells"),
+    (lambda: PiecewiseDensity(CHAIN[1], np.ones((1, 2))), "histogram/shape",
+     "expected 1-d values, got shape (1, 2)"),
+], ids=["two-dimensional", "unknown-kind", "length", "density-length", "stack-one-dimensional",
+        "stack-columns", "density-two-dimensional"])
 def test_malformed_histograms_are_refused(make, code, message):
     with pytest.raises(ValidationError) as e:
         make()

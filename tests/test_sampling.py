@@ -203,6 +203,21 @@ def test_path_skips_unbounded_cells():
     assert pts[-1][1] == pytest.approx(1.0 - 0.2)
 
 
+@pytest.mark.parametrize("system", [
+    DirichletSystem(LebesgueBase()), PolyaTreeSystem(HomogeneousRule("m")),
+    GaussianSystem(DiagonalCovariance(LebesgueBase())), LeakageSystem(0.2, depth=3),
+], ids=["dirichlet", "polya", "gaussian", "leakage"])
+@pytest.mark.parametrize("depth", [-1, 4], ids=["negative", "past-the-chain"])
+def test_every_family_refuses_a_level_outside_the_chain(system, depth):
+    """A negative depth drew the chain's last level, and one past it raised
+    IndexError, for every family but the splitting trees."""
+    chain = system.chain(3) or dyadic_chain(depth=3)
+    with pytest.raises(ValidationError) as e:
+        sample_stack(system, chain, depth, RandomStream(0), 2)
+    assert (e.value.code, str(e.value)) == ("sampling/depth",
+                                            f"depth {depth} outside chain levels 0..3")
+
+
 def test_replicate_validation():
     with pytest.raises(ValidationError):
         sample_stack(DirichletSystem(LebesgueBase()), CHAIN, 2,
