@@ -170,15 +170,12 @@ def test_truncation_validations():
     neg = Histogram(CHAIN[1], np.array([1.0, -1.0]), SIGNED)
     with pytest.raises(ValidationError):
         truncation_statistic(p, neg, 1.0)
-
-
-@pytest.mark.filterwarnings("error")  # an infinite level warned of inf * 0 and gave nan
-@pytest.mark.parametrize("level", [-0.5, math.nan, math.inf])
-def test_truncation_refuses_a_negative_or_non_finite_level(level):
-    with pytest.raises(ValidationError) as e:
-        truncation_statistic(prob(1, [0.7, 0.3]), prob(1, [1.0, 0.0]), level)
-    assert (e.value.code, str(e.value)) == ("histogram/truncation-level",
-                                            f"level must be finite and >= 0, got {level}")
+    # a NaN level gave nan, and an infinite one nan after inf * 0 on a zero cell
+    for level in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValidationError) as e:
+            truncation_statistic(p, prob(1, [1.0, 0.0]), level)
+        assert (e.value.code, str(e.value)) == ("histogram/truncation-level",
+                                                f"level must be finite and >= 0, got {level}")
 
 
 @given(st.lists(st.floats(0.01, 10.0), min_size=2, max_size=5))
